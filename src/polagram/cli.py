@@ -187,6 +187,7 @@ def cmd_sequent(args) -> int:
             "derivable": bool(result.derivations),
             "derivation_count": len(result.derivations),
             "budget_exhausted": result.budget_exhausted,
+            "timed_out": result.timed_out,
         })
     elif result.derivations:
         print(f"derivable ({len(result.derivations)} derivations found)")

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
 from .lexicon import Lexicon, tokenize
-from .prover import Derivation, SearchBudget, prove
+from .prover import Derivation, MoveTable, SearchBudget, prove
 from .readings import Reading, extract_reading
 
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)
@@ -99,6 +99,9 @@ def parse_sentence(sentence: str, lex: Lexicon,
     timed_out = False
     stop_at = None if deadline is None else time.monotonic() + deadline
     for tree in trees:
+        # the goal types of one tree share their moves; the table is
+        # dropped before the next tree (see MoveTable)
+        table = MoveTable()
         for goal_type in (goals if goals is not None else GOAL_TYPES):
             remaining = None
             if stop_at is not None:
@@ -110,7 +113,7 @@ def parse_sentence(sentence: str, lex: Lexicon,
             result = prove(goal,
                            budget if budget is not None
                            else SearchBudget.for_goal(goal),
-                           deadline=remaining)
+                           deadline=remaining, table=table)
             exhausted = exhausted or result.budget_exhausted
             timed_out = timed_out or result.timed_out
             for d in result.derivations:

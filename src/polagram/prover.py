@@ -44,11 +44,26 @@ returned, which always consist of single honest rule applications:
 Rather than a memoized depth-first search (per-branch budgets make the same
 subgoal recur under countless different remaining budgets), ``prove``
 evaluates the reachable sequent graph exactly, in three phases, and then
-extracts derivation trees; see the commentary on ``prove``.
+extracts derivation trees; see the commentary on ``prove``.  Three more
+economies concern the cost of a search, not its space, and leave every
+result as it is:
+
+* The graph's edges outlive one search.  A node's moves depend only on the
+  sequent, since they are generated at unbounded budget and filtered by
+  cost as the search uses them, so a ``MoveTable`` keeps them for later
+  calls (tabled deduction).  ``parse_sentence`` shares one table between
+  the goal types of each bracketing and drops it before the next.
+* The table hash-conses premises: every premise its moves hold is the one
+  ``Sequent`` object for its full key, so a sequent that many moves lead
+  to is stored once.
+* The cyclic garbage collector is paused while ``prove`` runs.  The search
+  creates no reference cycles, so reference counting frees all it drops,
+  and the collector would only rescan the live graph to find nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass
@@ -618,9 +633,10 @@ def _apply_chain(steps: Sequence[Tuple[RuleName, Site, Sequent]],
 # search therefore runs over the (finite, usually small) graph of reachable
 # sequents in three exact phases:
 #
-#   1. explore: walk the graph from the goal, generating each node's moves
-#      once and recording the Pareto-minimal (structural, T) path costs at
-#      which the node is reachable within budget;
+#   1. explore: walk the graph from the goal, taking each node's moves from
+#      the move table (generated there once, possibly by an earlier call)
+#      and recording the Pareto-minimal (structural, T) path costs at which
+#      the node is reachable within budget;
 #   2. evaluate: fix, per node and per scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first),
 #      the Pareto frontier of derivation costs, where the cost of a
@@ -643,12 +659,6 @@ def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
     return True
 
 
-def _full_key(seq: Sequent) -> str:
-    """Identity for graph nodes: canonical key plus word labels, so that
-    display/reading metadata never bleeds between label variants."""
-    return seq.full_key
-
-
 Trace = Tuple[Tuple[str, Optional[int]], ...]
 
 
@@ -665,8 +675,46 @@ def _move_trace(move: Move) -> Trace:
     return ()
 
 
+class MoveTable:
+    """The moves of every sequent expanded so far, keyed by ``full_key``.
+
+    Moves depend on the sequent alone, so one table can serve several
+    ``prove`` calls.  ``parse_sentence`` gives each bracketing its own table,
+    shared by that bracketing's goal types, and drops it before the next:
+    the goals over one tree reach largely the same sequents, while a table
+    spanning bracketings would hold the whole sentence's graph for little
+    further sharing.  Premises are hash-consed: every premise the moves
+    hold is the table's one ``Sequent`` for its key, so a sequent that many
+    moves lead to is stored once.  Beside each node's moves the table keeps
+    their scope traces (``_move_trace``), which depend on the move alone.
+    """
+
+    __slots__ = ("sequents", "moves", "traces")
+
+    def __init__(self) -> None:
+        self.sequents: Dict[str, Sequent] = {}
+        self.moves: Dict[str, List[Move]] = {}
+        self.traces: Dict[str, List[Trace]] = {}
+
+    def canonical(self, seq: Sequent) -> Sequent:
+        """The table's one sequent with the full key of ``seq``."""
+        return self.sequents.setdefault(seq.full_key, seq)
+
+    def moves_of(self, seq: Sequent) -> List[Move]:
+        """The moves at ``seq`` (a canonical sequent), generated once."""
+        moves = self.moves.get(seq.full_key)
+        if moves is None:
+            canonical = self.canonical
+            moves = [(steps, tuple(map(canonical, premises)), ms, mt)
+                     for steps, premises, ms, mt in _moves(seq, _INF, _INF)[0]]
+            self.moves[seq.full_key] = moves
+            self.traces[seq.full_key] = [_move_trace(m) for m in moves]
+        return moves
+
+
 def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
-          deadline: Optional[float] = None) -> SearchResult:
+          deadline: Optional[float] = None,
+          table: Optional[MoveTable] = None) -> SearchResult:
     """Search backward for derivations of ``goal``.
 
     Returns up to ``budget.max_derivations`` locally-valid derivations in a
@@ -674,17 +722,49 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     budget.  ``deadline`` (seconds, wall clock) optionally aborts long
     searches; an aborted search reports no derivations and an exhausted
     budget.
+
+    ``table`` keeps the moves of the sequents the search expands.  Calls
+    given the same table generate each sequent's moves once among them;
+    a call given none uses a private one.  Sharing cannot change a result:
+    moves are generated at unbounded budget and gated by cost only as the
+    search uses them, and everything that depends on the goal or the
+    budget (reach labels, cost frontiers, the extraction path) stays
+    private to the call.  The reference search that ``memo_enabled=False``
+    selects uses no table.
+
+    The cyclic garbage collector is paused for the call, and the caller's
+    setting is restored on return.  This is safe because nothing the search
+    builds forms a reference cycle: structures, sequents, moves, labels and
+    derivations are acyclic, and the recursive searches are methods, not
+    closures that refer to themselves through their own cells.  Reference
+    counting therefore frees everything the call drops, and a collection
+    during the search could reclaim nothing; it would only rescan the
+    growing graph.
     """
     if budget is None:
         budget = SearchBudget.for_goal(goal)
-    if not budget.memo_enabled:
-        return _prove_plain(goal, budget, deadline)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if not budget.memo_enabled:
+            return _prove_plain(goal, budget, deadline)
+        return _prove_tabled(goal, budget, deadline,
+                             MoveTable() if table is None else table)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _prove_tabled(goal: Sequent, budget: SearchBudget,
+                  deadline: Optional[float], table: MoveTable) -> SearchResult:
+    """The three-phase search of ``prove`` over the moves in ``table``."""
     cap_s = budget.max_structural_steps
     cap_t = budget.max_t_insertions
     stop_at = None if deadline is None else time.monotonic() + deadline
     exhausted = False
+    tick = [0]
 
-    def check_deadline(tick: List[int]) -> None:
+    def check_deadline() -> None:
         tick[0] += 1
         if stop_at is not None and tick[0] % 512 == 0 \
                 and time.monotonic() > stop_at:
@@ -694,27 +774,24 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
         # phase 1: explore the reachable sequent graph, processing reach
         # labels in nondecreasing cost order so each Pareto point of a node
         # is settled before it propagates (label-setting)
-        moves_of: Dict[str, List[Move]] = {}
-        goal_key = _full_key(goal)
+        goal = table.canonical(goal)
+        goal_key = goal.full_key
         reach: Dict[str, List[Tuple[int, int]]] = {}
-        tick = [0]
         counter = 0
         work: List[Tuple[int, int, int, str, Sequent]] = [
             (0, 0, counter, goal_key, goal)]
         while work:
-            check_deadline(tick)
+            check_deadline()
             rs, rt, _, fk, seq = heapq.heappop(work)
             if not _pareto_add(reach.setdefault(fk, []), rs, rt):
                 continue
-            if fk not in moves_of:
-                moves_of[fk] = _moves(seq, _INF, _INF)[0]
-            for _steps, premises, ms, mt in moves_of[fk]:
+            for _steps, premises, ms, mt in table.moves_of(seq):
                 nrs, nrt = rs + ms, rt + mt
                 if nrs > cap_s or nrt > cap_t:
                     exhausted = True
                     continue
                 for premise in premises:
-                    pk = _full_key(premise)
+                    pk = premise.full_key
                     known = reach.get(pk)
                     if known is None or not any(
                             s <= nrs and t <= nrt for s, t in known):
@@ -724,47 +801,44 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
         # phase 2: fix per-node, per-trace Pareto frontiers of derivation
         # costs, again label-setting in nondecreasing cost order.  A trace
         # can be no longer than the node's stock of worded continuation
-        # functors, so the space of labels is finite.
-        table: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {
-            fk: {} for fk in moves_of}
-        premise_keys: Dict[str, List[Tuple[str, ...]]] = {}
-        own_traces: Dict[str, List[Trace]] = {}
+        # functors, so the space of labels is finite.  Only the nodes reached
+        # within budget take part; the table may hold more, from other calls.
+        moves, traces = table.moves, table.traces
+        frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {
+            fk: {} for fk in reach}
         deps: Dict[str, List[Tuple[str, int]]] = {}
         labels: List[Tuple[int, int, int, str, Trace]] = []
         counter = 0
-        for fk, moves in moves_of.items():
-            own_traces[fk] = [_move_trace(m) for m in moves]
-            premise_keys[fk] = [tuple(_full_key(p) for p in m[1])
-                                for m in moves]
-            for mi, (_steps, premises, ms, mt) in enumerate(moves):
+        for fk in reach:
+            for mi, (_steps, premises, ms, mt) in enumerate(moves[fk]):
                 if not premises:
                     if ms <= cap_s and mt <= cap_t:
                         counter += 1
                         heapq.heappush(labels, (ms, mt, counter, fk, ()))
                 else:
-                    for pk in premise_keys[fk][mi]:
-                        deps.setdefault(pk, []).append((fk, mi))
+                    for premise in premises:
+                        deps.setdefault(premise.full_key, []).append((fk, mi))
 
         def push_move_labels(parent: str, mi: int, pk_new: str,
                              trace_new: Trace, s_new: int, t_new: int) -> None:
             """New label at one premise: combine with settled labels of the
             other premise (if any) and push the resulting parent labels."""
             nonlocal counter
-            _steps, _premises, ms, mt = moves_of[parent][mi]
-            own = own_traces[parent][mi]
-            pks = premise_keys[parent][mi]
-            if len(pks) == 1:
+            _steps, premises, ms, mt = moves[parent][mi]
+            own = traces[parent][mi]
+            if len(premises) == 1:
                 s, t = ms + s_new, mt + t_new
                 if s <= cap_s and t <= cap_t:
                     counter += 1
                     heapq.heappush(labels, (s, t, counter, parent,
                                             own + trace_new))
                 return
-            roles = [role for role, pk in ((True, pks[0]), (False, pks[1]))
+            pk0, pk1 = premises[0].full_key, premises[1].full_key
+            roles = [role for role, pk in ((True, pk0), (False, pk1))
                      if pk == pk_new]
             for first in roles:
-                other = pks[1] if first else pks[0]
-                for trace2, front2 in table.get(other, {}).items():
+                other = pk1 if first else pk0
+                for trace2, front2 in frontiers.get(other, {}).items():
                     full = (own + trace_new + trace2) if first \
                         else (own + trace2 + trace_new)
                     for s2, t2 in front2:
@@ -775,100 +849,24 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
                                            (s, t, counter, parent, full))
 
         while labels:
-            check_deadline(tick)
+            check_deadline()
             s, t, _, fk, trace = heapq.heappop(labels)
-            if fk not in table or not _pareto_add(
-                    table[fk].setdefault(trace, []), s, t):
+            if fk not in frontiers or not _pareto_add(
+                    frontiers[fk].setdefault(trace, []), s, t):
                 continue
             for parent, mi in deps.get(fk, ()):
                 push_move_labels(parent, mi, fk, trace, s, t)
 
-        def admissible(fk: str, trace: Trace, s_rem: int, t_rem: int) -> bool:
-            return any(s <= s_rem and t <= t_rem
-                       for s, t in table.get(fk, {}).get(trace, ()))
-
+        # phase 3: trace-guided extraction along admissible branches only
+        extraction = _Extraction(table, frontiers, check_deadline)
         goal_traces = sorted(
-            (trace for trace in table[goal_key]
-             if admissible(goal_key, trace, cap_s, cap_t)),
+            (trace for trace in frontiers[goal_key]
+             if extraction.admissible(goal_key, trace, cap_s, cap_t)),
             key=lambda trace: (len(trace), trace))
         if not goal_traces:
             return SearchResult([], exhausted)
-
-        # phase 3: trace-guided extraction along admissible branches only
-        path: Dict[str, int] = {}
-
-        def extract(seq: Sequent, fk: str, trace: Trace, s_rem: int,
-                    t_rem: int, want: int) -> List[Derivation]:
-            check_deadline(tick)
-            if seq.key in path:
-                return []
-            found: List[Derivation] = []
-            path[seq.key] = 1
-            try:
-                for mi, (steps, premises, ms, mt) in enumerate(moves_of[fk]):
-                    if len(found) >= want:
-                        break
-                    s2, t2 = s_rem - ms, t_rem - mt
-                    if s2 < 0 or t2 < 0:
-                        continue
-                    own = own_traces[fk][mi]
-                    if own:
-                        if not trace or trace[0] != own[0]:
-                            continue
-                        rest = trace[1:]
-                    else:
-                        rest = trace
-                    # fused chains pass through intermediate sequents, which
-                    # count toward the branch's no-repeat check too
-                    mids = [c.key for _r, _s, c in steps[1:]]
-                    if any(m in path for m in mids):
-                        continue
-                    for m in mids:
-                        path[m] = 1
-                    try:
-                        if not premises:
-                            if not rest:
-                                found.append(_apply_chain(steps, ()))
-                            continue
-                        pks = premise_keys[fk][mi]
-                        if len(premises) == 1:
-                            if not admissible(pks[0], rest, s2, t2):
-                                continue
-                            for sub in extract(premises[0], pks[0], rest,
-                                               s2, t2, want - len(found)):
-                                found.append(_apply_chain(steps, (sub,)))
-                        else:
-                            for cut in range(len(rest) + 1):
-                                if len(found) >= want:
-                                    break
-                                part1, part2 = rest[:cut], rest[cut:]
-                                if not (admissible(pks[0], part1, s2, t2)
-                                        and admissible(pks[1], part2, s2, t2)):
-                                    continue
-                                need = want - len(found)
-                                mains = extract(premises[0], pks[0], part1,
-                                                s2, t2, need)
-                                if not mains:
-                                    continue
-                                sides = extract(premises[1], pks[1], part2,
-                                                s2, t2, need)
-                                for main in mains:
-                                    if len(found) >= want:
-                                        break
-                                    for side in sides:
-                                        if len(found) >= want:
-                                            break
-                                        found.append(
-                                            _apply_chain(steps, (main, side)))
-                    finally:
-                        for m in mids:
-                            del path[m]
-            finally:
-                del path[seq.key]
-            return found
-
-        per_trace = [extract(goal, goal_key, trace, cap_s, cap_t,
-                             budget.max_derivations)
+        per_trace = [extraction.extract(goal, goal_key, trace, cap_s, cap_t,
+                                        budget.max_derivations)
                      for trace in goal_traces]
         derivations: List[Derivation] = []
         rank = 0
@@ -884,6 +882,104 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
         return SearchResult([], True, timed_out=True)
 
 
+class _Extraction:
+    """Phase 3 of ``prove``: a deterministic trace-guided DFS that emits
+    derivation trees, entering only subgoals whose cost frontier admits the
+    remaining budget.
+
+    A class rather than a nested function: a recursive closure refers to
+    itself through its own cell, and that cycle would keep the call's whole
+    sequent graph alive until the cyclic collector next ran.
+    """
+
+    def __init__(self, table: MoveTable,
+                 frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]],
+                 check_deadline: Callable[[], None]) -> None:
+        self.table = table
+        self.frontiers = frontiers
+        self.check_deadline = check_deadline
+        self.path: Dict[str, int] = {}
+
+    def admissible(self, fk: str, trace: Trace, s_rem: int,
+                   t_rem: int) -> bool:
+        return any(s <= s_rem and t <= t_rem
+                   for s, t in self.frontiers.get(fk, {}).get(trace, ()))
+
+    def extract(self, seq: Sequent, fk: str, trace: Trace, s_rem: int,
+                t_rem: int, want: int) -> List[Derivation]:
+        self.check_deadline()
+        path = self.path
+        if seq.key in path:
+            return []
+        admissible, extract = self.admissible, self.extract
+        own_traces = self.table.traces[fk]
+        found: List[Derivation] = []
+        path[seq.key] = 1
+        try:
+            for mi, (steps, premises, ms, mt) in enumerate(
+                    self.table.moves[fk]):
+                if len(found) >= want:
+                    break
+                s2, t2 = s_rem - ms, t_rem - mt
+                if s2 < 0 or t2 < 0:
+                    continue
+                own = own_traces[mi]
+                if own:
+                    if not trace or trace[0] != own[0]:
+                        continue
+                    rest = trace[1:]
+                else:
+                    rest = trace
+                # fused chains pass through intermediate sequents, which
+                # count toward the branch's no-repeat check too
+                mids = [c.key for _r, _s, c in steps[1:]]
+                if any(m in path for m in mids):
+                    continue
+                for m in mids:
+                    path[m] = 1
+                try:
+                    if not premises:
+                        if not rest:
+                            found.append(_apply_chain(steps, ()))
+                        continue
+                    pks = [p.full_key for p in premises]
+                    if len(premises) == 1:
+                        if not admissible(pks[0], rest, s2, t2):
+                            continue
+                        for sub in extract(premises[0], pks[0], rest,
+                                           s2, t2, want - len(found)):
+                            found.append(_apply_chain(steps, (sub,)))
+                    else:
+                        for cut in range(len(rest) + 1):
+                            if len(found) >= want:
+                                break
+                            part1, part2 = rest[:cut], rest[cut:]
+                            if not (admissible(pks[0], part1, s2, t2)
+                                    and admissible(pks[1], part2, s2, t2)):
+                                continue
+                            need = want - len(found)
+                            mains = extract(premises[0], pks[0], part1,
+                                            s2, t2, need)
+                            if not mains:
+                                continue
+                            sides = extract(premises[1], pks[1], part2,
+                                            s2, t2, need)
+                            for main in mains:
+                                if len(found) >= want:
+                                    break
+                                for side in sides:
+                                    if len(found) >= want:
+                                        break
+                                    found.append(
+                                        _apply_chain(steps, (main, side)))
+                finally:
+                    for m in mids:
+                        del path[m]
+        finally:
+            del path[seq.key]
+        return found
+
+
 def _prove_plain(goal: Sequent, budget: SearchBudget,
                  deadline: Optional[float]) -> SearchResult:
     """Reference search without memo tables: plain bounded DFS.
@@ -891,22 +987,39 @@ def _prove_plain(goal: Sequent, budget: SearchBudget,
     Exponentially slower on failing goals; kept as an independent
     cross-check that memoization does not change verdicts.
     """
-    exhausted = [False]
-    path: Dict[str, int] = {}
-    stop_at = None if deadline is None else time.monotonic() + deadline
-    ticks = [0]
+    search = _PlainSearch(deadline)
+    try:
+        derivations = search.search(goal, budget.max_structural_steps,
+                                     budget.max_t_insertions,
+                                     budget.max_derivations)
+    except SearchTimeout:
+        return SearchResult([], True, timed_out=True)
+    return SearchResult(derivations, search.exhausted)
 
-    def search(seq: Sequent, s_rem: int, t_rem: int,
+
+class _PlainSearch:
+    """The DFS of ``_prove_plain``; a class for the reason ``_Extraction``
+    is one."""
+
+    def __init__(self, deadline: Optional[float]) -> None:
+        self.exhausted = False
+        self.path: Dict[str, int] = {}
+        self.stop_at = None if deadline is None \
+            else time.monotonic() + deadline
+        self.ticks = 0
+
+    def search(self, seq: Sequent, s_rem: int, t_rem: int,
                want: int) -> List[Derivation]:
-        if stop_at is not None:
-            ticks[0] += 1
-            if ticks[0] % 256 == 0 and time.monotonic() > stop_at:
+        if self.stop_at is not None:
+            self.ticks += 1
+            if self.ticks % 256 == 0 and time.monotonic() > self.stop_at:
                 raise SearchTimeout
+        path = self.path
         if seq.key in path:
             return []
         moves, blocked = _moves(seq, s_rem, t_rem)
         if blocked:
-            exhausted[0] = True
+            self.exhausted = True
         found: List[Derivation] = []
         path[seq.key] = 1
         try:
@@ -923,14 +1036,14 @@ def _prove_plain(goal: Sequent, budget: SearchBudget,
                     if not premises:
                         found.append(_apply_chain(steps, ()))
                     elif len(premises) == 1:
-                        for sub in search(premises[0], s2, t2,
-                                          want - len(found)):
+                        for sub in self.search(premises[0], s2, t2,
+                                               want - len(found)):
                             found.append(_apply_chain(steps, (sub,)))
                     else:
                         need = want - len(found)
-                        mains = search(premises[0], s2, t2, need)
+                        mains = self.search(premises[0], s2, t2, need)
                         if mains:
-                            sides = search(premises[1], s2, t2, need)
+                            sides = self.search(premises[1], s2, t2, need)
                             for main in mains:
                                 if len(found) >= want:
                                     break
@@ -945,13 +1058,6 @@ def _prove_plain(goal: Sequent, budget: SearchBudget,
         finally:
             del path[seq.key]
         return found
-
-    try:
-        derivations = search(goal, budget.max_structural_steps,
-                             budget.max_t_insertions, budget.max_derivations)
-    except SearchTimeout:
-        return SearchResult([], True, timed_out=True)
-    return SearchResult(derivations, exhausted[0])
 
 
 # ---------------------------------------------------------------------------

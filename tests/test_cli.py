@@ -83,6 +83,20 @@ def test_sequent_stuck_configuration(capsys):
     assert code == 1
 
 
+def test_sequent_json_reports_timeout(capsys):
+    code, out, _ = run(capsys, "sequent", "np", "np", "--json")
+    assert code == 0
+    assert json.loads(out)["timed_out"] is False
+    code, out, _ = run(capsys, "sequent",
+                       "nobody * ('s_mother * (saw * (anybody * 's_father)))",
+                       "s0", "--json", "--time-limit", "0")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["timed_out"] is True
+    assert blob["budget_exhausted"] is True
+    assert blob["derivable"] is False
+
+
 def test_sequent_syntax_error(capsys):
     code, _, err = run(capsys, "sequent", "np *((", "np")
     assert code == 2

@@ -2,7 +2,8 @@ import pytest
 
 from polagram import (
     Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, Reading, S0, SPLUS,
-    bracketings, load_lexicon, parse_sentence, validate_derivation,
+    SearchBudget, bracketings, load_lexicon, parse_sentence, tokenize,
+    validate_derivation,
 )
 from polagram.core import DEFAULT
 
@@ -129,3 +130,22 @@ def test_goal_override(lex):
                           goals=(NP,)).verdict == UNGRAMMATICAL
     assert parse_sentence("Nobody saw anybody", lex,
                           goals=(S0,)).verdict == GRAMMATICAL
+
+
+def test_parse_sentence_calls_prove_per_tree_and_goal(lex, monkeypatch):
+    # benchmark tooling wraps polagram.parser.prove and reads the budget
+    # from its second positional argument
+    import polagram.parser
+    calls = []
+    original = polagram.parser.prove
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polagram.parser, "prove", spy)
+    sentence = "Alice saw a man's mother"
+    parse_sentence(sentence, lex)
+    trees = bracketings(tokenize(sentence, lex), lex)
+    assert len(calls) == 2 * len(trees)
+    assert all(isinstance(args[1], SearchBudget) for args in calls)

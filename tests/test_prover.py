@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -6,8 +7,10 @@ from polagram import (
     Derivation, FLeaf, RuleName, SearchBudget, Sequent,
     NP, S0, SPLUS, SMINUS,
     derivation_from_dict, derivation_to_dict, enumerate_rewrites,
-    parse_formula, parse_structure, prove, validate_derivation,
+    bracketings, parse_formula, parse_structure, prove, tokenize,
+    validate_derivation,
 )
+from polagram.prover import MoveTable
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
 
@@ -315,6 +318,81 @@ def test_timeout_reports_exhaustion(lex):
     result = prove(goal, deadline=0.0)
     assert result.timed_out and result.budget_exhausted
     assert not result.derivations
+
+
+# -- the collector and the shared move table ---------------------------------
+
+POSSESSIVE = "nobody * ('s_mother * (saw * (anybody * 's_father)))"
+
+
+@pytest.mark.parametrize("antecedent,budget,deadline,outcome", [
+    ("nobody * (saw * anybody)", None, None, "derived"),
+    ("anybody * (saw * nobody)", None, None, "refuted"),
+    (POSSESSIVE, None, 0.0, "timed out"),
+    ("alice * (saw * bob)", SearchBudget(memo_enabled=False), None,
+     "derived"),
+])
+def test_prove_leaves_no_cyclic_garbage(lex, antecedent, budget, deadline,
+                                        outcome):
+    # with the collector off, anything prove left in a reference cycle
+    # would still be there for the next collection to find
+    goal = seq(antecedent, "s0", lex)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = prove(goal, budget, deadline=deadline)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    got = ("timed out" if result.timed_out
+           else "derived" if result.derivations else "refuted")
+    assert got == outcome
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("deadline", [None, 0.0])
+def test_prove_restores_the_collector_state(lex, enabled, deadline):
+    goal = seq(POSSESSIVE if deadline is not None
+               else "nobody * (saw * anybody)", "s0", lex)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        prove(goal, deadline=deadline)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+GRID_WORDS = ("alice", "bob", "a man", "nobody", "anybody", "somebody",
+              "everybody")
+SHARING_SENTENCES = [f"{a} saw {b}" for a in GRID_WORDS
+                     for b in GRID_WORDS] + ["Alice saw a man's mother"]
+
+
+def _proofs(result):
+    return [derivation_to_dict(d) for d in result.derivations]
+
+
+@pytest.mark.parametrize("sentence", SHARING_SENTENCES)
+def test_a_shared_move_table_changes_nothing(lex, sentence):
+    for tree in bracketings(tokenize(sentence, lex), lex):
+        goals = [Sequent(tree, goal_type) for goal_type in (S0, SPLUS)]
+        fresh = {g.key: _proofs(prove(g)) for g in goals}
+        for order in (goals, goals[::-1]):
+            table = MoveTable()
+            for goal in order:
+                assert _proofs(prove(goal, table=table)) == fresh[goal.key]
+            # hash-consing: each key has one Sequent object in the table
+            for fk, moves in table.moves.items():
+                node = table.sequents[fk]
+                assert node.full_key == fk
+                for steps, premises, _s, _t in moves:
+                    assert steps[0][2] is node
+                    for premise in premises:
+                        assert premise is table.sequents[premise.full_key]
 
 
 # -- serialization ------------------------------------------------------------

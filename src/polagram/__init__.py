@@ -6,18 +6,17 @@ from .core import (
     Structure, Un, Under, Unit, UnitLeaf, UNIT, UNIT_LEAF,
     NP, PP, S, S0, SPLUS, SMINUS,
     CMODE, DEFAULT, PMODE, UMODE, VALUE,
-    SyntaxErrorWithPos, canonical_sequent, parse_formula, parse_sequent,
+    SyntaxErrorWithPos, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, \
     tokenize
 from .prover import (
-    Derivation, RuleName, SearchBudget, SearchResult, enumerate_rewrites,
-    display_label, prove, validate_derivation,
-    derivation_from_dict, derivation_to_dict,
+    Derivation, RuleName, SearchBudget, SearchResult, display_label, prove,
+    validate_derivation, derivation_from_dict, derivation_to_dict,
 )
-from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, ParseResult, \
-    bracketings, parse_sentence
+from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, UNKNOWN, \
+    ParseResult, bracketings, parse_sentence
 from .readings import Reading, extract_reading, inverted_pairs, is_linear
 from .fsm import (
     PolarityMachine, PolState, QuantifierShapeError, Run, accepting_runs,

@@ -9,7 +9,8 @@ Subcommands::
     monotonic             monotonicity table for the quantifier denotations
 
 Exit codes: 0 affirmative verdict / all pass, 1 negative verdict / some fail,
-2 usage or input error.  All I/O is UTF-8.
+2 usage or input error, 3 unknown verdict (``parse`` and ``sequent`` only:
+the search timed out before it found a derivation).  All I/O is UTF-8.
 
 Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``;
 ``#`` starts a comment.  Lexicon files follow the lexicon module's format.
@@ -26,17 +27,18 @@ from typing import List, Optional, Sequence
 from .core import (Sequent, SyntaxErrorWithPos, formula_leaf_count,
                    parse_formula, parse_structure)
 from .fsm import (machine_from_lexicon, predict, quantifier_occurrences,
-                  accepting_runs, evaluation_order_ok)
+                  accepting_runs, evaluation_order_ok, inverted_windows)
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, tokenize
-from .parser import GRAMMATICAL, parse_sentence
+from .parser import GRAMMATICAL, UNKNOWN, parse_sentence
 from .prover import SearchBudget, prove
-from .readings import extract_reading, is_linear
+from .readings import extract_reading, reading_to_dict
 from .semantics import FiniteModel, denotation, is_downward_entailing, \
     is_upward_entailing
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_UNKNOWN = 3
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +92,13 @@ def _add_prover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", metavar="FILE",
                    help="lexicon file (default: built-in)")
     p.add_argument("--budget", type=int, metavar="N",
-                   help="structural steps per branch (default 64)")
+                   help="structural steps per branch (default "
+                   f"{SearchBudget.max_structural_steps})")
     p.add_argument("--t-budget", type=int, metavar="N",
                    help="T insertions per branch (default: leaves + 2)")
     p.add_argument("--max-derivations", type=int, metavar="N",
-                   help="derivation cap (default 16)")
-    p.add_argument("--no-memo", action="store_true",
-                   help="disable memoized search (slow; for cross-checking)")
+                   help="derivation cap (default "
+                   f"{SearchBudget.max_derivations})")
     p.add_argument("--time-limit", type=float, metavar="SECONDS",
                    help="abort search after this much wall time")
 
@@ -110,18 +112,24 @@ def _lexicon_from(args) -> Lexicon:
 
 def _budget_for(args, leaf_count: int) -> Optional[SearchBudget]:
     """A budget when any flag overrides the defaults, else None (use the
-    per-goal defaults)."""
-    if (args.budget is None and args.t_budget is None
-            and args.max_derivations is None and not args.no_memo):
+    per-goal defaults).  Raises ValueError for a budget out of range."""
+    overrides = {field: value for field, value in (
+        ("max_structural_steps", args.budget),
+        ("max_t_insertions", args.t_budget),
+        ("max_derivations", args.max_derivations)) if value is not None}
+    if not overrides:
         return None
-    return SearchBudget(
-        max_structural_steps=64 if args.budget is None else args.budget,
-        max_t_insertions=(leaf_count + 2 if args.t_budget is None
-                          else args.t_budget),
-        max_derivations=(16 if args.max_derivations is None
-                         else args.max_derivations),
-        memo_enabled=not args.no_memo,
-    )
+    return SearchBudget.for_leaves(leaf_count, **overrides)
+
+
+def _tokens(sentence: str, lex: Lexicon) -> List[str]:
+    """The tokens of ``sentence``.  Raises ValueError when there are none,
+    as ``tokenize`` raises a LexiconError (a ValueError) for an unknown
+    word."""
+    tokens = tokenize(sentence, lex)
+    if not tokens:
+        raise ValueError(f"no words in {sentence!r}")
+    return tokens
 
 
 def _emit_json(obj) -> None:
@@ -134,8 +142,8 @@ def _emit_json(obj) -> None:
 def cmd_parse(args) -> int:
     try:
         lex = _lexicon_from(args)
-        tokens = tokenize(args.sentence, lex)
-    except (LexiconError, OSError) as exc:
+        budget = _budget_for(args, len(_tokens(args.sentence, lex)))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     goals = None
@@ -145,8 +153,7 @@ def cmd_parse(args) -> int:
         except SyntaxErrorWithPos as exc:
             print(f"error: bad --goal: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    result = parse_sentence(args.sentence, lex,
-                            budget=_budget_for(args, len(tokens)),
+    result = parse_sentence(args.sentence, lex, budget=budget,
                             deadline=args.time_limit, goals=goals)
     if args.json:
         _emit_json(result.to_json_dict())
@@ -156,6 +163,8 @@ def cmd_parse(args) -> int:
             print(f"grammatical, {len(result.readings)} {noun}:")
             for reading in result.readings:
                 print(f"  {reading}")
+        elif result.verdict == UNKNOWN:
+            print("unknown (search timed out)")
         else:
             print("ungrammatical (no proof within budget)")
         if args.show_derivation and result.derivations:
@@ -167,6 +176,8 @@ def cmd_parse(args) -> int:
                 shown.add(reading)
                 print(f"\nderivation for {reading}:")
                 print(d.render())
+    if result.verdict == UNKNOWN:
+        return EXIT_UNKNOWN
     return EXIT_OK if result.verdict == GRAMMATICAL else EXIT_NEGATIVE
 
 
@@ -175,12 +186,13 @@ def cmd_sequent(args) -> int:
         lex = _lexicon_from(args)
         antecedent = parse_structure(args.antecedent, lexicon=lex)
         succedent = parse_formula(args.succedent)
-    except (SyntaxErrorWithPos, LexiconError, OSError) as exc:
+        budget = _budget_for(args, formula_leaf_count(antecedent))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     goal = Sequent(antecedent, succedent)
-    budget = _budget_for(args, formula_leaf_count(antecedent))
     result = prove(goal, budget, deadline=args.time_limit)
+    unknown = result.timed_out and not result.derivations
     if args.json:
         _emit_json({
             "sequent": str(goal),
@@ -193,8 +205,12 @@ def cmd_sequent(args) -> int:
         print(f"derivable ({len(result.derivations)} derivations found)")
         if args.show_derivation:
             print(result.derivations[0].render())
+    elif unknown:
+        print("unknown (search timed out)")
     else:
         print("not derivable within budget")
+    if unknown:
+        return EXIT_UNKNOWN
     return EXIT_OK if result.derivations else EXIT_NEGATIVE
 
 
@@ -217,11 +233,7 @@ def cmd_fsm(args) -> int:
     if args.json:
         _emit_json({
             "quantifiers": [w for w, _ in occurrences],
-            "admissible": [
-                {"scope": [{"word": w, "pos": p} for w, p in r.scope_order],
-                 "linear": is_linear(r)}
-                for r in admissible
-            ],
+            "admissible": [reading_to_dict(r) for r in admissible],
         })
         return EXIT_OK if admissible else EXIT_NEGATIVE
     if not admissible:
@@ -233,15 +245,10 @@ def cmd_fsm(args) -> int:
         print(f"{reading}")
         run = runs[0]
         print(f"  run: {run}")
-        fires = run.fire_indices()
-        for i in range(len(reading.scope_order)):
-            for j in range(i + 1, len(reading.scope_order)):
-                wider, narrower = reading.scope_order[i], reading.scope_order[j]
-                if wider[1] > narrower[1]:
-                    window = run.states[fires[i] + 1:fires[j] + 1]
-                    states = ", ".join(str(s) for s in window)
-                    print(f"  inverted pair {wider[0]} > {narrower[0]}: "
-                          f"window passes through {states}")
+        for wider, narrower, window in inverted_windows(reading, run):
+            states = ", ".join(str(s) for s in window)
+            print(f"  inverted pair {wider[0]} > {narrower[0]}: "
+                  f"window passes through {states}")
     return EXIT_OK
 
 
@@ -254,17 +261,19 @@ def cmd_corpus(args) -> int:
                 lines = parse_corpus(fh.read())
         else:
             lines = list(BUILTIN_CORPUS)
-    except (LexiconError, OSError, ValueError) as exc:
+        budgets = [_budget_for(args, len(_tokens(line.sentence, lex)))
+                   for line in lines]
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     failures = 0
     rows = []
-    for line in lines:
-        tokens = tokenize(line.sentence, lex)
-        result = parse_sentence(line.sentence, lex,
-                                budget=_budget_for(args, len(tokens)),
+    for line, budget in zip(lines, budgets):
+        result = parse_sentence(line.sentence, lex, budget=budget,
                                 deadline=args.time_limit)
-        prover_verdict = "ok" if result.verdict == GRAMMATICAL else "bad"
+        # an unknown verdict matches no expectation, so the row fails
+        prover_verdict = {GRAMMATICAL: "ok", UNKNOWN: "unknown"}.get(
+            result.verdict, "bad")
         occurrences = quantifier_occurrences(result.tokens, machine)
         admissible = predict(machine, occurrences)
         fsm_verdict = "ok" if admissible else "bad"
@@ -285,20 +294,25 @@ def cmd_corpus(args) -> int:
         } for line, pv, fv, agree, n, passed in rows])
     else:
         width = max((len(r[0].sentence) for r in rows), default=8)
-        print(f"{'sentence':<{width}}  expect  prover  fsm  readings  result")
+        print(f"{'sentence':<{width}}  expect  prover   fsm  readings  result")
         for line, pv, fv, agree, n, passed in rows:
             mark = "pass" if passed else "FAIL"
             extra = "" if agree else " (engines disagree)"
-            print(f"{line.sentence:<{width}}  {line.expected:<6}  {pv:<6}  "
+            print(f"{line.sentence:<{width}}  {line.expected:<6}  {pv:<7}  "
                   f"{fv:<3}  {n:<8}  {mark}{extra}")
         print(f"{len(rows) - failures}/{len(rows)} passed")
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
 def cmd_monotonic(args) -> int:
+    try:
+        largest = FiniteModel(args.max_domain)
+    except ValueError as exc:
+        print(f"error: --max-domain: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     words = ("nobody", "somebody", "anybody", "a man", "everybody")
     rows = []
-    for n in range(1, args.max_domain + 1):
+    for n in range(1, largest.domain_size + 1):
         model = FiniteModel(n)
         for word in words:
             q = denotation(word, model)

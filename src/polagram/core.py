@@ -67,14 +67,16 @@ class Formula:
     """A logical type.  Immutable; compared and hashed structurally.
 
     Every node carries a canonical ``key`` string computed at construction;
-    two formulas are equal iff their keys are equal.
+    two formulas are equal iff their keys are equal.  ``has_cmode`` says
+    whether the formula contains a c-mode connective.
     """
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "_hash", "has_cmode")
 
-    def _finish(self, key: str) -> None:
+    def _finish(self, key: str, has_cmode: bool = False) -> None:
         self.key = key
         self._hash = hash(key)
+        self.has_cmode = has_cmode
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Formula) and self.key == other.key)
@@ -124,7 +126,8 @@ class Product(Formula):
         self.mode = mode
         self.left = left
         self.right = right
-        self._finish(f"*{mode}({left.key},{right.key})")
+        self._finish(f"*{mode}({left.key},{right.key})",
+                     mode == CMODE or left.has_cmode or right.has_cmode)
 
 
 class Over(Formula):
@@ -138,7 +141,8 @@ class Over(Formula):
         self.mode = mode
         self.result = result
         self.argument = argument
-        self._finish(f"/{mode}({result.key},{argument.key})")
+        self._finish(f"/{mode}({result.key},{argument.key})",
+                     mode == CMODE or result.has_cmode or argument.has_cmode)
 
 
 class Under(Formula):
@@ -152,7 +156,8 @@ class Under(Formula):
         self.mode = mode
         self.argument = argument
         self.result = result
-        self._finish(f"\\{mode}({argument.key},{result.key})")
+        self._finish(f"\\{mode}({argument.key},{result.key})",
+                     mode == CMODE or argument.has_cmode or result.has_cmode)
 
 
 class Dia(Formula):
@@ -163,7 +168,7 @@ class Dia(Formula):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
-        self._finish(f"<{mode}>{body.key}")
+        self._finish(f"<{mode}>{body.key}", body.has_cmode)
 
 
 class BoxDown(Formula):
@@ -174,7 +179,7 @@ class BoxDown(Formula):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
-        self._finish(f"[{mode}]{body.key}")
+        self._finish(f"[{mode}]{body.key}", body.has_cmode)
 
 
 UNIT = Unit()
@@ -202,14 +207,25 @@ class Structure:
     it, such as memo tables) is insensitive to which words decorate the
     leaves.  ``wkey`` additionally records the labels; it shares the ``key``
     string wherever no labels occur.
+
+    Four flags say what the tree contains, so that no caller needs to read
+    the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
+    unit leaf), ``has_value_diamond`` (a value-mode structural diamond) and
+    ``has_cmode_formula`` (a leaf formula with a c-mode connective).
     """
 
-    __slots__ = ("key", "wkey", "_hash")
+    __slots__ = ("key", "wkey", "_hash", "has_cmode_node", "has_unit",
+                 "has_value_diamond", "has_cmode_formula")
 
-    def _finish(self, key: str, wkey: Optional[str] = None) -> None:
+    def _finish(self, key: str, wkey: Optional[str], cmode_node: bool,
+                unit: bool, value_diamond: bool, cmode_formula: bool) -> None:
         self.key = key
         self.wkey = key if wkey is None else wkey
         self._hash = hash(key)
+        self.has_cmode_node = cmode_node
+        self.has_unit = unit
+        self.has_value_diamond = value_diamond
+        self.has_cmode_formula = cmode_formula
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Structure) and self.key == other.key)
@@ -239,17 +255,16 @@ class FLeaf(Structure):
         self.word = word
         self.pos = pos
         key = "F" + formula.key
-        if word is None and pos is None:
-            self._finish(key)
-        else:
-            self._finish(key, f"F[{word}@{pos}]{formula.key}")
+        wkey = None if word is None and pos is None \
+            else f"F[{word}@{pos}]{formula.key}"
+        self._finish(key, wkey, False, False, False, formula.has_cmode)
 
 
 class UnitLeaf(Structure):
     __slots__ = ()
 
     def __init__(self):
-        self._finish("!")
+        self._finish("!", None, False, True, False, False)
 
 
 class Bin(Structure):
@@ -262,10 +277,14 @@ class Bin(Structure):
         self.left = left
         self.right = right
         key = f"B{mode}({left.key},{right.key})"
-        if left.wkey is left.key and right.wkey is right.key:
-            self._finish(key)
-        else:
-            self._finish(key, f"B{mode}({left.wkey},{right.wkey})")
+        wkey = None if left.wkey is left.key and right.wkey is right.key \
+            else f"B{mode}({left.wkey},{right.wkey})"
+        self._finish(key, wkey,
+                     mode == CMODE or left.has_cmode_node
+                     or right.has_cmode_node,
+                     left.has_unit or right.has_unit,
+                     left.has_value_diamond or right.has_value_diamond,
+                     left.has_cmode_formula or right.has_cmode_formula)
 
 
 class Un(Structure):
@@ -277,10 +296,10 @@ class Un(Structure):
         self.mode = mode
         self.body = body
         key = f"U{mode}({body.key})"
-        if body.wkey is body.key:
-            self._finish(key)
-        else:
-            self._finish(key, f"U{mode}({body.wkey})")
+        wkey = None if body.wkey is body.key else f"U{mode}({body.wkey})"
+        self._finish(key, wkey, body.has_cmode_node, body.has_unit,
+                     mode == VALUE or body.has_value_diamond,
+                     body.has_cmode_formula)
 
 
 UNIT_LEAF = UnitLeaf()
@@ -326,12 +345,6 @@ class Sequent:
 
     def __repr__(self) -> str:
         return f"<Sequent {self}>"
-
-
-def canonical_sequent(seq: Sequent) -> str:
-    """Canonical memoization key: equal iff the sequents agree after erasing
-    word labels on leaves."""
-    return seq.key
 
 
 # ---------------------------------------------------------------------------

@@ -159,20 +159,25 @@ def accepting_runs(m: PolarityMachine, scope_seq: Sequence[str]) -> List[Run]:
     return runs
 
 
+def inverted_windows(reading: Reading, run: Run) -> List[tuple]:
+    """(wider, narrower, window) for each pair of quantifiers whose scope
+    order inverts their surface order, where the window is the states the
+    run passes through strictly between the two transitions (after the
+    wider one fires, up to where the narrower one fires)."""
+    fires = run.fire_indices()
+    order = reading.scope_order
+    assert len(fires) == len(order)
+    return [(order[i], order[j], run.states[fires[i] + 1: fires[j] + 1])
+            for i in range(len(order)) for j in range(i + 1, len(order))
+            if order[i][1] > order[j][1]]
+
+
 def evaluation_order_ok(m: PolarityMachine, reading: Reading,
                         run: Run) -> bool:
     """The linear-order constraint: each inverted pair of quantifiers must
     pass through a start state strictly between its two transitions."""
-    fires = run.fire_indices()
-    order = reading.scope_order
-    assert len(fires) == len(order)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i][1] > order[j][1]:
-                window = run.states[fires[i] + 1: fires[j] + 1]
-                if not any(state in m.starts for state in window):
-                    return False
-    return True
+    return all(any(state in m.starts for state in window)
+               for _wider, _narrower, window in inverted_windows(reading, run))
 
 
 def predict(m: PolarityMachine,

@@ -19,12 +19,14 @@ from typing import List, Optional, Sequence, Tuple
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
 from .lexicon import Lexicon, tokenize
 from .prover import Derivation, MoveTable, SearchBudget, prove
-from .readings import Reading, extract_reading
+from .readings import Reading, extract_reading, reading_to_dict
 
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)
 
 GRAMMATICAL = "grammatical"
 UNGRAMMATICAL = "ungrammatical-within-budget"
+# no derivation found before the deadline: the search could not decide
+UNKNOWN = "unknown"
 
 
 @dataclass
@@ -45,12 +47,7 @@ class ParseResult:
             "budget_exhausted": self.budget_exhausted,
             "timed_out": self.timed_out,
             "derivation_count": len(self.derivations),
-            "readings": [
-                {"scope": [{"word": w, "pos": p} for w, p in r.scope_order],
-                 "linear": all(a[1] < b[1] for a, b in
-                               zip(r.scope_order, r.scope_order[1:]))}
-                for r in self.readings
-            ],
+            "readings": [reading_to_dict(r) for r in self.readings],
         }
 
 
@@ -90,6 +87,9 @@ def parse_sentence(sentence: str, lex: Lexicon,
     (bracketings in enumeration order, then goal types, then derivations).
     ``deadline`` caps the total wall time across all searches; on expiry the
     remaining searches are skipped and the result is marked timed out.
+    A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
+    not ``UNGRAMMATICAL``: the searches it skipped or cut might have
+    derived the goal.
     """
     tokens = tokenize(sentence, lex)
     trees = bracketings(tokens, lex)
@@ -123,6 +123,7 @@ def parse_sentence(sentence: str, lex: Lexicon,
                     readings.append(reading)
         if timed_out:
             break
-    verdict = GRAMMATICAL if derivations else UNGRAMMATICAL
+    verdict = GRAMMATICAL if derivations \
+        else UNKNOWN if timed_out else UNGRAMMATICAL
     return ParseResult(sentence, tokens, verdict, readings, derivations,
                        exhausted or timed_out, timed_out)

@@ -49,9 +49,9 @@ economies concern the cost of a search, not its space, and leave every
 result as it is:
 
 * The graph's edges outlive one search.  A node's moves depend only on the
-  sequent, since they are generated at unbounded budget and filtered by
-  cost as the search uses them, so a ``MoveTable`` keeps them for later
-  calls (tabled deduction).  ``parse_sentence`` shares one table between
+  sequent: no budget enters their generation, each carries its cost, and
+  the search filters them by cost as it uses them.  So a ``MoveTable``
+  keeps them for later calls (tabled deduction).  ``parse_sentence`` shares one table between
   the goal types of each bracketing and drops it before the next.
 * The table hash-conses premises: every premise its moves hold is the one
   ``Sequent`` object for its full key, so a sequent that many moves lead
@@ -76,8 +76,6 @@ from .core import (
 )
 
 Site = Tuple[int, ...]
-
-_INF = 1 << 30
 
 
 class SearchTimeout(Exception):
@@ -182,7 +180,6 @@ class SearchBudget:
     max_structural_steps: int = 64
     max_t_insertions: int = 8
     max_derivations: int = 16
-    memo_enabled: bool = True
 
     def __post_init__(self):
         if self.max_structural_steps < 0 or self.max_t_insertions < 0:
@@ -193,20 +190,20 @@ class SearchBudget:
     @staticmethod
     def for_goal(goal: Sequent, **overrides) -> "SearchBudget":
         """Default budget: T insertions scale with the antecedent size."""
-        defaults = dict(
-            max_structural_steps=64,
-            max_t_insertions=formula_leaf_count(goal.antecedent) + 2,
-            max_derivations=16,
-            memo_enabled=True,
-        )
-        defaults.update(overrides)
-        return SearchBudget(**defaults)
+        return SearchBudget.for_leaves(formula_leaf_count(goal.antecedent),
+                                       **overrides)
+
+    @staticmethod
+    def for_leaves(leaf_count: int, **overrides) -> "SearchBudget":
+        """Default budget for an antecedent of ``leaf_count`` formula leaves;
+        ``overrides`` replace single fields."""
+        overrides.setdefault("max_t_insertions", leaf_count + 2)
+        return SearchBudget(**overrides)
 
     def doubled(self) -> "SearchBudget":
         return SearchBudget(self.max_structural_steps * 2,
                             self.max_t_insertions * 2,
-                            self.max_derivations * 2,
-                            self.memo_enabled)
+                            self.max_derivations * 2)
 
 
 @dataclass
@@ -249,22 +246,11 @@ def replace(st: Structure, site: Site, new: Structure) -> Structure:
     raise IndexError(f"no subtree at {site}")
 
 
-def _postorder_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]]:
-    """Sites ordered leftmost-innermost (children before parents)."""
-    out: List[Tuple[Site, Structure]] = []
-    if isinstance(st, Bin):
-        out.extend(_postorder_sites(st.left, prefix + (0,)))
-        out.extend(_postorder_sites(st.right, prefix + (1,)))
-    elif isinstance(st, Un):
-        out.extend(_postorder_sites(st.body, prefix + (0,)))
-    out.append((prefix, st))
-    return out
-
-
 def _open_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]]:
-    """Like _postorder_sites, but stops at unary wrappers: a quoted (or
-    otherwise boxed) subtree is opaque until the wrapper is consumed, so
-    moves strictly inside it commute to after its removal."""
+    """Sites ordered leftmost-innermost (children before parents), stopping
+    at unary wrappers: a quoted (or otherwise boxed) subtree is opaque until
+    the wrapper is consumed, so moves strictly inside it commute to after
+    its removal."""
     out: List[Tuple[Site, Structure]] = []
     if isinstance(st, Bin):
         out.extend(_open_sites(st.left, prefix + (0,)))
@@ -274,7 +260,7 @@ def _open_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]
 
 
 # ---------------------------------------------------------------------------
-# Single-step structural rewrites (shared by search and enumeration)
+# Single-step structural rewrites (shared by search and validation)
 
 def _root_fwd(st: Structure) -> Optional[Structure]:
     return Bin(CMODE, st, UNIT_LEAF)
@@ -339,54 +325,13 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
     return None
 
 
-# (rule, rewrite, needs_t) in the tag order used for deterministic enumeration
-_STRUCTURAL_REWRITES = (
-    (ROOT_F, _root_fwd, False),
-    (ROOT_B, _root_bwd, False),
-    (LEFT_F, _left_fwd, False),
-    (LEFT_B, _left_bwd, False),
-    (RIGHT_F, _right_fwd, False),
-    (RIGHT_B, _right_bwd, False),
-    (T_RULE, _t_rewrite, True),
-    (KPRIME, _kprime, False),
-    (UNQUOTE_ANTE, _unquote_ante, False),
-)
-
-
-def enumerate_rewrites(seq: Sequent, budget: SearchBudget):
-    """All single-step backward structural-postulate applications at ``seq``.
-
-    Returns (rule, site, [resulting sequent]) triples in deterministic order:
-    rule tag order, then leftmost-innermost site.  T entries appear only while
-    ``budget.max_t_insertions`` is positive; nothing is enumerated once
-    ``budget.max_structural_steps`` is zero.
-    """
-    out = []
-    if budget.max_structural_steps < 1:
-        return out
-    sites = _postorder_sites(seq.antecedent)
-    for rule, rewrite, needs_t in _STRUCTURAL_REWRITES:
-        if needs_t and budget.max_t_insertions < 1:
-            continue
-        for site, node in sites:
-            new = rewrite(node)
-            if new is not None:
-                out.append((rule, site,
-                            [Sequent(replace(seq.antecedent, site, new),
-                                     seq.succedent)]))
-    succ = seq.succedent
-    if isinstance(succ, Dia) and succ.mode == UMODE:
-        out.append((UNQUOTE_SUCC, (),
-                    [Sequent(seq.antecedent, Dia(VALUE, succ))]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Search move generation
 
 # A move is (steps, premises, s_cost, t_cost) where steps is a chain of
-# (rule, site, conclusion) applied top-down and premises are the subgoals of
-# the innermost step.
+# (rule, site, conclusion) applied top-down, premises are the subgoals of
+# the innermost step, and the costs count the chain's structural steps and
+# its T insertions.
 Move = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...], Tuple[Sequent, ...], int, int]
 
 
@@ -398,8 +343,7 @@ def _axiom_move(seq: Sequent) -> Optional[Move]:
     return None
 
 
-def _right_moves(seq: Sequent, s_rem: int, t_rem: int,
-                 blocked: List[bool]) -> List[Move]:
+def _right_moves(seq: Sequent) -> List[Move]:
     out: List[Move] = []
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
@@ -420,17 +364,14 @@ def _right_moves(seq: Sequent, s_rem: int, t_rem: int,
             out.append((((rule, (), seq),), (Sequent(ant.body, succ.body),), 0, 0))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
-            if s_rem >= 1 and t_rem >= 1:
-                mid = Sequent(Un(VALUE, ant), succ)
-                out.append((((T_RULE, (), seq), (rule, (), mid)),
-                            (Sequent(ant, succ.body),), 1, 1))
-            else:
-                blocked[0] = True
+            mid = Sequent(Un(VALUE, ant), succ)
+            out.append((((T_RULE, (), seq), (rule, (), mid)),
+                        (Sequent(ant, succ.body),), 1, 1))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
         # c-node is live only multiplies interleavings of the same proofs
-        if "Bc(" not in ant.key:
+        if not ant.has_cmode_node:
             goal = Sequent(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), seq),),
                         (goal,), 0, 0))
@@ -438,8 +379,7 @@ def _right_moves(seq: Sequent, s_rem: int, t_rem: int,
 
 
 def _left_moves_at(seq: Sequent, site: Site, node: Structure,
-                   s_rem: int, t_rem: int, blocked: List[bool],
-                   c_live: bool = False) -> List[Move]:
+                   c_live: bool) -> List[Move]:
     out: List[Move] = []
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(node, Bin):
@@ -472,14 +412,11 @@ def _left_moves_at(seq: Sequent, site: Site, node: Structure,
                         (Sequent(replace(ant, site, new), succ),), 0, 0))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
-            if s_rem >= 1 and t_rem >= 1:
-                mid = Sequent(replace(ant, site, Un(VALUE, node)), succ)
-                goal = Sequent(replace(ant, site, FLeaf(f.body)), succ)
-                out.append((((T_RULE, site, seq),
-                             (RuleName("BoxDownL", VALUE), site, mid)),
-                            (goal,), 1, 1))
-            else:
-                blocked[0] = True
+            mid = Sequent(replace(ant, site, Un(VALUE, node)), succ)
+            goal = Sequent(replace(ant, site, FLeaf(f.body)), succ)
+            out.append((((T_RULE, site, seq),
+                         (RuleName("BoxDownL", VALUE), site, mid)),
+                        (goal,), 1, 1))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
@@ -490,92 +427,87 @@ def _left_moves_at(seq: Sequent, site: Site, node: Structure,
     return out
 
 
-def _structural_moves_at(seq: Sequent, site: Site, node: Structure,
-                         s_rem: int, t_rem: int, blocked: List[bool],
-                         c_live: bool = False) -> List[Move]:
-    """Budgeted postulate moves at one site, with T fused into consumers."""
-    out: List[Move] = []
+def _plain(out: List[Move], seq: Sequent, site: Site, rule: RuleName,
+           new: Structure) -> None:
+    """Add the move that rewrites the subtree at ``site`` to ``new``."""
+    out.append((((rule, site, seq),),
+                (Sequent(replace(seq.antecedent, site, new), seq.succedent),),
+                1, 0))
+
+
+def _fused_t(out: List[Move], seq: Sequent, site: Site, t_site: Site,
+             rule: RuleName,
+             rewrite: Callable[[Structure], Optional[Structure]]) -> None:
+    """Add the move that quotes the subtree at ``t_site``, then applies
+    ``rewrite`` at ``site``."""
     ant, succ = seq.antecedent, seq.succedent
+    target = subtree(ant, t_site)
+    if target.has_unit:
+        # the unit only ever exists to be consumed by Root; quoting a
+        # context that contains it leads nowhere
+        return
+    quoted = replace(ant, t_site, Un(VALUE, target))
+    mid = Sequent(quoted, succ)
+    new = rewrite(subtree(quoted, site))
+    assert new is not None
+    out.append((((T_RULE, t_site, seq), (rule, site, mid)),
+                (Sequent(replace(quoted, site, new), succ),), 2, 1))
 
-    def plain(rule: RuleName, new: Structure) -> None:
-        if s_rem >= 1:
-            out.append((((rule, site, seq),),
-                        (Sequent(replace(ant, site, new), succ),), 1, 0))
-        else:
-            blocked[0] = True
 
-    def fused_t(t_site: Site, rule: RuleName,
-                rewrite: Callable[[Structure], Optional[Structure]]) -> None:
-        """Quote the subtree at t_site, then apply ``rewrite`` at ``site``."""
-        target = subtree(ant, t_site)
-        if "!" in target.key:
-            # the unit only ever exists to be consumed by Root; quoting a
-            # context that contains it leads nowhere
-            return
-        if s_rem >= 2 and t_rem >= 1:
-            quoted = replace(ant, t_site, Un(VALUE, target))
-            mid = Sequent(quoted, succ)
-            new = rewrite(subtree(quoted, site))
-            assert new is not None
-            out.append((((T_RULE, t_site, seq), (rule, site, mid)),
-                        (Sequent(replace(quoted, site, new), succ),), 2, 1))
-        else:
-            blocked[0] = True
-
-    if (not site and not c_live and "!" not in ant.key
-            and _has_continuation_functor(ant)):
-        # Root introduces its unit at the spine only, one context at a time
-        plain(ROOT_F, _root_fwd(node))
+def _structural_moves_at(seq: Sequent, site: Site, node: Structure,
+                         c_live: bool) -> List[Move]:
+    """Postulate moves at one site, with T fused into consumers."""
+    out: List[Move] = []
+    ant = seq.antecedent
+    if (not site and not c_live and not ant.has_unit
+            and ant.has_cmode_formula):
+        # Root introduces its unit at the spine only, one context at a time,
+        # and only where a c-mode functor could consume the context
+        _plain(out, seq, site, ROOT_F, _root_fwd(node))
     new = _root_bwd(node)
     if new is not None:
-        plain(ROOT_B, new)
+        _plain(out, seq, site, ROOT_B, new)
     new = _left_fwd(node)
     if new is not None:
-        plain(LEFT_F, new)
+        _plain(out, seq, site, LEFT_F, new)
     new = _left_bwd(node)
     if new is not None:
-        plain(LEFT_B, new)
+        _plain(out, seq, site, LEFT_B, new)
     if (isinstance(node, Bin) and node.mode == CMODE
             and isinstance(node.left, Bin) and node.left.mode == DEFAULT):
         if isinstance(node.left.left, Un) and node.left.left.mode == VALUE:
-            plain(RIGHT_F, _right_fwd(node))
+            _plain(out, seq, site, RIGHT_F, _right_fwd(node))
         else:
-            fused_t(site + (0, 0), RIGHT_F, _right_fwd)
+            _fused_t(out, seq, site, site + (0, 0), RIGHT_F, _right_fwd)
     if (isinstance(node, Bin) and node.mode == CMODE
             and isinstance(node.right, Bin) and node.right.mode == DEFAULT):
         if isinstance(node.right.right, Un) and node.right.right.mode == VALUE:
-            plain(RIGHT_B, _right_bwd(node))
+            _plain(out, seq, site, RIGHT_B, _right_bwd(node))
         else:
-            fused_t(site + (1, 1), RIGHT_B, _right_bwd)
+            _fused_t(out, seq, site, site + (1, 1), RIGHT_B, _right_bwd)
     if c_live:
         return out
     if isinstance(node, Bin) and node.mode == DEFAULT:
         left_dia = isinstance(node.left, Un) and node.left.mode == VALUE
         right_dia = isinstance(node.right, Un) and node.right.mode == VALUE
         if left_dia and right_dia:
-            plain(KPRIME, _kprime(node))
+            _plain(out, seq, site, KPRIME, _kprime(node))
         elif left_dia:
-            fused_t(site + (1,), KPRIME, _kprime)
+            _fused_t(out, seq, site, site + (1,), KPRIME, _kprime)
         elif right_dia:
-            fused_t(site + (0,), KPRIME, _kprime)
+            _fused_t(out, seq, site, site + (0,), KPRIME, _kprime)
         # with neither side quoted, a single T on the whole pair reaches the
         # same sequent more cheaply, via the consumer of that diamond
     new = _unquote_ante(node)
     if new is not None:
-        plain(UNQUOTE_ANTE, new)
+        _plain(out, seq, site, UNQUOTE_ANTE, new)
     return out
 
 
-def _has_continuation_functor(ant: Structure) -> bool:
-    """Whether any leaf formula mentions a c-mode connective.  Without one,
-    no continuation context introduced by Root could ever be consumed."""
-    key = ant.key
-    return "/c(" in key or "\\c(" in key or "*c(" in key
-
-
-def _moves(seq: Sequent, s_rem: int, t_rem: int) -> Tuple[List[Move], bool]:
-    """All backward moves at ``seq`` affordable within the remaining budget,
-    in fixed order.  Also reports whether any move was blocked by budget.
+def _moves(seq: Sequent) -> List[Move]:
+    """All backward moves at ``seq``, in fixed order, each carrying its
+    (structural, T) cost.  The moves do not depend on any budget: a search
+    gates each one by its cost against what the branch has left.
 
     The search works in cycles, and the moves offered follow that discipline
     (none of the gates discards a normal-form derivation):
@@ -590,30 +522,24 @@ def _moves(seq: Sequent, s_rem: int, t_rem: int) -> Tuple[List[Move], bool]:
     * succedent-side Unquote fires only when the antecedent carries a value
       diamond for the introduced diamond to cancel against.
     """
-    blocked = [False]
     axiom = _axiom_move(seq)
     if axiom is not None:
         # Nothing below a closed leaf can introduce a scope-taking step, so
         # alternative unfoldings of it would only duplicate derivations.
-        return [axiom], False
-    c_live = "Bc(" in seq.antecedent.key
-    out = _right_moves(seq, s_rem, t_rem, blocked)
-    sites = _open_sites(seq.antecedent)
+        return [axiom]
+    ant, succ = seq.antecedent, seq.succedent
+    c_live = ant.has_cmode_node
+    out = _right_moves(seq)
+    sites = _open_sites(ant)
     for site, node in sites:
-        out.extend(_left_moves_at(seq, site, node, s_rem, t_rem, blocked,
-                                  c_live))
-    succ = seq.succedent
+        out.extend(_left_moves_at(seq, site, node, c_live))
     if (isinstance(succ, Dia) and succ.mode == UMODE and not c_live
-            and "U(" in seq.antecedent.key):
-        if s_rem >= 1:
-            out.append((((UNQUOTE_SUCC, (), seq),),
-                        (Sequent(seq.antecedent, Dia(VALUE, succ)),), 1, 0))
-        else:
-            blocked[0] = True
+            and ant.has_value_diamond):
+        out.append((((UNQUOTE_SUCC, (), seq),),
+                    (Sequent(ant, Dia(VALUE, succ)),), 1, 0))
     for site, node in sites:
-        out.extend(_structural_moves_at(seq, site, node, s_rem, t_rem,
-                                        blocked, c_live))
-    return out, blocked[0]
+        out.extend(_structural_moves_at(seq, site, node, c_live))
+    return out
 
 
 def _apply_chain(steps: Sequence[Tuple[RuleName, Site, Sequent]],
@@ -706,7 +632,7 @@ class MoveTable:
         if moves is None:
             canonical = self.canonical
             moves = [(steps, tuple(map(canonical, premises)), ms, mt)
-                     for steps, premises, ms, mt in _moves(seq, _INF, _INF)[0]]
+                     for steps, premises, ms, mt in _moves(seq)]
             self.moves[seq.full_key] = moves
             self.traces[seq.full_key] = [_move_trace(m) for m in moves]
         return moves
@@ -723,20 +649,26 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     searches; an aborted search reports no derivations and an exhausted
     budget.
 
+    There is one search path, over the sequent graph that ``_moves``
+    spans.  Every move carries its (structural, T) cost, and the budget
+    acts only as a filter on the costs a branch accumulates: a move that
+    would take its branch past ``max_structural_steps`` or
+    ``max_t_insertions`` is never taken, and marks the result
+    ``budget_exhausted``.  The three phases (explore, evaluate, extract)
+    are described above ``_pareto_add``.
+
     ``table`` keeps the moves of the sequents the search expands.  Calls
     given the same table generate each sequent's moves once among them;
     a call given none uses a private one.  Sharing cannot change a result:
-    moves are generated at unbounded budget and gated by cost only as the
-    search uses them, and everything that depends on the goal or the
-    budget (reach labels, cost frontiers, the extraction path) stays
-    private to the call.  The reference search that ``memo_enabled=False``
-    selects uses no table.
+    moves do not depend on the budget, and everything that depends on the
+    goal or the budget (reach labels, cost frontiers, the extraction path)
+    stays private to the call.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
     builds forms a reference cycle: structures, sequents, moves, labels and
-    derivations are acyclic, and the recursive searches are methods, not
-    closures that refer to themselves through their own cells.  Reference
+    derivations are acyclic, and the recursive extraction is a method, not
+    a closure that refers to itself through its own cell.  Reference
     counting therefore frees everything the call drops, and a collection
     during the search could reclaim nothing; it would only rescan the
     growing graph.
@@ -746,17 +678,15 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if not budget.memo_enabled:
-            return _prove_plain(goal, budget, deadline)
-        return _prove_tabled(goal, budget, deadline,
-                             MoveTable() if table is None else table)
+        return _search(goal, budget, deadline,
+                       MoveTable() if table is None else table)
     finally:
         if collecting:
             gc.enable()
 
 
-def _prove_tabled(goal: Sequent, budget: SearchBudget,
-                  deadline: Optional[float], table: MoveTable) -> SearchResult:
+def _search(goal: Sequent, budget: SearchBudget,
+            deadline: Optional[float], table: MoveTable) -> SearchResult:
     """The three-phase search of ``prove`` over the moves in ``table``."""
     cap_s = budget.max_structural_steps
     cap_t = budget.max_t_insertions
@@ -964,86 +894,6 @@ class _Extraction:
                                 continue
                             sides = extract(premises[1], pks[1], part2,
                                             s2, t2, need)
-                            for main in mains:
-                                if len(found) >= want:
-                                    break
-                                for side in sides:
-                                    if len(found) >= want:
-                                        break
-                                    found.append(
-                                        _apply_chain(steps, (main, side)))
-                finally:
-                    for m in mids:
-                        del path[m]
-        finally:
-            del path[seq.key]
-        return found
-
-
-def _prove_plain(goal: Sequent, budget: SearchBudget,
-                 deadline: Optional[float]) -> SearchResult:
-    """Reference search without memo tables: plain bounded DFS.
-
-    Exponentially slower on failing goals; kept as an independent
-    cross-check that memoization does not change verdicts.
-    """
-    search = _PlainSearch(deadline)
-    try:
-        derivations = search.search(goal, budget.max_structural_steps,
-                                     budget.max_t_insertions,
-                                     budget.max_derivations)
-    except SearchTimeout:
-        return SearchResult([], True, timed_out=True)
-    return SearchResult(derivations, search.exhausted)
-
-
-class _PlainSearch:
-    """The DFS of ``_prove_plain``; a class for the reason ``_Extraction``
-    is one."""
-
-    def __init__(self, deadline: Optional[float]) -> None:
-        self.exhausted = False
-        self.path: Dict[str, int] = {}
-        self.stop_at = None if deadline is None \
-            else time.monotonic() + deadline
-        self.ticks = 0
-
-    def search(self, seq: Sequent, s_rem: int, t_rem: int,
-               want: int) -> List[Derivation]:
-        if self.stop_at is not None:
-            self.ticks += 1
-            if self.ticks % 256 == 0 and time.monotonic() > self.stop_at:
-                raise SearchTimeout
-        path = self.path
-        if seq.key in path:
-            return []
-        moves, blocked = _moves(seq, s_rem, t_rem)
-        if blocked:
-            self.exhausted = True
-        found: List[Derivation] = []
-        path[seq.key] = 1
-        try:
-            for steps, premises, s_cost, t_cost in moves:
-                if len(found) >= want:
-                    break
-                s2, t2 = s_rem - s_cost, t_rem - t_cost
-                mids = [c.key for _r, _s, c in steps[1:]]
-                if any(m in path for m in mids):
-                    continue
-                for m in mids:
-                    path[m] = 1
-                try:
-                    if not premises:
-                        found.append(_apply_chain(steps, ()))
-                    elif len(premises) == 1:
-                        for sub in self.search(premises[0], s2, t2,
-                                               want - len(found)):
-                            found.append(_apply_chain(steps, (sub,)))
-                    else:
-                        need = want - len(found)
-                        mains = self.search(premises[0], s2, t2, need)
-                        if mains:
-                            sides = self.search(premises[1], s2, t2, need)
                             for main in mains:
                                 if len(found) >= want:
                                     break

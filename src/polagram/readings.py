@@ -56,6 +56,13 @@ def is_linear(r: Reading) -> bool:
     return all(a < b for a, b in zip(positions, positions[1:]))
 
 
+def reading_to_dict(r: Reading) -> dict:
+    """The JSON form of a reading: its scope order and whether it is
+    linear."""
+    return {"scope": [{"word": w, "pos": p} for w, p in r.scope_order],
+            "linear": is_linear(r)}
+
+
 def inverted_pairs(r: Reading) -> List[Tuple[Tuple[str, Optional[int]],
                                              Tuple[str, Optional[int]]]]:
     """All (wider, narrower) pairs whose scope order inverts surface order."""

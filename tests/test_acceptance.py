@@ -3,8 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,15 @@ ACCEPTABILITY_TABLE = [
 
 def report(line):
     print(f"PASS: {line}")
+
+
+# The behaviour that refactors of the prover must keep: the built-in corpus
+# report, and a sha256 over every derivation criterion 7 audits (one
+# ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line each, in audit
+# order).
+CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
+AUDITED_DERIVATIONS_SHA256 = \
+    "ea58894e2d7616d79f5119782a709b0e7a75d29ec78c0a1f29f05dcd6536fb21"
 
 
 def test_criterion_1_acceptability_table(parsed):
@@ -136,15 +147,18 @@ def test_criterion_7_proof_audit(parsed):
         ["Somebody saw everybody"] + \
         [f"{q1} saw {q2}" for q1 in QUANTIFIERS for q2 in QUANTIFIERS]
     audited = 0
+    digest = hashlib.sha256()
     for sentence in sentences:
         for d in parsed(sentence).derivations:
             assert validate_derivation(d)
-            again = derivation_from_dict(
-                json.loads(json.dumps(derivation_to_dict(d))))
+            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
+            digest.update(blob.encode("utf-8") + b"\n")
+            again = derivation_from_dict(json.loads(blob))
             assert validate_derivation(again)
             assert again.render() == d.render()
             audited += 1
     assert audited > 0
+    assert digest.hexdigest() == AUDITED_DERIVATIONS_SHA256
     report(f"criterion 7: {audited} derivations validated, and re-validated "
            f"after a serialization round trip")
 
@@ -171,6 +185,7 @@ def test_criterion_9_determinism_and_budget_stability(lex, parsed, capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+    assert first == CORPUS_JSON.read_text(encoding="utf-8")
     # grammatical sentences stay grammatical when every budget is doubled
     grammatical = [s for s, verdict in ACCEPTABILITY_TABLE if verdict == "ok"]
     grammatical.append("Somebody saw everybody")
@@ -182,5 +197,6 @@ def test_criterion_9_determinism_and_budget_stability(lex, parsed, capsys):
                                max_derivations=32)
         assert parse_sentence(sentence, lex, budget=doubled).verdict \
             == GRAMMATICAL, sentence
-    report("criterion 9: corpus output byte-identical across runs; "
+    report("criterion 9: corpus output byte-identical across runs and to "
+           "the recorded report; "
            "grammaticality stable under doubled budgets")

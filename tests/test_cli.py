@@ -49,6 +49,45 @@ def test_parse_unknown_word_exit_2(capsys):
     assert "aardvark" in err
 
 
+def test_parse_timeout_is_unknown(capsys):
+    code, out, _ = run(capsys, "parse", "Anybody saw nobody", "--json",
+                       "--time-limit", "0")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["verdict"] == "unknown"
+    assert blob["timed_out"] is True
+    code, out, _ = run(capsys, "parse", "Anybody saw nobody",
+                       "--time-limit", "0")
+    assert code == 3
+    assert "unknown (search timed out)" in out
+
+
+BAD_INPUTS = {
+    "budget": (["parse", "Alice saw Bob", "--budget", "-1"], None),
+    "t-budget": (["parse", "Alice saw Bob", "--t-budget", "-1"], None),
+    "max-derivations": (["parse", "Alice saw Bob", "--max-derivations", "0"],
+                        None),
+    "max-domain-9": (["monotonic", "--max-domain", "9"], None),
+    "max-domain-0": (["monotonic", "--max-domain", "0"], None),
+    "empty-sentence": (["parse", ""], None),
+    "punctuation-only": (["parse", "?!"], None),
+    "corpus-unknown-word": (["corpus"], "Alice saw aardvark\tbad\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, name):
+    argv, corpus = BAD_INPUTS[name]
+    if corpus is not None:
+        path = tmp_path / "corpus.tsv"
+        path.write_text(corpus, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_json_stable(capsys):
     code1, out1, _ = run(capsys, "parse", "Nobody saw anybody", "--json")
     code2, out2, _ = run(capsys, "parse", "Nobody saw anybody", "--json")
@@ -90,7 +129,7 @@ def test_sequent_json_reports_timeout(capsys):
     code, out, _ = run(capsys, "sequent",
                        "nobody * ('s_mother * (saw * (anybody * 's_father)))",
                        "s0", "--json", "--time-limit", "0")
-    assert code == 1
+    assert code == 3
     blob = json.loads(out)
     assert blob["timed_out"] is True
     assert blob["budget_exhausted"] is True
@@ -170,6 +209,17 @@ def test_corpus_wrong_expectation_fails(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_corpus_timeout_never_passes(tmp_path, capsys):
+    # a row expected "bad" must not pass by way of a timed-out search
+    path = tmp_path / "corpus.tsv"
+    path.write_text("Anybody saw nobody\tbad\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(path), "--json",
+                       "--time-limit", "0")
+    assert code == 1
+    [row] = json.loads(out)
+    assert row["prover"] == "unknown" and row["pass"] is False
 
 
 def test_corpus_empty_file_passes(tmp_path, capsys):

@@ -5,7 +5,7 @@ from polagram import (
     Atom, Bin, BoxDown, Dia, FLeaf, Over, Product, Sequent, Un, Under,
     UNIT, UNIT_LEAF, NP, S, S0, SPLUS, SMINUS,
     CMODE, DEFAULT, PMODE, UMODE, VALUE,
-    SyntaxErrorWithPos, canonical_sequent, parse_formula, parse_sequent,
+    SyntaxErrorWithPos, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
 
@@ -98,6 +98,39 @@ def test_formula_equality_is_structural(f, g):
     assert (f == g) == (print_formula(f) == print_formula(g))
 
 
+def _structures(depth):
+    leaf = st.one_of(st.builds(FLeaf, _formulas(2)),
+                     st.builds(FLeaf, _formulas(1), st.just("w"),
+                               st.integers(0, 3)),
+                     st.just(UNIT_LEAF))
+    if depth == 0:
+        return leaf
+    sub = _structures(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Bin, st.sampled_from([DEFAULT, CMODE]), sub, sub),
+        st.builds(Un, st.sampled_from([VALUE, UMODE, PMODE]), sub),
+    )
+
+
+def _has_cmode_connective(key):
+    return "/c(" in key or "\\c(" in key or "*c(" in key
+
+
+@given(_formulas(3))
+def test_formula_flag_matches_key_probe(f):
+    assert f.has_cmode == _has_cmode_connective(f.key)
+
+
+@given(_structures(3))
+def test_structure_flags_match_key_probes(s):
+    # the key substrings the flags replace, kept here as their oracle
+    assert s.has_cmode_node == ("Bc(" in s.key)
+    assert s.has_unit == ("!" in s.key)
+    assert s.has_value_diamond == ("U(" in s.key)
+    assert s.has_cmode_formula == _has_cmode_connective(s.key)
+
+
 # -- structures and sequents -------------------------------------------------
 
 def test_parse_structure_words(lex):
@@ -134,13 +167,14 @@ def test_structure_print_round_trip(lex):
 def test_canonical_ignores_word_labels():
     plain = Sequent(FLeaf(NP), NP)
     worded = Sequent(FLeaf(NP, word="alice", pos=0), NP)
-    assert canonical_sequent(plain) == canonical_sequent(worded)
+    assert plain.key == worded.key
+    assert plain.full_key != worded.full_key
 
 
 def test_canonical_distinguishes_content():
     a = Sequent(FLeaf(NP), NP)
     b = Sequent(FLeaf(S), S)
-    assert canonical_sequent(a) != canonical_sequent(b)
+    assert a.key != b.key
 
 
 def test_parse_sequent(lex):

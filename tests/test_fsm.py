@@ -179,3 +179,30 @@ def test_epsilon_edges_are_exactly_the_derivable_conversions(machine):
         if prove(Sequent(parse_structure("s0"),
                          parse_formula(clause[state]))).derivations}
     assert {(s, NEU) for s in derivable_from_neutral} == set(machine.epsilon)
+
+
+# -- the prover against the machine on every quantifier shape ----------------
+
+CLAUSE_SIGNS = {"z": "s0", "p": "s+", "n": "s-"}
+SHAPES = {f"q{out}{in_}": f"{CLAUSE_SIGNS[out]} /c (np \\c {CLAUSE_SIGNS[in_]})"
+          for out in CLAUSE_SIGNS for in_ in CLAUSE_SIGNS}
+
+
+def test_prover_and_machine_agree_on_every_shape_pair():
+    # all nine shapes Out /c (np \c In), in subject and object position,
+    # against each other and against a name
+    from polagram import parse_sentence
+    lex = load_lexicon("alice := np\nbob := np\nsaw := (np \\ s0) / np\n"
+                       + "".join(f"{w} := {t}\n" for w, t in SHAPES.items()))
+    machine = machine_from_lexicon(lex)
+    sentences = [f"{a} saw {b}" for a in SHAPES for b in SHAPES] \
+        + [f"{a} saw bob" for a in SHAPES] \
+        + [f"alice saw {b}" for b in SHAPES]
+    assert len(sentences) == 99
+    for sentence in sentences:
+        result = parse_sentence(sentence, lex)
+        assert not result.timed_out, sentence
+        admissible = predict(machine,
+                             quantifier_occurrences(result.tokens, machine))
+        assert {r.scope_order for r in result.readings} \
+            == {r.scope_order for r in admissible}, sentence

@@ -4,13 +4,17 @@ import json
 import pytest
 
 from polagram import (
-    Derivation, FLeaf, RuleName, SearchBudget, Sequent,
+    Bin, Derivation, FLeaf, RuleName, SearchBudget, Sequent, Un,
     NP, S0, SPLUS, SMINUS,
-    derivation_from_dict, derivation_to_dict, enumerate_rewrites,
+    derivation_from_dict, derivation_to_dict,
     bracketings, parse_formula, parse_structure, prove, tokenize,
     validate_derivation,
 )
-from polagram.prover import MoveTable
+from polagram.prover import (
+    KPRIME, LEFT_B, LEFT_F, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F, T_RULE,
+    UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
+    _left_fwd, _moves, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
+)
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
 
@@ -193,56 +197,98 @@ def test_hand_encoded_licensing_derivation(lex):
     assert validate_derivation(derivation)
 
 
-# -- rewrite enumeration ------------------------------------------------------
+# -- move generation ----------------------------------------------------------
+
+STRUCTURAL_RULES = {ROOT_F, ROOT_B, LEFT_F, LEFT_B, RIGHT_F, RIGHT_B, T_RULE,
+                    KPRIME, UNQUOTE_ANTE, UNQUOTE_SUCC}
+
+
+def _reachable_moves(goal, limit):
+    """The moves of up to ``limit`` sequents reachable from ``goal``,
+    breadth first."""
+    seen, queue, out = {goal.key}, [goal], []
+    while queue and len(out) < limit:
+        moves = _moves(queue.pop(0))
+        out.append(moves)
+        for _steps, premises, _s, _t in moves:
+            for premise in premises:
+                if premise.key not in seen:
+                    seen.add(premise.key)
+                    queue.append(premise)
+    return out
+
 
 def test_enumerate_includes_root_forward(lex):
-    goal = seq("alice * (saw * bob)", "s0", lex)
-    entries = enumerate_rewrites(goal, SearchBudget.for_goal(goal))
-    roots = [(site, results) for rule, site, results in entries
-             if rule == RuleName("Root→")]
-    assert ((), [seq("(alice * (saw * bob)) *c 1", "s0", lex)]) in roots
+    # Root introduces its unit at the root of an antecedent whose leaves
+    # hold a continuation functor, and not where nothing could consume it
+    goal = seq("nobody * (saw * anybody)", "s0", lex)
+    roots = [(steps, premises) for steps, premises, _s, _t in _moves(goal)
+             if steps[0][0] == ROOT_F]
+    assert roots == [(((ROOT_F, (), goal),),
+                      (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
+    plain = seq("alice * (saw * bob)", "s0", lex)
+    assert all(steps[0][0] != ROOT_F for steps, _p, _s, _t in _moves(plain))
 
 
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * saw) *c np", "s0", lex)
-    entries = enumerate_rewrites(goal, SearchBudget.for_goal(goal))
-    results = [r for rule, site, [r] in entries
-               if rule == RuleName("Right→") and site == ()]
-    assert results == [seq("saw *c (np * <>np)", "s0", lex)]
+    results = [premises for steps, premises, _s, _t in _moves(goal)
+               if steps == ((RIGHT_F, (), goal),)]
+    assert results == [(seq("saw *c (np * <>np)", "s0", lex),)]
 
 
 def test_enumerate_no_t_without_budget(lex):
-    goal = seq("alice * (saw * bob)", "s0", lex)
-    budget = SearchBudget.for_goal(goal, max_t_insertions=0)
-    entries = enumerate_rewrites(goal, budget)
-    assert all(rule != RuleName("T") for rule, _, _ in entries)
+    # each move's cost counts the structural steps and the T insertions of
+    # its chain, so a branch with no T budget left keeps no move with a T
+    t_moves = 0
+    for moves in _reachable_moves(seq("nobody * (saw * anybody)", "s0", lex),
+                                  400):
+        for steps, _premises, s_cost, t_cost in moves:
+            rules = [rule for rule, _site, _conclusion in steps]
+            assert t_cost == rules.count(T_RULE)
+            assert s_cost == sum(rule in STRUCTURAL_RULES for rule in rules)
+            t_moves += t_cost > 0
+    assert t_moves > 0
 
 
 def test_enumerate_deterministic_order(lex):
     goal = seq("nobody * (saw * anybody)", "s0", lex)
-    budget = SearchBudget.for_goal(goal)
-    first = enumerate_rewrites(goal, budget)
-    second = enumerate_rewrites(goal, budget)
-    assert [(str(r), s) for r, s, _ in first] \
-        == [(str(r), s) for r, s, _ in second]
+    again = seq("nobody * (saw * anybody)", "s0", lex)
+
+    def listing(moves):
+        return [[(str(r), s, c.full_key) for r, s, c in steps]
+                + [p.full_key for p in premises]
+                for steps, premises, _s, _t in moves]
+
+    assert listing(_moves(goal)) == listing(_moves(goal)) \
+        == listing(_moves(again))
+
+
+def _subtrees(st):
+    yield st
+    if isinstance(st, Bin):
+        yield from _subtrees(st.left)
+        yield from _subtrees(st.right)
+    elif isinstance(st, Un):
+        yield from _subtrees(st.body)
 
 
 def test_bidirectional_postulates_compose_to_identity(lex):
-    pairs = {"Root→": "Root←", "Root←": "Root→", "Left→": "Left←",
-             "Left←": "Left→", "Right→": "Right←", "Right←": "Right→"}
-    for text, target in [("nobody * (saw * anybody)", "s0"),
-                         ("np *c ((1 * <>anybody) * <>saw)", "s-"),
-                         ("(<>np * saw) *c (np * 1)", "s0")]:
-        goal = seq(text, target, lex)
-        budget = SearchBudget.for_goal(goal)
-        for rule, site, [result] in enumerate_rewrites(goal, budget):
-            if rule.tag not in pairs:
-                continue
-            inverse = RuleName(pairs[rule.tag])
-            undone = [r for rule2, site2, [r]
-                      in enumerate_rewrites(result, budget)
-                      if rule2 == inverse and site2 == site]
-            assert goal in undone, (str(rule), site)
+    inverses = [(_root_fwd, _root_bwd), (_root_bwd, _root_fwd),
+                (_left_fwd, _left_bwd), (_left_bwd, _left_fwd),
+                (_right_fwd, _right_bwd), (_right_bwd, _right_fwd)]
+    fired = set()
+    for text in ["nobody * (saw * anybody)",
+                 "np *c ((1 * <>anybody) * <>saw)",
+                 "(<>np * saw) *c (np * 1)",
+                 "(<>np * saw) *c 1"]:
+        for node in _subtrees(parse_structure(text, lex)):
+            for rewrite, inverse in inverses:
+                new = rewrite(node)
+                if new is not None:
+                    assert inverse(new) == node, (rewrite.__name__, text)
+                    fired.add(rewrite)
+    assert fired == {rewrite for rewrite, _inverse in inverses}
 
 
 # -- search behaviour ---------------------------------------------------------
@@ -268,6 +314,56 @@ def test_budget_monotonicity():
     assert found_small <= found_big
 
 
+class PlainSearch:
+    """The reference search: a plain bounded depth-first search over
+    ``_moves``, spending each branch's budget move by move.  Exponentially
+    slower than ``prove`` on failing goals; kept as an independent check
+    that the three-phase search does not change verdicts.  A move the
+    branch cannot afford marks the search exhausted."""
+
+    def __init__(self):
+        self.exhausted = False
+        self.path = set()
+
+    def search(self, seq, s_rem, t_rem, want):
+        path = self.path
+        if seq.key in path:
+            return []
+        every = _moves(seq)
+        moves = [m for m in every if m[2] <= s_rem and m[3] <= t_rem]
+        self.exhausted = self.exhausted or len(moves) < len(every)
+        found = []
+        path.add(seq.key)
+        for steps, premises, s_cost, t_cost in moves:
+            if len(found) >= want:
+                break
+            s2, t2 = s_rem - s_cost, t_rem - t_cost
+            # fused chains pass through intermediate sequents, which count
+            # toward the branch's no-repeat check too
+            mids = {c.key for _r, _s, c in steps[1:]}
+            if mids & path:
+                continue
+            path |= mids
+            if not premises:
+                found.append(_apply_chain(steps, ()))
+            elif len(premises) == 1:
+                for sub in self.search(premises[0], s2, t2,
+                                       want - len(found)):
+                    found.append(_apply_chain(steps, (sub,)))
+            else:
+                need = want - len(found)
+                mains = self.search(premises[0], s2, t2, need)
+                sides = self.search(premises[1], s2, t2, need) \
+                    if mains else []
+                for main in mains:
+                    for side in sides:
+                        if len(found) < want:
+                            found.append(_apply_chain(steps, (main, side)))
+            path -= mids
+        path.discard(seq.key)
+        return found
+
+
 def test_memo_and_plain_search_agree(lex):
     cases = [
         ("np", "np", None),
@@ -285,12 +381,14 @@ def test_memo_and_plain_search_agree(lex):
         goal = seq(text, target, lex)
         if budget is None:
             budget = SearchBudget.for_goal(goal, max_derivations=2)
-        plain = SearchBudget(budget.max_structural_steps,
-                             budget.max_t_insertions,
-                             budget.max_derivations, memo_enabled=False)
-        with_memo = bool(prove(goal, budget).derivations)
-        without = bool(prove(goal, plain).derivations)
-        assert with_memo == without, text
+        result = prove(goal, budget)
+        oracle = PlainSearch()
+        found = oracle.search(goal, budget.max_structural_steps,
+                              budget.max_t_insertions, budget.max_derivations)
+        assert bool(result.derivations) == bool(found), text
+        if not found and not oracle.exhausted:
+            # a refutation the oracle completes uncut is uncut in prove too
+            assert not result.budget_exhausted, text
 
 
 def test_no_branch_repeats_a_sequent(lex):
@@ -329,8 +427,6 @@ POSSESSIVE = "nobody * ('s_mother * (saw * (anybody * 's_father)))"
     ("nobody * (saw * anybody)", None, None, "derived"),
     ("anybody * (saw * nobody)", None, None, "refuted"),
     (POSSESSIVE, None, 0.0, "timed out"),
-    ("alice * (saw * bob)", SearchBudget(memo_enabled=False), None,
-     "derived"),
 ])
 def test_prove_leaves_no_cyclic_garbage(lex, antecedent, budget, deadline,
                                         outcome):

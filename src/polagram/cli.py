@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .core import (Sequent, SyntaxErrorWithPos, formula_leaf_count,
-                   parse_formula, parse_structure)
+from .core import Sequent, SyntaxErrorWithPos, parse_formula, parse_structure
 from .fsm import (machine_from_lexicon, predict, quantifier_occurrences,
                   accepting_runs, evaluation_order_ok, inverted_windows)
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, tokenize
@@ -110,16 +109,14 @@ def _lexicon_from(args) -> Lexicon:
     return default_lexicon()
 
 
-def _budget_for(args, leaf_count: int) -> Optional[SearchBudget]:
-    """A budget when any flag overrides the defaults, else None (use the
-    per-goal defaults).  Raises ValueError for a budget out of range."""
+def _budget_for(args) -> SearchBudget:
+    """The budget the flags ask for, with ``SearchBudget``'s defaults for
+    the flags not given.  Raises ValueError for a budget out of range."""
     overrides = {field: value for field, value in (
         ("max_structural_steps", args.budget),
         ("max_t_insertions", args.t_budget),
         ("max_derivations", args.max_derivations)) if value is not None}
-    if not overrides:
-        return None
-    return SearchBudget.for_leaves(leaf_count, **overrides)
+    return SearchBudget(**overrides)
 
 
 def _tokens(sentence: str, lex: Lexicon) -> List[str]:
@@ -142,7 +139,8 @@ def _emit_json(obj) -> None:
 def cmd_parse(args) -> int:
     try:
         lex = _lexicon_from(args)
-        budget = _budget_for(args, len(_tokens(args.sentence, lex)))
+        _tokens(args.sentence, lex)
+        budget = _budget_for(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,7 +184,7 @@ def cmd_sequent(args) -> int:
         lex = _lexicon_from(args)
         antecedent = parse_structure(args.antecedent, lexicon=lex)
         succedent = parse_formula(args.succedent)
-        budget = _budget_for(args, formula_leaf_count(antecedent))
+        budget = _budget_for(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -261,14 +259,15 @@ def cmd_corpus(args) -> int:
                 lines = parse_corpus(fh.read())
         else:
             lines = list(BUILTIN_CORPUS)
-        budgets = [_budget_for(args, len(_tokens(line.sentence, lex)))
-                   for line in lines]
+        for line in lines:
+            _tokens(line.sentence, lex)
+        budget = _budget_for(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     failures = 0
     rows = []
-    for line, budget in zip(lines, budgets):
+    for line in lines:
         result = parse_sentence(line.sentence, lex, budget=budget,
                                 deadline=args.time_limit)
         # an unknown verdict matches no expectation, so the row fails
@@ -277,8 +276,10 @@ def cmd_corpus(args) -> int:
         occurrences = quantifier_occurrences(result.tokens, machine)
         admissible = predict(machine, occurrences)
         fsm_verdict = "ok" if admissible else "bad"
-        agree = ({r.scope_order for r in result.readings}
-                 == {r.scope_order for r in admissible})
+        # a search that timed out decided nothing to agree or disagree with
+        agree = None if result.verdict == UNKNOWN else (
+            {r.scope_order for r in result.readings}
+            == {r.scope_order for r in admissible})
         passed = (prover_verdict == line.expected
                   and fsm_verdict == line.expected and agree
                   and (line.reading_count is None
@@ -297,7 +298,8 @@ def cmd_corpus(args) -> int:
         print(f"{'sentence':<{width}}  expect  prover   fsm  readings  result")
         for line, pv, fv, agree, n, passed in rows:
             mark = "pass" if passed else "FAIL"
-            extra = "" if agree else " (engines disagree)"
+            extra = (" (search timed out)" if agree is None
+                     else "" if agree else " (engines disagree)")
             print(f"{line.sentence:<{width}}  {line.expected:<6}  {pv:<7}  "
                   f"{fv:<3}  {n:<8}  {mark}{extra}")
         print(f"{len(rows) - failures}/{len(rows)} passed")

@@ -25,7 +25,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import Atom, Formula, Over, Under, CMODE, S0, SPLUS, SMINUS
 from .lexicon import Lexicon
-from .readings import Reading
+from .readings import Reading, inverted_pairs
 
 
 class PolState(enum.Enum):
@@ -165,11 +165,12 @@ def inverted_windows(reading: Reading, run: Run) -> List[tuple]:
     run passes through strictly between the two transitions (after the
     wider one fires, up to where the narrower one fires)."""
     fires = run.fire_indices()
-    order = reading.scope_order
-    assert len(fires) == len(order)
-    return [(order[i], order[j], run.states[fires[i] + 1: fires[j] + 1])
-            for i in range(len(order)) for j in range(i + 1, len(order))
-            if order[i][1] > order[j][1]]
+    assert len(fires) == len(reading.scope_order)
+    fire_of = {occurrence: fires[i]
+               for i, occurrence in enumerate(reading.scope_order)}
+    return [(wider, narrower,
+             run.states[fire_of[wider] + 1: fire_of[narrower] + 1])
+            for wider, narrower in inverted_pairs(reading)]
 
 
 def evaluation_order_ok(m: PolarityMachine, reading: Reading,

@@ -91,6 +91,8 @@ def parse_sentence(sentence: str, lex: Lexicon,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
     derived the goal.
     """
+    if budget is None:
+        budget = SearchBudget()
     tokens = tokenize(sentence, lex)
     trees = bracketings(tokens, lex)
     derivations: List[Derivation] = []
@@ -109,10 +111,7 @@ def parse_sentence(sentence: str, lex: Lexicon,
                 if remaining <= 0:
                     timed_out = True
                     break
-            goal = Sequent(tree, goal_type)
-            result = prove(goal,
-                           budget if budget is not None
-                           else SearchBudget.for_goal(goal),
+            result = prove(Sequent(tree, goal_type), budget,
                            deadline=remaining, table=table)
             exhausted = exhausted or result.budget_exhausted
             timed_out = timed_out or result.timed_out

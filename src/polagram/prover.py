@@ -174,36 +174,21 @@ class SearchBudget:
     ``max_structural_steps`` caps structural-postulate applications per
     branch, ``max_t_insertions`` caps T uses per branch (T grows the
     antecedent; everything else shrinks or rearranges), ``max_derivations``
-    caps how many derivations are returned.
+    caps how many derivations are returned.  An unset T cap (``None``) is
+    the goal's formula leaves + 2, which ``prove`` works out per goal.
     """
 
     max_structural_steps: int = 64
-    max_t_insertions: int = 8
+    max_t_insertions: Optional[int] = None
     max_derivations: int = 16
 
     def __post_init__(self):
-        if self.max_structural_steps < 0 or self.max_t_insertions < 0:
+        if self.max_structural_steps < 0 or (
+                self.max_t_insertions is not None
+                and self.max_t_insertions < 0):
             raise ValueError("budget counts must be nonnegative")
         if self.max_derivations < 1:
             raise ValueError("max_derivations must be at least 1")
-
-    @staticmethod
-    def for_goal(goal: Sequent, **overrides) -> "SearchBudget":
-        """Default budget: T insertions scale with the antecedent size."""
-        return SearchBudget.for_leaves(formula_leaf_count(goal.antecedent),
-                                       **overrides)
-
-    @staticmethod
-    def for_leaves(leaf_count: int, **overrides) -> "SearchBudget":
-        """Default budget for an antecedent of ``leaf_count`` formula leaves;
-        ``overrides`` replace single fields."""
-        overrides.setdefault("max_t_insertions", leaf_count + 2)
-        return SearchBudget(**overrides)
-
-    def doubled(self) -> "SearchBudget":
-        return SearchBudget(self.max_structural_steps * 2,
-                            self.max_t_insertions * 2,
-                            self.max_derivations * 2)
 
 
 @dataclass
@@ -588,17 +573,19 @@ def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
 Trace = Tuple[Tuple[str, Optional[int]], ...]
 
 
-def _move_trace(move: Move) -> Trace:
-    """The scope firing this move itself performs: a worded
-    continuation-functor elimination contributes its (word, position)."""
-    steps, _premises, _ms, _mt = move
-    rule, site, conclusion = steps[-1]
-    if rule.tag == "OverL" and rule.mode == CMODE:
-        node = subtree(conclusion.antecedent, site)
-        if isinstance(node, Bin) and isinstance(node.left, FLeaf) \
-                and node.left.word is not None:
-            return ((node.left.word, node.left.pos),)
-    return ()
+def scope_firing(rule: RuleName, conclusion: Sequent,
+                 site: Site) -> Optional[Tuple[str, Optional[int]]]:
+    """The (word, position) a rule application takes scope for: an
+    elimination of a continuation-mode functor whose leaf carries a word.
+    None for every other step."""
+    if rule.tag != "OverL" or rule.mode != CMODE:
+        return None
+    node = subtree(conclusion.antecedent, site)
+    assert isinstance(node, Bin)
+    leaf = node.left
+    if isinstance(leaf, FLeaf) and leaf.word is not None:
+        return leaf.word, leaf.pos
+    return None
 
 
 class MoveTable:
@@ -612,7 +599,8 @@ class MoveTable:
     further sharing.  Premises are hash-consed: every premise the moves
     hold is the table's one ``Sequent`` for its key, so a sequent that many
     moves lead to is stored once.  Beside each node's moves the table keeps
-    their scope traces (``_move_trace``), which depend on the move alone.
+    their scope traces, which depend on the move alone: the firing
+    (``scope_firing``) of a move's last step, if any.
     """
 
     __slots__ = ("sequents", "moves", "traces")
@@ -634,7 +622,11 @@ class MoveTable:
             moves = [(steps, tuple(map(canonical, premises)), ms, mt)
                      for steps, premises, ms, mt in _moves(seq)]
             self.moves[seq.full_key] = moves
-            self.traces[seq.full_key] = [_move_trace(m) for m in moves]
+            traces = self.traces[seq.full_key] = []
+            for steps, _premises, _ms, _mt in moves:
+                rule, site, conclusion = steps[-1]
+                firing = scope_firing(rule, conclusion, site)
+                traces.append(() if firing is None else (firing,))
         return moves
 
 
@@ -647,7 +639,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     deterministic order; an empty list means no proof was found within the
     budget.  ``deadline`` (seconds, wall clock) optionally aborts long
     searches; an aborted search reports no derivations and an exhausted
-    budget.
+    budget.  No ``budget`` means ``SearchBudget()``, and a budget whose T
+    cap is unset gets the goal's formula leaves + 2, worked out here and
+    nowhere else.
 
     There is one search path, over the sequent graph that ``_moves``
     spans.  Every move carries its (structural, T) cost, and the budget
@@ -673,13 +667,11 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     during the search could reclaim nothing; it would only rescan the
     growing graph.
     """
-    if budget is None:
-        budget = SearchBudget.for_goal(goal)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _search(goal, budget, deadline,
-                       MoveTable() if table is None else table)
+        return _search(goal, SearchBudget() if budget is None else budget,
+                       deadline, MoveTable() if table is None else table)
     finally:
         if collecting:
             gc.enable()
@@ -690,6 +682,8 @@ def _search(goal: Sequent, budget: SearchBudget,
     """The three-phase search of ``prove`` over the moves in ``table``."""
     cap_s = budget.max_structural_steps
     cap_t = budget.max_t_insertions
+    if cap_t is None:
+        cap_t = formula_leaf_count(goal.antecedent) + 2
     stop_at = None if deadline is None else time.monotonic() + deadline
     exhausted = False
     tick = [0]

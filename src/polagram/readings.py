@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import Bin, FLeaf, CMODE
-from .prover import Derivation, subtree
+from .prover import Derivation, scope_firing
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,15 @@ class Reading:
 def extract_reading(d: Derivation) -> Reading:
     """Read the scope order off a derivation.
 
-    Walks root-to-leaf collecting continuation-functor eliminations whose
-    functor leaf carries a word; outer applications scope over the ones
-    nested in their argument branches.
+    Walks root-to-leaf collecting the scope firings (``scope_firing``);
+    outer applications scope over the ones nested in their argument
+    branches.
     """
     order: List[Tuple[str, Optional[int]]] = []
     for node in d.walk():
-        if node.rule.tag == "OverL" and node.rule.mode == CMODE:
-            fired = subtree(node.conclusion.antecedent, node.site)
-            assert isinstance(fired, Bin)
-            leaf = fired.left
-            if isinstance(leaf, FLeaf) and leaf.word is not None:
-                order.append((leaf.word, leaf.pos))
+        firing = scope_firing(node.rule, node.conclusion, node.site)
+        if firing is not None:
+            order.append(firing)
     return Reading(tuple(order))
 
 

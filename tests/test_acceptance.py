@@ -118,9 +118,9 @@ def test_criterion_4_conversion_lemmas():
 def test_criterion_5_stuck_configuration(lex):
     goal = Sequent(parse_structure("np *c ((1 * <>anybody) * <>saw)", lex),
                    parse_formula("s-"))
-    default = SearchBudget.for_goal(goal)
-    assert not prove(goal, default).derivations
-    assert not prove(goal, default.doubled()).derivations
+    # the default budget, (64, 3 leaves + 2, 16), and twice that
+    assert not prove(goal, SearchBudget()).derivations
+    assert not prove(goal, SearchBudget(128, 10, 32)).derivations
     report("criterion 5: the stuck negative-context sequent is underivable "
            "at default and doubled budgets")
 

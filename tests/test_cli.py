@@ -212,14 +212,26 @@ def test_corpus_wrong_expectation_fails(tmp_path, capsys):
 
 
 def test_corpus_timeout_never_passes(tmp_path, capsys):
-    # a row expected "bad" must not pass by way of a timed-out search
+    # a row expected "bad" must not pass by way of a timed-out search, and
+    # a timed-out row is no disagreement with the machine, which admits a
+    # reading for the "ok" row
     path = tmp_path / "corpus.tsv"
-    path.write_text("Anybody saw nobody\tbad\n", encoding="utf-8")
+    path.write_text("Anybody saw nobody\tbad\nNobody saw anybody\tok\n",
+                    encoding="utf-8")
     code, out, _ = run(capsys, "corpus", str(path), "--json",
                        "--time-limit", "0")
     assert code == 1
-    [row] = json.loads(out)
-    assert row["prover"] == "unknown" and row["pass"] is False
+    rows = json.loads(out)
+    assert [row["fsm"] for row in rows] == ["bad", "ok"]
+    for row in rows:
+        assert row["prover"] == "unknown" and row["pass"] is False
+        assert row["engines_agree"] is None
+    code, out, _ = run(capsys, "corpus", str(path), "--time-limit", "0")
+    assert code == 1
+    rows = out.splitlines()[1:3]
+    assert all(row.endswith("FAIL (search timed out)") for row in rows), out
+    assert "engines disagree" not in out
+    assert "0/2 passed" in out
 
 
 def test_corpus_empty_file_passes(tmp_path, capsys):

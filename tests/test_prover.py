@@ -100,8 +100,9 @@ def test_stuck_negative_context_not_derivable(lex):
 
 
 def test_stuck_negative_context_robust_to_doubled_budget(lex):
+    # twice the default for this 3-leaf goal: (64, 3 + 2, 16)
     goal = seq("np *c ((1 * <>anybody) * <>saw)", "s-", lex)
-    assert not prove(goal, SearchBudget.for_goal(goal).doubled()).derivations
+    assert not prove(goal, SearchBudget(128, 10, 32)).derivations
 
 
 # -- the derivation checker ---------------------------------------------------
@@ -301,6 +302,17 @@ def test_deterministic_output(lex):
         == [d.render() for d in b.derivations]
 
 
+def test_an_unset_t_budget_is_the_goals_leaves_plus_two(lex):
+    # a budget built without a T cap searches exactly as no budget does:
+    # with this goal's T cap of 3 leaves + 2, not a fixed default
+    goal = seq("nobody * (saw * anybody)", "s0", lex)
+    default = prove(goal)
+    for budget in (SearchBudget(), SearchBudget(max_structural_steps=64)):
+        result = prove(goal, budget)
+        assert _proofs(result) == _proofs(default)
+        assert result.budget_exhausted == default.budget_exhausted
+
+
 def test_budget_monotonicity():
     goal = seq("s0", "s-")
     small = SearchBudget(max_structural_steps=12, max_t_insertions=2,
@@ -365,11 +377,12 @@ class PlainSearch:
 
 
 def test_memo_and_plain_search_agree(lex):
+    # the T caps of the first four cases are their formula leaves + 2
     cases = [
-        ("np", "np", None),
-        ("s0", "s+", None),
-        ("s+", "s0", None),
-        ("alice * (saw * bob)", "s0", None),
+        ("np", "np", SearchBudget(64, 3, 2)),
+        ("s0", "s+", SearchBudget(64, 3, 2)),
+        ("s+", "s0", SearchBudget(64, 3, 2)),
+        ("alice * (saw * bob)", "s0", SearchBudget(64, 5, 2)),
         ("nobody * (saw * anybody)", "s0",
          SearchBudget(max_structural_steps=24, max_t_insertions=5,
                       max_derivations=2)),
@@ -379,8 +392,6 @@ def test_memo_and_plain_search_agree(lex):
     ]
     for text, target, budget in cases:
         goal = seq(text, target, lex)
-        if budget is None:
-            budget = SearchBudget.for_goal(goal, max_derivations=2)
         result = prove(goal, budget)
         oracle = PlainSearch()
         found = oracle.search(goal, budget.max_structural_steps,
@@ -406,7 +417,7 @@ def test_no_branch_repeats_a_sequent(lex):
 
 def test_max_derivations_cap(lex):
     goal = seq("nobody * (saw * anybody)", "s0", lex)
-    result = prove(goal, SearchBudget.for_goal(goal, max_derivations=3))
+    result = prove(goal, SearchBudget(64, 5, 3))
     assert len(result.derivations) == 3
 
 

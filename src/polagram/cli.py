@@ -8,9 +8,10 @@ Subcommands::
     corpus [PATH]         run prover and machine over a judgment corpus
     monotonic             monotonicity table for the quantifier denotations
 
-Exit codes: 0 affirmative verdict / all pass, 1 negative verdict / some fail,
-2 usage or input error, 3 unknown verdict (``parse`` and ``sequent`` only:
-the search timed out before it found a derivation).  All I/O is UTF-8.
+Exit codes: 0 affirmative verdict / all pass, 1 negative verdict / some fail
+(or the reader closed the output pipe early), 2 usage or input error, 3
+unknown verdict (``parse`` and ``sequent`` only: the search timed out before
+it found a derivation).  All I/O is UTF-8.
 
 Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``;
 ``#`` starts a comment.  Lexicon files follow the lexicon module's format.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -190,7 +192,6 @@ def cmd_sequent(args) -> int:
         return EXIT_USAGE
     goal = Sequent(antecedent, succedent)
     result = prove(goal, budget, deadline=args.time_limit)
-    unknown = result.timed_out and not result.derivations
     if args.json:
         _emit_json({
             "sequent": str(goal),
@@ -203,11 +204,11 @@ def cmd_sequent(args) -> int:
         print(f"derivable ({len(result.derivations)} derivations found)")
         if args.show_derivation:
             print(result.derivations[0].render())
-    elif unknown:
+    elif result.timed_out:
         print("unknown (search timed out)")
     else:
         print("not derivable within budget")
-    if unknown:
+    if result.timed_out:
         return EXIT_UNKNOWN
     return EXIT_OK if result.derivations else EXIT_NEGATIVE
 
@@ -378,7 +379,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to the
+        # null device, so the flush at interpreter exit cannot fail again
+        # (the recipe in the documentation of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NEGATIVE
+    return status
 
 
 if __name__ == "__main__":

@@ -81,9 +81,6 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Formula) and self.key == other.key)
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -229,9 +226,6 @@ class Structure:
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Structure) and self.key == other.key)
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return self._hash

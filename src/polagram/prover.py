@@ -200,9 +200,6 @@ class SearchResult:
     budget_exhausted: bool
     timed_out: bool = False
 
-    def __bool__(self) -> bool:
-        return bool(self.derivations)
-
 
 # ---------------------------------------------------------------------------
 # Structure navigation
@@ -547,7 +544,9 @@ def _apply_chain(steps: Sequence[Tuple[RuleName, Site, Sequent]],
 #   1. explore: walk the graph from the goal, taking each node's moves from
 #      the move table (generated there once, possibly by an earlier call)
 #      and recording the Pareto-minimal (structural, T) path costs at which
-#      the node is reachable within budget;
+#      the node is reachable within budget.  The first time a node settles,
+#      its moves also go into the index phase 2 reads: each move under each
+#      of its premises, and a first label for each move with no premises;
 #   2. evaluate: fix, per node and per scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first),
 #      the Pareto frontier of derivation costs, where the cost of a
@@ -588,6 +587,12 @@ def scope_firing(rule: RuleName, conclusion: Sequent,
     return None
 
 
+# A table move is a move plus its scope trace: the firing (``scope_firing``)
+# of its last step as a 1-tuple, or () when that step fires nothing.
+TableMove = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...],
+                  Tuple[Sequent, ...], int, int, Trace]
+
+
 class MoveTable:
     """The moves of every sequent expanded so far, keyed by ``full_key``.
 
@@ -598,35 +603,31 @@ class MoveTable:
     spanning bracketings would hold the whole sentence's graph for little
     further sharing.  Premises are hash-consed: every premise the moves
     hold is the table's one ``Sequent`` for its key, so a sequent that many
-    moves lead to is stored once.  Beside each node's moves the table keeps
-    their scope traces, which depend on the move alone: the firing
-    (``scope_firing``) of a move's last step, if any.
+    moves lead to is stored once.  Each move carries its scope trace, which
+    depends on the move alone (see ``TableMove``).
     """
 
-    __slots__ = ("sequents", "moves", "traces")
+    __slots__ = ("sequents", "moves")
 
     def __init__(self) -> None:
         self.sequents: Dict[str, Sequent] = {}
-        self.moves: Dict[str, List[Move]] = {}
-        self.traces: Dict[str, List[Trace]] = {}
+        self.moves: Dict[str, List[TableMove]] = {}
 
     def canonical(self, seq: Sequent) -> Sequent:
         """The table's one sequent with the full key of ``seq``."""
         return self.sequents.setdefault(seq.full_key, seq)
 
-    def moves_of(self, seq: Sequent) -> List[Move]:
+    def moves_of(self, seq: Sequent) -> List[TableMove]:
         """The moves at ``seq`` (a canonical sequent), generated once."""
         moves = self.moves.get(seq.full_key)
         if moves is None:
             canonical = self.canonical
-            moves = [(steps, tuple(map(canonical, premises)), ms, mt)
-                     for steps, premises, ms, mt in _moves(seq)]
-            self.moves[seq.full_key] = moves
-            traces = self.traces[seq.full_key] = []
-            for steps, _premises, _ms, _mt in moves:
+            moves = self.moves[seq.full_key] = []
+            for steps, premises, ms, mt in _moves(seq):
                 rule, site, conclusion = steps[-1]
                 firing = scope_firing(rule, conclusion, site)
-                traces.append(() if firing is None else (firing,))
+                moves.append((steps, tuple(map(canonical, premises)), ms, mt,
+                              () if firing is None else (firing,)))
         return moves
 
 
@@ -701,15 +702,26 @@ def _search(goal: Sequent, budget: SearchBudget,
         goal = table.canonical(goal)
         goal_key = goal.full_key
         reach: Dict[str, List[Tuple[int, int]]] = {}
-        counter = 0
+        deps: Dict[str, List[Tuple[str, TableMove]]] = {}
+        labels: List[Tuple[int, int, int, str, Trace]] = []
+        counter = n_labels = 0
         work: List[Tuple[int, int, int, str, Sequent]] = [
             (0, 0, counter, goal_key, goal)]
         while work:
             check_deadline()
             rs, rt, _, fk, seq = heapq.heappop(work)
+            first_settle = fk not in reach
             if not _pareto_add(reach.setdefault(fk, []), rs, rt):
                 continue
-            for _steps, premises, ms, mt in table.moves_of(seq):
+            for move in table.moves_of(seq):
+                _steps, premises, ms, mt, _trace = move
+                if first_settle:
+                    for premise in premises:
+                        deps.setdefault(premise.full_key, []).append(
+                            (fk, move))
+                    if not premises and ms <= cap_s and mt <= cap_t:
+                        n_labels += 1
+                        heapq.heappush(labels, (ms, mt, n_labels, fk, ()))
                 nrs, nrt = rs + ms, rt + mt
                 if nrs > cap_s or nrt > cap_t:
                     exhausted = True
@@ -725,71 +737,47 @@ def _search(goal: Sequent, budget: SearchBudget,
         # phase 2: fix per-node, per-trace Pareto frontiers of derivation
         # costs, again label-setting in nondecreasing cost order.  A trace
         # can be no longer than the node's stock of worded continuation
-        # functors, so the space of labels is finite.  Only the nodes reached
-        # within budget take part; the table may hold more, from other calls.
-        moves, traces = table.moves, table.traces
-        frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {
-            fk: {} for fk in reach}
-        deps: Dict[str, List[Tuple[str, int]]] = {}
-        labels: List[Tuple[int, int, int, str, Trace]] = []
-        counter = 0
-        for fk in reach:
-            for mi, (_steps, premises, ms, mt) in enumerate(moves[fk]):
-                if not premises:
-                    if ms <= cap_s and mt <= cap_t:
-                        counter += 1
-                        heapq.heappush(labels, (ms, mt, counter, fk, ()))
-                else:
-                    for premise in premises:
-                        deps.setdefault(premise.full_key, []).append((fk, mi))
-
-        def push_move_labels(parent: str, mi: int, pk_new: str,
-                             trace_new: Trace, s_new: int, t_new: int) -> None:
-            """New label at one premise: combine with settled labels of the
-            other premise (if any) and push the resulting parent labels."""
-            nonlocal counter
-            _steps, premises, ms, mt = moves[parent][mi]
-            own = traces[parent][mi]
-            if len(premises) == 1:
-                s, t = ms + s_new, mt + t_new
-                if s <= cap_s and t <= cap_t:
-                    counter += 1
-                    heapq.heappush(labels, (s, t, counter, parent,
-                                            own + trace_new))
-                return
-            pk0, pk1 = premises[0].full_key, premises[1].full_key
-            roles = [role for role, pk in ((True, pk0), (False, pk1))
-                     if pk == pk_new]
-            for first in roles:
-                other = pk1 if first else pk0
-                for trace2, front2 in frontiers.get(other, {}).items():
-                    full = (own + trace_new + trace2) if first \
-                        else (own + trace2 + trace_new)
-                    for s2, t2 in front2:
-                        s, t = ms + max(s_new, s2), mt + max(t_new, t2)
-                        if s <= cap_s and t <= cap_t:
-                            counter += 1
-                            heapq.heappush(labels,
-                                           (s, t, counter, parent, full))
-
+        # functors, so the space of labels is finite.  Labels are pushed
+        # only for reached nodes and only within the caps; the table may
+        # hold more nodes, from other calls.
+        frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
         while labels:
             check_deadline()
             s, t, _, fk, trace = heapq.heappop(labels)
-            if fk not in frontiers or not _pareto_add(
-                    frontiers[fk].setdefault(trace, []), s, t):
+            if not _pareto_add(frontiers.setdefault(fk, {}).setdefault(
+                    trace, []), s, t):
                 continue
-            for parent, mi in deps.get(fk, ()):
-                push_move_labels(parent, mi, fk, trace, s, t)
+            # combine the new label with the settled labels of the other
+            # premise (if any) and push the resulting parent labels
+            for parent, (_steps, premises, ms, mt, own) in deps.get(fk, ()):
+                if len(premises) == 1:
+                    ps, pt = ms + s, mt + t
+                    if ps <= cap_s and pt <= cap_t:
+                        n_labels += 1
+                        heapq.heappush(labels, (ps, pt, n_labels, parent,
+                                                own + trace))
+                    continue
+                pk0, pk1 = premises[0].full_key, premises[1].full_key
+                for first, pk, other in ((True, pk0, pk1),
+                                         (False, pk1, pk0)):
+                    if pk != fk:
+                        continue
+                    for trace2, front2 in frontiers.get(other, {}).items():
+                        full = (own + trace + trace2) if first \
+                            else (own + trace2 + trace)
+                        for s2, t2 in front2:
+                            ps, pt = ms + max(s, s2), mt + max(t, t2)
+                            if ps <= cap_s and pt <= cap_t:
+                                n_labels += 1
+                                heapq.heappush(
+                                    labels, (ps, pt, n_labels, parent, full))
 
-        # phase 3: trace-guided extraction along admissible branches only
+        # phase 3: trace-guided extraction along admissible branches only;
+        # every goal label lies within the caps, so every goal trace is one
         extraction = _Extraction(table, frontiers, check_deadline)
-        goal_traces = sorted(
-            (trace for trace in frontiers[goal_key]
-             if extraction.admissible(goal_key, trace, cap_s, cap_t)),
-            key=lambda trace: (len(trace), trace))
-        if not goal_traces:
-            return SearchResult([], exhausted)
-        per_trace = [extraction.extract(goal, goal_key, trace, cap_s, cap_t,
+        goal_traces = sorted(frontiers.get(goal_key, ()),
+                             key=lambda trace: (len(trace), trace))
+        per_trace = [extraction.extract(goal, trace, cap_s, cap_t,
                                         budget.max_derivations)
                      for trace in goal_traces]
         derivations: List[Derivation] = []
@@ -824,30 +812,27 @@ class _Extraction:
         self.check_deadline = check_deadline
         self.path: Dict[str, int] = {}
 
-    def admissible(self, fk: str, trace: Trace, s_rem: int,
+    def admissible(self, seq: Sequent, trace: Trace, s_rem: int,
                    t_rem: int) -> bool:
-        return any(s <= s_rem and t <= t_rem
-                   for s, t in self.frontiers.get(fk, {}).get(trace, ()))
+        return any(s <= s_rem and t <= t_rem for s, t in
+                   self.frontiers.get(seq.full_key, {}).get(trace, ()))
 
-    def extract(self, seq: Sequent, fk: str, trace: Trace, s_rem: int,
-                t_rem: int, want: int) -> List[Derivation]:
+    def extract(self, seq: Sequent, trace: Trace, s_rem: int, t_rem: int,
+                want: int) -> List[Derivation]:
         self.check_deadline()
         path = self.path
         if seq.key in path:
             return []
         admissible, extract = self.admissible, self.extract
-        own_traces = self.table.traces[fk]
         found: List[Derivation] = []
         path[seq.key] = 1
         try:
-            for mi, (steps, premises, ms, mt) in enumerate(
-                    self.table.moves[fk]):
+            for steps, premises, ms, mt, own in self.table.moves[seq.full_key]:
                 if len(found) >= want:
                     break
                 s2, t2 = s_rem - ms, t_rem - mt
                 if s2 < 0 or t2 < 0:
                     continue
-                own = own_traces[mi]
                 if own:
                     if not trace or trace[0] != own[0]:
                         continue
@@ -866,28 +851,26 @@ class _Extraction:
                         if not rest:
                             found.append(_apply_chain(steps, ()))
                         continue
-                    pks = [p.full_key for p in premises]
                     if len(premises) == 1:
-                        if not admissible(pks[0], rest, s2, t2):
+                        if not admissible(premises[0], rest, s2, t2):
                             continue
-                        for sub in extract(premises[0], pks[0], rest,
-                                           s2, t2, want - len(found)):
+                        for sub in extract(premises[0], rest, s2, t2,
+                                           want - len(found)):
                             found.append(_apply_chain(steps, (sub,)))
                     else:
+                        major, minor = premises
                         for cut in range(len(rest) + 1):
                             if len(found) >= want:
                                 break
                             part1, part2 = rest[:cut], rest[cut:]
-                            if not (admissible(pks[0], part1, s2, t2)
-                                    and admissible(pks[1], part2, s2, t2)):
+                            if not (admissible(major, part1, s2, t2)
+                                    and admissible(minor, part2, s2, t2)):
                                 continue
                             need = want - len(found)
-                            mains = extract(premises[0], pks[0], part1,
-                                            s2, t2, need)
+                            mains = extract(major, part1, s2, t2, need)
                             if not mains:
                                 continue
-                            sides = extract(premises[1], pks[1], part2,
-                                            s2, t2, need)
+                            sides = extract(minor, part2, s2, t2, need)
                             for main in mains:
                                 if len(found) >= want:
                                     break

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -78,7 +77,7 @@ def test_criterion_3_ditransitive_prediction(lex, machine):
     # prover side, under a wall-clock cap; the default T budget cannot pay
     # for a rightmost quantifier taking widest scope over two others, so the
     # search runs with headroom
-    cap = float(os.environ.get("POLAGRAM_KROCH_CAP", "480"))
+    cap = 480.0
     budget = SearchBudget(max_structural_steps=64, max_t_insertions=10,
                           max_derivations=16)
     result = parse_sentence("Nobody introduced everybody to somebody", lex,

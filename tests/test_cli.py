@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from polagram.cli import BUILTIN_CORPUS, main, parse_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -176,6 +182,22 @@ def test_fsm_no_admissible_order(capsys):
     code, out, _ = run(capsys, "fsm", "anybody")
     assert code == 1
     assert "no admissible scope order" in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_closed_output_pipe_exits_1_quietly(flags):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polagram.cli", "fsm", "nobody",
+             "anybody", *flags],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 # -- corpus -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from polagram.prover import (
     KPRIME, LEFT_B, LEFT_F, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F, T_RULE,
     UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
     _left_fwd, _moves, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
+    scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -492,14 +493,18 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             table = MoveTable()
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
-            # hash-consing: each key has one Sequent object in the table
+            # hash-consing: each key has one Sequent object in the table;
+            # each move carries the scope firing of its last step
             for fk, moves in table.moves.items():
                 node = table.sequents[fk]
                 assert node.full_key == fk
-                for steps, premises, _s, _t in moves:
+                for steps, premises, _s, _t, trace in moves:
                     assert steps[0][2] is node
                     for premise in premises:
                         assert premise is table.sequents[premise.full_key]
+                    rule, site, conclusion = steps[-1]
+                    firing = scope_firing(rule, conclusion, site)
+                    assert trace == (() if firing is None else (firing,))
 
 
 # -- serialization ------------------------------------------------------------

@@ -21,7 +21,9 @@ postulate applications, a separate cap on T insertions (the only
 size-increasing rewrite), a cap on the number of derivations returned, plus a
 per-branch repeated-sequent check.  An empty result therefore means "not
 derivable within budget", and the result carries a flag saying whether any
-branch was cut short.
+branch was cut short.  A goal whose surface tree cannot reduce to its clause
+type over the words' skeleton types is refuted before any search
+(``_skeleton_refutes``); that refutation is exact, and its result is uncut.
 
 The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
@@ -67,11 +69,11 @@ import gc
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
-    Bin, BoxDown, Dia, FLeaf, Over, Product, Sequent, Structure,
-    Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
+    Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
+    Structure, Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
     formula_leaf_count, parse_formula, print_formula,
 )
 
@@ -631,6 +633,109 @@ class MoveTable:
         return moves
 
 
+# ---------------------------------------------------------------------------
+# Skeleton refutation
+
+def _skeleton(f: Formula) -> Optional[Formula]:
+    """``f`` with its unary modes erased, so that ``s0``, ``s+`` and ``s-``
+    all become ``s``; None if ``f`` has a product, the unit, a c-mode
+    connective or a slash whose argument is not atomic."""
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, (Dia, BoxDown)):
+        return _skeleton(f.body)
+    if isinstance(f, (Over, Under)) and f.mode == DEFAULT:
+        result, argument = _skeleton(f.result), _skeleton(f.argument)
+        if result is None or not isinstance(argument, Atom):
+            return None
+        if isinstance(f, Over):
+            return Over(DEFAULT, result, argument)
+        return Under(DEFAULT, argument, result)
+    return None
+
+
+def _leaf_skeleton(f: Formula) -> Optional[Formula]:
+    """The skeleton of a leaf formula: a scope-taker ``Out /c (np \\c In)``
+    whose ``Out`` and ``In`` have one skeleton stands for its in-situ
+    argument ``np``; any other c-mode type has none."""
+    if isinstance(f, Over) and f.mode == CMODE:
+        context = f.argument
+        if not (isinstance(context, Under) and context.mode == CMODE):
+            return None
+        out, inner = _skeleton(f.result), _skeleton(context.result)
+        in_situ = _skeleton(context.argument)
+        if out is None or out != inner or not isinstance(in_situ, Atom):
+            return None
+        return in_situ
+    return _skeleton(f)
+
+
+def _reductions(st: Structure) -> Optional[Set[Formula]]:
+    """The skeletons a plain surface tree reduces to by left and right
+    application; None if ``st`` has a c-mode node, the unit or a structural
+    diamond, or a leaf without a skeleton."""
+    if isinstance(st, FLeaf):
+        skeleton = _leaf_skeleton(st.formula)
+        return None if skeleton is None else {skeleton}
+    if not isinstance(st, Bin) or st.mode != DEFAULT:
+        return None
+    left, right = _reductions(st.left), _reductions(st.right)
+    if left is None or right is None:
+        return None
+    return ({f.result for f in left
+             if isinstance(f, Over) and f.argument in right}
+            | {f.result for f in right
+               if isinstance(f, Under) and f.argument in left})
+
+
+def _skeleton_refutes(goal: Sequent) -> bool:
+    """True when ``goal``'s skeleton shows that no derivation exists.
+
+    The check covers a goal whose antecedent is a plain surface tree
+    (formula leaves under surface-mode nodes), every leaf of which has a
+    skeleton, and whose succedent's skeleton is an atom.  It refutes when
+    the tree, over its leaves' skeletons, cannot reduce to that atom by left
+    and right application.  Outside this fragment it abstains (returns
+    False) and the search decides: for a c-mode node, unit or structural
+    diamond in the antecedent, a product, a c-mode type other than a
+    scope-taker, a higher-order slash argument, a scope-taker whose ``Out``
+    and ``In`` differ in skeleton, or a non-atomic goal skeleton.
+
+    Why a refutation is exact.  Read every sequent the search reaches as a
+    sequent of the non-associative Lambek calculus NL over skeletons:
+
+    * a c-mode node ``A *c C`` plugs ``A`` into the context ``C``, a zipper
+      whose empty context is the unit ``1``: the continuation reading of
+      Barker & Shan, *Continuations and Natural Language* (2014).  Read the
+      structure as an unrooted tree rooted at its unit.  Root, Left and
+      Right move only the c-mode edge and keep each surface node's three
+      neighbours in their cyclic order, so the plugged tree stays as it
+      is.  The search keeps one live context, so there is one unit, and a
+      branch that moves it into a slash's argument never closes: only
+      Root removes a unit;
+    * T, K', Unquote and the diamond and box-down rules become identities
+      once the unary modes are erased, and a surface-mode elimination is
+      the same elimination in NL;
+    * the c-mode elimination of a scope-taker at ``Γ[Q *c C]`` has the
+      premises ``Γ[Out] ⊢ G`` and ``C ⊢ np \\c In``, read as
+      ``C[np] ⊢ In``.  ``Out`` and ``In`` have one skeleton ``S``, so a
+      cut of ``C[np] ⊢ S`` into ``Γ[S] ⊢ G`` gives ``Γ[C[np]] ⊢ G``, the
+      reading of the conclusion.  Cut is admissible in NL.
+
+    So a derivable sequent reads as an NL-derivable one.  On a fixed tree
+    whose types are first order and whose goal is an atom, every subgoal of
+    a cut-free NL derivation is an atom, so only the eliminations apply,
+    and they are the applications tried here.  No budget can find a
+    derivation: the refutation is exact and uncut.  The check makes one
+    pass over the tree.
+    """
+    target = _skeleton(goal.succedent)
+    if not isinstance(target, Atom):
+        return False
+    reductions = _reductions(goal.antecedent)
+    return reductions is not None and target not in reductions
+
+
 def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
           deadline: Optional[float] = None,
           table: Optional[MoveTable] = None) -> SearchResult:
@@ -643,6 +748,11 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     budget.  No ``budget`` means ``SearchBudget()``, and a budget whose T
     cap is unset gets the goal's formula leaves + 2, worked out here and
     nowhere else.
+
+    A goal whose skeleton cannot reduce to its clause type is refuted
+    before any search (``_skeleton_refutes``): the result has no
+    derivations and is not ``budget_exhausted``, because the refutation is
+    exact and no budget could change it.  Every other goal is searched.
 
     There is one search path, over the sequent graph that ``_moves``
     spans.  Every move carries its (structural, T) cost, and the budget
@@ -668,6 +778,8 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     during the search could reclaim nothing; it would only rescan the
     growing graph.
     """
+    if _skeleton_refutes(goal):
+        return SearchResult([], False)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -133,7 +133,7 @@ def test_sequent_json_reports_timeout(capsys):
     assert code == 0
     assert json.loads(out)["timed_out"] is False
     code, out, _ = run(capsys, "sequent",
-                       "nobody * ('s_mother * (saw * (anybody * 's_father)))",
+                       "(nobody * 's_mother) * (saw * (anybody * 's_father))",
                        "s0", "--json", "--time-limit", "0")
     assert code == 3
     blob = json.loads(out)

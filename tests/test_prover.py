@@ -4,17 +4,18 @@ import json
 import pytest
 
 from polagram import (
-    Bin, Derivation, FLeaf, RuleName, SearchBudget, Sequent, Un,
+    Bin, Derivation, FLeaf, GOAL_TYPES, RuleName, SearchBudget, Sequent, Un,
     NP, S0, SPLUS, SMINUS,
     derivation_from_dict, derivation_to_dict,
-    bracketings, parse_formula, parse_structure, prove, tokenize,
-    validate_derivation,
+    bracketings, load_lexicon, parse_formula, parse_sentence,
+    parse_structure, prove, tokenize, validate_derivation,
 )
+from polagram.core import formula_leaf_count
 from polagram.prover import (
     KPRIME, LEFT_B, LEFT_F, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F, T_RULE,
     UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
     _left_fwd, _moves, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
-    scope_firing,
+    _search, _skeleton_refutes, scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -422,17 +423,19 @@ def test_max_derivations_cap(lex):
     assert len(result.derivations) == 3
 
 
+# the one bracketing of "Nobody's mother saw anybody's father" that derives
+# a clause; the skeleton check refutes the other thirteen before any search
+POSSESSIVE = "(nobody * 's_mother) * (saw * (anybody * 's_father))"
+
+
 def test_timeout_reports_exhaustion(lex):
-    goal = seq("nobody * ('s_mother * (saw * (anybody * 's_father)))",
-               "s0", lex)
+    goal = seq(POSSESSIVE, "s0", lex)
     result = prove(goal, deadline=0.0)
     assert result.timed_out and result.budget_exhausted
     assert not result.derivations
 
 
 # -- the collector and the shared move table ---------------------------------
-
-POSSESSIVE = "nobody * ('s_mother * (saw * (anybody * 's_father)))"
 
 
 @pytest.mark.parametrize("antecedent,budget,deadline,outcome", [
@@ -505,6 +508,73 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
                     rule, site, conclusion = steps[-1]
                     firing = scope_firing(rule, conclusion, site)
                     assert trace == (() if firing is None else (firing,))
+
+
+# -- the skeleton check -------------------------------------------------------
+
+def test_skeleton_refutations_are_exact(lex):
+    # every (tree, goal) pair the check refutes has no derivation at twice
+    # the default budget either, and that search is not cut; every tree
+    # that derives passes the check.  As in parse_sentence and prove, the
+    # goals of one tree share a table and the collector is paused.
+    trees = {}
+    for sentence in SHARING_SENTENCES + [
+            "Nobody's mother saw anybody's father"]:
+        for tree in bracketings(tokenize(sentence, lex), lex):
+            trees.setdefault(tree.key, tree)
+        for d in parse_sentence(sentence, lex).derivations:
+            assert not _skeleton_refutes(d.conclusion), sentence
+    refuted = 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for tree in trees.values():
+            table = MoveTable()
+            budget = SearchBudget(128, 2 * (formula_leaf_count(tree) + 2), 32)
+            for goal_type in GOAL_TYPES:
+                goal = Sequent(tree, goal_type)
+                if _skeleton_refutes(goal):
+                    result = _search(goal, budget, None, table)
+                    assert not result.derivations, str(goal)
+                    assert not result.budget_exhausted, str(goal)
+                    refuted += 1
+    finally:
+        if enabled:
+            gc.enable()
+    assert refuted
+
+
+# a type-raised subject and a verb taking one (higher-order slash
+# arguments), and a scope-taker whose Out and In differ in skeleton
+ABSTAIN_LEXICON = """\
+bob := np
+saw := (np \\ s0) / np
+'s mother := np \\ np
+he := s0 / (np \\ s0)
+sees := (np \\ s0) / (s0 / (np \\ s0))
+whose := s0 /c (np \\c np)
+"""
+
+
+@pytest.mark.parametrize("antecedent,derives", [
+    ("he * (saw * bob)", True),
+    ("(he * saw) * bob", False),
+    # bob lifts to the argument of sees, which application alone cannot do
+    ("bob * (sees * bob)", True),
+    # whose takes scope over an np context: np * (np \ np) reduces to np,
+    # not s, and yet the clause derives
+    ("whose * 's_mother", True),
+])
+def test_outside_the_fragment_the_search_decides(antecedent, derives):
+    lexicon = load_lexicon(ABSTAIN_LEXICON)
+    for goal_type in GOAL_TYPES:
+        goal = Sequent(parse_structure(antecedent, lexicon), goal_type)
+        assert not _skeleton_refutes(goal)
+        result = prove(goal)
+        searched = _search(goal, SearchBudget(), None, MoveTable())
+        assert _proofs(result) == _proofs(searched)
+        assert result.budget_exhausted == searched.budget_exhausted
+        assert bool(result.derivations) == derives
 
 
 # -- serialization ------------------------------------------------------------

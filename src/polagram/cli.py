@@ -165,8 +165,10 @@ def cmd_parse(args) -> int:
                 print(f"  {reading}")
         elif result.verdict == UNKNOWN:
             print("unknown (search timed out)")
-        else:
+        elif result.budget_exhausted:
             print("ungrammatical (no proof within budget)")
+        else:
+            print("ungrammatical (refuted; no search was cut)")
         if args.show_derivation and result.derivations:
             shown = set()
             for d in result.derivations:
@@ -206,8 +208,10 @@ def cmd_sequent(args) -> int:
             print(result.derivations[0].render())
     elif result.timed_out:
         print("unknown (search timed out)")
-    else:
+    elif result.budget_exhausted:
         print("not derivable within budget")
+    else:
+        print("not derivable (refuted; the search was not cut)")
     if result.timed_out:
         return EXIT_UNKNOWN
     return EXIT_OK if result.derivations else EXIT_NEGATIVE

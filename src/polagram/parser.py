@@ -11,6 +11,7 @@ resulting derivations are collapsed to their distinct scope readings.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -60,20 +61,23 @@ def bracketings(tokens: Sequence[str], lex: Lexicon) -> List[Structure]:
         [FLeaf(f, word=tok, pos=i) for f in lex.lookup(tok)]
         for i, tok in enumerate(tokens)
     ]
-
-    def shapes(i: int, j: int, leaves) -> List[Structure]:
-        if j - i == 1:
-            return [leaves[i]]
-        out: List[Structure] = []
-        for k in range(i + 1, j):
-            for left in shapes(i, k, leaves):
-                for right in shapes(k, j, leaves):
-                    out.append(Bin(DEFAULT, left, right))
-        return out
-
     out = []
     for leaves in product(*leaf_choices):
-        out.extend(shapes(0, len(tokens), leaves))
+        out.extend(_shapes(0, len(tokens), leaves))
+    return out
+
+
+def _shapes(i: int, j: int, leaves: Sequence[Structure]) -> List[Structure]:
+    """All binary surface-mode trees over ``leaves[i:j]``.  Module-level
+    rather than nested in ``bracketings``: a recursive closure refers to
+    itself through its own cell, a cycle only the collector frees."""
+    if j - i == 1:
+        return [leaves[i]]
+    out: List[Structure] = []
+    for k in range(i + 1, j):
+        for left in _shapes(i, k, leaves):
+            for right in _shapes(k, j, leaves):
+                out.append(Bin(DEFAULT, left, right))
     return out
 
 
@@ -100,28 +104,37 @@ def parse_sentence(sentence: str, lex: Lexicon,
     exhausted = False
     timed_out = False
     stop_at = None if deadline is None else time.monotonic() + deadline
-    for tree in trees:
-        # the goal types of one tree share their moves; the table is
-        # dropped before the next tree (see MoveTable)
-        table = MoveTable()
-        for goal_type in (goals if goals is not None else GOAL_TYPES):
-            remaining = None
-            if stop_at is not None:
-                remaining = stop_at - time.monotonic()
-                if remaining <= 0:
-                    timed_out = True
-                    break
-            result = prove(Sequent(tree, goal_type), budget,
-                           deadline=remaining, table=table)
-            exhausted = exhausted or result.budget_exhausted
-            timed_out = timed_out or result.timed_out
-            for d in result.derivations:
-                derivations.append(d)
-                reading = extract_reading(d)
-                if reading not in readings:
-                    readings.append(reading)
-        if timed_out:
-            break
+    # one collector pause for the whole parse, rather than one per prove
+    # call with a collection between them; nothing here forms a cycle
+    # either (see prove)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for tree in trees:
+            # the goal types of one tree share their moves; the table is
+            # dropped before the next tree (see MoveTable)
+            table = MoveTable()
+            for goal_type in (goals if goals is not None else GOAL_TYPES):
+                remaining = None
+                if stop_at is not None:
+                    remaining = stop_at - time.monotonic()
+                    if remaining <= 0:
+                        timed_out = True
+                        break
+                result = prove(Sequent(tree, goal_type), budget,
+                               deadline=remaining, table=table)
+                exhausted = exhausted or result.budget_exhausted
+                timed_out = timed_out or result.timed_out
+                for d in result.derivations:
+                    derivations.append(d)
+                    reading = extract_reading(d)
+                    if reading not in readings:
+                        readings.append(reading)
+            if timed_out:
+                break
+    finally:
+        if collecting:
+            gc.enable()
     verdict = GRAMMATICAL if derivations \
         else UNKNOWN if timed_out else UNGRAMMATICAL
     return ParseResult(sentence, tokens, verdict, readings, derivations,

@@ -46,21 +46,31 @@ returned, which always consist of single honest rule applications:
 Rather than a memoized depth-first search (per-branch budgets make the same
 subgoal recur under countless different remaining budgets), ``prove``
 evaluates the reachable sequent graph exactly, in three phases, and then
-extracts derivation trees; see the commentary on ``prove``.  Three more
+extracts derivation trees; see the commentary on ``prove``.  Five more
 economies concern the cost of a search, not its space, and leave every
 result as it is:
 
 * The graph's edges outlive one search.  A node's moves depend only on the
   sequent: no budget enters their generation, each carries its cost, and
   the search filters them by cost as it uses them.  So a ``MoveTable``
-  keeps them for later calls (tabled deduction).  ``parse_sentence`` shares one table between
-  the goal types of each bracketing and drops it before the next.
+  keeps them for later calls (tabled deduction).  ``parse_sentence``
+  shares one table between the goal types of each bracketing and drops it
+  before the next.
+* The left and structural moves depend on the antecedent alone and only
+  thread the succedent through, so the table generates them once per
+  antecedent and gives them each succedent the search reaches it under
+  (``MoveTable``).
+* While a context is live, move generation walks only the subtrees that
+  hold a c-mode node and visits only the c-mode sites; no other site
+  offers a move then.
 * The table hash-conses premises: every premise its moves hold is the one
   ``Sequent`` object for its full key, so a sequent that many moves lead
   to is stored once.
-* The cyclic garbage collector is paused while ``prove`` runs.  The search
-  creates no reference cycles, so reference counting frees all it drops,
-  and the collector would only rescan the live graph to find nothing.
+* The cyclic garbage collector is paused while ``prove`` runs, and
+  ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
+  search creates no reference cycles, so reference counting frees all it
+  drops, and the collector would only rescan the live graph to find
+  nothing.
 """
 
 from __future__ import annotations
@@ -243,6 +253,19 @@ def _open_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]
     return out
 
 
+def _spine_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]]:
+    """The c-mode sites among ``_open_sites``, in its order.  While a
+    context is live no other site offers a move, and only a subtree with a
+    c-mode node holds one."""
+    out: List[Tuple[Site, Structure]] = []
+    if isinstance(st, Bin) and st.has_cmode_node:
+        out.extend(_spine_sites(st.left, prefix + (0,)))
+        out.extend(_spine_sites(st.right, prefix + (1,)))
+        if st.mode == CMODE:
+            out.append((prefix, st))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Single-step structural rewrites (shared by search and validation)
 
@@ -312,18 +335,33 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # ---------------------------------------------------------------------------
 # Search move generation
 
-# A move is (steps, premises, s_cost, t_cost) where steps is a chain of
-# (rule, site, conclusion) applied top-down, premises are the subgoals of
-# the innermost step, and the costs count the chain's structural steps and
-# its T insertions.
-Move = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...], Tuple[Sequent, ...], int, int]
+# A scope trace: the worded continuation-functor firings of a derivation
+# (``scope_firing``), outermost first.
+Trace = Tuple[Tuple[str, Optional[int]], ...]
+
+# A move is (steps, premises, s_cost, t_cost, trace) where steps is a chain
+# of (rule, site, conclusion) applied top-down, premises are the subgoals of
+# the innermost step, the costs count the chain's structural steps and its
+# T insertions, and trace is the scope firing of the last step as a 1-tuple,
+# or () when that step fires nothing.
+Move = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...], Tuple[Sequent, ...],
+             int, int, Trace]
+
+# An antecedent move is a left or structural move with the succedent left
+# out, because those moves only thread it through: (steps, main, minor,
+# s_cost, t_cost, trace), where steps is the chain of (rule, site,
+# antecedent), main is the antecedent of the premise that keeps the
+# conclusion's succedent, and minor is the other premise, a whole sequent,
+# or None.
+AnteMove = Tuple[Tuple[Tuple[RuleName, Site, Structure], ...], Structure,
+                 Optional[Sequent], int, int, Trace]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
     if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
         rule = LEX if ant.word is not None else AXIOM
-        return ((rule, (), seq),), (), 0, 0
+        return ((rule, (), seq),), (), 0, 0, ()
     return None
 
 
@@ -335,22 +373,25 @@ def _right_moves(seq: Sequent) -> List[Move]:
             out.append(((
                 (RuleName("ProdR", succ.mode), (), seq),),
                 (Sequent(ant.left, succ.left), Sequent(ant.right, succ.right)),
-                0, 0))
+                0, 0, ()))
     elif isinstance(succ, Over):
         goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
-        out.append((((RuleName("OverR", succ.mode), (), seq),), (goal,), 0, 0))
+        out.append((((RuleName("OverR", succ.mode), (), seq),), (goal,),
+                    0, 0, ()))
     elif isinstance(succ, Under):
         goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
-        out.append((((RuleName("UnderR", succ.mode), (), seq),), (goal,), 0, 0))
+        out.append((((RuleName("UnderR", succ.mode), (), seq),), (goal,),
+                    0, 0, ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
-            out.append((((rule, (), seq),), (Sequent(ant.body, succ.body),), 0, 0))
+            out.append((((rule, (), seq),), (Sequent(ant.body, succ.body),),
+                        0, 0, ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
             mid = Sequent(Un(VALUE, ant), succ)
             out.append((((T_RULE, (), seq), (rule, (), mid)),
-                        (Sequent(ant, succ.body),), 1, 1))
+                        (Sequent(ant, succ.body),), 1, 1, ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
@@ -358,134 +399,138 @@ def _right_moves(seq: Sequent) -> List[Move]:
         if not ant.has_cmode_node:
             goal = Sequent(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), seq),),
-                        (goal,), 0, 0))
+                        (goal,), 0, 0, ()))
     return out
 
 
-def _left_moves_at(seq: Sequent, site: Site, node: Structure,
-                   c_live: bool) -> List[Move]:
-    out: List[Move] = []
-    ant, succ = seq.antecedent, seq.succedent
+def _left_moves_at(out: List[AnteMove], ant: Structure, site: Site,
+                   node: Structure) -> None:
+    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``."""
     if isinstance(node, Bin):
-        if c_live and node.mode != CMODE:
-            return out
         left, right = node.left, node.right
         if (isinstance(left, FLeaf) and isinstance(left.formula, Over)
                 and left.formula.mode == node.mode):
             f = left.formula
-            main = Sequent(replace(ant, site, FLeaf(f.result)), succ)
-            out.append((((RuleName("OverL", node.mode), site, seq),),
-                        (main, Sequent(right, f.argument)), 0, 0))
+            rule = RuleName("OverL", node.mode)
+            firing = scope_firing(rule, ant, site)
+            out.append((((rule, site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(right, f.argument), 0, 0,
+                        () if firing is None else (firing,)))
         if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
                 and right.formula.mode == node.mode):
             f = right.formula
-            main = Sequent(replace(ant, site, FLeaf(f.result)), succ)
-            out.append((((RuleName("UnderL", node.mode), site, seq),),
-                        (main, Sequent(left, f.argument)), 0, 0))
-    elif c_live:
-        return out
+            out.append((((RuleName("UnderL", node.mode), site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(left, f.argument), 0, 0, ()))
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, Dia):
             new = Un(f.mode, FLeaf(f.body))
-            out.append((((RuleName("DiaL", f.mode), site, seq),),
-                        (Sequent(replace(ant, site, new), succ),), 0, 0))
+            out.append((((RuleName("DiaL", f.mode), site, ant),),
+                        replace(ant, site, new), None, 0, 0, ()))
         elif isinstance(f, Product):
             new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
-            out.append((((RuleName("ProdL", f.mode), site, seq),),
-                        (Sequent(replace(ant, site, new), succ),), 0, 0))
+            out.append((((RuleName("ProdL", f.mode), site, ant),),
+                        replace(ant, site, new), None, 0, 0, ()))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
-            mid = Sequent(replace(ant, site, Un(VALUE, node)), succ)
-            goal = Sequent(replace(ant, site, FLeaf(f.body)), succ)
-            out.append((((T_RULE, site, seq),
+            mid = replace(ant, site, Un(VALUE, node))
+            out.append((((T_RULE, site, ant),
                          (RuleName("BoxDownL", VALUE), site, mid)),
-                        (goal,), 1, 1))
+                        replace(ant, site, FLeaf(f.body)), None, 1, 1, ()))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
                 and body.formula.mode == node.mode):
             new = FLeaf(body.formula.body)
-            out.append((((RuleName("BoxDownL", node.mode), site, seq),),
-                        (Sequent(replace(ant, site, new), succ),), 0, 0))
-    return out
+            out.append((((RuleName("BoxDownL", node.mode), site, ant),),
+                        replace(ant, site, new), None, 0, 0, ()))
 
 
-def _plain(out: List[Move], seq: Sequent, site: Site, rule: RuleName,
+def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
            new: Structure) -> None:
     """Add the move that rewrites the subtree at ``site`` to ``new``."""
-    out.append((((rule, site, seq),),
-                (Sequent(replace(seq.antecedent, site, new), seq.succedent),),
-                1, 0))
+    out.append((((rule, site, ant),), replace(ant, site, new), None, 1, 0,
+                ()))
 
 
-def _fused_t(out: List[Move], seq: Sequent, site: Site, t_site: Site,
+def _fused_t(out: List[AnteMove], ant: Structure, site: Site, t_site: Site,
              rule: RuleName,
              rewrite: Callable[[Structure], Optional[Structure]]) -> None:
     """Add the move that quotes the subtree at ``t_site``, then applies
     ``rewrite`` at ``site``."""
-    ant, succ = seq.antecedent, seq.succedent
     target = subtree(ant, t_site)
     if target.has_unit:
         # the unit only ever exists to be consumed by Root; quoting a
         # context that contains it leads nowhere
         return
     quoted = replace(ant, t_site, Un(VALUE, target))
-    mid = Sequent(quoted, succ)
     new = rewrite(subtree(quoted, site))
     assert new is not None
-    out.append((((T_RULE, t_site, seq), (rule, site, mid)),
-                (Sequent(replace(quoted, site, new), succ),), 2, 1))
+    out.append((((T_RULE, t_site, ant), (rule, site, quoted)),
+                replace(quoted, site, new), None, 2, 1, ()))
 
 
-def _structural_moves_at(seq: Sequent, site: Site, node: Structure,
-                         c_live: bool) -> List[Move]:
-    """Postulate moves at one site, with T fused into consumers."""
-    out: List[Move] = []
-    ant = seq.antecedent
-    if (not site and not c_live and not ant.has_unit
+def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
+                         node: Structure) -> None:
+    """Add the postulate moves at one site, with T fused into consumers."""
+    if (not site and not ant.has_cmode_node and not ant.has_unit
             and ant.has_cmode_formula):
         # Root introduces its unit at the spine only, one context at a time,
         # and only where a c-mode functor could consume the context
-        _plain(out, seq, site, ROOT_F, _root_fwd(node))
+        _plain(out, ant, site, ROOT_F, _root_fwd(node))
     new = _root_bwd(node)
     if new is not None:
-        _plain(out, seq, site, ROOT_B, new)
+        _plain(out, ant, site, ROOT_B, new)
     new = _left_fwd(node)
     if new is not None:
-        _plain(out, seq, site, LEFT_F, new)
+        _plain(out, ant, site, LEFT_F, new)
     new = _left_bwd(node)
     if new is not None:
-        _plain(out, seq, site, LEFT_B, new)
+        _plain(out, ant, site, LEFT_B, new)
     if (isinstance(node, Bin) and node.mode == CMODE
             and isinstance(node.left, Bin) and node.left.mode == DEFAULT):
         if isinstance(node.left.left, Un) and node.left.left.mode == VALUE:
-            _plain(out, seq, site, RIGHT_F, _right_fwd(node))
+            _plain(out, ant, site, RIGHT_F, _right_fwd(node))
         else:
-            _fused_t(out, seq, site, site + (0, 0), RIGHT_F, _right_fwd)
+            _fused_t(out, ant, site, site + (0, 0), RIGHT_F, _right_fwd)
     if (isinstance(node, Bin) and node.mode == CMODE
             and isinstance(node.right, Bin) and node.right.mode == DEFAULT):
         if isinstance(node.right.right, Un) and node.right.right.mode == VALUE:
-            _plain(out, seq, site, RIGHT_B, _right_bwd(node))
+            _plain(out, ant, site, RIGHT_B, _right_bwd(node))
         else:
-            _fused_t(out, seq, site, site + (1, 1), RIGHT_B, _right_bwd)
-    if c_live:
-        return out
+            _fused_t(out, ant, site, site + (1, 1), RIGHT_B, _right_bwd)
     if isinstance(node, Bin) and node.mode == DEFAULT:
         left_dia = isinstance(node.left, Un) and node.left.mode == VALUE
         right_dia = isinstance(node.right, Un) and node.right.mode == VALUE
         if left_dia and right_dia:
-            _plain(out, seq, site, KPRIME, _kprime(node))
+            _plain(out, ant, site, KPRIME, _kprime(node))
         elif left_dia:
-            _fused_t(out, seq, site, site + (1,), KPRIME, _kprime)
+            _fused_t(out, ant, site, site + (1,), KPRIME, _kprime)
         elif right_dia:
-            _fused_t(out, seq, site, site + (0,), KPRIME, _kprime)
+            _fused_t(out, ant, site, site + (0,), KPRIME, _kprime)
         # with neither side quoted, a single T on the whole pair reaches the
         # same sequent more cheaply, via the consumer of that diamond
     new = _unquote_ante(node)
     if new is not None:
-        _plain(out, seq, site, UNQUOTE_ANTE, new)
-    return out
+        _plain(out, ant, site, UNQUOTE_ANTE, new)
+
+
+def _antecedent_moves(ant: Structure
+                      ) -> Tuple[List[AnteMove], List[AnteMove]]:
+    """The left moves and the structural moves at the antecedent ``ant``:
+    the half of a sequent's moves that does not depend on its succedent.
+    While a context is live only the spine sites are visited, so only the
+    moves at c-mode nodes are offered (see ``_moves``)."""
+    sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
+    left: List[AnteMove] = []
+    structural: List[AnteMove] = []
+    for site, node in sites:
+        _left_moves_at(left, ant, site, node)
+    for site, node in sites:
+        _structural_moves_at(structural, ant, site, node)
+    return left, structural
 
 
 def _moves(seq: Sequent) -> List[Move]:
@@ -493,11 +538,19 @@ def _moves(seq: Sequent) -> List[Move]:
     (structural, T) cost.  The moves do not depend on any budget: a search
     gates each one by its cost against what the branch has left.
 
+    The order is: the axiom alone, if it applies; otherwise the right moves,
+    the left moves, the succedent-side Unquote and the structural moves.
+    The left and structural moves come from the antecedent alone
+    (``_antecedent_moves``), the rest from the whole sequent; ``MoveTable``
+    assembles the two halves, and this is its assembly in a table of its
+    own.
+
     The search works in cycles, and the moves offered follow that discipline
     (none of the gates discards a normal-form derivation):
 
     * while a continuation node is live ("c-live"), only the spine moves
-      make progress: rotations, Root, and collapses of c-mode functors;
+      make progress: rotations, Root, and collapses of c-mode functors, all
+      at c-mode nodes;
     * everything else (surface-mode logic, diamond merging and
       cancellation, succedent decomposition) happens between cycles, on a
       continuation-free antecedent;
@@ -506,24 +559,7 @@ def _moves(seq: Sequent) -> List[Move]:
     * succedent-side Unquote fires only when the antecedent carries a value
       diamond for the introduced diamond to cancel against.
     """
-    axiom = _axiom_move(seq)
-    if axiom is not None:
-        # Nothing below a closed leaf can introduce a scope-taking step, so
-        # alternative unfoldings of it would only duplicate derivations.
-        return [axiom]
-    ant, succ = seq.antecedent, seq.succedent
-    c_live = ant.has_cmode_node
-    out = _right_moves(seq)
-    sites = _open_sites(ant)
-    for site, node in sites:
-        out.extend(_left_moves_at(seq, site, node, c_live))
-    if (isinstance(succ, Dia) and succ.mode == UMODE and not c_live
-            and ant.has_value_diamond):
-        out.append((((UNQUOTE_SUCC, (), seq),),
-                    (Sequent(ant, Dia(VALUE, succ)),), 1, 0))
-    for site, node in sites:
-        out.extend(_structural_moves_at(seq, site, node, c_live))
-    return out
+    return MoveTable().moves_of(seq)
 
 
 def _apply_chain(steps: Sequence[Tuple[RuleName, Site, Sequent]],
@@ -571,28 +607,19 @@ def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
     return True
 
 
-Trace = Tuple[Tuple[str, Optional[int]], ...]
-
-
-def scope_firing(rule: RuleName, conclusion: Sequent,
+def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
-    """The (word, position) a rule application takes scope for: an
-    elimination of a continuation-mode functor whose leaf carries a word.
-    None for every other step."""
+    """The (word, position) a rule application at ``site`` of
+    ``antecedent`` takes scope for: an elimination of a continuation-mode
+    functor whose leaf carries a word.  None for every other step."""
     if rule.tag != "OverL" or rule.mode != CMODE:
         return None
-    node = subtree(conclusion.antecedent, site)
+    node = subtree(antecedent, site)
     assert isinstance(node, Bin)
     leaf = node.left
     if isinstance(leaf, FLeaf) and leaf.word is not None:
         return leaf.word, leaf.pos
     return None
-
-
-# A table move is a move plus its scope trace: the firing (``scope_firing``)
-# of its last step as a 1-tuple, or () when that step fires nothing.
-TableMove = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...],
-                  Tuple[Sequent, ...], int, int, Trace]
 
 
 class MoveTable:
@@ -603,34 +630,78 @@ class MoveTable:
     shared by that bracketing's goal types, and drops it before the next:
     the goals over one tree reach largely the same sequents, while a table
     spanning bracketings would hold the whole sentence's graph for little
-    further sharing.  Premises are hash-consed: every premise the moves
-    hold is the table's one ``Sequent`` for its key, so a sequent that many
-    moves lead to is stored once.  Each move carries its scope trace, which
-    depends on the move alone (see ``TableMove``).
+    further sharing.
+
+    A sequent's moves are assembled from two halves.  The axiom, the right
+    moves and the succedent-side Unquote are generated per sequent.  The
+    left and structural moves depend on the antecedent alone
+    (``_antecedent_moves``), and the search reaches one antecedent under
+    several succedents (``s0``, ``s-``, ``<>s0``, ``<p>s0``), so that half
+    is generated once per antecedent, kept in ``halves`` under its
+    ``wkey``, and given each succedent as the sequent is assembled.
+
+    Premises are hash-consed: every premise the moves hold is the table's
+    one ``Sequent`` for its key, so a sequent that many moves lead to is
+    stored once.  Each move carries its scope trace, which depends on the
+    move alone (see ``Move``).
     """
 
-    __slots__ = ("sequents", "moves")
+    __slots__ = ("sequents", "moves", "halves")
 
     def __init__(self) -> None:
         self.sequents: Dict[str, Sequent] = {}
-        self.moves: Dict[str, List[TableMove]] = {}
+        self.moves: Dict[str, List[Move]] = {}
+        self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
 
     def canonical(self, seq: Sequent) -> Sequent:
         """The table's one sequent with the full key of ``seq``."""
         return self.sequents.setdefault(seq.full_key, seq)
 
-    def moves_of(self, seq: Sequent) -> List[TableMove]:
+    def moves_of(self, seq: Sequent) -> List[Move]:
         """The moves at ``seq`` (a canonical sequent), generated once."""
         moves = self.moves.get(seq.full_key)
         if moves is None:
-            canonical = self.canonical
-            moves = self.moves[seq.full_key] = []
-            for steps, premises, ms, mt in _moves(seq):
-                rule, site, conclusion = steps[-1]
-                firing = scope_firing(rule, conclusion, site)
-                moves.append((steps, tuple(map(canonical, premises)), ms, mt,
-                              () if firing is None else (firing,)))
+            moves = self.moves[seq.full_key] = self._assemble(seq)
         return moves
+
+    def _assemble(self, seq: Sequent) -> List[Move]:
+        """The moves at ``seq``, in ``_moves`` order."""
+        axiom = _axiom_move(seq)
+        if axiom is not None:
+            # Nothing below a closed leaf can introduce a scope-taking step,
+            # so alternative unfoldings of it would only duplicate
+            # derivations.
+            return [axiom]
+        ant, succ = seq.antecedent, seq.succedent
+        half = self.halves.get(ant.wkey)
+        if half is None:
+            half = self.halves[ant.wkey] = _antecedent_moves(ant)
+        left, structural = half
+        canonical = self.canonical
+        out = [(steps, tuple(map(canonical, premises)), ms, mt, trace)
+               for steps, premises, ms, mt, trace in _right_moves(seq)]
+        self._thread(out, seq, left)
+        if (isinstance(succ, Dia) and succ.mode == UMODE
+                and not ant.has_cmode_node and ant.has_value_diamond):
+            out.append((((UNQUOTE_SUCC, (), seq),),
+                        (canonical(Sequent(ant, Dia(VALUE, succ))),),
+                        1, 0, ()))
+        self._thread(out, seq, structural)
+        return out
+
+    def _thread(self, out: List[Move], seq: Sequent,
+                ante_moves: List[AnteMove]) -> None:
+        """Add ``ante_moves``, the antecedent moves at ``seq``, given its
+        succedent."""
+        succ, canonical = seq.succedent, self.canonical
+        for steps, main, minor, ms, mt, trace in ante_moves:
+            rule, site, _ant = steps[0]
+            chain = ((rule, site, seq),)
+            for rule, site, mid in steps[1:]:
+                chain += ((rule, site, Sequent(mid, succ)),)
+            premise = canonical(Sequent(main, succ))
+            out.append((chain, (premise,) if minor is None
+                        else (premise, canonical(minor)), ms, mt, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +869,7 @@ def _search(goal: Sequent, budget: SearchBudget,
     if cap_t is None:
         cap_t = formula_leaf_count(goal.antecedent) + 2
     stop_at = None if deadline is None else time.monotonic() + deadline
+    timed = stop_at is not None
     exhausted = False
     tick = [0]
 
@@ -814,13 +886,14 @@ def _search(goal: Sequent, budget: SearchBudget,
         goal = table.canonical(goal)
         goal_key = goal.full_key
         reach: Dict[str, List[Tuple[int, int]]] = {}
-        deps: Dict[str, List[Tuple[str, TableMove]]] = {}
+        deps: Dict[str, List[Tuple[str, Move]]] = {}
         labels: List[Tuple[int, int, int, str, Trace]] = []
         counter = n_labels = 0
         work: List[Tuple[int, int, int, str, Sequent]] = [
             (0, 0, counter, goal_key, goal)]
         while work:
-            check_deadline()
+            if timed:
+                check_deadline()
             rs, rt, _, fk, seq = heapq.heappop(work)
             first_settle = fk not in reach
             if not _pareto_add(reach.setdefault(fk, []), rs, rt):
@@ -854,7 +927,8 @@ def _search(goal: Sequent, budget: SearchBudget,
         # hold more nodes, from other calls.
         frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
         while labels:
-            check_deadline()
+            if timed:
+                check_deadline()
             s, t, _, fk, trace = heapq.heappop(labels)
             if not _pareto_add(frontiers.setdefault(fk, {}).setdefault(
                     trace, []), s, t):

@@ -40,7 +40,8 @@ def extract_reading(d: Derivation) -> Reading:
     """
     order: List[Tuple[str, Optional[int]]] = []
     for node in d.walk():
-        firing = scope_firing(node.rule, node.conclusion, node.site)
+        firing = scope_firing(node.rule, node.conclusion.antecedent,
+                              node.site)
         if firing is not None:
             order.append(firing)
     return Reading(tuple(order))

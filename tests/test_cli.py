@@ -32,6 +32,19 @@ def test_parse_ungrammatical(capsys):
     assert "ungrammatical (no proof within budget)" in out
 
 
+def test_parse_refuted_with_no_search_cut(capsys):
+    # every search for "Alice saw anybody" ends uncut, so the text does not
+    # blame the budget; the verdict value itself is unchanged
+    code, out, _ = run(capsys, "parse", "Alice saw anybody")
+    assert code == 1
+    assert "ungrammatical (refuted; no search was cut)" in out
+    assert "within budget" not in out
+    code, out, _ = run(capsys, "parse", "Alice saw anybody", "--json")
+    blob = json.loads(out)
+    assert blob["verdict"] == "ungrammatical-within-budget"
+    assert blob["budget_exhausted"] is False
+
+
 def test_parse_ambiguous(capsys):
     code, out, _ = run(capsys, "parse", "Somebody saw everybody")
     assert code == 0
@@ -118,9 +131,23 @@ def test_sequent_identity(capsys):
 
 
 def test_sequent_underivable(capsys):
+    # an exact refutation: the search that finds no derivation is not cut
     code, out, _ = run(capsys, "sequent", "s-", "s0")
     assert code == 1
-    assert "not derivable within budget" in out
+    assert "not derivable (refuted; the search was not cut)" in out
+
+
+@pytest.mark.parametrize("argv,cut", [
+    (("(alice * saw) * bob", "s0"), False),
+    (("nobody * (saw * anybody)", "s0", "--t-budget", "0"), True),
+])
+def test_sequent_text_says_whether_the_search_was_cut(capsys, argv, cut):
+    code, out, _ = run(capsys, "sequent", *argv)
+    assert code == 1
+    assert out.strip() == ("not derivable within budget" if cut else
+                           "not derivable (refuted; the search was not cut)")
+    code, out, _ = run(capsys, "sequent", *argv, "--json")
+    assert json.loads(out)["budget_exhausted"] is cut
 
 
 def test_sequent_stuck_configuration(capsys):

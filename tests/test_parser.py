@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from polagram import (
@@ -149,3 +151,47 @@ def test_parse_sentence_calls_prove_per_tree_and_goal(lex, monkeypatch):
     trees = bracketings(tokenize(sentence, lex), lex)
     assert len(calls) == 2 * len(trees)
     assert all(isinstance(args[1], SearchBudget) for args in calls)
+
+
+# -- the collector -------------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("deadline", [None, 0.0])
+def test_parse_sentence_restores_the_collector_state(lex, monkeypatch,
+                                                     enabled, deadline):
+    # one pause spans the whole tree loop: every prove call starts with the
+    # collector off, and the caller's setting is back afterwards
+    import polagram.parser
+    collecting = []
+    original = polagram.parser.prove
+
+    def spy(*args, **kwargs):
+        collecting.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polagram.parser, "prove", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_sentence("Nobody saw anybody", lex, deadline=deadline)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert not any(collecting)
+    assert bool(collecting) == (deadline is None)
+
+
+@pytest.mark.parametrize("sentence", ["Nobody saw anybody",
+                                      "Anybody saw nobody"])
+def test_parse_sentence_leaves_no_cyclic_garbage(lex, sentence):
+    # with the collector off, anything the parse left in a reference cycle
+    # would still be there for the next collection to find
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        parse_sentence(sentence, lex)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -213,7 +213,7 @@ def _reachable_moves(goal, limit):
     while queue and len(out) < limit:
         moves = _moves(queue.pop(0))
         out.append(moves)
-        for _steps, premises, _s, _t in moves:
+        for _steps, premises, _s, _t, _trace in moves:
             for premise in premises:
                 if premise.key not in seen:
                     seen.add(premise.key)
@@ -225,17 +225,19 @@ def test_enumerate_includes_root_forward(lex):
     # Root introduces its unit at the root of an antecedent whose leaves
     # hold a continuation functor, and not where nothing could consume it
     goal = seq("nobody * (saw * anybody)", "s0", lex)
-    roots = [(steps, premises) for steps, premises, _s, _t in _moves(goal)
+    roots = [(steps, premises)
+             for steps, premises, _s, _t, _trace in _moves(goal)
              if steps[0][0] == ROOT_F]
     assert roots == [(((ROOT_F, (), goal),),
                       (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
     plain = seq("alice * (saw * bob)", "s0", lex)
-    assert all(steps[0][0] != ROOT_F for steps, _p, _s, _t in _moves(plain))
+    assert all(steps[0][0] != ROOT_F
+               for steps, _p, _s, _t, _trace in _moves(plain))
 
 
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * saw) *c np", "s0", lex)
-    results = [premises for steps, premises, _s, _t in _moves(goal)
+    results = [premises for steps, premises, _s, _t, _trace in _moves(goal)
                if steps == ((RIGHT_F, (), goal),)]
     assert results == [(seq("saw *c (np * <>np)", "s0", lex),)]
 
@@ -246,7 +248,7 @@ def test_enumerate_no_t_without_budget(lex):
     t_moves = 0
     for moves in _reachable_moves(seq("nobody * (saw * anybody)", "s0", lex),
                                   400):
-        for steps, _premises, s_cost, t_cost in moves:
+        for steps, _premises, s_cost, t_cost, _trace in moves:
             rules = [rule for rule, _site, _conclusion in steps]
             assert t_cost == rules.count(T_RULE)
             assert s_cost == sum(rule in STRUCTURAL_RULES for rule in rules)
@@ -261,7 +263,7 @@ def test_enumerate_deterministic_order(lex):
     def listing(moves):
         return [[(str(r), s, c.full_key) for r, s, c in steps]
                 + [p.full_key for p in premises]
-                for steps, premises, _s, _t in moves]
+                for steps, premises, _s, _t, _trace in moves]
 
     assert listing(_moves(goal)) == listing(_moves(goal)) \
         == listing(_moves(again))
@@ -348,7 +350,7 @@ class PlainSearch:
         self.exhausted = self.exhausted or len(moves) < len(every)
         found = []
         path.add(seq.key)
-        for steps, premises, s_cost, t_cost in moves:
+        for steps, premises, s_cost, t_cost, _trace in moves:
             if len(found) >= want:
                 break
             s2, t2 = s_rem - s_cost, t_rem - t_cost
@@ -506,8 +508,50 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
                     for premise in premises:
                         assert premise is table.sequents[premise.full_key]
                     rule, site, conclusion = steps[-1]
-                    firing = scope_firing(rule, conclusion, site)
+                    firing = scope_firing(rule, conclusion.antecedent, site)
                     assert trace == (() if firing is None else (firing,))
+
+
+def _listing(moves):
+    """Moves as plain data: each step's rule, site and conclusion key, the
+    premises' keys, the costs and the trace."""
+    return [([(str(rule), site, conclusion.full_key)
+              for rule, site, conclusion in steps],
+             [premise.full_key for premise in premises], s, t, trace)
+            for steps, premises, s, t, trace in moves]
+
+
+POSSESSIVES = ["Nobody's mother saw anybody's father",
+               "Anybody's mother saw nobody's father"]
+
+
+def test_table_moves_equal_fresh_moves(lex):
+    # a table generates each antecedent's left and structural moves once
+    # and threads every succedent the search reaches it under through them;
+    # the result must equal the moves generated for the sequent alone
+    expanded = antecedents = 0
+    for sentence in SHARING_SENTENCES + POSSESSIVES:
+        for tree in bracketings(tokenize(sentence, lex), lex):
+            table = MoveTable()
+            for goal_type in GOAL_TYPES:
+                prove(Sequent(tree, goal_type), table=table)
+            for fk, moves in table.moves.items():
+                assert _listing(moves) == _listing(
+                    _moves(table.sequents[fk])), fk
+            expanded += len(table.moves)
+            antecedents += len(table.halves)
+    assert antecedents < expanded / 2
+
+
+def test_one_antecedent_half_serves_every_succedent(lex):
+    # the deriving possessive tree, both goals through one table: the
+    # sequents expanded have far fewer distinct antecedents
+    tree = parse_structure(POSSESSIVE, lex)
+    table = MoveTable()
+    for goal_type in GOAL_TYPES:
+        prove(Sequent(tree, goal_type), table=table)
+    assert len(table.moves) == 13830
+    assert len(table.halves) == 5389
 
 
 # -- the skeleton check -------------------------------------------------------

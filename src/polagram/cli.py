@@ -113,7 +113,11 @@ def _lexicon_from(args) -> Lexicon:
 
 def _budget_for(args) -> SearchBudget:
     """The budget the flags ask for, with ``SearchBudget``'s defaults for
-    the flags not given.  Raises ValueError for a budget out of range."""
+    the flags not given.  Raises ValueError for a budget out of range, and
+    for a NaN or negative ``--time-limit`` (0 and inf are limits)."""
+    if args.time_limit is not None and not args.time_limit >= 0:
+        raise ValueError("--time-limit must be a nonnegative number of "
+                         f"seconds, not {args.time_limit}")
     overrides = {field: value for field, value in (
         ("max_structural_steps", args.budget),
         ("max_t_insertions", args.t_budget),

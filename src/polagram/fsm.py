@@ -140,23 +140,29 @@ def accepting_runs(m: PolarityMachine, scope_seq: Sequence[str]) -> List[Run]:
         if w not in m:
             raise KeyError(f"no transition for {w!r}")
     runs: List[Run] = []
-
-    def go(state: PolState, i: int, states: Tuple[PolState, ...],
-           moves: Tuple[str, ...]) -> None:
-        if i == len(seq):
-            if state == m.final:
-                runs.append(Run(states, moves))
-        else:
-            src, dst = m.transition(seq[i])
-            if src == state:
-                go(dst, i + 1, states + (dst,), moves + (seq[i],))
-        if i > 0:
-            for nxt in _eps_successors(m, state):
-                go(nxt, i, states + (nxt,), moves + (EPSILON,))
-
     for start in sorted(m.starts, key=lambda s: s.value):
-        go(start, 0, (start,), ())
+        _runs(m, seq, 0, (start,), (), runs)
     return runs
+
+
+def _runs(m: PolarityMachine, seq: Sequence[str], i: int,
+          states: Tuple[PolState, ...], moves: Tuple[str, ...],
+          runs: List[Run]) -> None:
+    """Add to ``runs`` every accepting path that extends the partial run
+    ``states``/``moves``, which has fired ``seq[:i]``.  Module-level rather
+    than nested in ``accepting_runs``: a recursive closure refers to itself
+    through its own cell, a cycle only the collector frees."""
+    state = states[-1]
+    if i == len(seq):
+        if state == m.final:
+            runs.append(Run(states, moves))
+    else:
+        src, dst = m.transition(seq[i])
+        if src == state:
+            _runs(m, seq, i + 1, states + (dst,), moves + (seq[i],), runs)
+    if i > 0:
+        for nxt in _eps_successors(m, state):
+            _runs(m, seq, i, states + (nxt,), moves + (EPSILON,), runs)
 
 
 def inverted_windows(reading: Reading, run: Run) -> List[tuple]:

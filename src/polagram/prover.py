@@ -56,10 +56,10 @@ result as it is:
   keeps them for later calls (tabled deduction).  ``parse_sentence``
   shares one table between the goal types of each bracketing and drops it
   before the next.
-* The left and structural moves depend on the antecedent alone and only
-  thread the succedent through, so the table generates them once per
-  antecedent and gives them each succedent the search reaches it under
-  (``MoveTable``).
+* The left and structural moves depend on the antecedent alone, and no
+  move's chain names a succedent, so the table generates those moves once
+  per antecedent; a succedent the search reaches it under only gets their
+  premises (``MoveTable``).
 * While a context is live, move generation walks only the subtrees that
   hold a c-mode node and visits only the c-mode sites; no other site
   offers a move then.
@@ -79,7 +79,7 @@ import gc
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
@@ -339,29 +339,30 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # (``scope_firing``), outermost first.
 Trace = Tuple[Tuple[str, Optional[int]], ...]
 
-# A move is (steps, premises, s_cost, t_cost, trace) where steps is a chain
-# of (rule, site, conclusion) applied top-down, premises are the subgoals of
-# the innermost step, the costs count the chain's structural steps and its
-# T insertions, and trace is the scope firing of the last step as a 1-tuple,
-# or () when that step fires nothing.
-Move = Tuple[Tuple[Tuple[RuleName, Site, Sequent], ...], Tuple[Sequent, ...],
-             int, int, Trace]
+# A move is (steps, premises, s_cost, t_cost, trace).  Its chain, steps, is
+# the (rule, site, antecedent) of each step, applied top-down; a step
+# concludes its antecedent under the succedent of the sequent the move sits
+# at, since no rule a chain fuses rewrites the succedent (the right rules,
+# the axiom and the succedent-side Unquote work at the root, the others on
+# the antecedent alone).  premises are the subgoals of the innermost step,
+# the costs count the chain's structural steps and its T insertions, and
+# trace is the scope firing of the last step as a 1-tuple, or ().
+Chain = Tuple[Tuple[RuleName, Site, Structure], ...]
+Move = Tuple[Chain, Tuple[Sequent, ...], int, int, Trace]
 
 # An antecedent move is a left or structural move with the succedent left
-# out, because those moves only thread it through: (steps, main, minor,
-# s_cost, t_cost, trace), where steps is the chain of (rule, site,
-# antecedent), main is the antecedent of the premise that keeps the
-# conclusion's succedent, and minor is the other premise, a whole sequent,
-# or None.
-AnteMove = Tuple[Tuple[Tuple[RuleName, Site, Structure], ...], Structure,
-                 Optional[Sequent], int, int, Trace]
+# out: (steps, main, minor, s_cost, t_cost, trace), where main is the
+# antecedent of the premise that keeps the conclusion's succedent and minor
+# is the other premise, a whole sequent, or None.  Its chain serves every
+# succedent as it is; only the main premise takes one.
+AnteMove = Tuple[Chain, Structure, Optional[Sequent], int, int, Trace]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
     if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
         rule = LEX if ant.word is not None else AXIOM
-        return ((rule, (), seq),), (), 0, 0, ()
+        return ((rule, (), ant),), (), 0, 0, ()
     return None
 
 
@@ -370,27 +371,25 @@ def _right_moves(seq: Sequent) -> List[Move]:
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
         if isinstance(ant, Bin) and ant.mode == succ.mode:
-            out.append(((
-                (RuleName("ProdR", succ.mode), (), seq),),
-                (Sequent(ant.left, succ.left), Sequent(ant.right, succ.right)),
-                0, 0, ()))
+            out.append((((RuleName("ProdR", succ.mode), (), ant),),
+                        (Sequent(ant.left, succ.left),
+                         Sequent(ant.right, succ.right)), 0, 0, ()))
     elif isinstance(succ, Over):
         goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
-        out.append((((RuleName("OverR", succ.mode), (), seq),), (goal,),
+        out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,),
                     0, 0, ()))
     elif isinstance(succ, Under):
         goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
-        out.append((((RuleName("UnderR", succ.mode), (), seq),), (goal,),
+        out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
                     0, 0, ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
-            out.append((((rule, (), seq),), (Sequent(ant.body, succ.body),),
+            out.append((((rule, (), ant),), (Sequent(ant.body, succ.body),),
                         0, 0, ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
-            mid = Sequent(Un(VALUE, ant), succ)
-            out.append((((T_RULE, (), seq), (rule, (), mid)),
+            out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
                         (Sequent(ant, succ.body),), 1, 1, ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
@@ -398,7 +397,7 @@ def _right_moves(seq: Sequent) -> List[Move]:
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
             goal = Sequent(Un(succ.mode, ant), succ.body)
-            out.append((((RuleName("BoxDownR", succ.mode), (), seq),),
+            out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
                         (goal,), 0, 0, ()))
     return out
 
@@ -542,8 +541,8 @@ def _moves(seq: Sequent) -> List[Move]:
     the left moves, the succedent-side Unquote and the structural moves.
     The left and structural moves come from the antecedent alone
     (``_antecedent_moves``), the rest from the whole sequent; ``MoveTable``
-    assembles the two halves, and this is its assembly in a table of its
-    own.
+    assembles the two halves, giving the succedent to the premises only,
+    and this is its assembly in a table of its own.
 
     The search works in cycles, and the moves offered follow that discipline
     (none of the gates discards a normal-form derivation):
@@ -562,13 +561,15 @@ def _moves(seq: Sequent) -> List[Move]:
     return MoveTable().moves_of(seq)
 
 
-def _apply_chain(steps: Sequence[Tuple[RuleName, Site, Sequent]],
+def _apply_chain(seq: Sequent, steps: Chain,
                  premises: Tuple[Derivation, ...]) -> Derivation:
-    rule, site, conclusion = steps[-1]
-    d = Derivation(rule, conclusion, premises, site)
-    for rule, site, conclusion in reversed(steps[:-1]):
-        d = Derivation(rule, conclusion, (d,), site)
-    return d
+    """The derivation a move at ``seq`` builds over ``premises``: step 0
+    concludes ``seq``, a later step its antecedent under that succedent."""
+    for rule, site, ant in reversed(steps[1:]):
+        premises = (Derivation(rule, Sequent(ant, seq.succedent), premises,
+                               site),)
+    rule, site, _ant = steps[0]
+    return Derivation(rule, seq, premises, site)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +638,10 @@ class MoveTable:
     left and structural moves depend on the antecedent alone
     (``_antecedent_moves``), and the search reaches one antecedent under
     several succedents (``s0``, ``s-``, ``<>s0``, ``<p>s0``), so that half
-    is generated once per antecedent, kept in ``halves`` under its
-    ``wkey``, and given each succedent as the sequent is assembled.
+    is generated once per antecedent and kept in ``halves`` under its
+    ``wkey``.  A chain names antecedents only (see ``Move``), so assembling
+    a sequent builds just that half's premises under its succedent, and
+    every sequent over the antecedent shares each move's chain tuple.
 
     Premises are hash-consed: every premise the moves hold is the table's
     one ``Sequent`` for its key, so a sequent that many moves lead to is
@@ -680,27 +683,23 @@ class MoveTable:
         canonical = self.canonical
         out = [(steps, tuple(map(canonical, premises)), ms, mt, trace)
                for steps, premises, ms, mt, trace in _right_moves(seq)]
-        self._thread(out, seq, left)
+        self._thread(out, succ, left)
         if (isinstance(succ, Dia) and succ.mode == UMODE
                 and not ant.has_cmode_node and ant.has_value_diamond):
-            out.append((((UNQUOTE_SUCC, (), seq),),
+            out.append((((UNQUOTE_SUCC, (), ant),),
                         (canonical(Sequent(ant, Dia(VALUE, succ))),),
                         1, 0, ()))
-        self._thread(out, seq, structural)
+        self._thread(out, succ, structural)
         return out
 
-    def _thread(self, out: List[Move], seq: Sequent,
+    def _thread(self, out: List[Move], succ: Formula,
                 ante_moves: List[AnteMove]) -> None:
-        """Add ``ante_moves``, the antecedent moves at ``seq``, given its
-        succedent."""
-        succ, canonical = seq.succedent, self.canonical
+        """Add ``ante_moves`` under the succedent ``succ``: each keeps its
+        chain and gets its premises."""
+        canonical = self.canonical
         for steps, main, minor, ms, mt, trace in ante_moves:
-            rule, site, _ant = steps[0]
-            chain = ((rule, site, seq),)
-            for rule, site, mid in steps[1:]:
-                chain += ((rule, site, Sequent(mid, succ)),)
             premise = canonical(Sequent(main, succ))
-            out.append((chain, (premise,) if minor is None
+            out.append((steps, (premise,) if minor is None
                         else (premise, canonical(minor)), ms, mt, trace))
 
 
@@ -1027,7 +1026,8 @@ class _Extraction:
                     rest = trace
                 # fused chains pass through intermediate sequents, which
                 # count toward the branch's no-repeat check too
-                mids = [c.key for _r, _s, c in steps[1:]]
+                mids = [Sequent(mid, seq.succedent).key
+                        for _r, _s, mid in steps[1:]]
                 if any(m in path for m in mids):
                     continue
                 for m in mids:
@@ -1035,14 +1035,14 @@ class _Extraction:
                 try:
                     if not premises:
                         if not rest:
-                            found.append(_apply_chain(steps, ()))
+                            found.append(_apply_chain(seq, steps, ()))
                         continue
                     if len(premises) == 1:
                         if not admissible(premises[0], rest, s2, t2):
                             continue
                         for sub in extract(premises[0], rest, s2, t2,
                                            want - len(found)):
-                            found.append(_apply_chain(steps, (sub,)))
+                            found.append(_apply_chain(seq, steps, (sub,)))
                     else:
                         major, minor = premises
                         for cut in range(len(rest) + 1):
@@ -1063,8 +1063,8 @@ class _Extraction:
                                 for side in sides:
                                     if len(found) >= want:
                                         break
-                                    found.append(
-                                        _apply_chain(steps, (main, side)))
+                                    found.append(_apply_chain(
+                                        seq, steps, (main, side)))
                 finally:
                     for m in mids:
                         del path[m]

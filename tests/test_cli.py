@@ -91,6 +91,9 @@ BAD_INPUTS = {
     "empty-sentence": (["parse", ""], None),
     "punctuation-only": (["parse", "?!"], None),
     "corpus-unknown-word": (["corpus"], "Alice saw aardvark\tbad\n"),
+    "time-limit-nan": (["parse", "Nobody saw anybody", "--time-limit=nan"],
+                       None),
+    "time-limit-negative": (["sequent", "s0", "s+", "--time-limit=-1"], None),
 }
 
 

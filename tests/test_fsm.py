@@ -1,9 +1,12 @@
+import gc
+
 import pytest
 
 from polagram import (
-    Lexicon, PolState, QuantifierShapeError, Reading, Run, accepting_runs,
-    evaluation_order_ok, load_lexicon, machine_from_lexicon, predict,
-    quantifier_occurrences,
+    GRAMMATICAL, Lexicon, PolState, QuantifierShapeError, Reading, Run,
+    accepting_runs, evaluation_order_ok, load_lexicon, machine_from_lexicon,
+    parse_sentence, predict, quantifier_occurrences, tokenize,
+    validate_derivation,
 )
 from polagram.fsm import EPSILON
 
@@ -158,8 +161,24 @@ def test_predict_triple_includes_linear(machine):
         in {r.scope_order for r in got}
 
 
+@pytest.mark.parametrize("sentence", [
+    "Nobody saw anybody", "Nobody introduced everybody to somebody"])
+def test_predict_leaves_no_cyclic_garbage(machine, lex, sentence):
+    # with the collector off, anything predict left in a reference cycle
+    # would still be there for the next collection to find
+    occurrences = quantifier_occurrences(tokenize(sentence, lex), machine)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert predict(machine, occurrences)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_quantifier_occurrences(machine, lex):
-    from polagram import tokenize
     tokens = tokenize("Nobody's mother saw anybody's father", lex)
     assert quantifier_occurrences(tokens, machine) == \
         [("nobody", 0), ("anybody", 3)]
@@ -191,7 +210,6 @@ SHAPES = {f"q{out}{in_}": f"{CLAUSE_SIGNS[out]} /c (np \\c {CLAUSE_SIGNS[in_]})"
 def test_prover_and_machine_agree_on_every_shape_pair():
     # all nine shapes Out /c (np \c In), in subject and object position,
     # against each other and against a name
-    from polagram import parse_sentence
     lex = load_lexicon("alice := np\nbob := np\nsaw := (np \\ s0) / np\n"
                        + "".join(f"{w} := {t}\n" for w, t in SHAPES.items()))
     machine = machine_from_lexicon(lex)
@@ -206,3 +224,28 @@ def test_prover_and_machine_agree_on_every_shape_pair():
                              quantifier_occurrences(result.tokens, machine))
         assert {r.scope_order for r in result.readings} \
             == {r.scope_order for r in admissible}, sentence
+        assert all(validate_derivation(d) for d in result.derivations), \
+            sentence
+
+
+QUANTIFIERS = ("nobody", "anybody", "somebody", "everybody", "a man")
+
+
+def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
+    # "Q1's mother saw Q2's father" over all 5 x 5 quantifier pairs, at the
+    # default budget
+    sentences = [f"{a}'s mother saw {b}'s father"
+                 for a in QUANTIFIERS for b in QUANTIFIERS]
+    grammatical = 0
+    for sentence in sentences:
+        result = parse_sentence(sentence, lex)
+        assert not result.timed_out, sentence
+        admissible = predict(machine,
+                             quantifier_occurrences(result.tokens, machine))
+        assert (result.verdict == GRAMMATICAL) == bool(admissible), sentence
+        assert {r.scope_order for r in result.readings} \
+            == {r.scope_order for r in admissible}, sentence
+        assert all(validate_derivation(d) for d in result.derivations), \
+            sentence
+        grammatical += result.verdict == GRAMMATICAL
+    assert (len(sentences), grammatical) == (25, 17)

@@ -12,8 +12,8 @@ from polagram import (
 )
 from polagram.core import formula_leaf_count
 from polagram.prover import (
-    KPRIME, LEFT_B, LEFT_F, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F, T_RULE,
-    UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
+    AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
+    T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
     _left_fwd, _moves, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
     _search, _skeleton_refutes, scope_firing,
 )
@@ -228,7 +228,7 @@ def test_enumerate_includes_root_forward(lex):
     roots = [(steps, premises)
              for steps, premises, _s, _t, _trace in _moves(goal)
              if steps[0][0] == ROOT_F]
-    assert roots == [(((ROOT_F, (), goal),),
+    assert roots == [(((ROOT_F, (), goal.antecedent),),
                       (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
     plain = seq("alice * (saw * bob)", "s0", lex)
     assert all(steps[0][0] != ROOT_F
@@ -238,7 +238,7 @@ def test_enumerate_includes_root_forward(lex):
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * saw) *c np", "s0", lex)
     results = [premises for steps, premises, _s, _t, _trace in _moves(goal)
-               if steps == ((RIGHT_F, (), goal),)]
+               if steps == ((RIGHT_F, (), goal.antecedent),)]
     assert results == [(seq("saw *c (np * <>np)", "s0", lex),)]
 
 
@@ -249,7 +249,7 @@ def test_enumerate_no_t_without_budget(lex):
     for moves in _reachable_moves(seq("nobody * (saw * anybody)", "s0", lex),
                                   400):
         for steps, _premises, s_cost, t_cost, _trace in moves:
-            rules = [rule for rule, _site, _conclusion in steps]
+            rules = [rule for rule, _site, _antecedent in steps]
             assert t_cost == rules.count(T_RULE)
             assert s_cost == sum(rule in STRUCTURAL_RULES for rule in rules)
             t_moves += t_cost > 0
@@ -260,13 +260,13 @@ def test_enumerate_deterministic_order(lex):
     goal = seq("nobody * (saw * anybody)", "s0", lex)
     again = seq("nobody * (saw * anybody)", "s0", lex)
 
-    def listing(moves):
-        return [[(str(r), s, c.full_key) for r, s, c in steps]
+    def listing(at):
+        return [[(str(r), s, Sequent(a, at.succedent).full_key)
+                 for r, s, a in steps]
                 + [p.full_key for p in premises]
-                for steps, premises, _s, _t, _trace in moves]
+                for steps, premises, _s, _t, _trace in _moves(at)]
 
-    assert listing(_moves(goal)) == listing(_moves(goal)) \
-        == listing(_moves(again))
+    assert listing(goal) == listing(goal) == listing(again)
 
 
 def _subtrees(st):
@@ -356,16 +356,17 @@ class PlainSearch:
             s2, t2 = s_rem - s_cost, t_rem - t_cost
             # fused chains pass through intermediate sequents, which count
             # toward the branch's no-repeat check too
-            mids = {c.key for _r, _s, c in steps[1:]}
+            mids = {Sequent(mid, seq.succedent).key
+                    for _r, _s, mid in steps[1:]}
             if mids & path:
                 continue
             path |= mids
             if not premises:
-                found.append(_apply_chain(steps, ()))
+                found.append(_apply_chain(seq, steps, ()))
             elif len(premises) == 1:
                 for sub in self.search(premises[0], s2, t2,
                                        want - len(found)):
-                    found.append(_apply_chain(steps, (sub,)))
+                    found.append(_apply_chain(seq, steps, (sub,)))
             else:
                 need = want - len(found)
                 mains = self.search(premises[0], s2, t2, need)
@@ -374,7 +375,8 @@ class PlainSearch:
                 for main in mains:
                     for side in sides:
                         if len(found) < want:
-                            found.append(_apply_chain(steps, (main, side)))
+                            found.append(
+                                _apply_chain(seq, steps, (main, side)))
             path -= mids
         path.discard(seq.key)
         return found
@@ -499,24 +501,35 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
             # hash-consing: each key has one Sequent object in the table;
-            # each move carries the scope firing of its last step
+            # each move carries the scope firing of its last step; a left
+            # or structural move holds the very chain tuple of its
+            # antecedent's half, whatever the succedent
             for fk, moves in table.moves.items():
                 node = table.sequents[fk]
                 assert node.full_key == fk
                 for steps, premises, _s, _t, trace in moves:
-                    assert steps[0][2] is node
+                    assert Sequent(steps[0][2], node.succedent).full_key == fk
                     for premise in premises:
                         assert premise is table.sequents[premise.full_key]
-                    rule, site, conclusion = steps[-1]
-                    firing = scope_firing(rule, conclusion.antecedent, site)
+                    rule, site, antecedent = steps[-1]
+                    firing = scope_firing(rule, antecedent, site)
                     assert trace == (() if firing is None else (firing,))
+                if moves and moves[0][0][0][0] in (AXIOM, LEX):
+                    continue  # the axiom alone; no half was read
+                left, structural = table.halves[node.antecedent.wkey]
+                half = [steps for steps, *_rest in left + structural]
+                ids = {id(steps) for steps in half}
+                threaded = [steps for steps, *_rest in moves
+                            if id(steps) in ids]
+                assert len(threaded) == len(half)
+                assert all(t is h for t, h in zip(threaded, half))
 
 
-def _listing(moves):
-    """Moves as plain data: each step's rule, site and conclusion key, the
-    premises' keys, the costs and the trace."""
-    return [([(str(rule), site, conclusion.full_key)
-              for rule, site, conclusion in steps],
+def _listing(seq, moves):
+    """The moves at ``seq`` as plain data: each step's rule, site and
+    conclusion key, the premises' keys, the costs and the trace."""
+    return [([(str(rule), site, Sequent(antecedent, seq.succedent).full_key)
+              for rule, site, antecedent in steps],
              [premise.full_key for premise in premises], s, t, trace)
             for steps, premises, s, t, trace in moves]
 
@@ -536,8 +549,9 @@ def test_table_moves_equal_fresh_moves(lex):
             for goal_type in GOAL_TYPES:
                 prove(Sequent(tree, goal_type), table=table)
             for fk, moves in table.moves.items():
-                assert _listing(moves) == _listing(
-                    _moves(table.sequents[fk])), fk
+                node = table.sequents[fk]
+                assert _listing(node, moves) == _listing(
+                    node, _moves(node)), fk
             expanded += len(table.moves)
             antecedents += len(table.halves)
     assert antecedents < expanded / 2

@@ -72,16 +72,15 @@ def parse_corpus(text: str) -> List[CorpusLine]:
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) < 2 or fields[1] not in ("ok", "bad"):
+        if not 2 <= len(fields) <= 3 or fields[1] not in ("ok", "bad"):
             raise ValueError(
                 f"line {lineno}: expected 'sentence<TAB>ok|bad[<TAB>count]'")
         count = None
-        if len(fields) > 2 and fields[2].strip():
-            try:
-                count = int(fields[2])
-            except ValueError:
+        if len(fields) == 3 and fields[2].strip():
+            if not fields[2].strip().isdecimal():
                 raise ValueError(f"line {lineno}: bad reading count "
-                                 f"{fields[2]!r}") from None
+                                 f"{fields[2]!r}")
+            count = int(fields[2])
         lines.append(CorpusLine(fields[0].strip(), fields[1], count))
     return lines
 
@@ -151,7 +150,7 @@ def cmd_parse(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     goals = None
-    if args.goal:
+    if args.goal is not None:
         try:
             goals = (parse_formula(args.goal),)
         except SyntaxErrorWithPos as exc:

@@ -79,7 +79,8 @@ import gc
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from itertools import islice, product, zip_longest
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
@@ -521,7 +522,7 @@ def _antecedent_moves(ant: Structure
     """The left moves and the structural moves at the antecedent ``ant``:
     the half of a sequent's moves that does not depend on its succedent.
     While a context is live only the spine sites are visited, so only the
-    moves at c-mode nodes are offered (see ``_moves``)."""
+    moves at c-mode nodes are offered (see ``MoveTable._assemble``)."""
     sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
     left: List[AnteMove] = []
     structural: List[AnteMove] = []
@@ -530,35 +531,6 @@ def _antecedent_moves(ant: Structure
     for site, node in sites:
         _structural_moves_at(structural, ant, site, node)
     return left, structural
-
-
-def _moves(seq: Sequent) -> List[Move]:
-    """All backward moves at ``seq``, in fixed order, each carrying its
-    (structural, T) cost.  The moves do not depend on any budget: a search
-    gates each one by its cost against what the branch has left.
-
-    The order is: the axiom alone, if it applies; otherwise the right moves,
-    the left moves, the succedent-side Unquote and the structural moves.
-    The left and structural moves come from the antecedent alone
-    (``_antecedent_moves``), the rest from the whole sequent; ``MoveTable``
-    assembles the two halves, giving the succedent to the premises only,
-    and this is its assembly in a table of its own.
-
-    The search works in cycles, and the moves offered follow that discipline
-    (none of the gates discards a normal-form derivation):
-
-    * while a continuation node is live ("c-live"), only the spine moves
-      make progress: rotations, Root, and collapses of c-mode functors, all
-      at c-mode nodes;
-    * everything else (surface-mode logic, diamond merging and
-      cancellation, succedent decomposition) happens between cycles, on a
-      continuation-free antecedent;
-    * Root introduces its unit only on a continuation-free antecedent that
-      actually holds a c-mode functor able to consume the context;
-    * succedent-side Unquote fires only when the antecedent carries a value
-      diamond for the introduced diamond to cancel against.
-    """
-    return MoveTable().moves_of(seq)
 
 
 def _apply_chain(seq: Sequent, steps: Chain,
@@ -591,12 +563,12 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #      the Pareto frontier of derivation costs, where the cost of a
 #      derivation is the maximum root-to-leaf path cost (the per-branch
 #      reading of the budget);
-#   3. extract: deterministic trace-guided DFS emitting derivation trees,
-#      pruning each subgoal against its frontier so only admissible branches
-#      are entered.  Derivations are drawn round-robin across the admissible
-#      traces, so every realizable scope reading is witnessed before
-#      max_derivations is spent on variants of one reading (a sentence can
-#      have astronomically many derivations of a single reading).
+#   3. extract: per goal trace, a trace-guided DFS (``_Extraction``)
+#      emitting derivation trees along admissible branches only.  The
+#      per-trace lists are merged round-robin, so every realizable scope
+#      reading is witnessed before max_derivations is spent on variants of
+#      one reading (a sentence can have astronomically many derivations of a
+#      single reading).
 
 def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
     """Insert a cost vector, keeping only minimal ones; False if dominated."""
@@ -668,7 +640,19 @@ class MoveTable:
         return moves
 
     def _assemble(self, seq: Sequent) -> List[Move]:
-        """The moves at ``seq``, in ``_moves`` order."""
+        """All backward moves at ``seq``, each with its (structural, T)
+        cost and no budget gate, in fixed order: the axiom alone, if it
+        applies; otherwise the right moves, the left moves, the
+        succedent-side Unquote and the structural moves.
+
+        The moves follow the search's cycles (no gate discards a
+        normal-form derivation).  While a continuation node is live, only
+        the spine moves at c-mode nodes are offered: rotations, Root and
+        collapses of c-mode functors.  Everything else waits for a
+        continuation-free antecedent.  Root introduces its unit only where
+        a c-mode functor can consume the context, and the succedent-side
+        Unquote only where a value diamond can cancel the new diamond.
+        """
         axiom = _axiom_move(seq)
         if axiom is not None:
             # Nothing below a closed leaf can introduce a scope-taking step,
@@ -824,13 +808,28 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     derivations and is not ``budget_exhausted``, because the refutation is
     exact and no budget could change it.  Every other goal is searched.
 
-    There is one search path, over the sequent graph that ``_moves``
-    spans.  Every move carries its (structural, T) cost, and the budget
-    acts only as a filter on the costs a branch accumulates: a move that
-    would take its branch past ``max_structural_steps`` or
-    ``max_t_insertions`` is never taken, and marks the result
-    ``budget_exhausted``.  The three phases (explore, evaluate, extract)
-    are described above ``_pareto_add``.
+    There is one search path, over the sequent graph that the move table
+    spans (``MoveTable._assemble``).  Every move carries its (structural,
+    T) cost, and the budget acts only as a filter on the costs a branch
+    accumulates: a move that would take its branch past
+    ``max_structural_steps`` or ``max_t_insertions`` is never taken, and
+    marks the result ``budget_exhausted``.  The three phases (explore,
+    evaluate, extract) are described above ``_pareto_add``.
+
+    The premise behind "no derivation within budget" has two parts.
+
+    * Normal form, a claim not proved here: a derivation within the budget
+      has one of the same scope trace and budget in the normal form the
+      move table offers (T fused into its consumers, Root at the root,
+      surface moves last; see the module docstring).
+    * No repeats: no sequent recurs on a branch of an extracted
+      derivation, fused-chain midpoints included.  Going up a branch, a
+      worded leaf is only consumed or handed to a side premise, never
+      made, so nothing fires between two occurrences of one sequent, and
+      cutting out that segment keeps the trace and raises no path's cost.
+      Claimed, not argued: that comparing ``key``, which forgets word
+      labels, loses nothing, and that a fused chain's suffix from a
+      repeated midpoint is itself a move there.
 
     ``table`` keeps the moves of the sequents the search expands.  Calls
     given the same table generate each sequent's moves once among them;
@@ -965,24 +964,36 @@ def _search(goal: Sequent, budget: SearchBudget,
         per_trace = [extraction.extract(goal, trace, cap_s, cap_t,
                                         budget.max_derivations)
                      for trace in goal_traces]
-        derivations: List[Derivation] = []
-        rank = 0
-        while len(derivations) < budget.max_derivations:
-            batch = [lst[rank] for lst in per_trace if rank < len(lst)]
-            if not batch:
-                break
-            derivations.extend(batch[:budget.max_derivations
-                                     - len(derivations)])
-            rank += 1
+        # round robin: every trace's first derivation, then every second...
+        round_robin = (d for rank in zip_longest(*per_trace) for d in rank
+                       if d is not None)
+        derivations = list(islice(round_robin, budget.max_derivations))
         return SearchResult(derivations, exhausted)
     except SearchTimeout:
         return SearchResult([], True, timed_out=True)
+
+
+def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
+    """Every way to cut ``trace`` into ``n`` consecutive parts, shortest
+    first part first; none when ``n`` is 0 and ``trace`` is not empty."""
+    if n == 0:
+        return [] if trace else [()]
+    if n == 1:
+        return [(trace,)]
+    return [(trace[:cut],) + tail for cut in range(len(trace) + 1)
+            for tail in _splits(trace[cut:], n - 1)]
 
 
 class _Extraction:
     """Phase 3 of ``prove``: a deterministic trace-guided DFS that emits
     derivation trees, entering only subgoals whose cost frontier admits the
     remaining budget.
+
+    A move deals the rest of the trace to its premises in every
+    order-keeping way (``_splits``).  A split whose parts are all
+    admissible is extracted left to right, up to the first premise that
+    yields nothing, and the product of the results is emitted.  No sequent
+    repeats on a branch (``path``); ``prove`` says why that loses nothing.
 
     A class rather than a nested function: a recursive closure refers to
     itself through its own cell, and that cycle would keep the call's whole
@@ -997,10 +1008,14 @@ class _Extraction:
         self.check_deadline = check_deadline
         self.path: Dict[str, int] = {}
 
-    def admissible(self, seq: Sequent, trace: Trace, s_rem: int,
-                   t_rem: int) -> bool:
-        return any(s <= s_rem and t <= t_rem for s, t in
-                   self.frontiers.get(seq.full_key, {}).get(trace, ()))
+    def admissible(self, premises: Tuple[Sequent, ...],
+                   parts: Tuple[Trace, ...], s_rem: int, t_rem: int) -> bool:
+        """Whether each premise's frontier for its part admits the rest."""
+        for premise, part in zip(premises, parts):
+            if not any(s <= s_rem and t <= t_rem for s, t in
+                       self.frontiers.get(premise.full_key, {}).get(part, ())):
+                return False
+        return True
 
     def extract(self, seq: Sequent, trace: Trace, s_rem: int, t_rem: int,
                 want: int) -> List[Derivation]:
@@ -1033,38 +1048,23 @@ class _Extraction:
                 for m in mids:
                     path[m] = 1
                 try:
-                    if not premises:
-                        if not rest:
-                            found.append(_apply_chain(seq, steps, ()))
-                        continue
-                    if len(premises) == 1:
-                        if not admissible(premises[0], rest, s2, t2):
+                    for parts in _splits(rest, len(premises)):
+                        if len(found) >= want:
+                            break
+                        if not admissible(premises, parts, s2, t2):
                             continue
-                        for sub in extract(premises[0], rest, s2, t2,
-                                           want - len(found)):
-                            found.append(_apply_chain(seq, steps, (sub,)))
-                    else:
-                        major, minor = premises
-                        for cut in range(len(rest) + 1):
-                            if len(found) >= want:
+                        need = want - len(found)
+                        subs: List[List[Derivation]] = []
+                        for premise, part in zip(premises, parts):
+                            got = extract(premise, part, s2, t2, need)
+                            if not got:
                                 break
-                            part1, part2 = rest[:cut], rest[cut:]
-                            if not (admissible(major, part1, s2, t2)
-                                    and admissible(minor, part2, s2, t2)):
-                                continue
-                            need = want - len(found)
-                            mains = extract(major, part1, s2, t2, need)
-                            if not mains:
-                                continue
-                            sides = extract(minor, part2, s2, t2, need)
-                            for main in mains:
+                            subs.append(got)
+                        else:
+                            for combo in product(*subs):
                                 if len(found) >= want:
                                     break
-                                for side in sides:
-                                    if len(found) >= want:
-                                        break
-                                    found.append(_apply_chain(
-                                        seq, steps, (main, side)))
+                                found.append(_apply_chain(seq, steps, combo))
                 finally:
                     for m in mids:
                         del path[m]

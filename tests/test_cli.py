@@ -94,6 +94,10 @@ BAD_INPUTS = {
     "time-limit-nan": (["parse", "Nobody saw anybody", "--time-limit=nan"],
                        None),
     "time-limit-negative": (["sequent", "s0", "s+", "--time-limit=-1"], None),
+    "corpus-negative-count": (["corpus"], "Alice saw Bob\tok\t-1\n"),
+    "corpus-extra-field": (["corpus"],
+                           "Nobody saw anybody\tok\t1\textra\n"),
+    "goal-empty": (["parse", "Nobody saw anybody", "--goal", ""], None),
 }
 
 

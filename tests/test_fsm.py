@@ -228,14 +228,15 @@ def test_prover_and_machine_agree_on_every_shape_pair():
             sentence
 
 
-QUANTIFIERS = ("nobody", "anybody", "somebody", "everybody", "a man")
+POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
+              "alice", "bob")
 
 
 def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
-    # "Q1's mother saw Q2's father" over all 5 x 5 quantifier pairs, at the
-    # default budget
+    # "X's mother saw Y's father" over all 7 x 7 pairs of quantifiers and
+    # names, at the default budget
     sentences = [f"{a}'s mother saw {b}'s father"
-                 for a in QUANTIFIERS for b in QUANTIFIERS]
+                 for a in POSSESSORS for b in POSSESSORS]
     grammatical = 0
     for sentence in sentences:
         result = parse_sentence(sentence, lex)
@@ -248,4 +249,4 @@ def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
         assert all(validate_derivation(d) for d in result.derivations), \
             sentence
         grammatical += result.verdict == GRAMMATICAL
-    assert (len(sentences), grammatical) == (25, 17)
+    assert (len(sentences), grammatical) == (49, 37)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 
 import pytest
@@ -14,8 +15,8 @@ from polagram.core import formula_leaf_count
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
-    _left_fwd, _moves, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
-    _search, _skeleton_refutes, scope_firing,
+    _left_fwd, _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
+    _skeleton_refutes, scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -211,7 +212,7 @@ def _reachable_moves(goal, limit):
     breadth first."""
     seen, queue, out = {goal.key}, [goal], []
     while queue and len(out) < limit:
-        moves = _moves(queue.pop(0))
+        moves = MoveTable().moves_of(queue.pop(0))
         out.append(moves)
         for _steps, premises, _s, _t, _trace in moves:
             for premise in premises:
@@ -226,18 +227,20 @@ def test_enumerate_includes_root_forward(lex):
     # hold a continuation functor, and not where nothing could consume it
     goal = seq("nobody * (saw * anybody)", "s0", lex)
     roots = [(steps, premises)
-             for steps, premises, _s, _t, _trace in _moves(goal)
+             for steps, premises, _s, _t, _trace in MoveTable().moves_of(goal)
              if steps[0][0] == ROOT_F]
     assert roots == [(((ROOT_F, (), goal.antecedent),),
                       (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
     plain = seq("alice * (saw * bob)", "s0", lex)
     assert all(steps[0][0] != ROOT_F
-               for steps, _p, _s, _t, _trace in _moves(plain))
+               for steps, _p, _s, _t, _trace in MoveTable().moves_of(plain))
 
 
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * saw) *c np", "s0", lex)
-    results = [premises for steps, premises, _s, _t, _trace in _moves(goal)
+    results = [premises
+               for steps, premises, _s, _t, _trace
+               in MoveTable().moves_of(goal)
                if steps == ((RIGHT_F, (), goal.antecedent),)]
     assert results == [(seq("saw *c (np * <>np)", "s0", lex),)]
 
@@ -264,7 +267,8 @@ def test_enumerate_deterministic_order(lex):
         return [[(str(r), s, Sequent(a, at.succedent).full_key)
                  for r, s, a in steps]
                 + [p.full_key for p in premises]
-                for steps, premises, _s, _t, _trace in _moves(at)]
+                for steps, premises, _s, _t, _trace
+                in MoveTable().moves_of(at)]
 
     assert listing(goal) == listing(goal) == listing(again)
 
@@ -332,10 +336,11 @@ def test_budget_monotonicity():
 
 class PlainSearch:
     """The reference search: a plain bounded depth-first search over
-    ``_moves``, spending each branch's budget move by move.  Exponentially
-    slower than ``prove`` on failing goals; kept as an independent check
-    that the three-phase search does not change verdicts.  A move the
-    branch cannot afford marks the search exhausted."""
+    ``MoveTable().moves_of``, spending each branch's budget move by move.
+    Exponentially slower than ``prove`` on failing goals; kept as an
+    independent check that the three-phase search does not change
+    verdicts.  A move the branch cannot afford marks the search
+    exhausted."""
 
     def __init__(self):
         self.exhausted = False
@@ -345,7 +350,7 @@ class PlainSearch:
         path = self.path
         if seq.key in path:
             return []
-        every = _moves(seq)
+        every = MoveTable().moves_of(seq)
         moves = [m for m in every if m[2] <= s_rem and m[3] <= t_rem]
         self.exhausted = self.exhausted or len(moves) < len(every)
         found = []
@@ -425,6 +430,37 @@ def test_max_derivations_cap(lex):
     goal = seq("nobody * (saw * anybody)", "s0", lex)
     result = prove(goal, SearchBudget(64, 5, 3))
     assert len(result.derivations) == 3
+
+
+# A sha256 over ``parse_sentence`` at two budgets that cut almost every
+# search: per result one line with its verdict and flags, then one
+# ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
+CUT_BUDGET_SHA256 = \
+    "034e6150b95aa687d44b2946580114e8eb04ebf2c07c8098429f8a7b94f8915b"
+
+
+def test_extraction_under_cut_budgets(lex):
+    # the pruning extraction does (remaining budgets, admissibility, the
+    # derivation cap) matters most when the budget cuts the search
+    words = ("alice", "bob", "a man", "nobody", "anybody", "somebody",
+             "everybody")
+    sentences = [f"{a} saw {b}" for a in words for b in words] + [
+        "Alice saw a man's mother", "Nobody's mother saw anybody's father",
+        "Anybody's mother saw nobody's father"]
+    digest = hashlib.sha256()
+    parses = cut = 0
+    for budget in (SearchBudget(8, 2, 5), SearchBudget(20, 3, 7)):
+        for sentence in sentences:
+            result = parse_sentence(sentence, lex, budget)
+            digest.update(f"{result.verdict} {result.budget_exhausted} "
+                          f"{result.timed_out}\n".encode("utf-8"))
+            for d in result.derivations:
+                blob = json.dumps(derivation_to_dict(d), sort_keys=True)
+                digest.update(blob.encode("utf-8") + b"\n")
+            parses += 1
+            cut += result.budget_exhausted
+    assert (parses, cut) == (104, 96)
+    assert digest.hexdigest() == CUT_BUDGET_SHA256
 
 
 # the one bracketing of "Nobody's mother saw anybody's father" that derives
@@ -551,7 +587,7 @@ def test_table_moves_equal_fresh_moves(lex):
             for fk, moves in table.moves.items():
                 node = table.sequents[fk]
                 assert _listing(node, moves) == _listing(
-                    node, _moves(node)), fk
+                    node, MoveTable().moves_of(node)), fk
             expanded += len(table.moves)
             antecedents += len(table.halves)
     assert antecedents < expanded / 2

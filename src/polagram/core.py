@@ -23,21 +23,22 @@ Concrete syntax (EBNF)::
 
 ``<>``/``[]`` are the value-mode diamond and box-down, ``<u>``, ``<p>``,
 ``[u]``, ``[p]`` the u- and p-mode ones.  ``s0``, ``s+`` and ``s-`` abbreviate
-the three clause types ``<u>s``, ``<u>[p]<p>s`` and ``[p]<p><u>s``.
+the three clause types ``<u>s``, ``<u>[p]<p>s`` and ``[p]<p><u>s``.  Text
+nested more than ``MAX_DEPTH`` levels deep is a syntax error.
 
 The same grammar doubles as structure syntax: ``*`` builds structural nodes,
 ``<>`` builds structural diamonds, ``1`` is the structural unit, and an
 identifier is either a lexicon word (when a lexicon is supplied) or an atomic
 formula leaf.  A parenthesised slash expression denotes a single formula leaf.
 
-Equality on formulas is structural.  Equality on structures and sequents
-ignores word labels on leaves, which are display-only; this is what makes
-sequents usable as memoization keys.
+Equality on formulas is structural.  Equality on structures and sequents is
+structural too and includes the word and position labels on leaves, which
+readings are read off; the prover's tables and the validator compare them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Modes
@@ -200,10 +201,9 @@ _ABBREV_BY_KEY = {f.key: name for name, f in ABBREVIATIONS.items()}
 class Structure:
     """An antecedent tree.
 
-    ``key`` erases word labels, so structural equality (and anything keyed on
-    it, such as memo tables) is insensitive to which words decorate the
-    leaves.  ``wkey`` additionally records the labels; it shares the ``key``
-    string wherever no labels occur.
+    ``key`` is a canonical string that records the tree, its formulas and
+    the word and position labels on its leaves; two structures are equal
+    iff their keys are equal.
 
     Four flags say what the tree contains, so that no caller needs to read
     the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
@@ -211,13 +211,12 @@ class Structure:
     ``has_cmode_formula`` (a leaf formula with a c-mode connective).
     """
 
-    __slots__ = ("key", "wkey", "_hash", "has_cmode_node", "has_unit",
+    __slots__ = ("key", "_hash", "has_cmode_node", "has_unit",
                  "has_value_diamond", "has_cmode_formula")
 
-    def _finish(self, key: str, wkey: Optional[str], cmode_node: bool,
-                unit: bool, value_diamond: bool, cmode_formula: bool) -> None:
+    def _finish(self, key: str, cmode_node: bool, unit: bool,
+                value_diamond: bool, cmode_formula: bool) -> None:
         self.key = key
-        self.wkey = key if wkey is None else wkey
         self._hash = hash(key)
         self.has_cmode_node = cmode_node
         self.has_unit = unit
@@ -239,7 +238,8 @@ class Structure:
 
 class FLeaf(Structure):
     """A formula leaf, optionally labelled with the word (and its surface
-    position) it came from.  Labels are display metadata only."""
+    position) it came from.  The labels are part of the leaf's identity:
+    scope readings are read off them."""
 
     __slots__ = ("formula", "word", "pos")
 
@@ -248,17 +248,16 @@ class FLeaf(Structure):
         self.formula = formula
         self.word = word
         self.pos = pos
-        key = "F" + formula.key
-        wkey = None if word is None and pos is None \
+        key = "F" + formula.key if word is None and pos is None \
             else f"F[{word}@{pos}]{formula.key}"
-        self._finish(key, wkey, False, False, False, formula.has_cmode)
+        self._finish(key, False, False, False, formula.has_cmode)
 
 
 class UnitLeaf(Structure):
     __slots__ = ()
 
     def __init__(self):
-        self._finish("!", None, False, True, False, False)
+        self._finish("!", False, True, False, False)
 
 
 class Bin(Structure):
@@ -270,10 +269,7 @@ class Bin(Structure):
         self.mode = mode
         self.left = left
         self.right = right
-        key = f"B{mode}({left.key},{right.key})"
-        wkey = None if left.wkey is left.key and right.wkey is right.key \
-            else f"B{mode}({left.wkey},{right.wkey})"
-        self._finish(key, wkey,
+        self._finish(f"B{mode}({left.key},{right.key})",
                      mode == CMODE or left.has_cmode_node
                      or right.has_cmode_node,
                      left.has_unit or right.has_unit,
@@ -289,10 +285,8 @@ class Un(Structure):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
-        key = f"U{mode}({body.key})"
-        wkey = None if body.wkey is body.key else f"U{mode}({body.wkey})"
-        self._finish(key, wkey, body.has_cmode_node, body.has_unit,
-                     mode == VALUE or body.has_value_diamond,
+        self._finish(f"U{mode}({body.key})", body.has_cmode_node,
+                     body.has_unit, mode == VALUE or body.has_value_diamond,
                      body.has_cmode_formula)
 
 
@@ -318,14 +312,14 @@ def formula_leaf_count(st: Structure) -> int:
 # Sequents
 
 class Sequent:
-    __slots__ = ("antecedent", "succedent", "key", "full_key", "_hash")
+    """An antecedent and a succedent; compared and hashed by ``key``."""
+
+    __slots__ = ("antecedent", "succedent", "key", "_hash")
 
     def __init__(self, antecedent: Structure, succedent: Formula):
         self.antecedent = antecedent
         self.succedent = succedent
         self.key = antecedent.key + "|-" + succedent.key
-        self.full_key = (self.key if antecedent.wkey is antecedent.key
-                         else antecedent.wkey + "|-" + succedent.key)
         self._hash = hash(self.key)
 
     def __eq__(self, other: object) -> bool:
@@ -426,13 +420,26 @@ def _slash_mode(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
+# The deepest nesting the parser accepts.  A parenthesis, a unary prefix and
+# each link of an operator chain is one level.  The code that walks a tree
+# (printing, the skeleton check, the prover) recurses on its depth, so a
+# deeper tree would exhaust the interpreter's stack.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """A recursive-descent parser.  Each ``_f_*`` and ``_s_*`` method
+    returns what it parsed with its nesting depth (see ``MAX_DEPTH``);
+    ``opened`` counts the parentheses and prefixes around the next token,
+    so the parser's own recursion stops at the limit too."""
+
     def __init__(self, text: str, lexicon=None):
         self.text = text
         self.toks = _lex(text)
         self.i = 0
         self.lexicon = lexicon
         self.leaf_counter = 0
+        self.opened = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -448,16 +455,32 @@ class _Parser:
             raise SyntaxErrorWithPos(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    @staticmethod
+    def _check(depth: int, pos: int) -> int:
+        """``depth``, unless it passes ``MAX_DEPTH`` at column ``pos``."""
+        if depth > MAX_DEPTH:
+            raise SyntaxErrorWithPos(
+                f"nested more than {MAX_DEPTH} levels deep", pos)
+        return depth
+
+    def _nested(self, pos: int, parse: Callable[[], tuple]) -> tuple:
+        """``parse()`` one level down, for the prefix or parenthesis at
+        ``pos``."""
+        self.opened = self._check(self.opened + 1, pos)
+        node, depth = parse()
+        self.opened -= 1
+        return node, self._check(depth + 1, pos)
+
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        f = self._f_slash()
+        f, _depth = self._f_slash()
         tok = self.peek()
         if tok[0] != _T_EOF:
             raise SyntaxErrorWithPos(f"unexpected {tok[1]!r}", tok[2])
         return f
 
-    def _f_slash(self) -> Formula:
+    def _f_slash(self) -> Tuple[Formula, int]:
         items = [self._f_prod()]
         ops = []
         while self.peek()[0] == _T_SLASH:
@@ -471,84 +494,96 @@ class _Parser:
             raise SyntaxErrorWithPos(
                 "mixing '/' and '\\' at one level requires parentheses", ops[1][2])
         if "/" in directions:
-            acc = items[0]
-            for tok, item in zip(ops, items[1:]):
+            acc, depth = items[0]
+            for tok, (item, item_depth) in zip(ops, items[1:]):
+                depth = self._check(max(depth, item_depth) + 1, tok[2])
                 acc = Over(_slash_mode(tok[1]), acc, item)
-            return acc
-        acc = items[-1]
-        for tok, item in zip(reversed(ops), reversed(items[:-1])):
+            return acc, depth
+        acc, depth = items[-1]
+        for tok, (item, item_depth) in zip(reversed(ops),
+                                           reversed(items[:-1])):
+            depth = self._check(max(depth, item_depth) + 1, tok[2])
             acc = Under(_slash_mode(tok[1]), item, acc)
-        return acc
+        return acc, depth
 
-    def _f_prod(self) -> Formula:
-        acc = self._f_unary()
+    def _f_prod(self) -> Tuple[Formula, int]:
+        acc, depth = self._f_unary()
         while self.peek()[0] == _T_STAR:
             tok = self.next()
-            acc = Product(_slash_mode(tok[1]), acc, self._f_unary())
-        return acc
+            right, right_depth = self._f_unary()
+            depth = self._check(max(depth, right_depth) + 1, tok[2])
+            acc = Product(_slash_mode(tok[1]), acc, right)
+        return acc, depth
 
-    def _f_unary(self) -> Formula:
+    def _f_unary(self) -> Tuple[Formula, int]:
         kind, payload, pos = self.next()
         if kind == _T_DIA:
-            return Dia(payload, self._f_unary())
+            body, depth = self._nested(pos, self._f_unary)
+            return Dia(payload, body), depth
         if kind == _T_BOX:
-            return BoxDown(payload, self._f_unary())
+            body, depth = self._nested(pos, self._f_unary)
+            return BoxDown(payload, body), depth
         if kind == _T_ONE:
-            return UNIT
+            return UNIT, 0
         if kind == _T_LPAR:
-            f = self._f_slash()
+            parsed = self._nested(pos, self._f_slash)
             self.expect(_T_RPAR)
-            return f
+            return parsed
         if kind == _T_IDENT:
-            return ABBREVIATIONS.get(payload) or Atom(payload)
+            return ABBREVIATIONS.get(payload) or Atom(payload), 0
         raise SyntaxErrorWithPos(f"unexpected {payload!r}", pos)
 
     # -- structures --------------------------------------------------------
 
     def structure(self) -> Structure:
-        st = self._s_expr()
+        st, _depth = self._s_expr()
         tok = self.peek()
         if tok[0] != _T_EOF:
             raise SyntaxErrorWithPos(f"unexpected {tok[1]!r}", tok[2])
         return st
 
-    def _s_expr(self) -> Structure:
+    def _s_expr(self) -> Tuple[Structure, int]:
         # A slash at this level means the whole expression is a formula leaf.
         start = self.i
-        st = self._s_prod()
+        parsed = self._s_prod()
         if self.peek()[0] == _T_SLASH:
             self.i = start
-            return self._leaf(self._f_slash())
-        return st
+            formula, depth = self._f_slash()
+            return self._leaf(formula), depth
+        return parsed
 
-    def _s_prod(self) -> Structure:
-        acc = self._s_unary()
+    def _s_prod(self) -> Tuple[Structure, int]:
+        acc, depth = self._s_unary()
         while self.peek()[0] == _T_STAR:
             tok = self.next()
-            acc = Bin(_slash_mode(tok[1]), acc, self._s_unary())
-        return acc
+            right, right_depth = self._s_unary()
+            depth = self._check(max(depth, right_depth) + 1, tok[2])
+            acc = Bin(_slash_mode(tok[1]), acc, right)
+        return acc, depth
 
-    def _s_unary(self) -> Structure:
+    def _s_unary(self) -> Tuple[Structure, int]:
         kind, payload, pos = self.next()
         if kind == _T_DIA:
-            return Un(payload, self._s_unary())
+            body, depth = self._nested(pos, self._s_unary)
+            return Un(payload, body), depth
         if kind == _T_BOX:
             # box-down has no structural form: parse a formula leaf
             self.i -= 1
-            return self._leaf(self._f_unary())
+            formula, depth = self._f_unary()
+            return self._leaf(formula), depth
         if kind == _T_ONE:
-            return UNIT_LEAF
+            return UNIT_LEAF, 0
         if kind == _T_LPAR:
-            st = self._s_expr()
+            parsed = self._nested(pos, self._s_expr)
             self.expect(_T_RPAR)
-            return st
+            return parsed
         if kind == _T_IDENT:
             if self.lexicon is not None:
                 word = payload if payload in self.lexicon else payload.replace("_", " ")
                 if word in self.lexicon:
                     types = self.lexicon.lookup(word)
-                    return self._leaf(types[0], word=word)
-            return self._leaf(ABBREVIATIONS.get(payload) or Atom(payload))
+                    return self._leaf(types[0], word=word), 0
+            return self._leaf(ABBREVIATIONS.get(payload) or Atom(payload)), 0
         raise SyntaxErrorWithPos(f"unexpected {payload!r}", pos)
 
     def _leaf(self, formula: Formula, word: Optional[str] = None) -> FLeaf:

@@ -64,8 +64,8 @@ result as it is:
   hold a c-mode node and visits only the c-mode sites; no other site
   offers a move then.
 * The table hash-conses premises: every premise its moves hold is the one
-  ``Sequent`` object for its full key, so a sequent that many moves lead
-  to is stored once.
+  ``Sequent`` object for its key, so a sequent that many moves lead to
+  is stored once.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -596,7 +596,7 @@ def scope_firing(rule: RuleName, antecedent: Structure,
 
 
 class MoveTable:
-    """The moves of every sequent expanded so far, keyed by ``full_key``.
+    """The moves of every sequent expanded so far, keyed by ``key``.
 
     Moves depend on the sequent alone, so one table can serve several
     ``prove`` calls.  ``parse_sentence`` gives each bracketing its own table,
@@ -611,7 +611,7 @@ class MoveTable:
     (``_antecedent_moves``), and the search reaches one antecedent under
     several succedents (``s0``, ``s-``, ``<>s0``, ``<p>s0``), so that half
     is generated once per antecedent and kept in ``halves`` under its
-    ``wkey``.  A chain names antecedents only (see ``Move``), so assembling
+    ``key``.  A chain names antecedents only (see ``Move``), so assembling
     a sequent builds just that half's premises under its succedent, and
     every sequent over the antecedent shares each move's chain tuple.
 
@@ -629,14 +629,14 @@ class MoveTable:
         self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
 
     def canonical(self, seq: Sequent) -> Sequent:
-        """The table's one sequent with the full key of ``seq``."""
-        return self.sequents.setdefault(seq.full_key, seq)
+        """The table's one sequent with the key of ``seq``."""
+        return self.sequents.setdefault(seq.key, seq)
 
     def moves_of(self, seq: Sequent) -> List[Move]:
         """The moves at ``seq`` (a canonical sequent), generated once."""
-        moves = self.moves.get(seq.full_key)
+        moves = self.moves.get(seq.key)
         if moves is None:
-            moves = self.moves[seq.full_key] = self._assemble(seq)
+            moves = self.moves[seq.key] = self._assemble(seq)
         return moves
 
     def _assemble(self, seq: Sequent) -> List[Move]:
@@ -660,9 +660,9 @@ class MoveTable:
             # derivations.
             return [axiom]
         ant, succ = seq.antecedent, seq.succedent
-        half = self.halves.get(ant.wkey)
+        half = self.halves.get(ant.key)
         if half is None:
-            half = self.halves[ant.wkey] = _antecedent_moves(ant)
+            half = self.halves[ant.key] = _antecedent_moves(ant)
         left, structural = half
         canonical = self.canonical
         out = [(steps, tuple(map(canonical, premises)), ms, mt, trace)
@@ -827,8 +827,8 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       worded leaf is only consumed or handed to a side premise, never
       made, so nothing fires between two occurrences of one sequent, and
       cutting out that segment keeps the trace and raises no path's cost.
-      Claimed, not argued: that comparing ``key``, which forgets word
-      labels, loses nothing, and that a fused chain's suffix from a
+      The check compares labelled sequents, the very ones the table tells
+      apart.  Claimed, not argued: that a fused chain's suffix from a
       repeated midpoint is itself a move there.
 
     ``table`` keeps the moves of the sequents the search expands.  Calls
@@ -882,7 +882,7 @@ def _search(goal: Sequent, budget: SearchBudget,
         # labels in nondecreasing cost order so each Pareto point of a node
         # is settled before it propagates (label-setting)
         goal = table.canonical(goal)
-        goal_key = goal.full_key
+        goal_key = goal.key
         reach: Dict[str, List[Tuple[int, int]]] = {}
         deps: Dict[str, List[Tuple[str, Move]]] = {}
         labels: List[Tuple[int, int, int, str, Trace]] = []
@@ -892,25 +892,24 @@ def _search(goal: Sequent, budget: SearchBudget,
         while work:
             if timed:
                 check_deadline()
-            rs, rt, _, fk, seq = heapq.heappop(work)
-            first_settle = fk not in reach
-            if not _pareto_add(reach.setdefault(fk, []), rs, rt):
+            rs, rt, _, key, seq = heapq.heappop(work)
+            first_settle = key not in reach
+            if not _pareto_add(reach.setdefault(key, []), rs, rt):
                 continue
             for move in table.moves_of(seq):
                 _steps, premises, ms, mt, _trace = move
                 if first_settle:
                     for premise in premises:
-                        deps.setdefault(premise.full_key, []).append(
-                            (fk, move))
+                        deps.setdefault(premise.key, []).append((key, move))
                     if not premises and ms <= cap_s and mt <= cap_t:
                         n_labels += 1
-                        heapq.heappush(labels, (ms, mt, n_labels, fk, ()))
+                        heapq.heappush(labels, (ms, mt, n_labels, key, ()))
                 nrs, nrt = rs + ms, rt + mt
                 if nrs > cap_s or nrt > cap_t:
                     exhausted = True
                     continue
                 for premise in premises:
-                    pk = premise.full_key
+                    pk = premise.key
                     known = reach.get(pk)
                     if known is None or not any(
                             s <= nrs and t <= nrt for s, t in known):
@@ -927,13 +926,13 @@ def _search(goal: Sequent, budget: SearchBudget,
         while labels:
             if timed:
                 check_deadline()
-            s, t, _, fk, trace = heapq.heappop(labels)
-            if not _pareto_add(frontiers.setdefault(fk, {}).setdefault(
+            s, t, _, key, trace = heapq.heappop(labels)
+            if not _pareto_add(frontiers.setdefault(key, {}).setdefault(
                     trace, []), s, t):
                 continue
             # combine the new label with the settled labels of the other
             # premise (if any) and push the resulting parent labels
-            for parent, (_steps, premises, ms, mt, own) in deps.get(fk, ()):
+            for parent, (_steps, premises, ms, mt, own) in deps.get(key, ()):
                 if len(premises) == 1:
                     ps, pt = ms + s, mt + t
                     if ps <= cap_s and pt <= cap_t:
@@ -941,10 +940,10 @@ def _search(goal: Sequent, budget: SearchBudget,
                         heapq.heappush(labels, (ps, pt, n_labels, parent,
                                                 own + trace))
                     continue
-                pk0, pk1 = premises[0].full_key, premises[1].full_key
+                pk0, pk1 = premises[0].key, premises[1].key
                 for first, pk, other in ((True, pk0, pk1),
                                          (False, pk1, pk0)):
-                    if pk != fk:
+                    if pk != key:
                         continue
                     for trace2, front2 in frontiers.get(other, {}).items():
                         full = (own + trace + trace2) if first \
@@ -1013,7 +1012,7 @@ class _Extraction:
         """Whether each premise's frontier for its part admits the rest."""
         for premise, part in zip(premises, parts):
             if not any(s <= s_rem and t <= t_rem for s, t in
-                       self.frontiers.get(premise.full_key, {}).get(part, ())):
+                       self.frontiers.get(premise.key, {}).get(part, ())):
                 return False
         return True
 
@@ -1027,7 +1026,7 @@ class _Extraction:
         found: List[Derivation] = []
         path[seq.key] = 1
         try:
-            for steps, premises, ms, mt, own in self.table.moves[seq.full_key]:
+            for steps, premises, ms, mt, own in self.table.moves[seq.key]:
                 if len(found) >= want:
                     break
                 s2, t2 = s_rem - ms, t_rem - mt
@@ -1039,14 +1038,16 @@ class _Extraction:
                     rest = trace[1:]
                 else:
                     rest = trace
-                # fused chains pass through intermediate sequents, which
-                # count toward the branch's no-repeat check too
-                mids = [Sequent(mid, seq.succedent).key
-                        for _r, _s, mid in steps[1:]]
-                if any(m in path for m in mids):
-                    continue
-                for m in mids:
-                    path[m] = 1
+                mids = None
+                if len(steps) > 1:
+                    # a fused chain passes through intermediate sequents,
+                    # which count toward the branch's no-repeat check too
+                    mids = [Sequent(mid, seq.succedent).key
+                            for _r, _s, mid in steps[1:]]
+                    if any(m in path for m in mids):
+                        continue
+                    for m in mids:
+                        path[m] = 1
                 try:
                     for parts in _splits(rest, len(premises)):
                         if len(found) >= want:
@@ -1066,8 +1067,9 @@ class _Extraction:
                                     break
                                 found.append(_apply_chain(seq, steps, combo))
                 finally:
-                    for m in mids:
-                        del path[m]
+                    if mids:
+                        for m in mids:
+                            del path[m]
         finally:
             del path[seq.key]
         return found

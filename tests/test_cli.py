@@ -98,6 +98,14 @@ BAD_INPUTS = {
     "corpus-extra-field": (["corpus"],
                            "Nobody saw anybody\tok\t1\textra\n"),
     "goal-empty": (["parse", "Nobody saw anybody", "--goal", ""], None),
+    # nested past the parser's depth limit: prefixes, parentheses and the
+    # links of an operator chain
+    "goal-too-deep": (["parse", "Alice saw Bob", "--goal",
+                       "<>" * 3000 + "s0"], None),
+    "succedent-too-deep": (["sequent", "np", "<>" * 3000 + "s0"], None),
+    "antecedent-too-deep": (["sequent", "(" * 330 + "np" + ")" * 330, "np"],
+                            None),
+    "chain-too-deep": (["sequent", "np", " / ".join(["np"] * 1201)], None),
 }
 
 

@@ -8,6 +8,7 @@ from polagram import (
     SyntaxErrorWithPos, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
+from polagram.prover import structure_to_dict
 
 
 def test_parse_atom():
@@ -113,6 +114,12 @@ def _structures(depth):
     )
 
 
+@given(_structures(2), _structures(2))
+def test_structure_equality_is_structural(a, b):
+    # labels included: the serialized form records words and positions
+    assert (a == b) == (structure_to_dict(a) == structure_to_dict(b))
+
+
 def _has_cmode_connective(key):
     return "/c(" in key or "\\c(" in key or "*c(" in key
 
@@ -164,11 +171,11 @@ def test_structure_print_round_trip(lex):
         assert again == st_
 
 
-def test_canonical_ignores_word_labels():
+def test_word_labels_are_part_of_the_key():
     plain = Sequent(FLeaf(NP), NP)
     worded = Sequent(FLeaf(NP, word="alice", pos=0), NP)
-    assert plain.key == worded.key
-    assert plain.full_key != worded.full_key
+    assert plain != worded
+    assert plain.key != worded.key
 
 
 def test_canonical_distinguishes_content():

@@ -1,12 +1,14 @@
 import gc
+import hashlib
+import json
 
 import pytest
 
 from polagram import (
     GRAMMATICAL, Lexicon, PolState, QuantifierShapeError, Reading, Run,
-    accepting_runs, evaluation_order_ok, load_lexicon, machine_from_lexicon,
-    parse_sentence, predict, quantifier_occurrences, tokenize,
-    validate_derivation,
+    accepting_runs, derivation_to_dict, evaluation_order_ok, load_lexicon,
+    machine_from_lexicon, parse_sentence, predict, quantifier_occurrences,
+    tokenize, validate_derivation,
 )
 from polagram.fsm import EPSILON
 
@@ -231,15 +233,27 @@ def test_prover_and_machine_agree_on_every_shape_pair():
 POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
               "alice", "bob")
 
+# A sha256 over the possessive frame at the default budget: per sentence one
+# line with its verdict and flags, then one
+# ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
+POSSESSIVE_FRAME_SHA256 = \
+    "a3226db0857682c1708d5dd99c7e182b6f27ae06a8a73669699719dee9e6abe3"
+
 
 def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
     # "X's mother saw Y's father" over all 7 x 7 pairs of quantifiers and
-    # names, at the default budget
+    # names, at the default budget; the digest pins every derivation
     sentences = [f"{a}'s mother saw {b}'s father"
                  for a in POSSESSORS for b in POSSESSORS]
     grammatical = 0
+    digest = hashlib.sha256()
     for sentence in sentences:
         result = parse_sentence(sentence, lex)
+        digest.update(f"{result.verdict} {result.budget_exhausted} "
+                      f"{result.timed_out}\n".encode("utf-8"))
+        for d in result.derivations:
+            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
+            digest.update(blob.encode("utf-8") + b"\n")
         assert not result.timed_out, sentence
         admissible = predict(machine,
                              quantifier_occurrences(result.tokens, machine))
@@ -250,3 +264,4 @@ def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
             sentence
         grammatical += result.verdict == GRAMMATICAL
     assert (len(sentences), grammatical) == (49, 37)
+    assert digest.hexdigest() == POSSESSIVE_FRAME_SHA256

@@ -60,6 +60,11 @@ def test_load_bad_formula_reports_lineno():
         load_lexicon("dog := np\ncat := ((np\n")
 
 
+def test_load_too_deep_formula_reports_lineno():
+    with pytest.raises(LexiconError, match="line 2: nested more than"):
+        load_lexicon("dog := np\ndeep := " + "<>" * 3000 + "np\n")
+
+
 def test_load_empty():
     assert load_lexicon("").words() == ()
     assert load_lexicon("# just a comment\n\n").words() == ()

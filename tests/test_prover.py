@@ -27,6 +27,23 @@ def seq(antecedent, succedent, lexicon=None):
                    parse_formula(succedent))
 
 
+def _map_leaves(st, leaf):
+    """``st`` rebuilt with ``leaf`` applied to each formula leaf."""
+    if isinstance(st, FLeaf):
+        return leaf(st)
+    if isinstance(st, Bin):
+        return Bin(st.mode, _map_leaves(st.left, leaf),
+                   _map_leaves(st.right, leaf))
+    if isinstance(st, Un):
+        return Un(st.mode, _map_leaves(st.body, leaf))
+    return st
+
+
+def _unlabelled(st):
+    """``st`` with every word and position label erased."""
+    return _map_leaves(st, lambda leaf: FLeaf(leaf.formula))
+
+
 # -- identity and the transitive clause --------------------------------------
 
 def test_axiom_identity():
@@ -123,6 +140,25 @@ def test_bogus_axiom_rejected():
     assert not validate_derivation(bad)
 
 
+def test_validator_checks_word_labels(lex):
+    # relabel anybody as somebody in the first premise: the rule demands a
+    # premise with the conclusion's words, so the derivation is invalid
+    good = prove(seq("nobody * (saw * anybody)", "s0", lex)).derivations[0]
+    first = good.premises[0]
+    somebody = _map_leaves(
+        first.conclusion.antecedent,
+        lambda leaf: FLeaf(leaf.formula, "somebody", leaf.pos)
+        if leaf.word == "anybody" else leaf)
+    assert "somebody" in str(somebody)
+    relabelled = Derivation(first.rule,
+                            Sequent(somebody, first.conclusion.succedent),
+                            first.premises, first.site)
+    bad = Derivation(good.rule, good.conclusion,
+                     (relabelled,) + good.premises[1:], good.site)
+    assert validate_derivation(good)
+    assert not validate_derivation(bad)
+
+
 def test_wrong_site_rejected(lex):
     good = prove(seq("alice * (saw * bob)", "s0", lex)).derivations[0]
     bad = Derivation(good.rule, good.conclusion, good.premises,
@@ -131,7 +167,12 @@ def test_wrong_site_rejected(lex):
 
 
 def _node(rule, mode, ant, succ, premises, site=(), lexicon=None):
-    return Derivation(RuleName(rule, mode), seq(ant, succ, lexicon),
+    # each node is parsed on its own, so its leaf positions, and its words
+    # where no lexicon is given, do not follow from its neighbours'; with
+    # the labels erased the transcription is consistent
+    return Derivation(RuleName(rule, mode),
+                      Sequent(_unlabelled(parse_structure(ant, lexicon)),
+                              parse_formula(succ)),
                       tuple(premises), site)
 
 
@@ -242,7 +283,10 @@ def test_enumerate_right_forward(lex):
                for steps, premises, _s, _t, _trace
                in MoveTable().moves_of(goal)
                if steps == ((RIGHT_F, (), goal.antecedent),)]
-    assert results == [(seq("saw *c (np * <>np)", "s0", lex),)]
+    # compared as printed: the premise keeps the goal's leaf positions,
+    # which a fresh parse of its text would number afresh
+    assert [[str(p) for p in premises] for premises in results] \
+        == [["saw *c (np * <>np) |- s0"]]
 
 
 def test_enumerate_no_t_without_budget(lex):
@@ -264,9 +308,9 @@ def test_enumerate_deterministic_order(lex):
     again = seq("nobody * (saw * anybody)", "s0", lex)
 
     def listing(at):
-        return [[(str(r), s, Sequent(a, at.succedent).full_key)
+        return [[(str(r), s, Sequent(a, at.succedent).key)
                  for r, s, a in steps]
-                + [p.full_key for p in premises]
+                + [p.key for p in premises]
                 for steps, premises, _s, _t, _trace
                 in MoveTable().moves_of(at)]
 
@@ -414,10 +458,13 @@ def test_memo_and_plain_search_agree(lex):
 
 
 def test_no_branch_repeats_a_sequent(lex):
+    # not even with its word labels erased, which is stronger than the
+    # search's own check on labelled sequents
     result = prove(seq("nobody * (saw * anybody)", "s0", lex))
 
     def check(d, seen):
-        key = d.conclusion.key
+        key = Sequent(_unlabelled(d.conclusion.antecedent),
+                      d.conclusion.succedent).key
         assert key not in seen
         for p in d.premises:
             check(p, seen | {key})
@@ -540,19 +587,19 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             # each move carries the scope firing of its last step; a left
             # or structural move holds the very chain tuple of its
             # antecedent's half, whatever the succedent
-            for fk, moves in table.moves.items():
-                node = table.sequents[fk]
-                assert node.full_key == fk
+            for key, moves in table.moves.items():
+                node = table.sequents[key]
+                assert node.key == key
                 for steps, premises, _s, _t, trace in moves:
-                    assert Sequent(steps[0][2], node.succedent).full_key == fk
+                    assert Sequent(steps[0][2], node.succedent).key == key
                     for premise in premises:
-                        assert premise is table.sequents[premise.full_key]
+                        assert premise is table.sequents[premise.key]
                     rule, site, antecedent = steps[-1]
                     firing = scope_firing(rule, antecedent, site)
                     assert trace == (() if firing is None else (firing,))
                 if moves and moves[0][0][0][0] in (AXIOM, LEX):
                     continue  # the axiom alone; no half was read
-                left, structural = table.halves[node.antecedent.wkey]
+                left, structural = table.halves[node.antecedent.key]
                 half = [steps for steps, *_rest in left + structural]
                 ids = {id(steps) for steps in half}
                 threaded = [steps for steps, *_rest in moves
@@ -564,9 +611,9 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
 def _listing(seq, moves):
     """The moves at ``seq`` as plain data: each step's rule, site and
     conclusion key, the premises' keys, the costs and the trace."""
-    return [([(str(rule), site, Sequent(antecedent, seq.succedent).full_key)
+    return [([(str(rule), site, Sequent(antecedent, seq.succedent).key)
               for rule, site, antecedent in steps],
-             [premise.full_key for premise in premises], s, t, trace)
+             [premise.key for premise in premises], s, t, trace)
             for steps, premises, s, t, trace in moves]
 
 
@@ -584,10 +631,10 @@ def test_table_moves_equal_fresh_moves(lex):
             table = MoveTable()
             for goal_type in GOAL_TYPES:
                 prove(Sequent(tree, goal_type), table=table)
-            for fk, moves in table.moves.items():
-                node = table.sequents[fk]
+            for key, moves in table.moves.items():
+                node = table.sequents[key]
                 assert _listing(node, moves) == _listing(
-                    node, MoveTable().moves_of(node)), fk
+                    node, MoveTable().moves_of(node)), key
             expanded += len(table.moves)
             antecedents += len(table.halves)
     assert antecedents < expanded / 2
@@ -615,7 +662,7 @@ def test_skeleton_refutations_are_exact(lex):
     for sentence in SHARING_SENTENCES + [
             "Nobody's mother saw anybody's father"]:
         for tree in bracketings(tokenize(sentence, lex), lex):
-            trees.setdefault(tree.key, tree)
+            trees.setdefault(_unlabelled(tree).key, tree)
         for d in parse_sentence(sentence, lex).derivations:
             assert not _skeleton_refutes(d.conclusion), sentence
     refuted = 0

@@ -312,7 +312,8 @@ def formula_leaf_count(st: Structure) -> int:
 # Sequents
 
 class Sequent:
-    """An antecedent and a succedent; compared and hashed by ``key``."""
+    """An antecedent and a succedent; compared and hashed by ``key``, which
+    is the antecedent's key, ``|-`` and the succedent's key."""
 
     __slots__ = ("antecedent", "succedent", "key", "_hash")
 
@@ -323,7 +324,7 @@ class Sequent:
         self._hash = hash(self.key)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequent) and self.key == other.key
+        return self is other or (isinstance(other, Sequent) and self.key == other.key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -544,10 +545,10 @@ class _Parser:
 
     def _s_expr(self) -> Tuple[Structure, int]:
         # A slash at this level means the whole expression is a formula leaf.
-        start = self.i
+        start, first_leaf = self.i, self.leaf_counter
         parsed = self._s_prod()
         if self.peek()[0] == _T_SLASH:
-            self.i = start
+            self.i, self.leaf_counter = start, first_leaf
             formula, depth = self._f_slash()
             return self._leaf(formula), depth
         return parsed

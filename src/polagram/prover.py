@@ -46,7 +46,7 @@ returned, which always consist of single honest rule applications:
 Rather than a memoized depth-first search (per-branch budgets make the same
 subgoal recur under countless different remaining budgets), ``prove``
 evaluates the reachable sequent graph exactly, in three phases, and then
-extracts derivation trees; see the commentary on ``prove``.  Five more
+extracts derivation trees; see the commentary on ``prove``.  Six more
 economies concern the cost of a search, not its space, and leave every
 result as it is:
 
@@ -65,7 +65,13 @@ result as it is:
   offers a move then.
 * The table hash-conses premises: every premise its moves hold is the one
   ``Sequent`` object for its key, so a sequent that many moves lead to
-  is stored once.
+  is stored once.  A premise already in the table is looked up by its key
+  before a ``Sequent`` is built for it.
+* The two label-setting phases take their labels from bucket queues
+  (``_BucketQueue``): costs are small nonnegative integer pairs, so one
+  list per cost pair, drained in cost order, orders the labels, and only
+  the distinct cost pairs pass through a heap.  Ties go in arrival order,
+  as a heap with an arrival counter would put them.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -569,6 +575,54 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #      reading is witnessed before max_derivations is spent on variants of
 #      one reading (a sentence can have astronomically many derivations of a
 #      single reading).
+#
+# Phases 1 and 2 are label-setting.  Each takes its labels from a
+# ``_BucketQueue`` in nondecreasing (structural, T) order, first in first out
+# within one cost, so a label that is not dominated when it is taken is
+# final: no later label dominates it.  The order within a cost is part of
+# the result: it fixes the order of ``deps`` and of the frontiers, and so
+# the order in which phase 3 finds derivations.
+
+class _BucketQueue:
+    """A monotone priority queue keyed by (structural, T) cost pairs: a
+    sparse bucket queue (Dial, *Algorithm 360*, CACM 1969).
+
+    ``buckets`` maps each cost pair that holds items to a FIFO list, and
+    ``live`` is a heap of those pairs, so the memory used follows the costs
+    pushed, never the budget's caps.  ``drain`` yields the buckets in
+    increasing (s, t) order and each bucket's items in push order; an item
+    pushed during the drain is yielded too.  That is the order of a heap of
+    ``(s, t, push counter, item)`` as long as no push costs less than the
+    item being yielded, which holds for both phases of ``_search``: every
+    move cost is nonnegative, and a pushed label's cost is the yielded
+    one's plus a move's cost (taking a maximum with another premise's
+    label first, in phase 2).
+    """
+
+    __slots__ = ("buckets", "live")
+
+    def __init__(self) -> None:
+        self.buckets: Dict[Tuple[int, int], list] = {}
+        self.live: List[Tuple[int, int]] = []
+
+    def push(self, s: int, t: int, item) -> None:
+        bucket = self.buckets.get((s, t))
+        if bucket is None:
+            bucket = self.buckets[(s, t)] = []
+            heapq.heappush(self.live, (s, t))
+        bucket.append(item)
+
+    def drain(self) -> Iterator[Tuple[Tuple[int, int], object]]:
+        """Yield ``((s, t), item)`` until the queue is empty."""
+        buckets, live = self.buckets, self.live
+        while live:
+            cost = heapq.heappop(live)
+            # a list iterator reads the length at each step, so it also
+            # yields what a cost-0 move appends to this bucket meanwhile
+            for item in buckets[cost]:
+                yield cost, item
+            del buckets[cost]
+
 
 def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
     """Insert a cost vector, keeping only minimal ones; False if dominated."""
@@ -679,10 +733,14 @@ class MoveTable:
     def _thread(self, out: List[Move], succ: Formula,
                 ante_moves: List[AnteMove]) -> None:
         """Add ``ante_moves`` under the succedent ``succ``: each keeps its
-        chain and gets its premises."""
-        canonical = self.canonical
+        chain and gets its premises.  A main premise the table already
+        holds is found by its key (see ``Sequent``) without building it."""
+        canonical, sequents = self.canonical, self.sequents
+        tail = "|-" + succ.key
         for steps, main, minor, ms, mt, trace in ante_moves:
-            premise = canonical(Sequent(main, succ))
+            premise = sequents.get(main.key + tail)
+            if premise is None:
+                premise = canonical(Sequent(main, succ))
             out.append((steps, (premise,) if minor is None
                         else (premise, canonical(minor)), ms, mt, trace))
 
@@ -878,67 +936,76 @@ def _search(goal: Sequent, budget: SearchBudget,
             raise SearchTimeout
 
     try:
-        # phase 1: explore the reachable sequent graph, processing reach
-        # labels in nondecreasing cost order so each Pareto point of a node
-        # is settled before it propagates (label-setting)
+        # phase 1: explore the reachable sequent graph, taking reach labels
+        # from the bucket queue in nondecreasing cost order, so each Pareto
+        # point of a node is settled before it propagates; a node's first
+        # label settles without a frontier to test it against
         goal = table.canonical(goal)
         goal_key = goal.key
+        table_moves = table.moves
         reach: Dict[str, List[Tuple[int, int]]] = {}
         deps: Dict[str, List[Tuple[str, Move]]] = {}
-        labels: List[Tuple[int, int, int, str, Trace]] = []
-        counter = n_labels = 0
-        work: List[Tuple[int, int, int, str, Sequent]] = [
-            (0, 0, counter, goal_key, goal)]
-        while work:
+        labels, work = _BucketQueue(), _BucketQueue()
+        push_label, push_work = labels.push, work.push
+        push_work(0, 0, goal)
+        for (rs, rt), seq in work.drain():
             if timed:
                 check_deadline()
-            rs, rt, _, key, seq = heapq.heappop(work)
-            first_settle = key not in reach
-            if not _pareto_add(reach.setdefault(key, []), rs, rt):
+            key = seq.key
+            known = reach.get(key)
+            first_settle = known is None
+            if first_settle:
+                reach[key] = [(rs, rt)]
+            elif not _pareto_add(known, rs, rt):
                 continue
-            for move in table.moves_of(seq):
+            moves = table_moves.get(key)
+            if moves is None:
+                moves = table.moves_of(seq)
+            for move in moves:
                 _steps, premises, ms, mt, _trace = move
                 if first_settle:
                     for premise in premises:
                         deps.setdefault(premise.key, []).append((key, move))
                     if not premises and ms <= cap_s and mt <= cap_t:
-                        n_labels += 1
-                        heapq.heappush(labels, (ms, mt, n_labels, key, ()))
+                        push_label(ms, mt, (key, ()))
                 nrs, nrt = rs + ms, rt + mt
                 if nrs > cap_s or nrt > cap_t:
                     exhausted = True
                     continue
                 for premise in premises:
-                    pk = premise.key
-                    known = reach.get(pk)
-                    if known is None or not any(
-                            s <= nrs and t <= nrt for s, t in known):
-                        counter += 1
-                        heapq.heappush(work, (nrs, nrt, counter, pk, premise))
+                    for s, t in reach.get(premise.key, ()):
+                        if s <= nrs and t <= nrt:
+                            break
+                    else:
+                        push_work(nrs, nrt, premise)
 
         # phase 2: fix per-node, per-trace Pareto frontiers of derivation
-        # costs, again label-setting in nondecreasing cost order.  A trace
-        # can be no longer than the node's stock of worded continuation
-        # functors, so the space of labels is finite.  Labels are pushed
-        # only for reached nodes and only within the caps; the table may
-        # hold more nodes, from other calls.
+        # costs, again label-setting, from the bucket queue that phase 1
+        # seeded with the moves that have no premises.  A trace can be no
+        # longer than the node's stock of worded continuation functors, so
+        # the space of labels is finite.  Labels are pushed only for
+        # reached nodes and only within the caps; the table may hold more
+        # nodes, from other calls.
         frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
-        while labels:
+        for (s, t), (key, trace) in labels.drain():
             if timed:
                 check_deadline()
-            s, t, _, key, trace = heapq.heappop(labels)
-            if not _pareto_add(frontiers.setdefault(key, {}).setdefault(
-                    trace, []), s, t):
-                continue
+            by_trace = frontiers.get(key)
+            if by_trace is None:
+                frontiers[key] = {trace: [(s, t)]}
+            else:
+                front = by_trace.get(trace)
+                if front is None:
+                    by_trace[trace] = [(s, t)]
+                elif not _pareto_add(front, s, t):
+                    continue
             # combine the new label with the settled labels of the other
             # premise (if any) and push the resulting parent labels
             for parent, (_steps, premises, ms, mt, own) in deps.get(key, ()):
                 if len(premises) == 1:
                     ps, pt = ms + s, mt + t
                     if ps <= cap_s and pt <= cap_t:
-                        n_labels += 1
-                        heapq.heappush(labels, (ps, pt, n_labels, parent,
-                                                own + trace))
+                        push_label(ps, pt, (parent, own + trace))
                     continue
                 pk0, pk1 = premises[0].key, premises[1].key
                 for first, pk, other in ((True, pk0, pk1),
@@ -951,9 +1018,7 @@ def _search(goal: Sequent, budget: SearchBudget,
                         for s2, t2 in front2:
                             ps, pt = ms + max(s, s2), mt + max(t, t2)
                             if ps <= cap_s and pt <= cap_t:
-                                n_labels += 1
-                                heapq.heappush(
-                                    labels, (ps, pt, n_labels, parent, full))
+                                push_label(ps, pt, (parent, full))
 
         # phase 3: trace-guided extraction along admissible branches only;
         # every goal label lies within the caps, so every goal trace is one

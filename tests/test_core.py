@@ -162,6 +162,16 @@ def test_parse_structure_formula_leaf():
     assert st_.right.formula == Under(DEFAULT, NP, S0)
 
 
+def test_formula_leaf_positions_count_from_zero():
+    # reading "np" as a structure and backing up to a formula leaf at the
+    # slash must not use up a position
+    assert parse_structure("np / np").pos == 0
+    st_ = parse_structure("(np / np) * np")
+    assert (st_.left.pos, st_.right.pos) == (0, 1)
+    assert st_ == Bin(DEFAULT, FLeaf(Over(DEFAULT, NP, NP), pos=0),
+                      FLeaf(NP, pos=1))
+
+
 def test_structure_print_round_trip(lex):
     for text in ["nobody * (saw * anybody)",
                  "np *c ((1 * <>anybody) * <>saw)",

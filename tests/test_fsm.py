@@ -6,7 +6,7 @@ import pytest
 
 from polagram import (
     GRAMMATICAL, Lexicon, PolState, QuantifierShapeError, Reading, Run,
-    accepting_runs, derivation_to_dict, evaluation_order_ok, load_lexicon,
+    SearchBudget, accepting_runs, derivation_to_dict, evaluation_order_ok, load_lexicon,
     machine_from_lexicon, parse_sentence, predict, quantifier_occurrences,
     tokenize, validate_derivation,
 )
@@ -265,3 +265,16 @@ def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
         grammatical += result.verdict == GRAMMATICAL
     assert (len(sentences), grammatical) == (49, 37)
     assert digest.hexdigest() == POSSESSIVE_FRAME_SHA256
+
+
+def test_an_uncapped_search_ends_and_agrees_with_the_machine(lex, machine):
+    # caps of a million: the search must allocate by the costs it meets,
+    # not by the caps, and end on its own
+    result = parse_sentence("Nobody saw anybody's mother", lex,
+                            budget=SearchBudget(10**6, 10**6))
+    assert result.verdict == GRAMMATICAL
+    assert not result.budget_exhausted and not result.timed_out
+    admissible = predict(machine, quantifier_occurrences(result.tokens,
+                                                         machine))
+    assert {r.scope_order for r in result.readings} \
+        == {r.scope_order for r in admissible}

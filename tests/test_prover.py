@@ -1,8 +1,11 @@
 import gc
 import hashlib
+import heapq
 import json
+from itertools import count
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polagram import (
     Bin, Derivation, FLeaf, GOAL_TYPES, RuleName, SearchBudget, Sequent, Un,
@@ -15,8 +18,8 @@ from polagram.core import formula_leaf_count
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
-    _left_fwd, _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
-    _skeleton_refutes, scope_firing,
+    _BucketQueue, _left_fwd, _right_bwd, _right_fwd, _root_bwd, _root_fwd,
+    _search, _skeleton_refutes, scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -455,6 +458,45 @@ def test_memo_and_plain_search_agree(lex):
         if not found and not oracle.exhausted:
             # a refutation the oracle completes uncut is uncut in prove too
             assert not result.budget_exhausted, text
+
+
+def _heap_queue():
+    """The reference agenda: a heap of (s, t, push counter, item)."""
+    heap, pushes = [], count()
+
+    def push(s, t, item):
+        heapq.heappush(heap, (s, t, next(pushes), item))
+
+    def drain():
+        while heap:
+            s, t, _, item = heapq.heappop(heap)
+            yield (s, t), item
+    return push, drain
+
+
+_COST = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@given(st.lists(_COST, max_size=6),
+       st.lists(st.lists(_COST, max_size=3), max_size=40))
+def test_bucket_queue_drains_in_heap_order(seeds, children):
+    # the i-th item drained pushes children[i], each at its own cost plus a
+    # nonnegative step, as both phases of the search do
+    def run(push, drain):
+        pushed = count()
+        for s, t in seeds:
+            push(s, t, next(pushed))
+        order = []
+        for (s, t), item in drain():
+            for ds, dt in (children[len(order)]
+                           if len(order) < len(children) else ()):
+                push(s + ds, t + dt, next(pushed))
+            order.append(((s, t), item))
+        return order
+
+    queue = _BucketQueue()
+    assert run(queue.push, queue.drain) == run(*_heap_queue())
+    assert not queue.buckets and not queue.live
 
 
 def test_no_branch_repeats_a_sequent(lex):

@@ -67,11 +67,9 @@ result as it is:
   ``Sequent`` object for its key, so a sequent that many moves lead to
   is stored once.  A premise already in the table is looked up by its key
   before a ``Sequent`` is built for it.
-* The two label-setting phases take their labels from bucket queues
-  (``_BucketQueue``): costs are small nonnegative integer pairs, so one
-  list per cost pair, drained in cost order, orders the labels, and only
-  the distinct cost pairs pass through a heap.  Ties go in arrival order,
-  as a heap with an arrival counter would put them.
+* Costs are small nonnegative integer pairs, so the two label-setting
+  phases order their labels with bucket queues (``_BucketQueue``): only
+  the distinct cost pairs pass through a heap.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -587,16 +585,15 @@ class _BucketQueue:
     """A monotone priority queue keyed by (structural, T) cost pairs: a
     sparse bucket queue (Dial, *Algorithm 360*, CACM 1969).
 
-    ``buckets`` maps each cost pair that holds items to a FIFO list, and
-    ``live`` is a heap of those pairs, so the memory used follows the costs
-    pushed, never the budget's caps.  ``drain`` yields the buckets in
-    increasing (s, t) order and each bucket's items in push order; an item
-    pushed during the drain is yielded too.  That is the order of a heap of
-    ``(s, t, push counter, item)`` as long as no push costs less than the
-    item being yielded, which holds for both phases of ``_search``: every
-    move cost is nonnegative, and a pushed label's cost is the yielded
-    one's plus a move's cost (taking a maximum with another premise's
-    label first, in phase 2).
+    ``buckets`` maps each cost pair that holds items to a FIFO list and
+    ``live`` is a heap of those pairs, so memory follows the costs pushed,
+    not the budget's caps.  ``drain`` yields the buckets in increasing
+    (s, t) order, each in push order, including items pushed meanwhile.
+    That is the order of a heap of ``(s, t, push counter, item)`` as long
+    as no push costs less than the item being yielded.  Both phases of
+    ``_search`` keep to that: a pushed label costs the yielded one (or, in
+    phase 2, its maximum with another premise's label) plus a move's
+    nonnegative cost.
     """
 
     __slots__ = ("buckets", "live")

@@ -6,9 +6,9 @@ import pytest
 
 from polagram import (
     GRAMMATICAL, Lexicon, PolState, QuantifierShapeError, Reading, Run,
-    SearchBudget, accepting_runs, derivation_to_dict, evaluation_order_ok, load_lexicon,
-    machine_from_lexicon, parse_sentence, predict, quantifier_occurrences,
-    tokenize, validate_derivation,
+    SearchBudget, accepting_runs, derivation_to_dict, evaluation_order_ok,
+    load_lexicon, machine_from_lexicon, parse_sentence, predict,
+    quantifier_occurrences, tokenize, validate_derivation,
 )
 from polagram.fsm import EPSILON
 

@@ -311,16 +311,20 @@ def formula_leaf_count(st: Structure) -> int:
 # ---------------------------------------------------------------------------
 # Sequents
 
+def sequent_key(antecedent: Structure, succedent: Formula) -> str:
+    """The key of ``Sequent(antecedent, succedent)``, without building it."""
+    return antecedent.key + "|-" + succedent.key
+
+
 class Sequent:
-    """An antecedent and a succedent; compared and hashed by ``key``, which
-    is the antecedent's key, ``|-`` and the succedent's key."""
+    """An antecedent and a succedent, compared and hashed by ``key``."""
 
     __slots__ = ("antecedent", "succedent", "key", "_hash")
 
     def __init__(self, antecedent: Structure, succedent: Formula):
         self.antecedent = antecedent
         self.succedent = succedent
-        self.key = antecedent.key + "|-" + succedent.key
+        self.key = sequent_key(antecedent, succedent)
         self._hash = hash(self.key)
 
     def __eq__(self, other: object) -> bool:

@@ -66,12 +66,6 @@ class PolarityMachine:
     starts: FrozenSet[PolState]
     final: PolState
 
-    def transition(self, word: str) -> Tuple[PolState, PolState]:
-        for w, src, dst in self.transitions:
-            if w == word.lower():
-                return src, dst
-        raise KeyError(word)
-
     def __contains__(self, word: str) -> bool:
         return any(w == word.lower() for w, _, _ in self.transitions)
 
@@ -157,9 +151,11 @@ def _runs(m: PolarityMachine, seq: Sequence[str], i: int,
         if state == m.final:
             runs.append(Run(states, moves))
     else:
-        src, dst = m.transition(seq[i])
-        if src == state:
-            _runs(m, seq, i + 1, states + (dst,), moves + (seq[i],), runs)
+        # a word may have several scope-taking types: try each
+        word = seq[i]
+        for w, src, dst in m.transitions:
+            if w == word and src == state:
+                _runs(m, seq, i + 1, states + (dst,), moves + (word,), runs)
     if i > 0:
         for nxt in _eps_successors(m, state):
             _runs(m, seq, i, states + (nxt,), moves + (EPSILON,), runs)

@@ -89,8 +89,9 @@ def parse_sentence(sentence: str, lex: Lexicon,
 
     Readings are deduplicated across derivations in discovery order
     (bracketings in enumeration order, then goal types, then derivations).
-    ``deadline`` caps the total wall time across all searches; on expiry the
-    remaining searches are skipped and the result is marked timed out.
+    ``deadline`` caps the total wall time of enumerating the bracketings and
+    of all searches; on expiry the remaining searches are skipped and the
+    result is marked timed out.
     A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
     derived the goal.
@@ -98,19 +99,18 @@ def parse_sentence(sentence: str, lex: Lexicon,
     if budget is None:
         budget = SearchBudget()
     tokens = tokenize(sentence, lex)
-    trees = bracketings(tokens, lex)
     derivations: List[Derivation] = []
     readings: List[Reading] = []
     exhausted = False
     timed_out = False
     stop_at = None if deadline is None else time.monotonic() + deadline
-    # one collector pause for the whole parse, rather than one per prove
-    # call with a collection between them; nothing here forms a cycle
-    # either (see prove)
+    # one collector pause for the whole parse, the enumeration of its trees
+    # included, rather than one per prove call with a collection between
+    # them; nothing here forms a cycle either (see prove)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for tree in trees:
+        for tree in bracketings(tokens, lex):
             # the goal types of one tree share their moves; the table is
             # dropped before the next tree (see MoveTable)
             table = MoveTable()

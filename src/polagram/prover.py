@@ -69,7 +69,9 @@ result as it is:
   before a ``Sequent`` is built for it.
 * Costs are small nonnegative integer pairs, so the two label-setting
   phases order their labels with bucket queues (``_BucketQueue``): only
-  the distinct cost pairs pass through a heap.
+  the distinct cost pairs pass through a heap.  In that order nothing a
+  node settled earlier has more structural steps than the label at hand,
+  so the least T settled alone decides whether that label is dominated.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -89,7 +91,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
-    formula_leaf_count, parse_formula, print_formula,
+    formula_leaf_count, parse_formula, print_formula, sequent_key,
 )
 
 Site = Tuple[int, ...]
@@ -371,37 +373,40 @@ def _axiom_move(seq: Sequent) -> Optional[Move]:
     return None
 
 
-def _right_moves(seq: Sequent) -> List[Move]:
+def _right_moves(seq: Sequent,
+                 premise: Callable[[Structure, Formula], Sequent]
+                 ) -> List[Move]:
+    """The right moves at ``seq``, with premises from ``premise``."""
     out: List[Move] = []
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
         if isinstance(ant, Bin) and ant.mode == succ.mode:
             out.append((((RuleName("ProdR", succ.mode), (), ant),),
-                        (Sequent(ant.left, succ.left),
-                         Sequent(ant.right, succ.right)), 0, 0, ()))
+                        (premise(ant.left, succ.left),
+                         premise(ant.right, succ.right)), 0, 0, ()))
     elif isinstance(succ, Over):
-        goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
+        goal = premise(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
         out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,),
                     0, 0, ()))
     elif isinstance(succ, Under):
-        goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
+        goal = premise(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
         out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
                     0, 0, ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
-            out.append((((rule, (), ant),), (Sequent(ant.body, succ.body),),
+            out.append((((rule, (), ant),), (premise(ant.body, succ.body),),
                         0, 0, ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
             out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
-                        (Sequent(ant, succ.body),), 1, 1, ()))
+                        (premise(ant, succ.body),), 1, 1, ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
-            goal = Sequent(Un(succ.mode, ant), succ.body)
+            goal = premise(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
                         (goal,), 0, 0, ()))
     return out
@@ -459,21 +464,26 @@ def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
                 ()))
 
 
-def _fused_t(out: List[AnteMove], ant: Structure, site: Site, t_site: Site,
-             rule: RuleName,
+def _quoting(out: List[AnteMove], ant: Structure, site: Site,
+             node: Structure, below: Site, rule: RuleName,
              rewrite: Callable[[Structure], Optional[Structure]]) -> None:
-    """Add the move that quotes the subtree at ``t_site``, then applies
-    ``rewrite`` at ``site``."""
-    target = subtree(ant, t_site)
+    """Add the move that applies ``rewrite`` to ``node``, the subtree at
+    ``site``, which needs a value diamond at ``below`` it: the rewrite
+    alone if one is there, else after a T that quotes that subtree."""
+    target = subtree(node, below)
+    if isinstance(target, Un) and target.mode == VALUE:
+        _plain(out, ant, site, rule, rewrite(node))
+        return
     if target.has_unit:
         # the unit only ever exists to be consumed by Root; quoting a
         # context that contains it leads nowhere
         return
-    quoted = replace(ant, t_site, Un(VALUE, target))
-    new = rewrite(subtree(quoted, site))
+    quoted = replace(node, below, Un(VALUE, target))
+    new = rewrite(quoted)
     assert new is not None
-    out.append((((T_RULE, t_site, ant), (rule, site, quoted)),
-                replace(quoted, site, new), None, 2, 1, ()))
+    out.append((((T_RULE, site + below, ant),
+                 (rule, site, replace(ant, site, quoted))),
+                replace(ant, site, new), None, 2, 1, ()))
 
 
 def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
@@ -493,27 +503,16 @@ def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
     new = _left_bwd(node)
     if new is not None:
         _plain(out, ant, site, LEFT_B, new)
-    if (isinstance(node, Bin) and node.mode == CMODE
-            and isinstance(node.left, Bin) and node.left.mode == DEFAULT):
-        if isinstance(node.left.left, Un) and node.left.left.mode == VALUE:
-            _plain(out, ant, site, RIGHT_F, _right_fwd(node))
-        else:
-            _fused_t(out, ant, site, site + (0, 0), RIGHT_F, _right_fwd)
-    if (isinstance(node, Bin) and node.mode == CMODE
-            and isinstance(node.right, Bin) and node.right.mode == DEFAULT):
-        if isinstance(node.right.right, Un) and node.right.right.mode == VALUE:
-            _plain(out, ant, site, RIGHT_B, _right_bwd(node))
-        else:
-            _fused_t(out, ant, site, site + (1, 1), RIGHT_B, _right_bwd)
+    if isinstance(node, Bin) and node.mode == CMODE:
+        if isinstance(node.left, Bin) and node.left.mode == DEFAULT:
+            _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
+        if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
+            _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
     if isinstance(node, Bin) and node.mode == DEFAULT:
-        left_dia = isinstance(node.left, Un) and node.left.mode == VALUE
-        right_dia = isinstance(node.right, Un) and node.right.mode == VALUE
-        if left_dia and right_dia:
-            _plain(out, ant, site, KPRIME, _kprime(node))
-        elif left_dia:
-            _fused_t(out, ant, site, site + (1,), KPRIME, _kprime)
-        elif right_dia:
-            _fused_t(out, ant, site, site + (0,), KPRIME, _kprime)
+        if isinstance(node.left, Un) and node.left.mode == VALUE:
+            _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
+        elif isinstance(node.right, Un) and node.right.mode == VALUE:
+            _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
         # with neither side quoted, a single T on the whole pair reaches the
         # same sequent more cheaply, via the consumer of that diamond
     new = _unquote_ante(node)
@@ -558,10 +557,11 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #
 #   1. explore: walk the graph from the goal, taking each node's moves from
 #      the move table (generated there once, possibly by an earlier call)
-#      and recording the Pareto-minimal (structural, T) path costs at which
-#      the node is reachable within budget.  The first time a node settles,
-#      its moves also go into the index phase 2 reads: each move under each
-#      of its premises, and a first label for each move with no premises;
+#      and recording the least T among the (structural, T) path costs at
+#      which the node is reachable within budget.  The first time a node
+#      settles, its moves also go into the index phase 2 reads: each move
+#      under each of its premises, and a first label for each move with no
+#      premises;
 #   2. evaluate: fix, per node and per scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first),
 #      the Pareto frontier of derivation costs, where the cost of a
@@ -577,9 +577,14 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # Phases 1 and 2 are label-setting.  Each takes its labels from a
 # ``_BucketQueue`` in nondecreasing (structural, T) order, first in first out
 # within one cost, so a label that is not dominated when it is taken is
-# final: no later label dominates it.  The order within a cost is part of
-# the result: it fixes the order of ``deps`` and of the frontiers, and so
-# the order in which phase 3 finds derivations.
+# final: no later label dominates it.  The same order makes one T decide
+# dominance: every point a node settled earlier has no more structural
+# steps than the label, so it dominates the label exactly when its T is no
+# greater, and the least T settled decides.  Phase 1 keeps just that T per
+# node; phase 2 keeps whole frontiers (increasing s, decreasing T), which
+# its combinations and phase 3 read, and tests the last point.  The order
+# within a cost is part of the result: it fixes the order of ``deps`` and
+# of the frontiers, and so the order in which phase 3 finds derivations.
 
 class _BucketQueue:
     """A monotone priority queue keyed by (structural, T) cost pairs: a
@@ -621,16 +626,6 @@ class _BucketQueue:
             del buckets[cost]
 
 
-def _pareto_add(frontier: List[Tuple[int, int]], s: int, t: int) -> bool:
-    """Insert a cost vector, keeping only minimal ones; False if dominated."""
-    for fs, ft in frontier:
-        if fs <= s and ft <= t:
-            return False
-    frontier[:] = [(fs, ft) for fs, ft in frontier if not (s <= fs and t <= ft)]
-    frontier.append((s, t))
-    return True
-
-
 def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
     """The (word, position) a rule application at ``site`` of
@@ -668,7 +663,8 @@ class MoveTable:
 
     Premises are hash-consed: every premise the moves hold is the table's
     one ``Sequent`` for its key, so a sequent that many moves lead to is
-    stored once.  Each move carries its scope trace, which depends on the
+    stored once; one the table holds is found by its key, not built
+    (``premise``).  Each move carries its scope trace, which depends on the
     move alone (see ``Move``).
     """
 
@@ -715,31 +711,30 @@ class MoveTable:
         if half is None:
             half = self.halves[ant.key] = _antecedent_moves(ant)
         left, structural = half
-        canonical = self.canonical
-        out = [(steps, tuple(map(canonical, premises)), ms, mt, trace)
-               for steps, premises, ms, mt, trace in _right_moves(seq)]
+        out = _right_moves(seq, self.premise)
         self._thread(out, succ, left)
         if (isinstance(succ, Dia) and succ.mode == UMODE
                 and not ant.has_cmode_node and ant.has_value_diamond):
             out.append((((UNQUOTE_SUCC, (), ant),),
-                        (canonical(Sequent(ant, Dia(VALUE, succ))),),
-                        1, 0, ()))
+                        (self.premise(ant, Dia(VALUE, succ)),), 1, 0, ()))
         self._thread(out, succ, structural)
         return out
+
+    def premise(self, ant: Structure, succ: Formula) -> Sequent:
+        """The table's one sequent ``ant |- succ``, looked up by its key
+        before one is built."""
+        seq = self.sequents.get(sequent_key(ant, succ))
+        return self.canonical(Sequent(ant, succ)) if seq is None else seq
 
     def _thread(self, out: List[Move], succ: Formula,
                 ante_moves: List[AnteMove]) -> None:
         """Add ``ante_moves`` under the succedent ``succ``: each keeps its
-        chain and gets its premises.  A main premise the table already
-        holds is found by its key (see ``Sequent``) without building it."""
-        canonical, sequents = self.canonical, self.sequents
-        tail = "|-" + succ.key
+        chain and gets its premises."""
+        premise, canonical = self.premise, self.canonical
         for steps, main, minor, ms, mt, trace in ante_moves:
-            premise = sequents.get(main.key + tail)
-            if premise is None:
-                premise = canonical(Sequent(main, succ))
-            out.append((steps, (premise,) if minor is None
-                        else (premise, canonical(minor)), ms, mt, trace))
+            first = premise(main, succ)
+            out.append((steps, (first,) if minor is None
+                        else (first, canonical(minor)), ms, mt, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +864,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     accumulates: a move that would take its branch past
     ``max_structural_steps`` or ``max_t_insertions`` is never taken, and
     marks the result ``budget_exhausted``.  The three phases (explore,
-    evaluate, extract) are described above ``_pareto_add``.
+    evaluate, extract) are described above ``_BucketQueue``.
 
     The premise behind "no derivation within budget" has two parts.
 
@@ -934,13 +929,13 @@ def _search(goal: Sequent, budget: SearchBudget,
 
     try:
         # phase 1: explore the reachable sequent graph, taking reach labels
-        # from the bucket queue in nondecreasing cost order, so each Pareto
-        # point of a node is settled before it propagates; a node's first
-        # label settles without a frontier to test it against
+        # from the bucket queue in nondecreasing cost order; ``reach`` keeps
+        # the least T settled per node, which decides dominance, and a
+        # node's first label settles it
         goal = table.canonical(goal)
         goal_key = goal.key
         table_moves = table.moves
-        reach: Dict[str, List[Tuple[int, int]]] = {}
+        reach: Dict[str, int] = {}
         deps: Dict[str, List[Tuple[str, Move]]] = {}
         labels, work = _BucketQueue(), _BucketQueue()
         push_label, push_work = labels.push, work.push
@@ -949,18 +944,16 @@ def _search(goal: Sequent, budget: SearchBudget,
             if timed:
                 check_deadline()
             key = seq.key
-            known = reach.get(key)
-            first_settle = known is None
-            if first_settle:
-                reach[key] = [(rs, rt)]
-            elif not _pareto_add(known, rs, rt):
+            best = reach.get(key)
+            if best is not None and best <= rt:
                 continue
+            reach[key] = rt
             moves = table_moves.get(key)
             if moves is None:
                 moves = table.moves_of(seq)
             for move in moves:
                 _steps, premises, ms, mt, _trace = move
-                if first_settle:
+                if best is None:
                     for premise in premises:
                         deps.setdefault(premise.key, []).append((key, move))
                     if not premises and ms <= cap_s and mt <= cap_t:
@@ -970,10 +963,8 @@ def _search(goal: Sequent, budget: SearchBudget,
                     exhausted = True
                     continue
                 for premise in premises:
-                    for s, t in reach.get(premise.key, ()):
-                        if s <= nrs and t <= nrt:
-                            break
-                    else:
+                    known = reach.get(premise.key)
+                    if known is None or nrt < known:
                         push_work(nrs, nrt, premise)
 
         # phase 2: fix per-node, per-trace Pareto frontiers of derivation
@@ -982,7 +973,7 @@ def _search(goal: Sequent, budget: SearchBudget,
         # longer than the node's stock of worded continuation functors, so
         # the space of labels is finite.  Labels are pushed only for
         # reached nodes and only within the caps; the table may hold more
-        # nodes, from other calls.
+        # nodes, from other calls.  A frontier's last point has its least T.
         frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
         for (s, t), (key, trace) in labels.drain():
             if timed:
@@ -994,8 +985,10 @@ def _search(goal: Sequent, budget: SearchBudget,
                 front = by_trace.get(trace)
                 if front is None:
                     by_trace[trace] = [(s, t)]
-                elif not _pareto_add(front, s, t):
+                elif front[-1][1] <= t:
                     continue
+                else:
+                    front.append((s, t))
             # combine the new label with the settled labels of the other
             # premise (if any) and push the resulting parent labels
             for parent, (_steps, premises, ms, mt, own) in deps.get(key, ()):

@@ -54,9 +54,9 @@ def brute_force_runs(machine, scope_seq):
             done.append(Run(states, moves))
         options = []
         if i < len(scope_seq):
-            src, dst = machine.transition(scope_seq[i])
-            if src == state:
-                options.append((dst, i + 1, scope_seq[i]))
+            for word, src, dst in machine.transitions:
+                if word == scope_seq[i] and src == state:
+                    options.append((dst, i + 1, word))
         if i > 0:
             for src, dst in eps:
                 if src == state:
@@ -108,7 +108,7 @@ def test_runs_are_locally_valid(machine):
                 if move == EPSILON:
                     assert (src, dst) in machine.epsilon
                 else:
-                    assert machine.transition(move) == (src, dst)
+                    assert (move, src, dst) in machine.transitions
 
 
 # -- the evaluation-order constraint ------------------------------------------
@@ -228,6 +228,37 @@ def test_prover_and_machine_agree_on_every_shape_pair():
             == {r.scope_order for r in admissible}, sentence
         assert all(validate_derivation(d) for d in result.derivations), \
             sentence
+
+
+# "anybody" has two scope-taking types, so two machine transitions: the
+# negative-polarity item, and a free-choice reading over a neutral clause
+TWO_TYPE_LEXICON = """\
+alice := np
+saw := (np \\ s0) / np
+nobody := s0 /c (np \\c s-)
+anybody := s- /c (np \\c s-)
+anybody := s0 /c (np \\c s0)
+"""
+
+
+def test_the_machine_follows_every_type_of_a_word():
+    lex = load_lexicon(TWO_TYPE_LEXICON)
+    machine = machine_from_lexicon(lex)
+    assert [(src, dst) for word, src, dst in machine.transitions
+            if word == "anybody"] == [(NEG, NEG), (NEU, NEU)]
+    for seq in (["anybody"], ["nobody", "anybody"], ["anybody", "nobody"],
+                ["anybody", "anybody"]):
+        assert set(accepting_runs(machine, seq)) \
+            == set(brute_force_runs(machine, seq)), seq
+    names = ("alice", "nobody", "anybody")
+    for sentence in [f"{a} saw {b}" for a in names for b in names]:
+        result = parse_sentence(sentence, lex)
+        assert result.verdict == GRAMMATICAL and not result.timed_out, \
+            sentence
+        admissible = predict(machine,
+                             quantifier_occurrences(result.tokens, machine))
+        assert {r.scope_order for r in result.readings} \
+            == {r.scope_order for r in admissible}, sentence
 
 
 POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",

@@ -1,11 +1,12 @@
 import gc
+import time
 
 import pytest
 
 from polagram import (
     Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, Reading, S0, SPLUS,
-    SearchBudget, bracketings, load_lexicon, parse_sentence, tokenize,
-    validate_derivation,
+    UNKNOWN, SearchBudget, bracketings, load_lexicon, parse_sentence,
+    tokenize, validate_derivation,
 )
 from polagram.core import DEFAULT
 
@@ -151,6 +152,30 @@ def test_parse_sentence_calls_prove_per_tree_and_goal(lex, monkeypatch):
     trees = bracketings(tokenize(sentence, lex), lex)
     assert len(calls) == 2 * len(trees)
     assert all(isinstance(args[1], SearchBudget) for args in calls)
+
+
+def test_the_deadline_and_the_collector_pause_cover_bracketings(
+        lex, monkeypatch):
+    # an enumeration of trees slower than the deadline leaves the parse
+    # undecided, and it runs with the collector paused
+    import polagram.parser
+    collecting = []
+    original = polagram.parser.bracketings
+
+    def slow(*args, **kwargs):
+        collecting.append(gc.isenabled())
+        time.sleep(0.2)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polagram.parser, "bracketings", slow)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        result = parse_sentence("Alice saw Bob", lex, deadline=0.1)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result.verdict == UNKNOWN and result.timed_out
+    assert collecting == [False]
 
 
 # -- the collector -------------------------------------------------------------

@@ -15,7 +15,7 @@ import gc
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
 from .lexicon import Lexicon, tokenize
@@ -54,7 +54,8 @@ class ParseResult:
 
 def bracketings(tokens: Sequence[str], lex: Lexicon) -> List[Structure]:
     """All binary surface-mode trees over the tokens, one structure per tree
-    shape and per choice of lexical type for each token."""
+    shape and per choice of lexical type for each token.  The trees of one
+    choice share their subtrees: each span's trees are built once."""
     if not tokens:
         raise ValueError("no tokens")
     leaf_choices = [
@@ -63,22 +64,26 @@ def bracketings(tokens: Sequence[str], lex: Lexicon) -> List[Structure]:
     ]
     out = []
     for leaves in product(*leaf_choices):
-        out.extend(_shapes(0, len(tokens), leaves))
+        out.extend(_shapes(0, len(tokens), leaves, {}))
     return out
 
 
-def _shapes(i: int, j: int, leaves: Sequence[Structure]) -> List[Structure]:
-    """All binary surface-mode trees over ``leaves[i:j]``.  Module-level
+def _shapes(i: int, j: int, leaves: Sequence[Structure],
+            memo: Dict[Tuple[int, int], List[Structure]]) -> List[Structure]:
+    """All binary surface-mode trees over ``leaves[i:j]``, built once per
+    span: ``memo`` keeps the trees of each span built so far.  Module-level
     rather than nested in ``bracketings``: a recursive closure refers to
     itself through its own cell, a cycle only the collector frees."""
-    if j - i == 1:
-        return [leaves[i]]
-    out: List[Structure] = []
-    for k in range(i + 1, j):
-        for left in _shapes(i, k, leaves):
-            for right in _shapes(k, j, leaves):
-                out.append(Bin(DEFAULT, left, right))
-    return out
+    trees = memo.get((i, j))
+    if trees is None:
+        if j - i == 1:
+            trees = [leaves[i]]
+        else:
+            trees = [Bin(DEFAULT, left, right) for k in range(i + 1, j)
+                     for left in _shapes(i, k, leaves, memo)
+                     for right in _shapes(k, j, leaves, memo)]
+        memo[(i, j)] = trees
+    return trees
 
 
 def parse_sentence(sentence: str, lex: Lexicon,

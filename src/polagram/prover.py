@@ -71,7 +71,8 @@ result as it is:
   phases order their labels with bucket queues (``_BucketQueue``): only
   the distinct cost pairs pass through a heap.  In that order nothing a
   node settled earlier has more structural steps than the label at hand,
-  so the least T settled alone decides whether that label is dominated.
+  so the least T settled alone decides whether that label is dominated,
+  and a label joins only the other premise's least-T point per trace.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -581,8 +582,11 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # dominance: every point a node settled earlier has no more structural
 # steps than the label, so it dominates the label exactly when its T is no
 # greater, and the least T settled decides.  Phase 1 keeps just that T per
-# node; phase 2 keeps whole frontiers (increasing s, decreasing T), which
-# its combinations and phase 3 read, and tests the last point.  The order
+# node.  Phase 2 tests a label against its frontier's last point, and
+# joins it with the other premise's last point per trace: that premise
+# settled no point with more structural steps, so the parent label takes
+# this label's s, and the least T dominates the rest.  Phase 2 keeps whole
+# frontiers (increasing s, decreasing T) for phase 3 alone.  The order
 # within a cost is part of the result: it fixes the order of ``deps`` and
 # of the frontiers, and so the order in which phase 3 finds derivations.
 
@@ -596,8 +600,8 @@ class _BucketQueue:
     (s, t) order, each in push order, including items pushed meanwhile.
     That is the order of a heap of ``(s, t, push counter, item)`` as long
     as no push costs less than the item being yielded.  Both phases of
-    ``_search`` keep to that: a pushed label costs the yielded one (or, in
-    phase 2, its maximum with another premise's label) plus a move's
+    ``_search`` keep to that: a pushed label costs the yielded one (in
+    phase 2, with its T raised to another premise's) plus a move's
     nonnegative cost.
     """
 
@@ -614,14 +618,19 @@ class _BucketQueue:
             heapq.heappush(self.live, (s, t))
         bucket.append(item)
 
-    def drain(self) -> Iterator[Tuple[Tuple[int, int], object]]:
-        """Yield ``((s, t), item)`` until the queue is empty."""
+    def drain(self, stop_at: Optional[float] = None
+              ) -> Iterator[Tuple[Tuple[int, int], object]]:
+        """Yield ``((s, t), item)`` until the queue is empty.  Raise
+        ``SearchTimeout`` instead of the next item once ``time.monotonic()``
+        reaches ``stop_at``, if one is given."""
         buckets, live = self.buckets, self.live
         while live:
             cost = heapq.heappop(live)
             # a list iterator reads the length at each step, so it also
             # yields what a cost-0 move appends to this bucket meanwhile
             for item in buckets[cost]:
+                if stop_at is not None and time.monotonic() >= stop_at:
+                    raise SearchTimeout
                 yield cost, item
             del buckets[cost]
 
@@ -847,11 +856,12 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
     Returns up to ``budget.max_derivations`` locally-valid derivations in a
     deterministic order; an empty list means no proof was found within the
-    budget.  ``deadline`` (seconds, wall clock) optionally aborts long
-    searches; an aborted search reports no derivations and an exhausted
-    budget.  No ``budget`` means ``SearchBudget()``, and a budget whose T
-    cap is unset gets the goal's formula leaves + 2, worked out here and
-    nowhere else.
+    budget.  ``deadline`` (seconds, wall clock) optionally aborts the
+    search, which reads the clock before each label settles and before each
+    extraction step; an aborted search reports no derivations and an
+    exhausted budget.  No ``budget`` means ``SearchBudget()``, and a budget
+    whose T cap is unset gets the goal's formula leaves + 2, worked out
+    here and nowhere else.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``): the result has no
@@ -917,16 +927,7 @@ def _search(goal: Sequent, budget: SearchBudget,
     if cap_t is None:
         cap_t = formula_leaf_count(goal.antecedent) + 2
     stop_at = None if deadline is None else time.monotonic() + deadline
-    timed = stop_at is not None
     exhausted = False
-    tick = [0]
-
-    def check_deadline() -> None:
-        tick[0] += 1
-        if stop_at is not None and tick[0] % 512 == 0 \
-                and time.monotonic() > stop_at:
-            raise SearchTimeout
-
     try:
         # phase 1: explore the reachable sequent graph, taking reach labels
         # from the bucket queue in nondecreasing cost order; ``reach`` keeps
@@ -936,13 +937,11 @@ def _search(goal: Sequent, budget: SearchBudget,
         goal_key = goal.key
         table_moves = table.moves
         reach: Dict[str, int] = {}
-        deps: Dict[str, List[Tuple[str, Move]]] = {}
+        deps: Dict[str, List[Tuple[str, Move, int]]] = {}
         labels, work = _BucketQueue(), _BucketQueue()
         push_label, push_work = labels.push, work.push
         push_work(0, 0, goal)
-        for (rs, rt), seq in work.drain():
-            if timed:
-                check_deadline()
+        for (rs, rt), seq in work.drain(stop_at):
             key = seq.key
             best = reach.get(key)
             if best is not None and best <= rt:
@@ -954,10 +953,11 @@ def _search(goal: Sequent, budget: SearchBudget,
             for move in moves:
                 _steps, premises, ms, mt, _trace = move
                 if best is None:
-                    for premise in premises:
-                        deps.setdefault(premise.key, []).append((key, move))
-                    if not premises and ms <= cap_s and mt <= cap_t:
-                        push_label(ms, mt, (key, ()))
+                    for slot, premise in enumerate(premises):
+                        deps.setdefault(premise.key, []).append(
+                            (key, move, slot))
+                    if not premises:  # the axiom, which costs nothing
+                        push_label(0, 0, (key, ()))
                 nrs, nrt = rs + ms, rt + mt
                 if nrs > cap_s or nrt > cap_t:
                     exhausted = True
@@ -969,15 +969,13 @@ def _search(goal: Sequent, budget: SearchBudget,
 
         # phase 2: fix per-node, per-trace Pareto frontiers of derivation
         # costs, again label-setting, from the bucket queue that phase 1
-        # seeded with the moves that have no premises.  A trace can be no
-        # longer than the node's stock of worded continuation functors, so
-        # the space of labels is finite.  Labels are pushed only for
-        # reached nodes and only within the caps; the table may hold more
-        # nodes, from other calls.  A frontier's last point has its least T.
+        # seeded with the axioms.  A trace can be no longer than the node's
+        # stock of worded continuation functors, so the space of labels is
+        # finite.  Labels are pushed only for reached nodes and only within
+        # the caps; the table may hold more nodes, from other calls.  A
+        # frontier's last point has its least T; no other point takes part.
         frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
-        for (s, t), (key, trace) in labels.drain():
-            if timed:
-                check_deadline()
+        for (s, t), (key, trace) in labels.drain(stop_at):
             by_trace = frontiers.get(key)
             if by_trace is None:
                 frontiers[key] = {trace: [(s, t)]}
@@ -989,30 +987,25 @@ def _search(goal: Sequent, budget: SearchBudget,
                     continue
                 else:
                     front.append((s, t))
-            # combine the new label with the settled labels of the other
-            # premise (if any) and push the resulting parent labels
-            for parent, (_steps, premises, ms, mt, own) in deps.get(key, ()):
-                if len(premises) == 1:
-                    ps, pt = ms + s, mt + t
-                    if ps <= cap_s and pt <= cap_t:
-                        push_label(ps, pt, (parent, own + trace))
+            for parent, (_steps, premises, ms, mt, own), slot in \
+                    deps.get(key, ()):
+                ps = ms + s
+                if ps > cap_s:
                     continue
-                pk0, pk1 = premises[0].key, premises[1].key
-                for first, pk, other in ((True, pk0, pk1),
-                                         (False, pk1, pk0)):
-                    if pk != key:
-                        continue
-                    for trace2, front2 in frontiers.get(other, {}).items():
-                        full = (own + trace + trace2) if first \
-                            else (own + trace2 + trace)
-                        for s2, t2 in front2:
-                            ps, pt = ms + max(s, s2), mt + max(t, t2)
-                            if ps <= cap_s and pt <= cap_t:
-                                push_label(ps, pt, (parent, full))
+                if len(premises) == 1:
+                    if mt + t <= cap_t:
+                        push_label(ps, mt + t, (parent, own + trace))
+                    continue
+                other = frontiers.get(premises[1 - slot].key, {})
+                for trace2, front2 in other.items():
+                    pt = mt + max(t, front2[-1][1])
+                    if pt <= cap_t:
+                        both = trace + trace2 if slot == 0 else trace2 + trace
+                        push_label(ps, pt, (parent, own + both))
 
         # phase 3: trace-guided extraction along admissible branches only;
         # every goal label lies within the caps, so every goal trace is one
-        extraction = _Extraction(table, frontiers, check_deadline)
+        extraction = _Extraction(table, frontiers, stop_at)
         goal_traces = sorted(frontiers.get(goal_key, ()),
                              key=lambda trace: (len(trace), trace))
         per_trace = [extraction.extract(goal, trace, cap_s, cap_t,
@@ -1056,11 +1049,11 @@ class _Extraction:
 
     def __init__(self, table: MoveTable,
                  frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]],
-                 check_deadline: Callable[[], None]) -> None:
+                 stop_at: Optional[float]) -> None:
         self.table = table
         self.frontiers = frontiers
-        self.check_deadline = check_deadline
-        self.path: Dict[str, int] = {}
+        self.stop_at = stop_at
+        self.path: Set[str] = set()
 
     def admissible(self, premises: Tuple[Sequent, ...],
                    parts: Tuple[Trace, ...], s_rem: int, t_rem: int) -> bool:
@@ -1073,13 +1066,14 @@ class _Extraction:
 
     def extract(self, seq: Sequent, trace: Trace, s_rem: int, t_rem: int,
                 want: int) -> List[Derivation]:
-        self.check_deadline()
+        if self.stop_at is not None and time.monotonic() >= self.stop_at:
+            raise SearchTimeout
         path = self.path
         if seq.key in path:
             return []
         admissible, extract = self.admissible, self.extract
         found: List[Derivation] = []
-        path[seq.key] = 1
+        path.add(seq.key)
         try:
             for steps, premises, ms, mt, own in self.table.moves[seq.key]:
                 if len(found) >= want:
@@ -1097,12 +1091,11 @@ class _Extraction:
                 if len(steps) > 1:
                     # a fused chain passes through intermediate sequents,
                     # which count toward the branch's no-repeat check too
-                    mids = [Sequent(mid, seq.succedent).key
-                            for _r, _s, mid in steps[1:]]
-                    if any(m in path for m in mids):
+                    mids = {sequent_key(mid, seq.succedent)
+                            for _r, _s, mid in steps[1:]}
+                    if not path.isdisjoint(mids):
                         continue
-                    for m in mids:
-                        path[m] = 1
+                    path |= mids
                 try:
                     for parts in _splits(rest, len(premises)):
                         if len(found) >= want:
@@ -1123,15 +1116,22 @@ class _Extraction:
                                 found.append(_apply_chain(seq, steps, combo))
                 finally:
                     if mids:
-                        for m in mids:
-                            del path[m]
+                        path -= mids
         finally:
-            del path[seq.key]
+            path.remove(seq.key)
         return found
 
 
 # ---------------------------------------------------------------------------
 # Independent derivation checking
+
+_STRUCTURAL_REWRITES = {
+    "Root→": _root_fwd, "Root←": _root_bwd,
+    "Left→": _left_fwd, "Left←": _left_bwd,
+    "Right→": _right_fwd, "Right←": _right_bwd,
+    "T": _t_rewrite, "K′": _kprime, "UnquoteAnte": _unquote_ante,
+}
+
 
 def _expected_premises(rule: RuleName, conclusion: Sequent,
                        site: Site) -> Optional[List[Sequent]]:
@@ -1217,12 +1217,7 @@ def _expected_premises(rule: RuleName, conclusion: Sequent,
             return [Sequent(ant, Dia(VALUE, succ))]
         return None
 
-    structural = {
-        "Root→": _root_fwd, "Root←": _root_bwd,
-        "Left→": _left_fwd, "Left←": _left_bwd,
-        "Right→": _right_fwd, "Right←": _right_bwd,
-        "T": _t_rewrite, "K′": _kprime, "UnquoteAnte": _unquote_ante,
-    }.get(tag)
+    structural = _STRUCTURAL_REWRITES.get(tag)
     if structural is not None:
         new = structural(node)
         if new is None:

@@ -182,6 +182,11 @@ def test_sequent_json_reports_timeout(capsys):
     assert blob["timed_out"] is True
     assert blob["budget_exhausted"] is True
     assert blob["derivable"] is False
+    # a search that settles only a few labels still stops at its deadline
+    code, out, _ = run(capsys, "sequent", "alice * (saw * bob)", "s0",
+                       "--time-limit", "0")
+    assert code == 3
+    assert "unknown (search timed out)" in out
 
 
 def test_sequent_syntax_error(capsys):

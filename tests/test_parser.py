@@ -1,5 +1,6 @@
 import gc
 import time
+from itertools import product
 
 import pytest
 
@@ -47,6 +48,53 @@ def test_single_token_bracketing(lex):
 def test_ambiguous_word_multiplies_bracketings(lex):
     two_typed = load_lexicon(lex.to_text() + "bank := np\nbank := pp\n")
     assert len(bracketings(["alice", "saw", "bank"], two_typed)) == 4
+
+
+def _reference_shapes(leaves):
+    """Every binary surface-mode tree over ``leaves``, each subtree built
+    afresh: the plain enumeration ``bracketings`` must agree with."""
+    if len(leaves) == 1:
+        return [leaves[0]]
+    return [Bin(DEFAULT, left, right) for k in range(1, len(leaves))
+            for left in _reference_shapes(leaves[:k])
+            for right in _reference_shapes(leaves[k:])]
+
+
+def _reference_bracketings(tokens, lex):
+    choices = [[FLeaf(f, word=tok, pos=i) for f in lex.lookup(tok)]
+               for i, tok in enumerate(tokens)]
+    return [tree for leaves in product(*choices)
+            for tree in _reference_shapes(leaves)]
+
+
+POSSESSIVE_CHAINS = ["Alice" + "'s mother" * n + " saw Bob" for n in range(6)]
+
+
+@pytest.mark.parametrize("sentence", POSSESSIVE_CHAINS + ["Alice saw bank"])
+def test_bracketings_match_the_plain_enumeration(lex, sentence):
+    two_typed = load_lexicon(lex.to_text() + "bank := np\nbank := pp\n")
+    tokens = tokenize(sentence, two_typed)
+    assert [tree.key for tree in bracketings(tokens, two_typed)] == \
+        [tree.key for tree in _reference_bracketings(tokens, two_typed)]
+
+
+def _subtrees(st):
+    yield st
+    if isinstance(st, Bin):
+        yield from _subtrees(st.left)
+        yield from _subtrees(st.right)
+
+
+def test_bracketings_share_subtrees(lex):
+    # every word has one type here, so all trees come from one choice of
+    # leaves, and a span's trees are built once for all of them
+    tokens = tokenize(POSSESSIVE_CHAINS[3], lex)
+    trees = bracketings(tokens, lex)
+    assert len(trees) == _catalan(len(tokens) - 1)
+    by_key = {}
+    for tree in trees:
+        for node in _subtrees(tree):
+            assert by_key.setdefault(node.key, node) is node
 
 
 def test_licensing_sentence(parsed):

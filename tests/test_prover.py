@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polagram import (
-    Bin, Derivation, FLeaf, GOAL_TYPES, RuleName, SearchBudget, Sequent, Un,
-    NP, S0, SPLUS, SMINUS,
+    Atom, Bin, Derivation, FLeaf, GOAL_TYPES, RuleName, SearchBudget, Sequent,
+    Un, NP, S0, SPLUS, SMINUS,
     derivation_from_dict, derivation_to_dict,
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
@@ -562,6 +562,77 @@ def test_timeout_reports_exhaustion(lex):
     result = prove(goal, deadline=0.0)
     assert result.timed_out and result.budget_exhausted
     assert not result.derivations
+
+
+def test_a_short_search_reads_its_deadline(lex):
+    # the clock is read before every label, so a search that settles only a
+    # few labels stops at once too
+    result = prove(seq("alice * (saw * bob)", "s0", lex), deadline=0.0)
+    assert result.timed_out and not result.derivations
+
+
+# -- phase 2 over a hand-filled move table ------------------------------------
+
+# A -> X1 at (1, 2) and A -> X2 at (2, 1), both firing ("a", 0); B -> Y at
+# (3, 0), firing ("b", 1); X1, X2 and Y are axioms.  When B's label (3, 0)
+# settles, A's frontier holds (1, 2) and (2, 1): a frontier with two points,
+# which no search over the default lexicon has been seen to combine with.
+BELOW_A_AND_B = [("A", ("X1",), 1, 2, (("a", 0),)),
+                 ("A", ("X2",), 2, 1, (("a", 0),)),
+                 ("B", ("Y",), 3, 0, (("b", 1),)),
+                 ("X1", (), 0, 0, ()), ("X2", (), 0, 0, ()),
+                 ("Y", (), 0, 0, ())]
+
+
+def _hand_search(moves, caps):
+    """``_search`` from "goal" over a move table filled by hand with
+    ``moves``, each (node, premise nodes, s, t, trace) and one step long;
+    the axiom leaves of each derivation found, and whether it was cut."""
+    table = MoveTable()
+    node = {name: table.canonical(Sequent(FLeaf(Atom(name)), Atom(name)))
+            for at, premises, *_rest in moves for name in (at,) + premises}
+    for at, premises, s, t, trace in moves:
+        step = ((RuleName("Step" if premises else "Axiom"), (),
+                 node[at].antecedent),)
+        table.moves.setdefault(node[at].key, []).append(
+            (step, tuple(node[p] for p in premises), s, t, trace))
+    result = _search(node["goal"], SearchBudget(*caps), None, table)
+    return [_axioms(d) for d in result.derivations], result.budget_exhausted
+
+
+def _axioms(d):
+    """The names of the axiom leaves of ``d``, left to right."""
+    if not d.premises:
+        return [d.conclusion.succedent.name]
+    return [name for p in d.premises for name in _axioms(p)]
+
+
+@pytest.mark.parametrize("goal_first", [True, False])
+@pytest.mark.parametrize("caps,derived,cut", [
+    ((3, 2), [["X1", "Y"], ["X2", "Y"]], False),
+    ((3, 1), [["X2", "Y"]], True),
+])
+def test_phase_two_combines_with_the_least_t_point(goal_first, caps,
+                                                   derived, cut):
+    # goal -> (A, B) at (0, 0): the goal's one label is (3, 1), from A's
+    # last point; extraction then admits every A label within the caps
+    pair = ("A", "B") if goal_first else ("B", "A")
+    found = _hand_search([("goal", pair, 0, 0, ())] + BELOW_A_AND_B, caps)
+    assert found == ([names if goal_first else names[::-1]
+                      for names in derived], cut)
+
+
+def test_a_costlier_route_admits_the_least_t_join():
+    # P -> (A, B) is reached at (0, 0) through Q, so phase 1 is not cut,
+    # and at (0, 1) by goal -> P directly.  That route leaves (3, 1) of the
+    # caps to P, which admits P's label (3, 1) but would not admit the (3, 2)
+    # that A's first point gives
+    found = _hand_search([("goal", ("P",), 0, 1, ()),
+                          ("goal", ("Q",), 0, 0, ()),
+                          ("Q", ("P",), 0, 0, ()),
+                          ("P", ("A", "B"), 0, 0, ())] + BELOW_A_AND_B,
+                         (3, 2))
+    assert found == ([["X2", "Y"], ["X1", "Y"], ["X2", "Y"]], False)
 
 
 # -- the collector and the shared move table ---------------------------------

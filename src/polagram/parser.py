@@ -138,6 +138,9 @@ def parse_sentence(sentence: str, lex: Lexicon,
             if timed_out:
                 break
     finally:
+        # release the last tree's table first: alive, it would be scanned
+        # whole by the first collection the allocations after enable() set off
+        table = None
         if collecting:
             gc.enable()
     verdict = GRAMMATICAL if derivations \

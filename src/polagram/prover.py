@@ -29,7 +29,7 @@ The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
 and the moves offered follow that normal form, which keeps the reachable
 sequent graph finite and small (details at the move generator and in
-``prove``).  Three economies matter, all invisible in the derivations
+``prove``).  Four economies matter, all invisible in the derivations
 returned, which always consist of single honest rule applications:
 
 * T is never applied blindly; it is fused into the moves that consume the
@@ -42,6 +42,11 @@ returned, which always consist of single honest rule applications:
 * Surface-mode logic, diamond merging and succedent decomposition wait until
   the antecedent is continuation-free; while a context is live only the
   spine moves run.
+* The succedent-side Unquote is offered only at a quoted root, an
+  antecedent that is itself a value diamond, which the value-diamond
+  introduction consumes at once.  Anywhere else the steps between the
+  Unquote and that consumer read the antecedent alone, so they can come
+  first (the argument is in ``prove``).
 
 Rather than a memoized depth-first search (per-branch budgets make the same
 subgoal recur under countless different remaining budgets), ``prove``
@@ -171,10 +176,15 @@ class Derivation:
     premises: Tuple["Derivation", ...] = ()
     site: Site = ()
 
-    def walk(self):
-        yield self
-        for p in self.premises:
-            yield from p.walk()
+    def walk(self) -> Iterator["Derivation"]:
+        """Every node of the derivation in preorder: a node, then each of
+        its premises' subtrees left to right.  One explicit stack rather
+        than nested generators, whose every yield passes up the chain."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))
 
     def render(self, indent: int = 0) -> str:
         lines = ["%s%s   [%s]" % ("  " * indent, self.conclusion,
@@ -707,7 +717,9 @@ class MoveTable:
         collapses of c-mode functors.  Everything else waits for a
         continuation-free antecedent.  Root introduces its unit only where
         a c-mode functor can consume the context, and the succedent-side
-        Unquote only where a value diamond can cancel the new diamond.
+        Unquote only at a quoted root: an antecedent that is itself a value
+        diamond, so that the diamond introduction cancels the new diamond
+        at once (``prove`` says why that loses nothing).
         """
         axiom = _axiom_move(seq)
         if axiom is not None:
@@ -723,7 +735,8 @@ class MoveTable:
         out = _right_moves(seq, self.premise)
         self._thread(out, succ, left)
         if (isinstance(succ, Dia) and succ.mode == UMODE
-                and not ant.has_cmode_node and ant.has_value_diamond):
+                and not ant.has_cmode_node
+                and isinstance(ant, Un) and ant.mode == VALUE):
             out.append((((UNQUOTE_SUCC, (), ant),),
                         (self.premise(ant, Dia(VALUE, succ)),), 1, 0, ()))
         self._thread(out, succ, structural)
@@ -876,12 +889,31 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     marks the result ``budget_exhausted``.  The three phases (explore,
     evaluate, extract) are described above ``_BucketQueue``.
 
-    The premise behind "no derivation within budget" has two parts.
+    The premise behind "no derivation within budget" has three parts.
 
     * Normal form, a claim not proved here: a derivation within the budget
       has one of the same scope trace and budget in the normal form the
       move table offers (T fused into its consumers, Root at the root,
       surface moves last; see the module docstring).
+    * The succedent-side Unquote at a quoted root, argued.  The table
+      offers the premise ``Γ ⊢ ◇v ◇u X`` of ``Γ ⊢ ◇u X`` only when ``Γ`` is
+      itself a value diamond, which ``DiaR(v)`` then takes off.  Take a
+      derivation that unquotes at another continuation-free ``Γ``.  Above
+      that step its main branch keeps the succedent ``◇v ◇u X`` through
+      left and structural steps up to the right rule that removes the
+      ``◇v`` (``DiaR(v)`` or the fused ``T+DiaR``, the only right rules
+      such a succedent has).  Those steps read the antecedent alone, so
+      each is a move under ``◇u X`` too, unless that sequent is an axiom,
+      which closes the branch with the same trace: a derivation over one
+      leaf fires nothing.  Move the Unquote up past them.  If the consumer
+      is ``DiaR(v)``, the Unquote now stands at a quoted root; if it is
+      ``T+DiaR``, the two cancel and both go.  The scope trace is the
+      same, the main branch costs no more, and each side premise of the
+      moved steps loses the Unquote's (1, 0) from its path.  From a
+      continuation-free antecedent only Root, at the root, and the
+      unfolding of a c-mode product make a c-mode node, so without c-mode
+      products in the lexicon the quoted root is continuation-free as the
+      gate asks; a lexicon with one is not covered.
     * No repeats: no sequent recurs on a branch of an extracted
       derivation, fused-chain midpoints included.  Going up a branch, a
       worded leaf is only consumed or handed to a side premise, never

@@ -268,7 +268,7 @@ POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
 # line with its verdict and flags, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 POSSESSIVE_FRAME_SHA256 = \
-    "a3226db0857682c1708d5dd99c7e182b6f27ae06a8a73669699719dee9e6abe3"
+    "58f005cada78141914bfe97425e5a7bd22910a0b105b1138b782131456fb4370"
 
 
 def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):

@@ -268,3 +268,38 @@ def test_parse_sentence_leaves_no_cyclic_garbage(lex, sentence):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_no_move_table_outlives_the_collector_pause(lex, monkeypatch):
+    # the collector is back on only once the last tree's table is gone, so
+    # no collection ever scans a table; a threshold of 1 sets one off at
+    # nearly every allocation the parse makes with the collector on
+    import polagram.parser
+    live = [0]
+
+    class CountedTable(polagram.parser.MoveTable):
+        def __init__(self):
+            super().__init__()
+            live[0] += 1
+
+        def __del__(self):
+            live[0] -= 1
+
+    def record(phase, info):
+        if phase == "start":
+            at_start.append(live[0])
+
+    monkeypatch.setattr(polagram.parser, "MoveTable", CountedTable)
+    at_start = []
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1)
+    gc.callbacks.append(record)
+    try:
+        parse_sentence("Nobody saw anybody", lex)
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+    assert at_start and not any(at_start)
+    assert live == [0]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polagram import (
-    Atom, Bin, Derivation, FLeaf, GOAL_TYPES, RuleName, SearchBudget, Sequent,
-    Un, NP, S0, SPLUS, SMINUS,
-    derivation_from_dict, derivation_to_dict,
+    Atom, Bin, Derivation, Dia, FLeaf, GOAL_TYPES, RuleName, SearchBudget,
+    Sequent, Un, NP, S0, SPLUS, SMINUS, UMODE, VALUE,
+    derivation_from_dict, derivation_to_dict, extract_reading,
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
 )
@@ -525,7 +525,7 @@ def test_max_derivations_cap(lex):
 # search: per result one line with its verdict and flags, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 CUT_BUDGET_SHA256 = \
-    "034e6150b95aa687d44b2946580114e8eb04ebf2c07c8098429f8a7b94f8915b"
+    "79b0ba7c7da6cda3e517ac07bfe4b41ea1b072104040748307caedbe89c84511"
 
 
 def test_extraction_under_cut_budgets(lex):
@@ -679,8 +679,8 @@ def test_prove_restores_the_collector_state(lex, enabled, deadline):
 
 GRID_WORDS = ("alice", "bob", "a man", "nobody", "anybody", "somebody",
               "everybody")
-SHARING_SENTENCES = [f"{a} saw {b}" for a in GRID_WORDS
-                     for b in GRID_WORDS] + ["Alice saw a man's mother"]
+GRID = [f"{a} saw {b}" for a in GRID_WORDS for b in GRID_WORDS]
+SHARING_SENTENCES = GRID + ["Alice saw a man's mother"]
 
 
 def _proofs(result):
@@ -750,7 +750,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.moves)
             antecedents += len(table.halves)
-    assert antecedents < expanded / 2
+    assert (expanded, antecedents) == (38018, 22757)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -760,8 +760,83 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     table = MoveTable()
     for goal_type in GOAL_TYPES:
         prove(Sequent(tree, goal_type), table=table)
-    assert len(table.moves) == 13830
+    assert len(table.moves) == 9362
     assert len(table.halves) == 5389
+
+
+# -- the succedent-side Unquote at a quoted root ------------------------------
+
+class AnywhereUnquoteTable(MoveTable):
+    """The move table with the succedent-side Unquote also offered where
+    the antecedent holds a value diamond anywhere but at its root, in the
+    place the move had among the others.  ``extra`` counts the sequents
+    it offered one at."""
+
+    def __init__(self):
+        super().__init__()
+        self.extra = 0
+
+    def _assemble(self, seq):
+        out = super()._assemble(seq)
+        ant, succ = seq.antecedent, seq.succedent
+        if (isinstance(succ, Dia) and succ.mode == UMODE
+                and not ant.has_cmode_node and ant.has_value_diamond
+                and not (isinstance(ant, Un) and ant.mode == VALUE)):
+            # no axiom applies to an antecedent with a structural diamond,
+            # so the structural half ends the list
+            at = len(out) - len(self.halves[ant.key][1])
+            self.extra += 1
+            out.insert(at, (((UNQUOTE_SUCC, (), ant),),
+                            (self.premise(ant, Dia(VALUE, succ)),), 1, 0, ()))
+        return out
+
+
+def _goal_traces(monkeypatch, goal, budget, table):
+    """The result of ``prove`` and the scope traces its phase 2 found for
+    the goal, read off the frontiers the extraction is given."""
+    import polagram.prover
+    seen = []
+
+    class Recording(polagram.prover._Extraction):
+        def __init__(self, table, frontiers, stop_at):
+            super().__init__(table, frontiers, stop_at)
+            seen.append(frontiers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polagram.prover, "_Extraction", Recording)
+        result = prove(goal, budget, table=table)
+    return result, set(seen[0].get(goal.key, ())) if seen else set()
+
+
+# the slice, fixed before it was run: the grid and both possessives at the
+# default budget, and the grid with no practical cap
+UNQUOTE_ORACLE_SLICE = [
+    (sentence, SearchBudget()) for sentence in GRID + POSSESSIVES] + [
+    (sentence, SearchBudget(10**6, 10**6)) for sentence in GRID]
+
+
+def test_unquote_at_a_quoted_root_loses_nothing(lex, monkeypatch):
+    # against a table that also offers the Unquote everywhere it used to,
+    # every (tree, goal) search finds the same readings and goal traces and
+    # is cut alike; each table is shared by the goals of its tree
+    extra = 0
+    for sentence, budget in UNQUOTE_ORACLE_SLICE:
+        for tree in bracketings(tokenize(sentence, lex), lex):
+            table, oracle = MoveTable(), AnywhereUnquoteTable()
+            for goal_type in GOAL_TYPES:
+                goal = Sequent(tree, goal_type)
+                got, traces = _goal_traces(monkeypatch, goal, budget, table)
+                want, want_traces = _goal_traces(monkeypatch, goal, budget,
+                                                 oracle)
+                assert traces == want_traces, (sentence, str(goal))
+                assert ({extract_reading(d) for d in got.derivations}
+                        == {extract_reading(d) for d in want.derivations}), \
+                    (sentence, str(goal))
+                assert got.budget_exhausted == want.budget_exhausted, \
+                    (sentence, str(goal))
+                assert all(validate_derivation(d) for d in got.derivations)
+            extra += oracle.extra
+    assert extra
 
 
 # -- the skeleton check -------------------------------------------------------
@@ -839,3 +914,23 @@ def test_derivation_round_trip(lex):
         again = derivation_from_dict(json.loads(blob))
         assert validate_derivation(again)
         assert again.render() == d.render()
+
+
+def _recursive_walk(d):
+    yield d
+    for p in d.premises:
+        yield from _recursive_walk(p)
+
+
+def test_walk_is_the_recursive_preorder(parsed):
+    # the same nodes, the very objects, in the same order as a recursive
+    # preorder, over every derivation of the built-in corpus
+    from polagram.cli import BUILTIN_CORPUS
+    nodes = 0
+    for line in BUILTIN_CORPUS:
+        for d in parsed(line.sentence).derivations:
+            walked = list(d.walk())
+            reference = list(_recursive_walk(d))
+            assert [id(n) for n in walked] == [id(n) for n in reference]
+            nodes += len(walked)
+    assert nodes > 1000

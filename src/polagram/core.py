@@ -26,10 +26,15 @@ Concrete syntax (EBNF)::
 the three clause types ``<u>s``, ``<u>[p]<p>s`` and ``[p]<p><u>s``.  Text
 nested more than ``MAX_DEPTH`` levels deep is a syntax error.
 
-The same grammar doubles as structure syntax: ``*`` builds structural nodes,
-``<>`` builds structural diamonds, ``1`` is the structural unit, and an
-identifier is either a lexicon word (when a lexicon is supplied) or an atomic
-formula leaf.  A parenthesised slash expression denotes a single formula leaf.
+The same grammar doubles as structure syntax: structure text is parsed as a
+formula and read off its tree.  ``*`` and ``*c`` build structural nodes,
+``<>``, ``<u>`` and ``<p>`` structural diamonds, ``1`` the structural unit,
+and an identifier naming a lexicon word (when a lexicon is supplied) that
+word's leaf.  Anything else is a single formula leaf: a slash expression, a
+box-down (``[]``, ``[u]`` or ``[p]``), the abbreviations ``s0``, ``s+`` and
+``s-``, and any other identifier.  So ``s0`` is a leaf while ``<u>s`` is a
+structural diamond over the leaf ``s``.  The lexicon is consulted before the
+abbreviations, so a word spelled ``s0`` reads as the word.
 
 Equality on formulas is structural.  Equality on structures and sequents is
 structural too and includes the word and position labels on leaves, which
@@ -38,6 +43,7 @@ readings are read off; the prover's tables and the validator compare them.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Iterator, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -205,22 +211,21 @@ class Structure:
     the word and position labels on its leaves; two structures are equal
     iff their keys are equal.
 
-    Four flags say what the tree contains, so that no caller needs to read
+    Three flags say what the tree contains, so that no caller needs to read
     the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
-    unit leaf), ``has_value_diamond`` (a value-mode structural diamond) and
-    ``has_cmode_formula`` (a leaf formula with a c-mode connective).
+    unit leaf) and ``has_cmode_formula`` (a leaf formula with a c-mode
+    connective).
     """
 
     __slots__ = ("key", "_hash", "has_cmode_node", "has_unit",
-                 "has_value_diamond", "has_cmode_formula")
+                 "has_cmode_formula")
 
     def _finish(self, key: str, cmode_node: bool, unit: bool,
-                value_diamond: bool, cmode_formula: bool) -> None:
+                cmode_formula: bool) -> None:
         self.key = key
         self._hash = hash(key)
         self.has_cmode_node = cmode_node
         self.has_unit = unit
-        self.has_value_diamond = value_diamond
         self.has_cmode_formula = cmode_formula
 
     def __eq__(self, other: object) -> bool:
@@ -250,14 +255,14 @@ class FLeaf(Structure):
         self.pos = pos
         key = "F" + formula.key if word is None and pos is None \
             else f"F[{word}@{pos}]{formula.key}"
-        self._finish(key, False, False, False, formula.has_cmode)
+        self._finish(key, False, False, formula.has_cmode)
 
 
 class UnitLeaf(Structure):
     __slots__ = ()
 
     def __init__(self):
-        self._finish("!", False, True, False, False)
+        self._finish("!", False, True, False)
 
 
 class Bin(Structure):
@@ -273,7 +278,6 @@ class Bin(Structure):
                      mode == CMODE or left.has_cmode_node
                      or right.has_cmode_node,
                      left.has_unit or right.has_unit,
-                     left.has_value_diamond or right.has_value_diamond,
                      left.has_cmode_formula or right.has_cmode_formula)
 
 
@@ -286,8 +290,7 @@ class Un(Structure):
         self.mode = mode
         self.body = body
         self._finish(f"U{mode}({body.key})", body.has_cmode_node,
-                     body.has_unit, mode == VALUE or body.has_value_diamond,
-                     body.has_cmode_formula)
+                     body.has_unit, body.has_cmode_formula)
 
 
 UNIT_LEAF = UnitLeaf()
@@ -433,17 +436,14 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """A recursive-descent parser.  Each ``_f_*`` and ``_s_*`` method
-    returns what it parsed with its nesting depth (see ``MAX_DEPTH``);
-    ``opened`` counts the parentheses and prefixes around the next token,
-    so the parser's own recursion stops at the limit too."""
+    """A recursive-descent parser.  Each ``_f_*`` method returns what it
+    parsed with its nesting depth (see ``MAX_DEPTH``); ``opened`` counts
+    the parentheses and prefixes around the next token, so the parser's
+    own recursion stops at the limit too."""
 
-    def __init__(self, text: str, lexicon=None):
-        self.text = text
+    def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
-        self.lexicon = lexicon
-        self.leaf_counter = 0
         self.opened = 0
 
     def peek(self):
@@ -538,64 +538,6 @@ class _Parser:
             return ABBREVIATIONS.get(payload) or Atom(payload), 0
         raise SyntaxErrorWithPos(f"unexpected {payload!r}", pos)
 
-    # -- structures --------------------------------------------------------
-
-    def structure(self) -> Structure:
-        st, _depth = self._s_expr()
-        tok = self.peek()
-        if tok[0] != _T_EOF:
-            raise SyntaxErrorWithPos(f"unexpected {tok[1]!r}", tok[2])
-        return st
-
-    def _s_expr(self) -> Tuple[Structure, int]:
-        # A slash at this level means the whole expression is a formula leaf.
-        start, first_leaf = self.i, self.leaf_counter
-        parsed = self._s_prod()
-        if self.peek()[0] == _T_SLASH:
-            self.i, self.leaf_counter = start, first_leaf
-            formula, depth = self._f_slash()
-            return self._leaf(formula), depth
-        return parsed
-
-    def _s_prod(self) -> Tuple[Structure, int]:
-        acc, depth = self._s_unary()
-        while self.peek()[0] == _T_STAR:
-            tok = self.next()
-            right, right_depth = self._s_unary()
-            depth = self._check(max(depth, right_depth) + 1, tok[2])
-            acc = Bin(_slash_mode(tok[1]), acc, right)
-        return acc, depth
-
-    def _s_unary(self) -> Tuple[Structure, int]:
-        kind, payload, pos = self.next()
-        if kind == _T_DIA:
-            body, depth = self._nested(pos, self._s_unary)
-            return Un(payload, body), depth
-        if kind == _T_BOX:
-            # box-down has no structural form: parse a formula leaf
-            self.i -= 1
-            formula, depth = self._f_unary()
-            return self._leaf(formula), depth
-        if kind == _T_ONE:
-            return UNIT_LEAF, 0
-        if kind == _T_LPAR:
-            parsed = self._nested(pos, self._s_expr)
-            self.expect(_T_RPAR)
-            return parsed
-        if kind == _T_IDENT:
-            if self.lexicon is not None:
-                word = payload if payload in self.lexicon else payload.replace("_", " ")
-                if word in self.lexicon:
-                    types = self.lexicon.lookup(word)
-                    return self._leaf(types[0], word=word), 0
-            return self._leaf(ABBREVIATIONS.get(payload) or Atom(payload)), 0
-        raise SyntaxErrorWithPos(f"unexpected {payload!r}", pos)
-
-    def _leaf(self, formula: Formula, word: Optional[str] = None) -> FLeaf:
-        leaf = FLeaf(formula, word=word, pos=self.leaf_counter)
-        self.leaf_counter += 1
-        return leaf
-
 
 def parse_formula(text: str) -> Formula:
     """Parse the ASCII syntax into a Formula.
@@ -606,16 +548,45 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).formula()
 
 
+def _read_structure(f: Formula, lexicon, positions: Iterator[int]) -> Structure:
+    """The structure that structure text reads as, from its formula tree
+    ``f``; ``positions`` numbers the leaves left to right."""
+    # The clause-type abbreviations are leaves, but a diamond written out,
+    # like ``<u>s``, is structural.  ``_f_unary`` hands out this module's own
+    # abbreviation objects, so identity tells the two apart.  A lexicon word
+    # spelled like an abbreviation reads as the word, so the abbreviation's
+    # name is looked up first.
+    abbreviation = any(f is a for a in ABBREVIATIONS.values())
+    if isinstance(f, Product):
+        return Bin(f.mode, _read_structure(f.left, lexicon, positions),
+                   _read_structure(f.right, lexicon, positions))
+    if isinstance(f, Dia) and not abbreviation:
+        return Un(f.mode, _read_structure(f.body, lexicon, positions))
+    if isinstance(f, Unit):
+        return UNIT_LEAF
+    if lexicon is not None and (abbreviation or isinstance(f, Atom)):
+        name = _ABBREV_BY_KEY[f.key] if abbreviation else f.name
+        word = name if name in lexicon else name.replace("_", " ")
+        if word in lexicon:
+            return FLeaf(lexicon.lookup(word)[0], word=word, pos=next(positions))
+    return FLeaf(f, pos=next(positions))
+
+
 def parse_structure(text: str, lexicon=None) -> Structure:
     """Parse the ASCII syntax into an antecedent Structure.
 
-    With a lexicon, identifiers naming lexical entries become word-labelled
-    formula leaves (underscores may stand in for spaces in multiword entries);
-    other identifiers are atomic formula leaves.  Leaves are numbered left to
-    right so that scope readings extracted from hand-entered sequents carry
-    positions.
+    The text is parsed as a formula and read as a structure: a product is a
+    structural node of its mode, a diamond a structural diamond and ``1``
+    the structural unit.  With a lexicon, an identifier naming a lexical
+    entry is that word's leaf with its first type (underscores may stand in
+    for spaces in multiword entries); the lexicon is consulted first, so a
+    word spelled ``s0`` reads as the word.  Anything else -- a slash, a
+    box-down, a clause-type abbreviation, any other identifier -- is one
+    formula leaf, so ``s0`` is a leaf where ``<u>s`` is a structural diamond
+    over the leaf ``s``.  Leaves are numbered left to right so that scope
+    readings extracted from hand-entered sequents carry positions.
     """
-    return _Parser(text, lexicon=lexicon).structure()
+    return _read_structure(_Parser(text).formula(), lexicon, count())
 
 
 def parse_sequent(text: str, lexicon=None) -> Sequent:

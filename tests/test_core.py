@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,7 @@ from polagram import (
     Atom, Bin, BoxDown, Dia, FLeaf, Over, Product, Sequent, Un, Under,
     UNIT, UNIT_LEAF, NP, S, S0, SPLUS, SMINUS,
     CMODE, DEFAULT, PMODE, UMODE, VALUE,
-    SyntaxErrorWithPos, parse_formula, parse_sequent,
+    SyntaxErrorWithPos, load_lexicon, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
 from polagram.prover import structure_to_dict
@@ -134,7 +136,6 @@ def test_structure_flags_match_key_probes(s):
     # the key substrings the flags replace, kept here as their oracle
     assert s.has_cmode_node == ("Bc(" in s.key)
     assert s.has_unit == ("!" in s.key)
-    assert s.has_value_diamond == ("U(" in s.key)
     assert s.has_cmode_formula == _has_cmode_connective(s.key)
 
 
@@ -179,6 +180,86 @@ def test_structure_print_round_trip(lex):
         st_ = parse_structure(text, lex)
         again = parse_structure(print_structure(st_), lex)
         assert again == st_
+
+
+# -- reading structure text off the formula tree -----------------------------
+
+# no word here is spelled like an abbreviation: the printer could not tell
+# such a word from the unworded leaf
+_ROUND_TRIP_LEXICON = load_lexicon(
+    "alice := np\nsaw := (np \\ s0) / np\na man := s0 /c (np \\c s0)\n")
+
+
+def _printable_leaves():
+    bmode = st.sampled_from([DEFAULT, CMODE])
+    umode = st.sampled_from([VALUE, UMODE, PMODE])
+    sub = _formulas(1)
+    unworded = st.one_of(
+        st.sampled_from(["np", "s", "pp"]).map(Atom),
+        st.builds(Over, bmode, sub, sub),
+        st.builds(Under, bmode, sub, sub),
+        st.builds(BoxDown, umode, sub),
+        st.sampled_from([S0, SPLUS, SMINUS]))
+    worded = st.sampled_from(_ROUND_TRIP_LEXICON.words()).map(
+        lambda word: FLeaf(_ROUND_TRIP_LEXICON.lookup(word)[0], word=word))
+    return st.one_of(unworded.map(FLeaf), worded, st.just(UNIT_LEAF))
+
+
+def _printable_structures(depth):
+    if depth == 0:
+        return _printable_leaves()
+    sub = _printable_structures(depth - 1)
+    return st.one_of(
+        _printable_leaves(),
+        st.builds(Bin, st.sampled_from([DEFAULT, CMODE]), sub, sub),
+        st.builds(Un, st.sampled_from([VALUE, UMODE, PMODE]), sub))
+
+
+def _numbered(s, positions):
+    """``s`` with its formula leaves numbered left to right."""
+    if isinstance(s, Bin):
+        return Bin(s.mode, _numbered(s.left, positions),
+                   _numbered(s.right, positions))
+    if isinstance(s, Un):
+        return Un(s.mode, _numbered(s.body, positions))
+    if isinstance(s, FLeaf):
+        return FLeaf(s.formula, s.word, next(positions))
+    return s
+
+
+@given(_printable_structures(3).map(lambda s: _numbered(s, count())))
+def test_structure_text_round_trip(s):
+    assert parse_structure(print_structure(s), _ROUND_TRIP_LEXICON) == s
+
+
+_A, _B, _C = Atom("a"), Atom("b"), Atom("c")
+_SAW = parse_formula("(np \\ s0) / np")
+
+_READINGS = [
+    # a written-out diamond is structural, an abbreviation is one leaf
+    ("<u>s", None, Un(UMODE, FLeaf(S, pos=0))),
+    ("s0", None, FLeaf(S0, pos=0)),
+    ("<u>s0", None, Un(UMODE, FLeaf(S0, pos=0))),
+    ("<u>[p]<p>s", None,
+     Un(UMODE, FLeaf(BoxDown(PMODE, Dia(PMODE, S)), pos=0))),
+    # a box-down binds tighter than the product and is one leaf
+    ("[]a * b", None,
+     Bin(DEFAULT, FLeaf(BoxDown(VALUE, _A), pos=0), FLeaf(_B, pos=1))),
+    # a slash at the top makes the whole text one leaf
+    ("<> a / b * c", None,
+     FLeaf(Over(DEFAULT, Dia(VALUE, _A), Product(DEFAULT, _B, _C)), pos=0)),
+    # the lexicon is consulted before the abbreviations
+    ("s0 * saw", "s0 := np\nsaw := (np \\ s0) / np\n",
+     Bin(DEFAULT, FLeaf(NP, word="s0", pos=0),
+         FLeaf(_SAW, word="saw", pos=1))),
+]
+
+
+@pytest.mark.parametrize("text, lexicon_text, expected", _READINGS,
+                         ids=[text for text, _, _ in _READINGS])
+def test_structure_text_reading(text, lexicon_text, expected):
+    lexicon = load_lexicon(lexicon_text) if lexicon_text else None
+    assert parse_structure(text, lexicon) == expected
 
 
 def test_word_labels_are_part_of_the_key():

@@ -766,6 +766,11 @@ def test_one_antecedent_half_serves_every_succedent(lex):
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
 
+def _has_value_diamond(ant):
+    """Whether the antecedent holds a value-mode structural diamond."""
+    return "U(" in ant.key
+
+
 class AnywhereUnquoteTable(MoveTable):
     """The move table with the succedent-side Unquote also offered where
     the antecedent holds a value diamond anywhere but at its root, in the
@@ -780,7 +785,7 @@ class AnywhereUnquoteTable(MoveTable):
         out = super()._assemble(seq)
         ant, succ = seq.antecedent, seq.succedent
         if (isinstance(succ, Dia) and succ.mode == UMODE
-                and not ant.has_cmode_node and ant.has_value_diamond
+                and not ant.has_cmode_node and _has_value_diamond(ant)
                 and not (isinstance(ant, Un) and ant.mode == VALUE)):
             # no axiom applies to an antecedent with a structural diamond,
             # so the structural half ends the list

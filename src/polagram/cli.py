@@ -97,8 +97,8 @@ def _add_prover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-budget", type=int, metavar="N",
                    help="T insertions per branch (default: leaves + 2)")
     p.add_argument("--max-derivations", type=int, metavar="N",
-                   help="derivation cap (default "
-                   f"{SearchBudget.max_derivations})")
+                   help="scope readings per goal, one derivation each "
+                   f"(default {SearchBudget.max_derivations})")
     p.add_argument("--time-limit", type=float, metavar="SECONDS",
                    help="abort search after this much wall time")
 

@@ -16,14 +16,15 @@ The rule set has three layers:
   either side of the turnstile).
 
 Backward search applies each of these as an antecedent (or succedent)
-rewrite.  Termination is enforced by a per-branch budget: a cap on structural
-postulate applications, a separate cap on T insertions (the only
-size-increasing rewrite), a cap on the number of derivations returned, plus a
-per-branch repeated-sequent check.  An empty result therefore means "not
-derivable within budget", and the result carries a flag saying whether any
-branch was cut short.  A goal whose surface tree cannot reduce to its clause
-type over the words' skeleton types is refuted before any search
-(``_skeleton_refutes``); that refutation is exact, and its result is uncut.
+rewrite.  Termination is enforced by a per-branch budget, a cap on structural
+postulate applications and a separate cap on T insertions (the only
+size-increasing rewrite), plus a per-branch repeated-sequent check.  An empty
+result therefore means "not derivable within budget", and the result carries
+a flag saying whether any branch was cut short.  A search returns one
+derivation per scope reading it finds, up to a cap on readings.  A goal whose
+surface tree cannot reduce to its clause type over the words' skeleton types
+is refuted before any search (``_skeleton_refutes``); that refutation is
+exact, and its result is uncut.
 
 The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
@@ -51,9 +52,9 @@ returned, which always consist of single honest rule applications:
 Rather than a memoized depth-first search (per-branch budgets make the same
 subgoal recur under countless different remaining budgets), ``prove``
 evaluates the reachable sequent graph exactly, in three phases, and then
-extracts derivation trees; see the commentary on ``prove``.  Six more
-economies concern the cost of a search, not its space, and leave every
-result as it is:
+extracts one derivation tree per scope reading; see the commentary on
+``prove``.  Six more economies concern the cost of a search, not its space,
+and leave every result as it is:
 
 * The graph's edges outlive one search.  A node's moves depend only on the
   sequent: no budget enters their generation, each carries its cost, and
@@ -91,7 +92,6 @@ import gc
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import islice, product, zip_longest
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import (
@@ -204,8 +204,9 @@ class SearchBudget:
     ``max_structural_steps`` caps structural-postulate applications per
     branch, ``max_t_insertions`` caps T uses per branch (T grows the
     antecedent; everything else shrinks or rearranges), ``max_derivations``
-    caps how many derivations are returned.  An unset T cap (``None``) is
-    the goal's formula leaves + 2, which ``prove`` works out per goal.
+    caps how many scope readings of one goal are returned, with one
+    derivation each.  An unset T cap (``None``) is the goal's formula
+    leaves + 2, which ``prove`` works out per goal.
     """
 
     max_structural_steps: int = 64
@@ -578,12 +579,12 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #      the Pareto frontier of derivation costs, where the cost of a
 #      derivation is the maximum root-to-leaf path cost (the per-branch
 #      reading of the budget);
-#   3. extract: per goal trace, a trace-guided DFS (``_Extraction``)
-#      emitting derivation trees along admissible branches only.  The
-#      per-trace lists are merged round-robin, so every realizable scope
-#      reading is witnessed before max_derivations is spent on variants of
-#      one reading (a sentence can have astronomically many derivations of a
-#      single reading).
+#   3. extract: per goal trace, shortest first and up to max_derivations
+#      of them, the first derivation that a trace-guided DFS
+#      (``_Extraction``) finds along admissible branches.  A derivation's
+#      reading is its trace, so each reading is witnessed once, and its
+#      rule-order variants (a sentence can have astronomically many
+#      derivations of a single reading) are never built.
 #
 # Phases 1 and 2 are label-setting.  Each takes its labels from a
 # ``_BucketQueue`` in nondecreasing (structural, T) order, first in first out
@@ -598,7 +599,7 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # this label's s, and the least T dominates the rest.  Phase 2 keeps whole
 # frontiers (increasing s, decreasing T) for phase 3 alone.  The order
 # within a cost is part of the result: it fixes the order of ``deps`` and
-# of the frontiers, and so the order in which phase 3 finds derivations.
+# of the frontiers, and so which derivation phase 3 finds first.
 
 class _BucketQueue:
     """A monotone priority queue keyed by (structural, T) cost pairs: a
@@ -867,9 +868,11 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
           table: Optional[MoveTable] = None) -> SearchResult:
     """Search backward for derivations of ``goal``.
 
-    Returns up to ``budget.max_derivations`` locally-valid derivations in a
-    deterministic order; an empty list means no proof was found within the
-    budget.  ``deadline`` (seconds, wall clock) optionally aborts the
+    Returns one locally-valid derivation per scope reading found, for up
+    to ``budget.max_derivations`` readings, in a deterministic order:
+    shorter scope orders first, and scope orders of one length by their
+    (word, position) pairs.  An empty list means no proof was found within
+    the budget.  ``deadline`` (seconds, wall clock) optionally aborts the
     search, which reads the clock before each label settles and before each
     extraction step; an aborted search reports no derivations and an
     exhausted budget.  No ``budget`` means ``SearchBudget()``, and a budget
@@ -888,6 +891,16 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     ``max_structural_steps`` or ``max_t_insertions`` is never taken, and
     marks the result ``budget_exhausted``.  The three phases (explore,
     evaluate, extract) are described above ``_BucketQueue``.
+
+    Extraction keeps, for each goal trace, the first derivation that the
+    trace-guided DFS finds.  That first success does not depend on how many
+    derivations the DFS is asked for, so the list returned is the first
+    round of a round-robin merge of every trace's derivations in DFS order,
+    and a prefix of that merge cut at the same cap.  A derivation's reading
+    is its trace (``extract_reading`` reads the firings in preorder, the
+    order in which phase 2 joins traces), so the readings and their order
+    are those of the full enumeration.  The verdict and the budget flags
+    come from phases 1 and 2, and no extraction changes them.
 
     The premise behind "no derivation within budget" has three parts.
 
@@ -1035,18 +1048,18 @@ def _search(goal: Sequent, budget: SearchBudget,
                         both = trace + trace2 if slot == 0 else trace2 + trace
                         push_label(ps, pt, (parent, own + both))
 
-        # phase 3: trace-guided extraction along admissible branches only;
-        # every goal label lies within the caps, so every goal trace is one
+        # phase 3: one derivation per goal trace, shortest traces first, up
+        # to the cap on readings; every goal label lies within the caps, so
+        # every goal trace is one
         extraction = _Extraction(table, frontiers, stop_at)
-        goal_traces = sorted(frontiers.get(goal_key, ()),
-                             key=lambda trace: (len(trace), trace))
-        per_trace = [extraction.extract(goal, trace, cap_s, cap_t,
-                                        budget.max_derivations)
-                     for trace in goal_traces]
-        # round robin: every trace's first derivation, then every second...
-        round_robin = (d for rank in zip_longest(*per_trace) for d in rank
-                       if d is not None)
-        derivations = list(islice(round_robin, budget.max_derivations))
+        derivations: List[Derivation] = []
+        for trace in sorted(frontiers.get(goal_key, ()),
+                            key=lambda trace: (len(trace), trace)):
+            if len(derivations) == budget.max_derivations:
+                break
+            derivation = extraction.first(goal, trace, cap_s, cap_t)
+            if derivation is not None:
+                derivations.append(derivation)
         return SearchResult(derivations, exhausted)
     except SearchTimeout:
         return SearchResult([], True, timed_out=True)
@@ -1064,15 +1077,16 @@ def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
 
 
 class _Extraction:
-    """Phase 3 of ``prove``: a deterministic trace-guided DFS that emits
-    derivation trees, entering only subgoals whose cost frontier admits the
-    remaining budget.
+    """Phase 3 of ``prove``: a deterministic trace-guided DFS that finds one
+    derivation tree per trace, entering only subgoals whose cost frontier
+    admits the remaining budget.
 
-    A move deals the rest of the trace to its premises in every
-    order-keeping way (``_splits``).  A split whose parts are all
-    admissible is extracted left to right, up to the first premise that
-    yields nothing, and the product of the results is emitted.  No sequent
-    repeats on a branch (``path``); ``prove`` says why that loses nothing.
+    The moves are tried in the table's order.  A move deals the rest of the
+    trace to its premises in every order-keeping way (``_splits``).  A split
+    whose parts are all admissible is extracted left to right, up to the
+    first premise that yields nothing; the first move and split whose every
+    premise yields a derivation give the one returned.  No sequent repeats
+    on a branch (``path``); ``prove`` says why that loses nothing.
 
     A class rather than a nested function: a recursive closure refers to
     itself through its own cell, and that cycle would keep the call's whole
@@ -1096,20 +1110,19 @@ class _Extraction:
                 return False
         return True
 
-    def extract(self, seq: Sequent, trace: Trace, s_rem: int, t_rem: int,
-                want: int) -> List[Derivation]:
+    def first(self, seq: Sequent, trace: Trace, s_rem: int,
+              t_rem: int) -> Optional[Derivation]:
+        """The first derivation of ``seq`` with scope trace ``trace`` whose
+        every path costs at most ``(s_rem, t_rem)``, or None."""
         if self.stop_at is not None and time.monotonic() >= self.stop_at:
             raise SearchTimeout
         path = self.path
         if seq.key in path:
-            return []
-        admissible, extract = self.admissible, self.extract
-        found: List[Derivation] = []
+            return None
+        admissible, first = self.admissible, self.first
         path.add(seq.key)
         try:
             for steps, premises, ms, mt, own in self.table.moves[seq.key]:
-                if len(found) >= want:
-                    break
                 s2, t2 = s_rem - ms, t_rem - mt
                 if s2 < 0 or t2 < 0:
                     continue
@@ -1130,28 +1143,22 @@ class _Extraction:
                     path |= mids
                 try:
                     for parts in _splits(rest, len(premises)):
-                        if len(found) >= want:
-                            break
                         if not admissible(premises, parts, s2, t2):
                             continue
-                        need = want - len(found)
-                        subs: List[List[Derivation]] = []
+                        subs: List[Derivation] = []
                         for premise, part in zip(premises, parts):
-                            got = extract(premise, part, s2, t2, need)
-                            if not got:
+                            sub = first(premise, part, s2, t2)
+                            if sub is None:
                                 break
-                            subs.append(got)
+                            subs.append(sub)
                         else:
-                            for combo in product(*subs):
-                                if len(found) >= want:
-                                    break
-                                found.append(_apply_chain(seq, steps, combo))
+                            return _apply_chain(seq, steps, tuple(subs))
                 finally:
                     if mids:
                         path -= mids
         finally:
             path.remove(seq.key)
-        return found
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def test_parse_structure_formula_leaf():
 
 
 def test_formula_leaf_positions_count_from_zero():
-    # reading "np" as a structure and backing up to a formula leaf at the
-    # slash must not use up a position
+    # a slash is one formula leaf, numbered once: the atoms under it are
+    # not leaves of the structure and take no position
     assert parse_structure("np / np").pos == 0
     st_ = parse_structure("(np / np) * np")
     assert (st_.left.pos, st_.right.pos) == (0, 1)

@@ -268,10 +268,10 @@ POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
 # line with its verdict and flags, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 POSSESSIVE_FRAME_SHA256 = \
-    "58f005cada78141914bfe97425e5a7bd22910a0b105b1138b782131456fb4370"
+    "5a531791e92921f395a2e0a2f7b262ad23b28cf9220e3c290f71208932d43f9e"
 
 
-def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
+def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
     # "X's mother saw Y's father" over all 7 x 7 pairs of quantifiers and
     # names, at the default budget; the digest pins every derivation
     sentences = [f"{a}'s mother saw {b}'s father"
@@ -279,7 +279,7 @@ def test_prover_and_machine_agree_on_the_possessive_frame(lex, machine):
     grammatical = 0
     digest = hashlib.sha256()
     for sentence in sentences:
-        result = parse_sentence(sentence, lex)
+        result = parsed(sentence)
         digest.update(f"{result.verdict} {result.budget_exhausted} "
                       f"{result.timed_out}\n".encode("utf-8"))
         for d in result.derivations:

@@ -516,21 +516,35 @@ def test_no_branch_repeats_a_sequent(lex):
 
 
 def test_max_derivations_cap(lex):
-    goal = seq("nobody * (saw * anybody)", "s0", lex)
-    result = prove(goal, SearchBudget(64, 5, 3))
-    assert len(result.derivations) == 3
+    # the cap counts readings, one derivation each: this goal has two
+    goal = seq("somebody * (saw * everybody)", "s+", lex)
+    assert len(prove(goal, SearchBudget(max_derivations=1)).derivations) == 1
+    assert len(prove(goal).derivations) == 2
+
+
+def test_one_derivation_per_reading(searched):
+    # no two derivations of one prove call share a reading, over the grid
+    # and the possessive frame, every (tree, goal) search of each sentence
+    calls = 0
+    for sentence in GRID + POSSESSIVE_FRAME:
+        _parse, results = searched(sentence)
+        for result in results:
+            readings = [extract_reading(d) for d in result.derivations]
+            assert len(set(readings)) == len(readings), sentence
+        calls += len(results)
+    assert calls > len(GRID + POSSESSIVE_FRAME)
 
 
 # A sha256 over ``parse_sentence`` at two budgets that cut almost every
 # search: per result one line with its verdict and flags, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 CUT_BUDGET_SHA256 = \
-    "79b0ba7c7da6cda3e517ac07bfe4b41ea1b072104040748307caedbe89c84511"
+    "b507c8bc8132bbceade53479582181ba0ac71eb45cc0a42713a5abb4d6e6dd1e"
 
 
 def test_extraction_under_cut_budgets(lex):
     # the pruning extraction does (remaining budgets, admissibility, the
-    # derivation cap) matters most when the budget cuts the search
+    # cap on readings) matters most when the budget cuts the search
     words = ("alice", "bob", "a man", "nobody", "anybody", "somebody",
              "everybody")
     sentences = [f"{a} saw {b}" for a in words for b in words] + [
@@ -609,13 +623,13 @@ def _axioms(d):
 
 @pytest.mark.parametrize("goal_first", [True, False])
 @pytest.mark.parametrize("caps,derived,cut", [
-    ((3, 2), [["X1", "Y"], ["X2", "Y"]], False),
+    ((3, 2), [["X1", "Y"]], False),
     ((3, 1), [["X2", "Y"]], True),
 ])
 def test_phase_two_combines_with_the_least_t_point(goal_first, caps,
                                                    derived, cut):
     # goal -> (A, B) at (0, 0): the goal's one label is (3, 1), from A's
-    # last point; extraction then admits every A label within the caps
+    # last point; extraction then takes the first A label within the caps
     pair = ("A", "B") if goal_first else ("B", "A")
     found = _hand_search([("goal", pair, 0, 0, ())] + BELOW_A_AND_B, caps)
     assert found == ([names if goal_first else names[::-1]
@@ -626,13 +640,13 @@ def test_a_costlier_route_admits_the_least_t_join():
     # P -> (A, B) is reached at (0, 0) through Q, so phase 1 is not cut,
     # and at (0, 1) by goal -> P directly.  That route leaves (3, 1) of the
     # caps to P, which admits P's label (3, 1) but would not admit the (3, 2)
-    # that A's first point gives
+    # that A's first point gives; the goal's one trace is extracted once
     found = _hand_search([("goal", ("P",), 0, 1, ()),
                           ("goal", ("Q",), 0, 0, ()),
                           ("Q", ("P",), 0, 0, ()),
                           ("P", ("A", "B"), 0, 0, ())] + BELOW_A_AND_B,
                          (3, 2))
-    assert found == ([["X2", "Y"], ["X1", "Y"], ["X2", "Y"]], False)
+    assert found == ([["X2", "Y"]], False)
 
 
 # -- the collector and the shared move table ---------------------------------
@@ -680,6 +694,8 @@ def test_prove_restores_the_collector_state(lex, enabled, deadline):
 GRID_WORDS = ("alice", "bob", "a man", "nobody", "anybody", "somebody",
               "everybody")
 GRID = [f"{a} saw {b}" for a in GRID_WORDS for b in GRID_WORDS]
+POSSESSIVE_FRAME = [f"{a}'s mother saw {b}'s father"
+                    for a in GRID_WORDS for b in GRID_WORDS]
 SHARING_SENTENCES = GRID + ["Alice saw a man's mother"]
 
 
@@ -929,11 +945,11 @@ def _recursive_walk(d):
 
 def test_walk_is_the_recursive_preorder(parsed):
     # the same nodes, the very objects, in the same order as a recursive
-    # preorder, over every derivation of the built-in corpus
+    # preorder, over every derivation of the built-in corpus and the grid
     from polagram.cli import BUILTIN_CORPUS
     nodes = 0
-    for line in BUILTIN_CORPUS:
-        for d in parsed(line.sentence).derivations:
+    for sentence in [line.sentence for line in BUILTIN_CORPUS] + GRID:
+        for d in parsed(sentence).derivations:
             walked = list(d.walk())
             reference = list(_recursive_walk(d))
             assert [id(n) for n in walked] == [id(n) for n in reference]

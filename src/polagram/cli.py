@@ -92,10 +92,8 @@ def _add_prover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", metavar="FILE",
                    help="lexicon file (default: built-in)")
     p.add_argument("--budget", type=int, metavar="N",
-                   help="structural steps per branch (default "
-                   f"{SearchBudget.max_structural_steps})")
-    p.add_argument("--t-budget", type=int, metavar="N",
-                   help="T insertions per branch (default: leaves + 2)")
+                   help="structural steps per branch, each T among them "
+                   f"(default {SearchBudget.max_structural_steps})")
     p.add_argument("--max-derivations", type=int, metavar="N",
                    help="scope readings per goal, one derivation each "
                    f"(default {SearchBudget.max_derivations})")
@@ -119,7 +117,6 @@ def _budget_for(args) -> SearchBudget:
                          f"seconds, not {args.time_limit}")
     overrides = {field: value for field, value in (
         ("max_structural_steps", args.budget),
-        ("max_t_insertions", args.t_budget),
         ("max_derivations", args.max_derivations)) if value is not None}
     return SearchBudget(**overrides)
 
@@ -340,8 +337,21 @@ def cmd_monotonic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A command line that the argument parser rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that raises ``_UsageError`` for a bad command
+    line, so that ``main`` reports it on one ``error:`` line with exit code
+    2, like every other bad input, instead of exiting from inside."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="polagram",
         description="type-logical grammar prover with a polarity machine")
     sub = top.add_subparsers(dest="command", required=True)
@@ -385,7 +395,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         status = args.func(args)
         sys.stdout.flush()

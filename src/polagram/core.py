@@ -296,21 +296,6 @@ class Un(Structure):
 UNIT_LEAF = UnitLeaf()
 
 
-def leaves(st: Structure) -> Iterator[Structure]:
-    """All FLeaf/UnitLeaf nodes, left to right."""
-    if isinstance(st, (FLeaf, UnitLeaf)):
-        yield st
-    elif isinstance(st, Bin):
-        yield from leaves(st.left)
-        yield from leaves(st.right)
-    elif isinstance(st, Un):
-        yield from leaves(st.body)
-
-
-def formula_leaf_count(st: Structure) -> int:
-    return sum(1 for leaf in leaves(st) if isinstance(leaf, FLeaf))
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 

@@ -17,10 +17,10 @@ The rule set has three layers:
 
 Backward search applies each of these as an antecedent (or succedent)
 rewrite.  Termination is enforced by a per-branch budget, a cap on structural
-postulate applications and a separate cap on T insertions (the only
-size-increasing rewrite), plus a per-branch repeated-sequent check.  An empty
-result therefore means "not derivable within budget", and the result carries
-a flag saying whether any branch was cut short.  A search returns one
+postulate applications (T, the only size-increasing rewrite, counts as one),
+plus a per-branch repeated-sequent check.  An empty result therefore means
+"not derivable within budget", and the result carries a flag saying whether
+any branch was cut short.  A search returns one
 derivation per scope reading it finds, up to a cap on readings.  A goal whose
 surface tree cannot reduce to its clause type over the words' skeleton types
 is refuted before any search (``_skeleton_refutes``); that refutation is
@@ -73,12 +73,11 @@ and leave every result as it is:
   ``Sequent`` object for its key, so a sequent that many moves lead to
   is stored once.  A premise already in the table is looked up by its key
   before a ``Sequent`` is built for it.
-* Costs are small nonnegative integer pairs, so the two label-setting
-  phases order their labels with bucket queues (``_BucketQueue``): only
-  the distinct cost pairs pass through a heap.  In that order nothing a
-  node settled earlier has more structural steps than the label at hand,
-  so the least T settled alone decides whether that label is dominated,
-  and a label joins only the other premise's least-T point per trace.
+* Costs are small nonnegative integers, so the two label-setting phases
+  order their labels with bucket queues (``_BucketQueue``), a list of
+  buckets indexed by cost, and no heap.  In that order a node's first
+  label is its least cost, so phase 1 expands each node once, and phase 2
+  keeps one cost per node and trace.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -89,7 +88,6 @@ and leave every result as it is:
 from __future__ import annotations
 
 import gc
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -97,7 +95,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
-    formula_leaf_count, parse_formula, print_formula, sequent_key,
+    parse_formula, print_formula, sequent_key,
 )
 
 Site = Tuple[int, ...]
@@ -202,21 +200,17 @@ class SearchBudget:
     """Termination bounds for one proof search.
 
     ``max_structural_steps`` caps structural-postulate applications per
-    branch, ``max_t_insertions`` caps T uses per branch (T grows the
-    antecedent; everything else shrinks or rearranges), ``max_derivations``
-    caps how many scope readings of one goal are returned, with one
-    derivation each.  An unset T cap (``None``) is the goal's formula
-    leaves + 2, which ``prove`` works out per goal.
+    branch, T among them (T grows the antecedent; everything else shrinks
+    or rearranges, so this cap also bounds the T uses of a branch);
+    ``max_derivations`` caps how many scope readings of one goal are
+    returned, with one derivation each.
     """
 
     max_structural_steps: int = 64
-    max_t_insertions: Optional[int] = None
     max_derivations: int = 16
 
     def __post_init__(self):
-        if self.max_structural_steps < 0 or (
-                self.max_t_insertions is not None
-                and self.max_t_insertions < 0):
+        if self.max_structural_steps < 0:
             raise ValueError("budget counts must be nonnegative")
         if self.max_derivations < 1:
             raise ValueError("max_derivations must be at least 1")
@@ -358,30 +352,30 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # (``scope_firing``), outermost first.
 Trace = Tuple[Tuple[str, Optional[int]], ...]
 
-# A move is (steps, premises, s_cost, t_cost, trace).  Its chain, steps, is
+# A move is (steps, premises, s_cost, trace).  Its chain, steps, is
 # the (rule, site, antecedent) of each step, applied top-down; a step
 # concludes its antecedent under the succedent of the sequent the move sits
 # at, since no rule a chain fuses rewrites the succedent (the right rules,
 # the axiom and the succedent-side Unquote work at the root, the others on
 # the antecedent alone).  premises are the subgoals of the innermost step,
-# the costs count the chain's structural steps and its T insertions, and
-# trace is the scope firing of the last step as a 1-tuple, or ().
+# s_cost counts the chain's structural steps, each T among them, and trace
+# is the scope firing of the last step as a 1-tuple, or ().
 Chain = Tuple[Tuple[RuleName, Site, Structure], ...]
-Move = Tuple[Chain, Tuple[Sequent, ...], int, int, Trace]
+Move = Tuple[Chain, Tuple[Sequent, ...], int, Trace]
 
 # An antecedent move is a left or structural move with the succedent left
-# out: (steps, main, minor, s_cost, t_cost, trace), where main is the
+# out: (steps, main, minor, s_cost, trace), where main is the
 # antecedent of the premise that keeps the conclusion's succedent and minor
 # is the other premise, a whole sequent, or None.  Its chain serves every
 # succedent as it is; only the main premise takes one.
-AnteMove = Tuple[Chain, Structure, Optional[Sequent], int, int, Trace]
+AnteMove = Tuple[Chain, Structure, Optional[Sequent], int, Trace]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
     if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
         rule = LEX if ant.word is not None else AXIOM
-        return ((rule, (), ant),), (), 0, 0, ()
+        return ((rule, (), ant),), (), 0, ()
     return None
 
 
@@ -395,24 +389,24 @@ def _right_moves(seq: Sequent,
         if isinstance(ant, Bin) and ant.mode == succ.mode:
             out.append((((RuleName("ProdR", succ.mode), (), ant),),
                         (premise(ant.left, succ.left),
-                         premise(ant.right, succ.right)), 0, 0, ()))
+                         premise(ant.right, succ.right)), 0, ()))
     elif isinstance(succ, Over):
         goal = premise(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
         out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,),
-                    0, 0, ()))
+                    0, ()))
     elif isinstance(succ, Under):
         goal = premise(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
         out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
-                    0, 0, ()))
+                    0, ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
             out.append((((rule, (), ant),), (premise(ant.body, succ.body),),
-                        0, 0, ()))
+                        0, ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
             out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
-                        (premise(ant, succ.body),), 1, 1, ()))
+                        (premise(ant, succ.body),), 1, ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
@@ -420,7 +414,7 @@ def _right_moves(seq: Sequent,
         if not ant.has_cmode_node:
             goal = premise(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
-                        (goal,), 0, 0, ()))
+                        (goal,), 0, ()))
     return out
 
 
@@ -436,44 +430,43 @@ def _left_moves_at(out: List[AnteMove], ant: Structure, site: Site,
             firing = scope_firing(rule, ant, site)
             out.append((((rule, site, ant),),
                         replace(ant, site, FLeaf(f.result)),
-                        Sequent(right, f.argument), 0, 0,
+                        Sequent(right, f.argument), 0,
                         () if firing is None else (firing,)))
         if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
                 and right.formula.mode == node.mode):
             f = right.formula
             out.append((((RuleName("UnderL", node.mode), site, ant),),
                         replace(ant, site, FLeaf(f.result)),
-                        Sequent(left, f.argument), 0, 0, ()))
+                        Sequent(left, f.argument), 0, ()))
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, Dia):
             new = Un(f.mode, FLeaf(f.body))
             out.append((((RuleName("DiaL", f.mode), site, ant),),
-                        replace(ant, site, new), None, 0, 0, ()))
+                        replace(ant, site, new), None, 0, ()))
         elif isinstance(f, Product):
             new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
             out.append((((RuleName("ProdL", f.mode), site, ant),),
-                        replace(ant, site, new), None, 0, 0, ()))
+                        replace(ant, site, new), None, 0, ()))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
             mid = replace(ant, site, Un(VALUE, node))
             out.append((((T_RULE, site, ant),
                          (RuleName("BoxDownL", VALUE), site, mid)),
-                        replace(ant, site, FLeaf(f.body)), None, 1, 1, ()))
+                        replace(ant, site, FLeaf(f.body)), None, 1, ()))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
                 and body.formula.mode == node.mode):
             new = FLeaf(body.formula.body)
             out.append((((RuleName("BoxDownL", node.mode), site, ant),),
-                        replace(ant, site, new), None, 0, 0, ()))
+                        replace(ant, site, new), None, 0, ()))
 
 
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
            new: Structure) -> None:
     """Add the move that rewrites the subtree at ``site`` to ``new``."""
-    out.append((((rule, site, ant),), replace(ant, site, new), None, 1, 0,
-                ()))
+    out.append((((rule, site, ant),), replace(ant, site, new), None, 1, ()))
 
 
 def _quoting(out: List[AnteMove], ant: Structure, site: Site,
@@ -495,7 +488,7 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
     assert new is not None
     out.append((((T_RULE, site + below, ant),
                  (rule, site, replace(ant, site, quoted))),
-                replace(ant, site, new), None, 2, 1, ()))
+                replace(ant, site, new), None, 2, ()))
 
 
 def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
@@ -568,17 +561,16 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # sequents in three exact phases:
 #
 #   1. explore: walk the graph from the goal, taking each node's moves from
-#      the move table (generated there once, possibly by an earlier call)
-#      and recording the least T among the (structural, T) path costs at
-#      which the node is reachable within budget.  The first time a node
-#      settles, its moves also go into the index phase 2 reads: each move
-#      under each of its premises, and a first label for each move with no
-#      premises;
+#      the move table (generated there once, possibly by an earlier call),
+#      and settle each node at the least structural path cost at which it
+#      is reachable within budget.  A node settles once, and its moves then
+#      go into the index phase 2 reads: each move under each of its
+#      premises, and a first label for each move with no premises;
 #   2. evaluate: fix, per node and per scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first),
-#      the Pareto frontier of derivation costs, where the cost of a
-#      derivation is the maximum root-to-leaf path cost (the per-branch
-#      reading of the budget);
+#      the least cost of a derivation, where the cost of a derivation is the
+#      maximum root-to-leaf path cost (the per-branch reading of the
+#      budget);
 #   3. extract: per goal trace, shortest first and up to max_derivations
 #      of them, the first derivation that a trace-guided DFS
 #      (``_Extraction``) finds along admissible branches.  A derivation's
@@ -587,63 +579,58 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #      derivations of a single reading) are never built.
 #
 # Phases 1 and 2 are label-setting.  Each takes its labels from a
-# ``_BucketQueue`` in nondecreasing (structural, T) order, first in first out
-# within one cost, so a label that is not dominated when it is taken is
-# final: no later label dominates it.  The same order makes one T decide
-# dominance: every point a node settled earlier has no more structural
-# steps than the label, so it dominates the label exactly when its T is no
-# greater, and the least T settled decides.  Phase 1 keeps just that T per
-# node.  Phase 2 tests a label against its frontier's last point, and
-# joins it with the other premise's last point per trace: that premise
-# settled no point with more structural steps, so the parent label takes
-# this label's s, and the least T dominates the rest.  Phase 2 keeps whole
-# frontiers (increasing s, decreasing T) for phase 3 alone.  The order
-# within a cost is part of the result: it fixes the order of ``deps`` and
-# of the frontiers, and so which derivation phase 3 finds first.
+# ``_BucketQueue`` in nondecreasing structural cost, so the first label of
+# a node (phase 1) or of a node and trace (phase 2) carries its least cost
+# and is final: phase 1 expands each node once, and phase 2 drops every
+# later label of a trace already settled.  A two-premise move joins a label
+# with every trace the other premise has settled; that premise settled each
+# at no greater cost, so the join costs this label's s plus the move's, and
+# a trace the other premise settles later joins from its side.  The least
+# costs are unique, so the order within one cost changes no result.
 
 class _BucketQueue:
-    """A monotone priority queue keyed by (structural, T) cost pairs: a
-    sparse bucket queue (Dial, *Algorithm 360*, CACM 1969).
+    """A monotone priority queue keyed by small nonnegative integer costs:
+    a bucket queue (Dial, *Algorithm 360*, CACM 1969).
 
-    ``buckets`` maps each cost pair that holds items to a FIFO list and
-    ``live`` is a heap of those pairs, so memory follows the costs pushed,
-    not the budget's caps.  ``drain`` yields the buckets in increasing
-    (s, t) order, each in push order, including items pushed meanwhile.
-    That is the order of a heap of ``(s, t, push counter, item)`` as long
-    as no push costs less than the item being yielded.  Both phases of
-    ``_search`` keep to that: a pushed label costs the yielded one (in
-    phase 2, with its T raised to another premise's) plus a move's
-    nonnegative cost.
+    ``buckets[s]`` is the FIFO list of the items pushed at cost ``s``.
+    ``drain`` yields the buckets in increasing ``s``, each in push order,
+    including items pushed meanwhile.  That is the order of a heap of
+    ``(s, push counter, item)`` as long as no push costs less than the item
+    being yielded, so no heap is needed.  Both phases of ``_search`` keep
+    to that: a pushed label costs the yielded one plus a move's nonnegative
+    cost.  The list is as long as the largest cost pushed, which the
+    structural cap bounds.
     """
 
-    __slots__ = ("buckets", "live")
+    __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        self.buckets: Dict[Tuple[int, int], list] = {}
-        self.live: List[Tuple[int, int]] = []
+        self.buckets: List[Optional[list]] = []
 
-    def push(self, s: int, t: int, item) -> None:
-        bucket = self.buckets.get((s, t))
-        if bucket is None:
-            bucket = self.buckets[(s, t)] = []
-            heapq.heappush(self.live, (s, t))
-        bucket.append(item)
+    def push(self, s: int, item) -> None:
+        buckets = self.buckets
+        while len(buckets) <= s:
+            buckets.append([])
+        buckets[s].append(item)
 
     def drain(self, stop_at: Optional[float] = None
-              ) -> Iterator[Tuple[Tuple[int, int], object]]:
-        """Yield ``((s, t), item)`` until the queue is empty.  Raise
+              ) -> Iterator[Tuple[int, object]]:
+        """Yield ``(s, item)`` until the queue is empty.  Raise
         ``SearchTimeout`` instead of the next item once ``time.monotonic()``
         reaches ``stop_at``, if one is given."""
-        buckets, live = self.buckets, self.live
-        while live:
-            cost = heapq.heappop(live)
+        buckets = self.buckets
+        s = 0
+        while s < len(buckets):
             # a list iterator reads the length at each step, so it also
             # yields what a cost-0 move appends to this bucket meanwhile
-            for item in buckets[cost]:
+            for item in buckets[s]:
                 if stop_at is not None and time.monotonic() >= stop_at:
                     raise SearchTimeout
-                yield cost, item
-            del buckets[cost]
+                yield s, item
+            # free the drained labels; a push below s would now fail
+            buckets[s] = None
+            s += 1
+        buckets.clear()
 
 
 def scope_firing(rule: RuleName, antecedent: Structure,
@@ -707,8 +694,8 @@ class MoveTable:
         return moves
 
     def _assemble(self, seq: Sequent) -> List[Move]:
-        """All backward moves at ``seq``, each with its (structural, T)
-        cost and no budget gate, in fixed order: the axiom alone, if it
+        """All backward moves at ``seq``, each with its structural cost
+        and no budget gate, in fixed order: the axiom alone, if it
         applies; otherwise the right moves, the left moves, the
         succedent-side Unquote and the structural moves.
 
@@ -739,7 +726,7 @@ class MoveTable:
                 and not ant.has_cmode_node
                 and isinstance(ant, Un) and ant.mode == VALUE):
             out.append((((UNQUOTE_SUCC, (), ant),),
-                        (self.premise(ant, Dia(VALUE, succ)),), 1, 0, ()))
+                        (self.premise(ant, Dia(VALUE, succ)),), 1, ()))
         self._thread(out, succ, structural)
         return out
 
@@ -754,10 +741,10 @@ class MoveTable:
         """Add ``ante_moves`` under the succedent ``succ``: each keeps its
         chain and gets its premises."""
         premise, canonical = self.premise, self.canonical
-        for steps, main, minor, ms, mt, trace in ante_moves:
+        for steps, main, minor, ms, trace in ante_moves:
             first = premise(main, succ)
             out.append((steps, (first,) if minor is None
-                        else (first, canonical(minor)), ms, mt, trace))
+                        else (first, canonical(minor)), ms, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +862,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     the budget.  ``deadline`` (seconds, wall clock) optionally aborts the
     search, which reads the clock before each label settles and before each
     extraction step; an aborted search reports no derivations and an
-    exhausted budget.  No ``budget`` means ``SearchBudget()``, and a budget
-    whose T cap is unset gets the goal's formula leaves + 2, worked out
-    here and nowhere else.
+    exhausted budget.  No ``budget`` means ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``): the result has no
@@ -885,12 +870,23 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     exact and no budget could change it.  Every other goal is searched.
 
     There is one search path, over the sequent graph that the move table
-    spans (``MoveTable._assemble``).  Every move carries its (structural,
-    T) cost, and the budget acts only as a filter on the costs a branch
+    spans (``MoveTable._assemble``).  Every move carries its structural
+    cost, and the budget acts only as a filter on the costs a branch
     accumulates: a move that would take its branch past
-    ``max_structural_steps`` or ``max_t_insertions`` is never taken, and
-    marks the result ``budget_exhausted``.  The three phases (explore,
-    evaluate, extract) are described above ``_BucketQueue``.
+    ``max_structural_steps`` is never taken, and marks the result
+    ``budget_exhausted``.  The three phases (explore, evaluate, extract)
+    are described above ``_BucketQueue``.
+
+    Why one cap ends the search.  T is the rule that grows the antecedent,
+    and the table never offers it alone: every T is fused into a chain
+    with its consumer, and the chain's cost counts that T as a structural
+    step, so the structural cap bounds the T uses of every branch.  More
+    generally, every move either costs a structural step or takes a
+    connective off the sequent's formulas, and a structural step adds at
+    most one connective (the diamond of the succedent-side Unquote).  A
+    path within the cap therefore has at most ``c + 2 * cap`` moves, for
+    ``c`` the goal's connectives, and each sequent has finitely many
+    moves, so finitely many sequents lie within the cap.
 
     Extraction keeps, for each goal trace, the first derivation that the
     trace-guided DFS finds.  That first success does not depend on how many
@@ -922,7 +918,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       is ``DiaR(v)``, the Unquote now stands at a quoted root; if it is
       ``T+DiaR``, the two cancel and both go.  The scope trace is the
       same, the main branch costs no more, and each side premise of the
-      moved steps loses the Unquote's (1, 0) from its path.  From a
+      moved steps loses the Unquote's structural step from its path.  From a
       continuation-free antecedent only Root, at the root, and the
       unfolding of a c-mode product make a c-mode node, so without c-mode
       products in the lexicon the quoted root is continuation-free as the
@@ -940,7 +936,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     given the same table generate each sequent's moves once among them;
     a call given none uses a private one.  Sharing cannot change a result:
     moves do not depend on the budget, and everything that depends on the
-    goal or the budget (reach labels, cost frontiers, the extraction path)
+    goal or the budget (reach labels, least costs, the extraction path)
     stays private to the call.
 
     The cyclic garbage collector is paused for the call, and the caller's
@@ -967,97 +963,80 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 def _search(goal: Sequent, budget: SearchBudget,
             deadline: Optional[float], table: MoveTable) -> SearchResult:
     """The three-phase search of ``prove`` over the moves in ``table``."""
-    cap_s = budget.max_structural_steps
-    cap_t = budget.max_t_insertions
-    if cap_t is None:
-        cap_t = formula_leaf_count(goal.antecedent) + 2
+    cap = budget.max_structural_steps
     stop_at = None if deadline is None else time.monotonic() + deadline
     exhausted = False
     try:
         # phase 1: explore the reachable sequent graph, taking reach labels
-        # from the bucket queue in nondecreasing cost order; ``reach`` keeps
-        # the least T settled per node, which decides dominance, and a
-        # node's first label settles it
+        # from the bucket queue in nondecreasing cost order; a node's first
+        # label settles it, and it is expanded then and only then
         goal = table.canonical(goal)
         goal_key = goal.key
         table_moves = table.moves
-        reach: Dict[str, int] = {}
+        settled: Set[str] = set()
         deps: Dict[str, List[Tuple[str, Move, int]]] = {}
         labels, work = _BucketQueue(), _BucketQueue()
         push_label, push_work = labels.push, work.push
-        push_work(0, 0, goal)
-        for (rs, rt), seq in work.drain(stop_at):
+        push_work(0, goal)
+        for rs, seq in work.drain(stop_at):
             key = seq.key
-            best = reach.get(key)
-            if best is not None and best <= rt:
+            if key in settled:
                 continue
-            reach[key] = rt
+            settled.add(key)
             moves = table_moves.get(key)
             if moves is None:
                 moves = table.moves_of(seq)
             for move in moves:
-                _steps, premises, ms, mt, _trace = move
-                if best is None:
-                    for slot, premise in enumerate(premises):
-                        deps.setdefault(premise.key, []).append(
-                            (key, move, slot))
-                    if not premises:  # the axiom, which costs nothing
-                        push_label(0, 0, (key, ()))
-                nrs, nrt = rs + ms, rt + mt
-                if nrs > cap_s or nrt > cap_t:
+                _steps, premises, ms, _trace = move
+                for slot, premise in enumerate(premises):
+                    deps.setdefault(premise.key, []).append((key, move, slot))
+                if not premises:  # the axiom, which costs nothing
+                    push_label(0, (key, ()))
+                nrs = rs + ms
+                if nrs > cap:
                     exhausted = True
                     continue
                 for premise in premises:
-                    known = reach.get(premise.key)
-                    if known is None or nrt < known:
-                        push_work(nrs, nrt, premise)
+                    if premise.key not in settled:
+                        push_work(nrs, premise)
 
-        # phase 2: fix per-node, per-trace Pareto frontiers of derivation
-        # costs, again label-setting, from the bucket queue that phase 1
-        # seeded with the axioms.  A trace can be no longer than the node's
-        # stock of worded continuation functors, so the space of labels is
+        # phase 2: fix the least derivation cost per node and scope trace,
+        # again label-setting, from the bucket queue that phase 1 seeded
+        # with the axioms.  A trace can be no longer than the node's stock
+        # of worded continuation functors, so the space of labels is
         # finite.  Labels are pushed only for reached nodes and only within
-        # the caps; the table may hold more nodes, from other calls.  A
-        # frontier's last point has its least T; no other point takes part.
-        frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]] = {}
-        for (s, t), (key, trace) in labels.drain(stop_at):
-            by_trace = frontiers.get(key)
+        # the cap; the table may hold more nodes, from other calls.
+        least: Dict[str, Dict[Trace, int]] = {}
+        for s, (key, trace) in labels.drain(stop_at):
+            by_trace = least.get(key)
             if by_trace is None:
-                frontiers[key] = {trace: [(s, t)]}
+                least[key] = {trace: s}
+            elif trace in by_trace:
+                continue
             else:
-                front = by_trace.get(trace)
-                if front is None:
-                    by_trace[trace] = [(s, t)]
-                elif front[-1][1] <= t:
-                    continue
-                else:
-                    front.append((s, t))
-            for parent, (_steps, premises, ms, mt, own), slot in \
+                by_trace[trace] = s
+            for parent, (_steps, premises, ms, own), slot in \
                     deps.get(key, ()):
                 ps = ms + s
-                if ps > cap_s:
+                if ps > cap:
                     continue
                 if len(premises) == 1:
-                    if mt + t <= cap_t:
-                        push_label(ps, mt + t, (parent, own + trace))
+                    push_label(ps, (parent, own + trace))
                     continue
-                other = frontiers.get(premises[1 - slot].key, {})
-                for trace2, front2 in other.items():
-                    pt = mt + max(t, front2[-1][1])
-                    if pt <= cap_t:
-                        both = trace + trace2 if slot == 0 else trace2 + trace
-                        push_label(ps, pt, (parent, own + both))
+                for trace2 in least.get(premises[1 - slot].key, ()):
+                    both = trace + trace2 if slot == 0 else trace2 + trace
+                    push_label(ps, (parent, own + both))
 
         # phase 3: one derivation per goal trace, shortest traces first, up
-        # to the cap on readings; every goal label lies within the caps, so
+        # to the cap on readings; every goal label lies within the cap, so
         # every goal trace is one
-        extraction = _Extraction(table, frontiers, stop_at)
+        extraction = _Extraction(table, least, stop_at)
         derivations: List[Derivation] = []
-        for trace in sorted(frontiers.get(goal_key, ()),
+        for trace in sorted(least.get(goal_key, ()),
                             key=lambda trace: (len(trace), trace)):
             if len(derivations) == budget.max_derivations:
                 break
-            derivation = extraction.first(goal, trace, cap_s, cap_t)
+            derivation = extraction.first(goal, trace, cap)
             if derivation is not None:
                 derivations.append(derivation)
         return SearchResult(derivations, exhausted)
@@ -1078,8 +1057,8 @@ def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
 
 class _Extraction:
     """Phase 3 of ``prove``: a deterministic trace-guided DFS that finds one
-    derivation tree per trace, entering only subgoals whose cost frontier
-    admits the remaining budget.
+    derivation tree per trace, entering only subgoals whose least cost for
+    their part of the trace is within the remaining budget.
 
     The moves are tried in the table's order.  A move deals the rest of the
     trace to its premises in every order-keeping way (``_splits``).  A split
@@ -1093,27 +1072,27 @@ class _Extraction:
     sequent graph alive until the cyclic collector next ran.
     """
 
-    def __init__(self, table: MoveTable,
-                 frontiers: Dict[str, Dict[Trace, List[Tuple[int, int]]]],
+    def __init__(self, table: MoveTable, least: Dict[str, Dict[Trace, int]],
                  stop_at: Optional[float]) -> None:
         self.table = table
-        self.frontiers = frontiers
+        self.least = least
         self.stop_at = stop_at
         self.path: Set[str] = set()
 
     def admissible(self, premises: Tuple[Sequent, ...],
-                   parts: Tuple[Trace, ...], s_rem: int, t_rem: int) -> bool:
-        """Whether each premise's frontier for its part admits the rest."""
+                   parts: Tuple[Trace, ...], s_rem: int) -> bool:
+        """Whether each premise has its part at a least cost within
+        ``s_rem``."""
         for premise, part in zip(premises, parts):
-            if not any(s <= s_rem and t <= t_rem for s, t in
-                       self.frontiers.get(premise.key, {}).get(part, ())):
+            s = self.least.get(premise.key, {}).get(part)
+            if s is None or s > s_rem:
                 return False
         return True
 
-    def first(self, seq: Sequent, trace: Trace, s_rem: int,
-              t_rem: int) -> Optional[Derivation]:
+    def first(self, seq: Sequent, trace: Trace,
+              s_rem: int) -> Optional[Derivation]:
         """The first derivation of ``seq`` with scope trace ``trace`` whose
-        every path costs at most ``(s_rem, t_rem)``, or None."""
+        every path costs at most ``s_rem``, or None."""
         if self.stop_at is not None and time.monotonic() >= self.stop_at:
             raise SearchTimeout
         path = self.path
@@ -1122,9 +1101,9 @@ class _Extraction:
         admissible, first = self.admissible, self.first
         path.add(seq.key)
         try:
-            for steps, premises, ms, mt, own in self.table.moves[seq.key]:
-                s2, t2 = s_rem - ms, t_rem - mt
-                if s2 < 0 or t2 < 0:
+            for steps, premises, ms, own in self.table.moves[seq.key]:
+                s2 = s_rem - ms
+                if s2 < 0:
                     continue
                 if own:
                     if not trace or trace[0] != own[0]:
@@ -1143,11 +1122,11 @@ class _Extraction:
                     path |= mids
                 try:
                     for parts in _splits(rest, len(premises)):
-                        if not admissible(premises, parts, s2, t2):
+                        if not admissible(premises, parts, s2):
                             continue
                         subs: List[Derivation] = []
                         for premise, part in zip(premises, parts):
-                            sub = first(premise, part, s2, t2)
+                            sub = first(premise, part, s2)
                             if sub is None:
                                 break
                             subs.append(sub)

@@ -74,23 +74,33 @@ def test_criterion_3_ditransitive_prediction(lex, machine):
     assert (("nobody", 0), ("somebody", 1)) not in pair_orders
     assert pair_orders == {(("somebody", 1), ("nobody", 0))}
 
-    # prover side, under a wall-clock cap; the default T budget cannot pay
-    # for a rightmost quantifier taking widest scope over two others, so the
-    # search runs with headroom
-    cap = 480.0
-    budget = SearchBudget(max_structural_steps=64, max_t_insertions=10,
-                          max_derivations=16)
-    result = parse_sentence("Nobody introduced everybody to somebody", lex,
-                            budget=budget, deadline=cap)
-    assert not result.timed_out
+    # prover side, at the default budget: a rightmost quantifier takes
+    # widest scope over two others, and the search ends uncut
+    result = parse_sentence("Nobody introduced everybody to somebody", lex)
+    assert not result.budget_exhausted
     orders = {r.scope_order for r in result.readings}
     linear = (("nobody", 0), ("everybody", 2), ("somebody", 4))
     assert linear in orders
     machine_orders = {r.scope_order for r in predict(
         machine, quantifier_occurrences(result.tokens, machine))}
-    assert orders == machine_orders
+    assert orders == machine_orders and len(orders) == 4
     report("criterion 3: linear reading derived for the ditransitive and "
            "prover agrees with the machine")
+
+
+@pytest.mark.parametrize("sentence", [
+    "Somebody introduced a man to somebody",
+    "A man introduced nobody to somebody",
+])
+def test_ditransitives_agree_with_the_machine_uncut(lex, machine, sentence):
+    # grammatical ditransitives that a cap on T insertions of the formula
+    # leaves + 2 cut to no reading at all
+    result = parse_sentence(sentence, lex)
+    assert result.verdict == GRAMMATICAL
+    assert not result.budget_exhausted
+    machine_orders = {r.scope_order for r in predict(
+        machine, quantifier_occurrences(result.tokens, machine))}
+    assert {r.scope_order for r in result.readings} == machine_orders
 
 
 def test_criterion_4_conversion_lemmas():
@@ -113,9 +123,9 @@ def test_criterion_4_conversion_lemmas():
 def test_criterion_5_stuck_configuration(lex):
     goal = Sequent(parse_structure("np *c ((1 * <>anybody) * <>saw)", lex),
                    parse_formula("s-"))
-    # the default budget, (64, 3 leaves + 2, 16), and twice that
+    # the default budget, (64, 16), and twice that
     assert not prove(goal, SearchBudget()).derivations
-    assert not prove(goal, SearchBudget(128, 10, 32)).derivations
+    assert not prove(goal, SearchBudget(128, 32)).derivations
     report("criterion 5: the stuck negative-context sequent is underivable "
            "at default and doubled budgets")
 
@@ -186,10 +196,7 @@ def test_criterion_9_determinism_and_budget_stability(lex, parsed, capsys):
     grammatical.append("Somebody saw everybody")
     for sentence in grammatical:
         assert parsed(sentence).verdict == GRAMMATICAL
-        tokens = parsed(sentence).tokens
-        doubled = SearchBudget(max_structural_steps=128,
-                               max_t_insertions=2 * (len(tokens) + 2),
-                               max_derivations=32)
+        doubled = SearchBudget(max_structural_steps=128, max_derivations=32)
         assert parse_sentence(sentence, lex, budget=doubled).verdict \
             == GRAMMATICAL, sentence
     report("criterion 9: corpus output byte-identical across runs and to "

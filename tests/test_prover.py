@@ -14,7 +14,6 @@ from polagram import (
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
 )
-from polagram.core import formula_leaf_count
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
@@ -123,9 +122,9 @@ def test_stuck_negative_context_not_derivable(lex):
 
 
 def test_stuck_negative_context_robust_to_doubled_budget(lex):
-    # twice the default for this 3-leaf goal: (64, 3 + 2, 16)
+    # twice the default, (64, 16)
     goal = seq("np *c ((1 * <>anybody) * <>saw)", "s-", lex)
-    assert not prove(goal, SearchBudget(128, 10, 32)).derivations
+    assert not prove(goal, SearchBudget(128, 32)).derivations
 
 
 # -- the derivation checker ---------------------------------------------------
@@ -258,7 +257,7 @@ def _reachable_moves(goal, limit):
     while queue and len(out) < limit:
         moves = MoveTable().moves_of(queue.pop(0))
         out.append(moves)
-        for _steps, premises, _s, _t, _trace in moves:
+        for _steps, premises, _s, _trace in moves:
             for premise in premises:
                 if premise.key not in seen:
                     seen.add(premise.key)
@@ -271,19 +270,19 @@ def test_enumerate_includes_root_forward(lex):
     # hold a continuation functor, and not where nothing could consume it
     goal = seq("nobody * (saw * anybody)", "s0", lex)
     roots = [(steps, premises)
-             for steps, premises, _s, _t, _trace in MoveTable().moves_of(goal)
+             for steps, premises, _s, _trace in MoveTable().moves_of(goal)
              if steps[0][0] == ROOT_F]
     assert roots == [(((ROOT_F, (), goal.antecedent),),
                       (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
     plain = seq("alice * (saw * bob)", "s0", lex)
     assert all(steps[0][0] != ROOT_F
-               for steps, _p, _s, _t, _trace in MoveTable().moves_of(plain))
+               for steps, _p, _s, _trace in MoveTable().moves_of(plain))
 
 
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * saw) *c np", "s0", lex)
     results = [premises
-               for steps, premises, _s, _t, _trace
+               for steps, premises, _s, _trace
                in MoveTable().moves_of(goal)
                if steps == ((RIGHT_F, (), goal.antecedent),)]
     # compared as printed: the premise keeps the goal's leaf positions,
@@ -292,17 +291,16 @@ def test_enumerate_right_forward(lex):
         == [["saw *c (np * <>np) |- s0"]]
 
 
-def test_enumerate_no_t_without_budget(lex):
-    # each move's cost counts the structural steps and the T insertions of
-    # its chain, so a branch with no T budget left keeps no move with a T
+def test_every_t_in_a_chain_counts_as_a_structural_step(lex):
+    # each move's cost counts the structural steps of its chain, each T
+    # among them, so the structural cap also bounds the T uses of a branch
     t_moves = 0
     for moves in _reachable_moves(seq("nobody * (saw * anybody)", "s0", lex),
                                   400):
-        for steps, _premises, s_cost, t_cost, _trace in moves:
+        for steps, _premises, s_cost, _trace in moves:
             rules = [rule for rule, _site, _antecedent in steps]
-            assert t_cost == rules.count(T_RULE)
             assert s_cost == sum(rule in STRUCTURAL_RULES for rule in rules)
-            t_moves += t_cost > 0
+            t_moves += T_RULE in rules
     assert t_moves > 0
 
 
@@ -314,7 +312,7 @@ def test_enumerate_deterministic_order(lex):
         return [[(str(r), s, Sequent(a, at.succedent).key)
                  for r, s, a in steps]
                 + [p.key for p in premises]
-                for steps, premises, _s, _t, _trace
+                for steps, premises, _s, _trace
                 in MoveTable().moves_of(at)]
 
     assert listing(goal) == listing(goal) == listing(again)
@@ -357,23 +355,10 @@ def test_deterministic_output(lex):
         == [d.render() for d in b.derivations]
 
 
-def test_an_unset_t_budget_is_the_goals_leaves_plus_two(lex):
-    # a budget built without a T cap searches exactly as no budget does:
-    # with this goal's T cap of 3 leaves + 2, not a fixed default
-    goal = seq("nobody * (saw * anybody)", "s0", lex)
-    default = prove(goal)
-    for budget in (SearchBudget(), SearchBudget(max_structural_steps=64)):
-        result = prove(goal, budget)
-        assert _proofs(result) == _proofs(default)
-        assert result.budget_exhausted == default.budget_exhausted
-
-
 def test_budget_monotonicity():
     goal = seq("s0", "s-")
-    small = SearchBudget(max_structural_steps=12, max_t_insertions=2,
-                         max_derivations=10000)
-    big = SearchBudget(max_structural_steps=24, max_t_insertions=4,
-                       max_derivations=10000)
+    small = SearchBudget(max_structural_steps=12, max_derivations=10000)
+    big = SearchBudget(max_structural_steps=24, max_derivations=10000)
     found_small = {json.dumps(derivation_to_dict(d), sort_keys=True)
                    for d in prove(goal, small).derivations}
     found_big = {json.dumps(derivation_to_dict(d), sort_keys=True)
@@ -393,19 +378,19 @@ class PlainSearch:
         self.exhausted = False
         self.path = set()
 
-    def search(self, seq, s_rem, t_rem, want):
+    def search(self, seq, s_rem, want):
         path = self.path
         if seq.key in path:
             return []
         every = MoveTable().moves_of(seq)
-        moves = [m for m in every if m[2] <= s_rem and m[3] <= t_rem]
+        moves = [m for m in every if m[2] <= s_rem]
         self.exhausted = self.exhausted or len(moves) < len(every)
         found = []
         path.add(seq.key)
-        for steps, premises, s_cost, t_cost, _trace in moves:
+        for steps, premises, s_cost, _trace in moves:
             if len(found) >= want:
                 break
-            s2, t2 = s_rem - s_cost, t_rem - t_cost
+            s2 = s_rem - s_cost
             # fused chains pass through intermediate sequents, which count
             # toward the branch's no-repeat check too
             mids = {Sequent(mid, seq.succedent).key
@@ -416,13 +401,12 @@ class PlainSearch:
             if not premises:
                 found.append(_apply_chain(seq, steps, ()))
             elif len(premises) == 1:
-                for sub in self.search(premises[0], s2, t2,
-                                       want - len(found)):
+                for sub in self.search(premises[0], s2, want - len(found)):
                     found.append(_apply_chain(seq, steps, (sub,)))
             else:
                 need = want - len(found)
-                mains = self.search(premises[0], s2, t2, need)
-                sides = self.search(premises[1], s2, t2, need) \
+                mains = self.search(premises[0], s2, need)
+                sides = self.search(premises[1], s2, need) \
                     if mains else []
                 for main in mains:
                     for side in sides:
@@ -435,25 +419,20 @@ class PlainSearch:
 
 
 def test_memo_and_plain_search_agree(lex):
-    # the T caps of the first four cases are their formula leaves + 2
     cases = [
-        ("np", "np", SearchBudget(64, 3, 2)),
-        ("s0", "s+", SearchBudget(64, 3, 2)),
-        ("s+", "s0", SearchBudget(64, 3, 2)),
-        ("alice * (saw * bob)", "s0", SearchBudget(64, 5, 2)),
-        ("nobody * (saw * anybody)", "s0",
-         SearchBudget(max_structural_steps=24, max_t_insertions=5,
-                      max_derivations=2)),
-        ("np *c ((1 * <>anybody) * <>saw)", "s-",
-         SearchBudget(max_structural_steps=18, max_t_insertions=4,
-                      max_derivations=2)),
+        ("np", "np", SearchBudget(64, 2)),
+        ("s0", "s+", SearchBudget(64, 2)),
+        ("s+", "s0", SearchBudget(64, 2)),
+        ("alice * (saw * bob)", "s0", SearchBudget(64, 2)),
+        ("nobody * (saw * anybody)", "s0", SearchBudget(24, 2)),
+        ("np *c ((1 * <>anybody) * <>saw)", "s-", SearchBudget(18, 2)),
     ]
     for text, target, budget in cases:
         goal = seq(text, target, lex)
         result = prove(goal, budget)
         oracle = PlainSearch()
         found = oracle.search(goal, budget.max_structural_steps,
-                              budget.max_t_insertions, budget.max_derivations)
+                              budget.max_derivations)
         assert bool(result.derivations) == bool(found), text
         if not found and not oracle.exhausted:
             # a refutation the oracle completes uncut is uncut in prove too
@@ -461,20 +440,20 @@ def test_memo_and_plain_search_agree(lex):
 
 
 def _heap_queue():
-    """The reference agenda: a heap of (s, t, push counter, item)."""
+    """The reference agenda: a heap of (s, push counter, item)."""
     heap, pushes = [], count()
 
-    def push(s, t, item):
-        heapq.heappush(heap, (s, t, next(pushes), item))
+    def push(s, item):
+        heapq.heappush(heap, (s, next(pushes), item))
 
     def drain():
         while heap:
-            s, t, _, item = heapq.heappop(heap)
-            yield (s, t), item
+            s, _, item = heapq.heappop(heap)
+            yield s, item
     return push, drain
 
 
-_COST = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_COST = st.integers(0, 3)
 
 
 @given(st.lists(_COST, max_size=6),
@@ -484,19 +463,19 @@ def test_bucket_queue_drains_in_heap_order(seeds, children):
     # nonnegative step, as both phases of the search do
     def run(push, drain):
         pushed = count()
-        for s, t in seeds:
-            push(s, t, next(pushed))
+        for s in seeds:
+            push(s, next(pushed))
         order = []
-        for (s, t), item in drain():
-            for ds, dt in (children[len(order)]
-                           if len(order) < len(children) else ()):
-                push(s + ds, t + dt, next(pushed))
-            order.append(((s, t), item))
+        for s, item in drain():
+            for ds in (children[len(order)]
+                       if len(order) < len(children) else ()):
+                push(s + ds, next(pushed))
+            order.append((s, item))
         return order
 
     queue = _BucketQueue()
     assert run(queue.push, queue.drain) == run(*_heap_queue())
-    assert not queue.buckets and not queue.live
+    assert not queue.buckets
 
 
 def test_no_branch_repeats_a_sequent(lex):
@@ -539,7 +518,7 @@ def test_one_derivation_per_reading(searched):
 # search: per result one line with its verdict and flags, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 CUT_BUDGET_SHA256 = \
-    "b507c8bc8132bbceade53479582181ba0ac71eb45cc0a42713a5abb4d6e6dd1e"
+    "3565d61507e58ecefb695b3f03ee46f3c30eac9f5b4e59d7df7bdecd6c9621e9"
 
 
 def test_extraction_under_cut_budgets(lex):
@@ -552,7 +531,7 @@ def test_extraction_under_cut_budgets(lex):
         "Anybody's mother saw nobody's father"]
     digest = hashlib.sha256()
     parses = cut = 0
-    for budget in (SearchBudget(8, 2, 5), SearchBudget(20, 3, 7)):
+    for budget in (SearchBudget(8, 5), SearchBudget(20, 7)):
         for sentence in sentences:
             result = parse_sentence(sentence, lex, budget)
             digest.update(f"{result.verdict} {result.budget_exhausted} "
@@ -562,7 +541,7 @@ def test_extraction_under_cut_budgets(lex):
                 digest.update(blob.encode("utf-8") + b"\n")
             parses += 1
             cut += result.budget_exhausted
-    assert (parses, cut) == (104, 96)
+    assert (parses, cut) == (104, 86)
     assert digest.hexdigest() == CUT_BUDGET_SHA256
 
 
@@ -587,29 +566,18 @@ def test_a_short_search_reads_its_deadline(lex):
 
 # -- phase 2 over a hand-filled move table ------------------------------------
 
-# A -> X1 at (1, 2) and A -> X2 at (2, 1), both firing ("a", 0); B -> Y at
-# (3, 0), firing ("b", 1); X1, X2 and Y are axioms.  When B's label (3, 0)
-# settles, A's frontier holds (1, 2) and (2, 1): a frontier with two points,
-# which no search over the default lexicon has been seen to combine with.
-BELOW_A_AND_B = [("A", ("X1",), 1, 2, (("a", 0),)),
-                 ("A", ("X2",), 2, 1, (("a", 0),)),
-                 ("B", ("Y",), 3, 0, (("b", 1),)),
-                 ("X1", (), 0, 0, ()), ("X2", (), 0, 0, ()),
-                 ("Y", (), 0, 0, ())]
-
-
 def _hand_search(moves, caps):
     """``_search`` from "goal" over a move table filled by hand with
-    ``moves``, each (node, premise nodes, s, t, trace) and one step long;
-    the axiom leaves of each derivation found, and whether it was cut."""
+    ``moves``, each (node, premise nodes, s, trace) and one step long; the
+    axiom leaves of each derivation found, and whether it was cut."""
     table = MoveTable()
     node = {name: table.canonical(Sequent(FLeaf(Atom(name)), Atom(name)))
             for at, premises, *_rest in moves for name in (at,) + premises}
-    for at, premises, s, t, trace in moves:
+    for at, premises, s, trace in moves:
         step = ((RuleName("Step" if premises else "Axiom"), (),
                  node[at].antecedent),)
         table.moves.setdefault(node[at].key, []).append(
-            (step, tuple(node[p] for p in premises), s, t, trace))
+            (step, tuple(node[p] for p in premises), s, trace))
     result = _search(node["goal"], SearchBudget(*caps), None, table)
     return [_axioms(d) for d in result.derivations], result.budget_exhausted
 
@@ -622,31 +590,20 @@ def _axioms(d):
 
 
 @pytest.mark.parametrize("goal_first", [True, False])
-@pytest.mark.parametrize("caps,derived,cut", [
-    ((3, 2), [["X1", "Y"]], False),
-    ((3, 1), [["X2", "Y"]], True),
-])
-def test_phase_two_combines_with_the_least_t_point(goal_first, caps,
-                                                   derived, cut):
-    # goal -> (A, B) at (0, 0): the goal's one label is (3, 1), from A's
-    # last point; extraction then takes the first A label within the caps
+def test_phase_two_joins_every_trace_the_other_premise_settled(goal_first):
+    # goal -> (A, B) at 0; A -> X at 3 fires ("a", 0); B -> Y1 at 1 fires
+    # ("b", 1) and B -> Y2 at 2 fires ("c", 2).  When A's label settles at
+    # 3, B has settled both of its traces, and the join takes each of them
     pair = ("A", "B") if goal_first else ("B", "A")
-    found = _hand_search([("goal", pair, 0, 0, ())] + BELOW_A_AND_B, caps)
+    found = _hand_search([("goal", pair, 0, ()),
+                          ("A", ("X",), 3, (("a", 0),)),
+                          ("B", ("Y1",), 1, (("b", 1),)),
+                          ("B", ("Y2",), 2, (("c", 2),)),
+                          ("X", (), 0, ()), ("Y1", (), 0, ()),
+                          ("Y2", (), 0, ())], (3, 16))
+    derived = [["X", "Y1"], ["X", "Y2"]]
     assert found == ([names if goal_first else names[::-1]
-                      for names in derived], cut)
-
-
-def test_a_costlier_route_admits_the_least_t_join():
-    # P -> (A, B) is reached at (0, 0) through Q, so phase 1 is not cut,
-    # and at (0, 1) by goal -> P directly.  That route leaves (3, 1) of the
-    # caps to P, which admits P's label (3, 1) but would not admit the (3, 2)
-    # that A's first point gives; the goal's one trace is extracted once
-    found = _hand_search([("goal", ("P",), 0, 1, ()),
-                          ("goal", ("Q",), 0, 0, ()),
-                          ("Q", ("P",), 0, 0, ()),
-                          ("P", ("A", "B"), 0, 0, ())] + BELOW_A_AND_B,
-                         (3, 2))
-    assert found == ([["X2", "Y"]], False)
+                      for names in derived], False)
 
 
 # -- the collector and the shared move table ---------------------------------
@@ -719,7 +676,7 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             for key, moves in table.moves.items():
                 node = table.sequents[key]
                 assert node.key == key
-                for steps, premises, _s, _t, trace in moves:
+                for steps, premises, _s, trace in moves:
                     assert Sequent(steps[0][2], node.succedent).key == key
                     for premise in premises:
                         assert premise is table.sequents[premise.key]
@@ -739,11 +696,11 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
 
 def _listing(seq, moves):
     """The moves at ``seq`` as plain data: each step's rule, site and
-    conclusion key, the premises' keys, the costs and the trace."""
+    conclusion key, the premises' keys, the cost and the trace."""
     return [([(str(rule), site, Sequent(antecedent, seq.succedent).key)
               for rule, site, antecedent in steps],
-             [premise.key for premise in premises], s, t, trace)
-            for steps, premises, s, t, trace in moves]
+             [premise.key for premise in premises], s, trace)
+            for steps, premises, s, trace in moves]
 
 
 POSSESSIVES = ["Nobody's mother saw anybody's father",
@@ -766,7 +723,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.moves)
             antecedents += len(table.halves)
-    assert (expanded, antecedents) == (38018, 22757)
+    assert (expanded, antecedents) == (38998, 23290)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -776,8 +733,8 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     table = MoveTable()
     for goal_type in GOAL_TYPES:
         prove(Sequent(tree, goal_type), table=table)
-    assert len(table.moves) == 9362
-    assert len(table.halves) == 5389
+    assert len(table.moves) == 9763
+    assert len(table.halves) == 5645
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
@@ -808,7 +765,7 @@ class AnywhereUnquoteTable(MoveTable):
             at = len(out) - len(self.halves[ant.key][1])
             self.extra += 1
             out.insert(at, (((UNQUOTE_SUCC, (), ant),),
-                            (self.premise(ant, Dia(VALUE, succ)),), 1, 0, ()))
+                            (self.premise(ant, Dia(VALUE, succ)),), 1, ()))
         return out
 
 
@@ -833,7 +790,7 @@ def _goal_traces(monkeypatch, goal, budget, table):
 # default budget, and the grid with no practical cap
 UNQUOTE_ORACLE_SLICE = [
     (sentence, SearchBudget()) for sentence in GRID + POSSESSIVES] + [
-    (sentence, SearchBudget(10**6, 10**6)) for sentence in GRID]
+    (sentence, SearchBudget(10**6)) for sentence in GRID]
 
 
 def test_unquote_at_a_quoted_root_loses_nothing(lex, monkeypatch):
@@ -880,7 +837,7 @@ def test_skeleton_refutations_are_exact(lex):
     try:
         for tree in trees.values():
             table = MoveTable()
-            budget = SearchBudget(128, 2 * (formula_leaf_count(tree) + 2), 32)
+            budget = SearchBudget(128, 32)
             for goal_type in GOAL_TYPES:
                 goal = Sequent(tree, goal_type)
                 if _skeleton_refutes(goal):

@@ -590,6 +590,30 @@ def _axioms(d):
 
 
 @pytest.mark.parametrize("goal_first", [True, False])
+@pytest.mark.parametrize("caps,derived,cut", [
+    ((3, 16), [["X1", "Y"]], False),
+    ((2, 16), [["X2", "Y"]], True),
+])
+def test_phase_two_combines_with_the_least_t_point(goal_first, caps,
+                                                   derived, cut):
+    # goal -> (A, B) at 0; A -> X1 at 3 and A -> X2 at 1 both fire
+    # ("a", 0), X1's move listed first; B -> Y at 2 fires ("b", 1).  A's
+    # trace settles once, at its least cost 1, and B's label at 2 joins it,
+    # so the goal's one label is at 2.  Extraction takes A's first move
+    # within the cap: X1 at cap 3; at cap 2 phase 1 cuts X1's route, and
+    # X2's is the one left
+    pair = ("A", "B") if goal_first else ("B", "A")
+    found = _hand_search([("goal", pair, 0, ()),
+                          ("A", ("X1",), 3, (("a", 0),)),
+                          ("A", ("X2",), 1, (("a", 0),)),
+                          ("B", ("Y",), 2, (("b", 1),)),
+                          ("X1", (), 0, ()), ("X2", (), 0, ()),
+                          ("Y", (), 0, ())], caps)
+    assert found == ([names if goal_first else names[::-1]
+                      for names in derived], cut)
+
+
+@pytest.mark.parametrize("goal_first", [True, False])
 def test_phase_two_joins_every_trace_the_other_premise_settled(goal_first):
     # goal -> (A, B) at 0; A -> X at 3 fires ("a", 0); B -> Y1 at 1 fires
     # ("b", 1) and B -> Y2 at 2 fires ("c", 2).  When A's label settles at

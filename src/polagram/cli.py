@@ -91,9 +91,6 @@ def parse_corpus(text: str) -> List[CorpusLine]:
 def _add_prover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", metavar="FILE",
                    help="lexicon file (default: built-in)")
-    p.add_argument("--budget", type=int, metavar="N",
-                   help="structural steps per branch, each T among them "
-                   f"(default {SearchBudget.max_structural_steps})")
     p.add_argument("--max-derivations", type=int, metavar="N",
                    help="scope readings per goal, one derivation each "
                    f"(default {SearchBudget.max_derivations})")
@@ -109,16 +106,15 @@ def _lexicon_from(args) -> Lexicon:
 
 
 def _budget_for(args) -> SearchBudget:
-    """The budget the flags ask for, with ``SearchBudget``'s defaults for
-    the flags not given.  Raises ValueError for a budget out of range, and
+    """The budget ``--max-derivations`` asks for, ``SearchBudget``'s
+    default when it is not given.  Raises ValueError for a cap below 1, and
     for a NaN or negative ``--time-limit`` (0 and inf are limits)."""
     if args.time_limit is not None and not args.time_limit >= 0:
         raise ValueError("--time-limit must be a nonnegative number of "
                          f"seconds, not {args.time_limit}")
-    overrides = {field: value for field, value in (
-        ("max_structural_steps", args.budget),
-        ("max_derivations", args.max_derivations)) if value is not None}
-    return SearchBudget(**overrides)
+    if args.max_derivations is None:
+        return SearchBudget()
+    return SearchBudget(args.max_derivations)
 
 
 def _tokens(sentence: str, lex: Lexicon) -> List[str]:
@@ -165,10 +161,8 @@ def cmd_parse(args) -> int:
                 print(f"  {reading}")
         elif result.verdict == UNKNOWN:
             print("unknown (search timed out)")
-        elif result.budget_exhausted:
-            print("ungrammatical (no proof within budget)")
         else:
-            print("ungrammatical (refuted; no search was cut)")
+            print("ungrammatical (refuted)")
         if args.show_derivation and result.derivations:
             shown = set()
             for d in result.derivations:
@@ -199,19 +193,17 @@ def cmd_sequent(args) -> int:
             "sequent": str(goal),
             "derivable": bool(result.derivations),
             "derivation_count": len(result.derivations),
-            "budget_exhausted": result.budget_exhausted,
             "timed_out": result.timed_out,
         })
     elif result.derivations:
-        print(f"derivable ({len(result.derivations)} derivations found)")
+        noun = "reading" if len(result.derivations) == 1 else "readings"
+        print(f"derivable ({len(result.derivations)} {noun})")
         if args.show_derivation:
             print(result.derivations[0].render())
     elif result.timed_out:
         print("unknown (search timed out)")
-    elif result.budget_exhausted:
-        print("not derivable within budget")
     else:
-        print("not derivable (refuted; the search was not cut)")
+        print("not derivable (refuted)")
     if result.timed_out:
         return EXIT_UNKNOWN
     return EXIT_OK if result.derivations else EXIT_NEGATIVE

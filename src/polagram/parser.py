@@ -25,7 +25,7 @@ from .readings import Reading, extract_reading, reading_to_dict
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)
 
 GRAMMATICAL = "grammatical"
-UNGRAMMATICAL = "ungrammatical-within-budget"
+UNGRAMMATICAL = "ungrammatical"
 # no derivation found before the deadline: the search could not decide
 UNKNOWN = "unknown"
 
@@ -37,7 +37,6 @@ class ParseResult:
     verdict: str
     readings: List[Reading]
     derivations: List[Derivation]
-    budget_exhausted: bool
     timed_out: bool = False
 
     def to_json_dict(self) -> dict:
@@ -45,7 +44,6 @@ class ParseResult:
             "sentence": self.sentence,
             "tokens": self.tokens,
             "verdict": self.verdict,
-            "budget_exhausted": self.budget_exhausted,
             "timed_out": self.timed_out,
             "derivation_count": len(self.derivations),
             "readings": [reading_to_dict(r) for r in self.readings],
@@ -106,7 +104,6 @@ def parse_sentence(sentence: str, lex: Lexicon,
     tokens = tokenize(sentence, lex)
     derivations: List[Derivation] = []
     readings: List[Reading] = []
-    exhausted = False
     timed_out = False
     stop_at = None if deadline is None else time.monotonic() + deadline
     # one collector pause for the whole parse, the enumeration of its trees
@@ -128,7 +125,6 @@ def parse_sentence(sentence: str, lex: Lexicon,
                         break
                 result = prove(Sequent(tree, goal_type), budget,
                                deadline=remaining, table=table)
-                exhausted = exhausted or result.budget_exhausted
                 timed_out = timed_out or result.timed_out
                 for d in result.derivations:
                     derivations.append(d)
@@ -146,4 +142,4 @@ def parse_sentence(sentence: str, lex: Lexicon,
     verdict = GRAMMATICAL if derivations \
         else UNKNOWN if timed_out else UNGRAMMATICAL
     return ParseResult(sentence, tokens, verdict, readings, derivations,
-                       exhausted or timed_out, timed_out)
+                       timed_out)

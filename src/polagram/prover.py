@@ -1,4 +1,4 @@
-"""Bounded backward proof search for the multimodal logic.
+"""Backward proof search for the multimodal logic.
 
 The rule set has three layers:
 
@@ -16,15 +16,15 @@ The rule set has three layers:
   either side of the turnstile).
 
 Backward search applies each of these as an antecedent (or succedent)
-rewrite.  Termination is enforced by a per-branch budget, a cap on structural
-postulate applications (T, the only size-increasing rewrite, counts as one),
-plus a per-branch repeated-sequent check.  An empty result therefore means
-"not derivable within budget", and the result carries a flag saying whether
-any branch was cut short.  A search returns one
-derivation per scope reading it finds, up to a cap on readings.  A goal whose
-surface tree cannot reduce to its clause type over the words' skeleton types
-is refuted before any search (``_skeleton_refutes``); that refutation is
-exact, and its result is uncut.
+rewrite.  No cap bounds it: T, the only rule that grows a structure, is
+always fused into the move that consumes its quote, and the sequents that
+the moves reach from a goal are then finite in number (the argument is in
+``prove``).  So a search explores them all, and an empty result is a
+refutation; only a wall-clock deadline can cut a search short, and the
+result says when one did.  A search returns one derivation per scope
+reading it finds, up to a cap on readings.  A goal whose surface tree cannot
+reduce to its clause type over the words' skeleton types is refuted before
+any search (``_skeleton_refutes``).
 
 The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
@@ -49,16 +49,13 @@ returned, which always consist of single honest rule applications:
   Unquote and that consumer read the antecedent alone, so they can come
   first (the argument is in ``prove``).
 
-Rather than a memoized depth-first search (per-branch budgets make the same
-subgoal recur under countless different remaining budgets), ``prove``
-evaluates the reachable sequent graph exactly, in three phases, and then
-extracts one derivation tree per scope reading; see the commentary on
-``prove``.  Six more economies concern the cost of a search, not its space,
-and leave every result as it is:
+``prove`` evaluates the reachable sequent graph exactly, in three phases,
+and then extracts one least-cost derivation tree per scope reading; see the
+commentary on ``prove``.  Six more economies concern the cost of a search,
+not its space, and leave every result as it is:
 
 * The graph's edges outlive one search.  A node's moves depend only on the
-  sequent: no budget enters their generation, each carries its cost, and
-  the search filters them by cost as it uses them.  So a ``MoveTable``
+  sequent, and each carries its structural cost.  So a ``MoveTable``
   keeps them for later calls (tabled deduction).  ``parse_sentence``
   shares one table between the goal types of each bracketing and drops it
   before the next.
@@ -73,11 +70,10 @@ and leave every result as it is:
   ``Sequent`` object for its key, so a sequent that many moves lead to
   is stored once.  A premise already in the table is looked up by its key
   before a ``Sequent`` is built for it.
-* Costs are small nonnegative integers, so the two label-setting phases
-  order their labels with bucket queues (``_BucketQueue``), a list of
-  buckets indexed by cost, and no heap.  In that order a node's first
-  label is its least cost, so phase 1 expands each node once, and phase 2
-  keeps one cost per node and trace.
+* Costs are small nonnegative integers, so phase 2 orders its labels with
+  a bucket queue (``_BucketQueue``), a list of buckets indexed by cost, and
+  no heap.  In that order the first label of a node and trace carries its
+  least cost, so phase 2 keeps one cost per node and trace.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -197,33 +193,30 @@ class Derivation:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Termination bounds for one proof search.
+    """How much one proof search returns: ``max_derivations`` caps the
+    scope readings of one goal, with one derivation each.  Nothing caps the
+    search itself, which ends on its own (see ``prove``)."""
 
-    ``max_structural_steps`` caps structural-postulate applications per
-    branch, T among them (T grows the antecedent; everything else shrinks
-    or rearranges, so this cap also bounds the T uses of a branch);
-    ``max_derivations`` caps how many scope readings of one goal are
-    returned, with one derivation each.
-    """
-
-    max_structural_steps: int = 64
     max_derivations: int = 16
 
     def __post_init__(self):
-        if self.max_structural_steps < 0:
-            raise ValueError("budget counts must be nonnegative")
         if self.max_derivations < 1:
             raise ValueError("max_derivations must be at least 1")
 
 
 @dataclass
 class SearchResult:
-    """Derivations found plus whether any branch hit a budget limit.
-    ``timed_out`` marks a search aborted by its wall-clock deadline."""
+    """Derivations found, and whether the wall-clock deadline cut the
+    search (``timed_out``); a search it did not cut is complete."""
 
     derivations: List[Derivation]
-    budget_exhausted: bool
     timed_out: bool = False
+
+    @property
+    def budget_exhausted(self) -> bool:
+        """Whether the search was cut short, which only its deadline can
+        do now: the old name of ``timed_out``."""
+        return self.timed_out
 
 
 # ---------------------------------------------------------------------------
@@ -555,38 +548,33 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # ---------------------------------------------------------------------------
 # The prover
 #
-# Per-branch budgets make naive memoization useless: the same sequent is
-# reached with many different remaining budgets, each a fresh cache key.  The
-# search therefore runs over the (finite, usually small) graph of reachable
-# sequents in three exact phases:
+# The search runs over the finite graph of the sequents reachable from the
+# goal (``prove`` argues that it is finite) in three exact phases:
 #
 #   1. explore: walk the graph from the goal, taking each node's moves from
-#      the move table (generated there once, possibly by an earlier call),
-#      and settle each node at the least structural path cost at which it
-#      is reachable within budget.  A node settles once, and its moves then
-#      go into the index phase 2 reads: each move under each of its
-#      premises, and a first label for each move with no premises;
+#      the move table (generated there once, possibly by an earlier call).
+#      Each node is expanded once, and its moves then go into the index
+#      phase 2 reads: each move under each of its premises, and a first
+#      label for each move with no premises;
 #   2. evaluate: fix, per node and per scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first),
 #      the least cost of a derivation, where the cost of a derivation is the
-#      maximum root-to-leaf path cost (the per-branch reading of the
-#      budget);
+#      largest sum of move costs along a root-to-leaf path;
 #   3. extract: per goal trace, shortest first and up to max_derivations
-#      of them, the first derivation that a trace-guided DFS
-#      (``_Extraction``) finds along admissible branches.  A derivation's
-#      reading is its trace, so each reading is witnessed once, and its
-#      rule-order variants (a sentence can have astronomically many
-#      derivations of a single reading) are never built.
+#      of them, a derivation of that least cost (``_extract``).  A
+#      derivation's reading is its trace, so each reading is witnessed
+#      once, and its rule-order variants (a sentence can have
+#      astronomically many derivations of a single reading) are never built.
 #
-# Phases 1 and 2 are label-setting.  Each takes its labels from a
-# ``_BucketQueue`` in nondecreasing structural cost, so the first label of
-# a node (phase 1) or of a node and trace (phase 2) carries its least cost
-# and is final: phase 1 expands each node once, and phase 2 drops every
-# later label of a trace already settled.  A two-premise move joins a label
-# with every trace the other premise has settled; that premise settled each
-# at no greater cost, so the join costs this label's s plus the move's, and
-# a trace the other premise settles later joins from its side.  The least
-# costs are unique, so the order within one cost changes no result.
+# Phase 2 is label-setting.  It takes its labels from a ``_BucketQueue`` in
+# nondecreasing structural cost, so the first label of a node and trace
+# carries its least cost and is final, and every later label of a trace
+# already settled is dropped.  A two-premise move joins a label with every
+# trace the other premise has settled; that premise settled each at no
+# greater cost, so the join costs this label's s plus the move's, and a
+# trace the other premise settles later joins from its side.  The least
+# costs are unique, so the order within one cost, and the order in which
+# phase 1 met the nodes, change no result.
 
 class _BucketQueue:
     """A monotone priority queue keyed by small nonnegative integer costs:
@@ -596,10 +584,10 @@ class _BucketQueue:
     ``drain`` yields the buckets in increasing ``s``, each in push order,
     including items pushed meanwhile.  That is the order of a heap of
     ``(s, push counter, item)`` as long as no push costs less than the item
-    being yielded, so no heap is needed.  Both phases of ``_search`` keep
-    to that: a pushed label costs the yielded one plus a move's nonnegative
-    cost.  The list is as long as the largest cost pushed, which the
-    structural cap bounds.
+    being yielded, so no heap is needed.  Phase 2 of ``_search`` keeps to
+    that: a pushed label costs the yielded one plus a move's nonnegative
+    cost.  The list is as long as the largest cost pushed, the cost of a
+    derivation that phase 2 has assembled.
     """
 
     __slots__ = ("buckets",)
@@ -694,8 +682,8 @@ class MoveTable:
         return moves
 
     def _assemble(self, seq: Sequent) -> List[Move]:
-        """All backward moves at ``seq``, each with its structural cost
-        and no budget gate, in fixed order: the axiom alone, if it
+        """All backward moves at ``seq``, each with its structural cost,
+        in fixed order: the axiom alone, if it
         applies; otherwise the right moves, the left moves, the
         succedent-side Unquote and the structural moves.
 
@@ -839,9 +827,9 @@ def _skeleton_refutes(goal: Sequent) -> bool:
     So a derivable sequent reads as an NL-derivable one.  On a fixed tree
     whose types are first order and whose goal is an atom, every subgoal of
     a cut-free NL derivation is an atom, so only the eliminations apply,
-    and they are the applications tried here.  No budget can find a
-    derivation: the refutation is exact and uncut.  The check makes one
-    pass over the tree.
+    and they are the applications tried here.  No search can find a
+    derivation: the refutation is exact.  The check makes one pass over
+    the tree.
     """
     target = _skeleton(goal.succedent)
     if not isinstance(target, Atom):
@@ -858,52 +846,72 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     Returns one locally-valid derivation per scope reading found, for up
     to ``budget.max_derivations`` readings, in a deterministic order:
     shorter scope orders first, and scope orders of one length by their
-    (word, position) pairs.  An empty list means no proof was found within
-    the budget.  ``deadline`` (seconds, wall clock) optionally aborts the
-    search, which reads the clock before each label settles and before each
-    extraction step; an aborted search reports no derivations and an
-    exhausted budget.  No ``budget`` means ``SearchBudget()``.
+    (word, position) pairs.  An empty list means that ``goal`` has no
+    derivation.  ``deadline`` (seconds, wall clock) optionally aborts the
+    search, which reads the clock before it expands each node, before each
+    label settles and before each extraction step; an aborted search
+    reports no derivations and ``timed_out``.  No ``budget`` means
+    ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
-    before any search (``_skeleton_refutes``): the result has no
-    derivations and is not ``budget_exhausted``, because the refutation is
-    exact and no budget could change it.  Every other goal is searched.
+    before any search (``_skeleton_refutes``).  Every other goal is
+    searched, over the sequent graph that the move table spans
+    (``MoveTable._assemble``), in the three phases described above
+    ``_BucketQueue``.  Every move carries its structural cost, and no cap
+    acts on the costs: they only order phase 2 and choose the derivation
+    phase 3 returns.
 
-    There is one search path, over the sequent graph that the move table
-    spans (``MoveTable._assemble``).  Every move carries its structural
-    cost, and the budget acts only as a filter on the costs a branch
-    accumulates: a move that would take its branch past
-    ``max_structural_steps`` is never taken, and marks the result
-    ``budget_exhausted``.  The three phases (explore, evaluate, extract)
-    are described above ``_BucketQueue``.
+    Why the search ends.  Phase 1 walks the sequents reachable from the
+    goal, and there are finitely many of them.  Every formula of one is a
+    subformula of a goal formula, or the ``◇v ◇u X`` that the
+    succedent-side Unquote makes of a subformula ``◇u X``, and every word
+    label is one of the goal's; so it is enough that the structures stay
+    bounded in size.
 
-    Why one cap ends the search.  T is the rule that grows the antecedent,
-    and the table never offers it alone: every T is fused into a chain
-    with its consumer, and the chain's cost counts that T as a structural
-    step, so the structural cap bounds the T uses of every branch.  More
-    generally, every move either costs a structural step or takes a
-    connective off the sequent's formulas, and a structural step adds at
-    most one connective (the diamond of the succedent-side Unquote).  A
-    path within the cap therefore has at most ``c + 2 * cap`` moves, for
-    ``c`` the goal's connectives, and each sequent has finitely many
-    moves, so finitely many sequents lie within the cap.
+    * Only decomposition and Root add ``Bin`` nodes and leaves.  A
+      decomposition (a slash introduction, the product elimination) takes
+      a connective off for what it adds.  Root adds a c-mode node and the
+      unit only at an antecedent with no unit, and each step that takes
+      the unit away (Root's inverse, or an elimination whose minor premise
+      gets the context) takes a ``Bin`` node with it.  So Root adds one
+      node and one leaf at most to any sequent.
+    * Every unary node that T does not make takes a connective off (the
+      diamond elimination, the box-down introduction).  T is never offered
+      alone: it is fused into the move that consumes its quote (a Right
+      rotation, a K′ merge, a value-diamond introduction, a value box-down
+      elimination), and wraps a node that is not a value diamond.  No move
+      enters a unary node's body (``_open_sites`` and ``_spine_sites`` stop
+      at ``Un``), so what T wrapped stays as it was until its diamond goes,
+      and K′ merges two diamonds into one.  So on each chain of unary
+      nodes the diamonds T made are no more than one plus the unary nodes
+      that took a connective off.
 
-    Extraction keeps, for each goal trace, the first derivation that the
-    trace-guided DFS finds.  That first success does not depend on how many
-    derivations the DFS is asked for, so the list returned is the first
-    round of a round-robin merge of every trace's derivations in DFS order,
-    and a prefix of that merge cut at the same cap.  A derivation's reading
-    is its trace (``extract_reading`` reads the firings in preorder, the
-    order in which phase 2 joins traces), so the readings and their order
-    are those of the full enumeration.  The verdict and the budget flags
-    come from phases 1 and 2, and no extraction changes them.
+    So the size of a reachable sequent is bounded by the goal's connectives
+    and leaves, and the graph is finite.  Phase 2 settles each node and
+    trace once, and a trace fires each worded continuation functor of the
+    goal once at most, so phase 2 ends too.
 
-    The premise behind "no derivation within budget" has three parts.
+    Why extraction never backtracks, and ends.  Phase 3 extracts each goal
+    trace at its least cost ``s``, and extracts each premise at the least
+    cost of its part of the trace (``_extract``).  Least costs are exact:
+    the label that settled a node and trace at ``s`` came from a move whose
+    premises had settled their parts at ``s`` less the move's cost or
+    below.  That move and split is admissible, so an admissible choice
+    exists at every node extraction reaches, and the first one in table
+    order is taken.  Along a branch the least cost falls by at least each
+    move's cost, and every cost-0 move takes a formula connective off, so
+    every branch ends.  Each subderivation returned is a least-cost one for its
+    sequent and part, so the derivation costs ``s`` and no sequent recurs
+    with one trace on a branch of it.  A derivation's reading is its trace
+    (``extract_reading`` reads the firings in preorder, the order in which
+    phase 2 joins traces), so each reading found is returned once.
 
-    * Normal form, a claim not proved here: a derivation within the budget
-      has one of the same scope trace and budget in the normal form the
-      move table offers (T fused into its consumers, Root at the root,
-      surface moves last; see the module docstring).
+    An empty result is a refutation, given two premises.
+
+    * Normal form, a claim not proved here: a derivation has one of the
+      same scope trace in the normal form the move table offers (T fused
+      into its consumers, Root at the root, surface moves last; see the
+      module docstring).
     * The succedent-side Unquote at a quoted root, argued.  The table
       offers the premise ``Γ ⊢ ◇v ◇u X`` of ``Γ ⊢ ◇u X`` only when ``Γ`` is
       itself a value diamond, which ``DiaR(v)`` then takes off.  Take a
@@ -923,33 +931,25 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       unfolding of a c-mode product make a c-mode node, so without c-mode
       products in the lexicon the quoted root is continuation-free as the
       gate asks; a lexicon with one is not covered.
-    * No repeats: no sequent recurs on a branch of an extracted
-      derivation, fused-chain midpoints included.  Going up a branch, a
-      worded leaf is only consumed or handed to a side premise, never
-      made, so nothing fires between two occurrences of one sequent, and
-      cutting out that segment keeps the trace and raises no path's cost.
-      The check compares labelled sequents, the very ones the table tells
-      apart.  Claimed, not argued: that a fused chain's suffix from a
-      repeated midpoint is itself a move there.
 
     ``table`` keeps the moves of the sequents the search expands.  Calls
     given the same table generate each sequent's moves once among them;
     a call given none uses a private one.  Sharing cannot change a result:
-    moves do not depend on the budget, and everything that depends on the
-    goal or the budget (reach labels, least costs, the extraction path)
-    stays private to the call.
+    moves depend on the sequent alone, and everything that depends on the
+    goal (the nodes reached, least costs, the extraction) stays private to
+    the call.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
     builds forms a reference cycle: structures, sequents, moves, labels and
-    derivations are acyclic, and the recursive extraction is a method, not
-    a closure that refers to itself through its own cell.  Reference
-    counting therefore frees everything the call drops, and a collection
-    during the search could reclaim nothing; it would only rescan the
-    growing graph.
+    derivations are acyclic, and the recursive extraction is a module-level
+    function, not a closure that refers to itself through its own cell.
+    Reference counting therefore frees everything the call drops, and a
+    collection during the search could reclaim nothing; it would only
+    rescan the growing graph.
     """
     if _skeleton_refutes(goal):
-        return SearchResult([], False)
+        return SearchResult([])
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -963,49 +963,41 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 def _search(goal: Sequent, budget: SearchBudget,
             deadline: Optional[float], table: MoveTable) -> SearchResult:
     """The three-phase search of ``prove`` over the moves in ``table``."""
-    cap = budget.max_structural_steps
     stop_at = None if deadline is None else time.monotonic() + deadline
-    exhausted = False
     try:
-        # phase 1: explore the reachable sequent graph, taking reach labels
-        # from the bucket queue in nondecreasing cost order; a node's first
-        # label settles it, and it is expanded then and only then
+        # phase 1: walk the reachable sequent graph, expanding each node
+        # once, and index each move under each of its premises
         goal = table.canonical(goal)
-        goal_key = goal.key
         table_moves = table.moves
-        settled: Set[str] = set()
+        reached: Set[str] = {goal.key}
         deps: Dict[str, List[Tuple[str, Move, int]]] = {}
-        labels, work = _BucketQueue(), _BucketQueue()
-        push_label, push_work = labels.push, work.push
-        push_work(0, goal)
-        for rs, seq in work.drain(stop_at):
+        labels = _BucketQueue()
+        push_label = labels.push
+        work = [goal]
+        while work:
+            if stop_at is not None and time.monotonic() >= stop_at:
+                raise SearchTimeout
+            seq = work.pop()
             key = seq.key
-            if key in settled:
-                continue
-            settled.add(key)
             moves = table_moves.get(key)
             if moves is None:
                 moves = table.moves_of(seq)
             for move in moves:
-                _steps, premises, ms, _trace = move
-                for slot, premise in enumerate(premises):
-                    deps.setdefault(premise.key, []).append((key, move, slot))
+                premises = move[1]
                 if not premises:  # the axiom, which costs nothing
                     push_label(0, (key, ()))
-                nrs = rs + ms
-                if nrs > cap:
-                    exhausted = True
-                    continue
-                for premise in premises:
-                    if premise.key not in settled:
-                        push_work(nrs, premise)
+                for slot, premise in enumerate(premises):
+                    deps.setdefault(premise.key, []).append((key, move, slot))
+                    if premise.key not in reached:
+                        reached.add(premise.key)
+                        work.append(premise)
 
         # phase 2: fix the least derivation cost per node and scope trace,
-        # again label-setting, from the bucket queue that phase 1 seeded
-        # with the axioms.  A trace can be no longer than the node's stock
-        # of worded continuation functors, so the space of labels is
-        # finite.  Labels are pushed only for reached nodes and only within
-        # the cap; the table may hold more nodes, from other calls.
+        # label-setting, from the bucket queue that phase 1 seeded with the
+        # axioms.  A trace can be no longer than the node's stock of worded
+        # continuation functors, so the space of labels is finite.  Labels
+        # are pushed only for reached nodes; the table may hold more nodes,
+        # from other calls.
         least: Dict[str, Dict[Trace, int]] = {}
         for s, (key, trace) in labels.drain(stop_at):
             by_trace = least.get(key)
@@ -1018,8 +1010,6 @@ def _search(goal: Sequent, budget: SearchBudget,
             for parent, (_steps, premises, ms, own), slot in \
                     deps.get(key, ()):
                 ps = ms + s
-                if ps > cap:
-                    continue
                 if len(premises) == 1:
                     push_label(ps, (parent, own + trace))
                     continue
@@ -1027,21 +1017,14 @@ def _search(goal: Sequent, budget: SearchBudget,
                     both = trace + trace2 if slot == 0 else trace2 + trace
                     push_label(ps, (parent, own + both))
 
-        # phase 3: one derivation per goal trace, shortest traces first, up
-        # to the cap on readings; every goal label lies within the cap, so
-        # every goal trace is one
-        extraction = _Extraction(table, least, stop_at)
-        derivations: List[Derivation] = []
-        for trace in sorted(least.get(goal_key, ()),
-                            key=lambda trace: (len(trace), trace)):
-            if len(derivations) == budget.max_derivations:
-                break
-            derivation = extraction.first(goal, trace, cap)
-            if derivation is not None:
-                derivations.append(derivation)
-        return SearchResult(derivations, exhausted)
+        # phase 3: one least-cost derivation per goal trace, shortest
+        # traces first, up to the cap on readings
+        traces = sorted(least.get(goal.key, ()),
+                        key=lambda trace: (len(trace), trace))
+        return SearchResult([_extract(table, least, goal, trace, stop_at)
+                             for trace in traces[:budget.max_derivations]])
     except SearchTimeout:
-        return SearchResult([], True, timed_out=True)
+        return SearchResult([], timed_out=True)
 
 
 def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
@@ -1055,89 +1038,55 @@ def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
             for tail in _splits(trace[cut:], n - 1)]
 
 
-class _Extraction:
-    """Phase 3 of ``prove``: a deterministic trace-guided DFS that finds one
-    derivation tree per trace, entering only subgoals whose least cost for
-    their part of the trace is within the remaining budget.
+def _admissible(least: Dict[str, Dict[Trace, int]],
+                premises: Tuple[Sequent, ...], parts: Tuple[Trace, ...],
+                s: int) -> bool:
+    """Whether each premise has its part at a least cost of ``s`` or less."""
+    for premise, part in zip(premises, parts):
+        cost = least.get(premise.key, {}).get(part)
+        if cost is None or cost > s:
+            return False
+    return True
 
-    The moves are tried in the table's order.  A move deals the rest of the
-    trace to its premises in every order-keeping way (``_splits``).  A split
-    whose parts are all admissible is extracted left to right, up to the
-    first premise that yields nothing; the first move and split whose every
-    premise yields a derivation give the one returned.  No sequent repeats
-    on a branch (``path``); ``prove`` says why that loses nothing.
 
-    A class rather than a nested function: a recursive closure refers to
-    itself through its own cell, and that cycle would keep the call's whole
-    sequent graph alive until the cyclic collector next ran.
+def _extract(table: MoveTable, least: Dict[str, Dict[Trace, int]],
+             seq: Sequent, trace: Trace,
+             stop_at: Optional[float]) -> Derivation:
+    """Phase 3 of ``prove``: a derivation of ``seq`` with scope trace
+    ``trace`` at its least cost ``s``, from phase 2's ``least``.
+
+    The moves are tried in the table's order, and a move deals the rest of
+    the trace to its premises in every order-keeping way (``_splits``).
+    The first move and split that is admissible, with each premise's part
+    at a least cost of ``s`` less the move's cost or below, is taken, and
+    each premise is extracted the same way at the least cost of its part.
+    ``prove`` says why an admissible choice always exists, so nothing is
+    undone.
+
+    A module-level function rather than a nested one: a recursive closure
+    refers to itself through its own cell, and that cycle would keep the
+    call's whole sequent graph alive until the cyclic collector next ran.
     """
-
-    def __init__(self, table: MoveTable, least: Dict[str, Dict[Trace, int]],
-                 stop_at: Optional[float]) -> None:
-        self.table = table
-        self.least = least
-        self.stop_at = stop_at
-        self.path: Set[str] = set()
-
-    def admissible(self, premises: Tuple[Sequent, ...],
-                   parts: Tuple[Trace, ...], s_rem: int) -> bool:
-        """Whether each premise has its part at a least cost within
-        ``s_rem``."""
-        for premise, part in zip(premises, parts):
-            s = self.least.get(premise.key, {}).get(part)
-            if s is None or s > s_rem:
-                return False
-        return True
-
-    def first(self, seq: Sequent, trace: Trace,
-              s_rem: int) -> Optional[Derivation]:
-        """The first derivation of ``seq`` with scope trace ``trace`` whose
-        every path costs at most ``s_rem``, or None."""
-        if self.stop_at is not None and time.monotonic() >= self.stop_at:
-            raise SearchTimeout
-        path = self.path
-        if seq.key in path:
-            return None
-        admissible, first = self.admissible, self.first
-        path.add(seq.key)
-        try:
-            for steps, premises, ms, own in self.table.moves[seq.key]:
-                s2 = s_rem - ms
-                if s2 < 0:
-                    continue
-                if own:
-                    if not trace or trace[0] != own[0]:
-                        continue
-                    rest = trace[1:]
-                else:
-                    rest = trace
-                mids = None
-                if len(steps) > 1:
-                    # a fused chain passes through intermediate sequents,
-                    # which count toward the branch's no-repeat check too
-                    mids = {sequent_key(mid, seq.succedent)
-                            for _r, _s, mid in steps[1:]}
-                    if not path.isdisjoint(mids):
-                        continue
-                    path |= mids
-                try:
-                    for parts in _splits(rest, len(premises)):
-                        if not admissible(premises, parts, s2):
-                            continue
-                        subs: List[Derivation] = []
-                        for premise, part in zip(premises, parts):
-                            sub = first(premise, part, s2)
-                            if sub is None:
-                                break
-                            subs.append(sub)
-                        else:
-                            return _apply_chain(seq, steps, tuple(subs))
-                finally:
-                    if mids:
-                        path -= mids
-        finally:
-            path.remove(seq.key)
-        return None
+    if stop_at is not None and time.monotonic() >= stop_at:
+        raise SearchTimeout
+    s = least[seq.key][trace]
+    for steps, premises, ms, own in table.moves[seq.key]:
+        if ms > s:
+            continue
+        if own:
+            if not trace or trace[0] != own[0]:
+                continue
+            rest = trace[1:]
+        else:
+            rest = trace
+        for parts in _splits(rest, len(premises)):
+            if _admissible(least, premises, parts, s - ms):
+                subs = []
+                for premise, part in zip(premises, parts):
+                    subs.append(_extract(table, least, premise, part,
+                                         stop_at))
+                return _apply_chain(seq, steps, tuple(subs))
+    raise AssertionError(f"no admissible move for {trace} at {seq}")
 
 
 # ---------------------------------------------------------------------------

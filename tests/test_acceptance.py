@@ -42,7 +42,7 @@ def report(line):
 # order).
 CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
 AUDITED_DERIVATIONS_SHA256 = \
-    "19086b53350978763971f615d1c5f2b6ab9f4b8359bf0ad51e733ab5ec86bcd5"
+    "5984637ffb92809e4b63b26fde27d7325e3e5e8dc2e48c55d93fff06fb4f25a3"
 
 
 def test_criterion_1_acceptability_table(parsed):
@@ -74,10 +74,10 @@ def test_criterion_3_ditransitive_prediction(lex, machine):
     assert (("nobody", 0), ("somebody", 1)) not in pair_orders
     assert pair_orders == {(("somebody", 1), ("nobody", 0))}
 
-    # prover side, at the default budget: a rightmost quantifier takes
-    # widest scope over two others, and the search ends uncut
+    # prover side: a rightmost quantifier takes widest scope over two
+    # others, and the search ends on its own
     result = parse_sentence("Nobody introduced everybody to somebody", lex)
-    assert not result.budget_exhausted
+    assert not result.timed_out
     orders = {r.scope_order for r in result.readings}
     linear = (("nobody", 0), ("everybody", 2), ("somebody", 4))
     assert linear in orders
@@ -97,7 +97,7 @@ def test_ditransitives_agree_with_the_machine_uncut(lex, machine, sentence):
     # leaves + 2 cut to no reading at all
     result = parse_sentence(sentence, lex)
     assert result.verdict == GRAMMATICAL
-    assert not result.budget_exhausted
+    assert not result.timed_out
     machine_orders = {r.scope_order for r in predict(
         machine, quantifier_occurrences(result.tokens, machine))}
     assert {r.scope_order for r in result.readings} == machine_orders
@@ -123,11 +123,11 @@ def test_criterion_4_conversion_lemmas():
 def test_criterion_5_stuck_configuration(lex):
     goal = Sequent(parse_structure("np *c ((1 * <>anybody) * <>saw)", lex),
                    parse_formula("s-"))
-    # the default budget, (64, 16), and twice that
-    assert not prove(goal, SearchBudget()).derivations
-    assert not prove(goal, SearchBudget(128, 32)).derivations
-    report("criterion 5: the stuck negative-context sequent is underivable "
-           "at default and doubled budgets")
+    # no cap bounds the search, so its refutation is exact once it ends
+    result = prove(goal)
+    assert not result.derivations and not result.timed_out
+    report("criterion 5: the stuck negative-context sequent is refuted by "
+           "a search that explores every sequent it reaches")
 
 
 def test_criterion_6_oracle_equivalence(parsed, machine):
@@ -191,14 +191,14 @@ def test_criterion_9_determinism_and_budget_stability(lex, parsed, capsys):
     assert code1 == code2 == 0
     assert first == second
     assert first == CORPUS_JSON.read_text(encoding="utf-8")
-    # grammatical sentences stay grammatical when every budget is doubled
+    # grammatical sentences keep their readings when the cap on readings,
+    # the one budget left, is doubled
     grammatical = [s for s, verdict in ACCEPTABILITY_TABLE if verdict == "ok"]
     grammatical.append("Somebody saw everybody")
     for sentence in grammatical:
         assert parsed(sentence).verdict == GRAMMATICAL
-        doubled = SearchBudget(max_structural_steps=128, max_derivations=32)
-        assert parse_sentence(sentence, lex, budget=doubled).verdict \
-            == GRAMMATICAL, sentence
+        doubled = parse_sentence(sentence, lex, budget=SearchBudget(32))
+        assert doubled.readings == parsed(sentence).readings, sentence
     report("criterion 9: corpus output byte-identical across runs and to "
            "the recorded report; "
-           "grammaticality stable under doubled budgets")
+           "readings stable under a doubled budget")

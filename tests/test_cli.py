@@ -27,23 +27,23 @@ def test_parse_grammatical(capsys):
 
 
 def test_parse_ungrammatical(capsys):
-    # a structural budget of 4 cuts the search
-    code, out, _ = run(capsys, "parse", "Anybody saw nobody", "--budget", "4")
+    code, out, _ = run(capsys, "parse", "Anybody saw nobody")
     assert code == 1
-    assert "ungrammatical (no proof within budget)" in out
+    assert out == "ungrammatical (refuted)\n"
 
 
 def test_parse_refuted_with_no_search_cut(capsys):
-    # every search for "Alice saw anybody" ends uncut, so the text does not
-    # blame the budget; the verdict value itself is unchanged
+    # a search that no deadline cut has explored every sequent it reaches,
+    # so its verdict is a refutation, not a guess within a budget
     code, out, _ = run(capsys, "parse", "Alice saw anybody")
     assert code == 1
-    assert "ungrammatical (refuted; no search was cut)" in out
-    assert "within budget" not in out
+    assert "ungrammatical (refuted)" in out
+    assert "budget" not in out
     code, out, _ = run(capsys, "parse", "Alice saw anybody", "--json")
     blob = json.loads(out)
-    assert blob["verdict"] == "ungrammatical-within-budget"
-    assert blob["budget_exhausted"] is False
+    assert blob["verdict"] == "ungrammatical"
+    assert blob["timed_out"] is False
+    assert "budget_exhausted" not in blob
 
 
 def test_parse_ambiguous(capsys):
@@ -83,8 +83,8 @@ def test_parse_timeout_is_unknown(capsys):
 
 
 BAD_INPUTS = {
-    "budget": (["parse", "Alice saw Bob", "--budget", "-1"], None),
-    # the flag is gone, and argparse rejects it
+    # these two flags are gone, and argparse rejects them
+    "budget": (["parse", "Alice saw Bob", "--budget", "64"], None),
     "t-budget": (["parse", "Alice saw Bob", "--t-budget", "-1"], None),
     "max-derivations": (["parse", "Alice saw Bob", "--max-derivations", "0"],
                         None),
@@ -151,20 +151,32 @@ def test_sequent_underivable(capsys):
     # an exact refutation: the search that finds no derivation is not cut
     code, out, _ = run(capsys, "sequent", "s-", "s0")
     assert code == 1
-    assert "not derivable (refuted; the search was not cut)" in out
+    assert "not derivable (refuted)" in out
+
+
+def test_sequent_counts_readings(capsys):
+    code, out, _ = run(capsys, "sequent", "somebody * (saw * everybody)",
+                       "s+")
+    assert code == 0
+    assert out == "derivable (2 readings)\n"
+    code, out, _ = run(capsys, "sequent", "np", "np")
+    assert out == "derivable (1 reading)\n"
 
 
 @pytest.mark.parametrize("argv,cut", [
     (("(alice * saw) * bob", "s0"), False),
-    (("nobody * (saw * anybody)", "s0", "--budget", "4"), True),
+    # the deadline is the one thing left that cuts a search
+    (("nobody * (saw * anybody)", "s0", "--time-limit", "0"), True),
 ])
 def test_sequent_text_says_whether_the_search_was_cut(capsys, argv, cut):
     code, out, _ = run(capsys, "sequent", *argv)
-    assert code == 1
-    assert out.strip() == ("not derivable within budget" if cut else
-                           "not derivable (refuted; the search was not cut)")
+    assert code == (3 if cut else 1)
+    assert out.strip() == ("unknown (search timed out)" if cut else
+                           "not derivable (refuted)")
     code, out, _ = run(capsys, "sequent", *argv, "--json")
-    assert json.loads(out)["budget_exhausted"] is cut
+    blob = json.loads(out)
+    assert blob["timed_out"] is cut and blob["derivable"] is False
+    assert "budget_exhausted" not in blob
 
 
 def test_sequent_stuck_configuration(capsys):
@@ -182,7 +194,6 @@ def test_sequent_json_reports_timeout(capsys):
     assert code == 3
     blob = json.loads(out)
     assert blob["timed_out"] is True
-    assert blob["budget_exhausted"] is True
     assert blob["derivable"] is False
     # a search that settles only a few labels still stops at its deadline
     code, out, _ = run(capsys, "sequent", "alice * (saw * bob)", "s0",

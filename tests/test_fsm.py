@@ -6,7 +6,7 @@ import pytest
 
 from polagram import (
     GRAMMATICAL, Lexicon, PolState, QuantifierShapeError, Reading, Run,
-    SearchBudget, accepting_runs, derivation_to_dict, evaluation_order_ok,
+    accepting_runs, derivation_to_dict, evaluation_order_ok,
     load_lexicon, machine_from_lexicon, parse_sentence, predict,
     quantifier_occurrences, tokenize, validate_derivation,
 )
@@ -265,10 +265,10 @@ POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
               "alice", "bob")
 
 # A sha256 over the possessive frame at the default budget: per sentence one
-# line with its verdict and flags, then one
+# line with its verdict and timeout flag, then one
 # ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation.
 POSSESSIVE_FRAME_SHA256 = \
-    "e39cd4056359d90911d470f8bae7e830c29135fe8f12aceebe044931ea52f5d1"
+    "b79df8c7cf01b7084925ebc5ea572bd333dd194c9be4094c143fb0d64988536b"
 
 
 def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
@@ -280,8 +280,8 @@ def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
     digest = hashlib.sha256()
     for sentence in sentences:
         result = parsed(sentence)
-        digest.update(f"{result.verdict} {result.budget_exhausted} "
-                      f"{result.timed_out}\n".encode("utf-8"))
+        digest.update(f"{result.verdict} {result.timed_out}\n"
+                      .encode("utf-8"))
         for d in result.derivations:
             blob = json.dumps(derivation_to_dict(d), sort_keys=True)
             digest.update(blob.encode("utf-8") + b"\n")
@@ -299,12 +299,11 @@ def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
 
 
 def test_an_uncapped_search_ends_and_agrees_with_the_machine(lex, machine):
-    # caps of a million: the search must allocate by the costs it meets,
-    # not by the caps, and end on its own
-    result = parse_sentence("Nobody saw anybody's mother", lex,
-                            budget=SearchBudget(10**6))
+    # no cap bounds the search: it must allocate by the costs it meets and
+    # end on its own
+    result = parse_sentence("Nobody saw anybody's mother", lex)
     assert result.verdict == GRAMMATICAL
-    assert not result.budget_exhausted and not result.timed_out
+    assert not result.timed_out
     admissible = predict(machine, quantifier_occurrences(result.tokens,
                                                          machine))
     assert {r.scope_order for r in result.readings} \

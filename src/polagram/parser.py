@@ -92,9 +92,11 @@ def parse_sentence(sentence: str, lex: Lexicon,
 
     Readings are deduplicated across derivations in discovery order
     (bracketings in enumeration order, then goal types, then derivations).
-    ``deadline`` caps the total wall time of enumerating the bracketings and
-    of all searches; on expiry the remaining searches are skipped and the
-    result is marked timed out.
+    ``deadline`` caps the total wall time of the searches, counted from the
+    call, so the enumeration of the bracketings spends it too; but the clock
+    is first read after ``bracketings`` has built every tree, so the
+    deadline cannot cut the enumeration itself.  On expiry the remaining
+    searches are skipped and the result is marked timed out.
     A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
     derived the goal.

@@ -49,16 +49,16 @@ returned, which always consist of single honest rule applications:
   Unquote and that consumer read the antecedent alone, so they can come
   first (the argument is in ``prove``).
 
-``prove`` evaluates the reachable sequent graph exactly, in three phases,
-and then extracts one least-cost derivation tree per scope reading; see the
-commentary on ``prove``.  Six more economies concern the cost of a search,
-not its space, and leave every result as it is:
+``prove`` derives, by a plain fixpoint over the reachable sequent graph,
+every scope trace of every node with the first witness of each, and then
+extracts one derivation per scope reading of the goal by following those
+witnesses; see the commentary on ``prove``.  Five more economies concern
+the cost of a search, not its space, and leave every result as it is:
 
 * The graph's edges outlive one search.  A node's moves depend only on the
-  sequent, and each carries its structural cost.  So a ``MoveTable``
-  keeps them for later calls (tabled deduction).  ``parse_sentence``
-  shares one table between the goal types of each bracketing and drops it
-  before the next.
+  sequent, so a ``MoveTable`` keeps them for later calls (tabled
+  deduction).  ``parse_sentence`` shares one table between the goal types
+  of each bracketing and drops it before the next.
 * The left and structural moves depend on the antecedent alone, and no
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
@@ -70,10 +70,6 @@ not its space, and leave every result as it is:
   ``Sequent`` object for its key, so a sequent that many moves lead to
   is stored once.  A premise already in the table is looked up by its key
   before a ``Sequent`` is built for it.
-* Costs are small nonnegative integers, so phase 2 orders its labels with
-  a bucket queue (``_BucketQueue``), a list of buckets indexed by cost, and
-  no heap.  In that order the first label of a node and trace carries its
-  least cost, so phase 2 keeps one cost per node and trace.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -345,30 +341,33 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # (``scope_firing``), outermost first.
 Trace = Tuple[Tuple[str, Optional[int]], ...]
 
-# A move is (steps, premises, s_cost, trace).  Its chain, steps, is
-# the (rule, site, antecedent) of each step, applied top-down; a step
-# concludes its antecedent under the succedent of the sequent the move sits
-# at, since no rule a chain fuses rewrites the succedent (the right rules,
-# the axiom and the succedent-side Unquote work at the root, the others on
-# the antecedent alone).  premises are the subgoals of the innermost step,
-# s_cost counts the chain's structural steps, each T among them, and trace
-# is the scope firing of the last step as a 1-tuple, or ().
+# A move is (steps, premises, trace).  Its chain, steps, is the (rule, site,
+# antecedent) of each step, applied top-down; a step concludes its
+# antecedent under the succedent of the sequent the move sits at, since no
+# rule a chain fuses rewrites the succedent (the right rules, the axiom and
+# the succedent-side Unquote work at the root, the others on the antecedent
+# alone).  premises are the subgoals of the innermost step, and trace is
+# the scope firing of the last step as a 1-tuple, or ().
 Chain = Tuple[Tuple[RuleName, Site, Structure], ...]
-Move = Tuple[Chain, Tuple[Sequent, ...], int, Trace]
+Move = Tuple[Chain, Tuple[Sequent, ...], Trace]
 
 # An antecedent move is a left or structural move with the succedent left
-# out: (steps, main, minor, s_cost, trace), where main is the
-# antecedent of the premise that keeps the conclusion's succedent and minor
-# is the other premise, a whole sequent, or None.  Its chain serves every
-# succedent as it is; only the main premise takes one.
-AnteMove = Tuple[Chain, Structure, Optional[Sequent], int, Trace]
+# out: (steps, main, minor, trace), where main is the antecedent of the
+# premise that keeps the conclusion's succedent and minor is the other
+# premise, a whole sequent, or None.  Its chain serves every succedent as
+# it is; only the main premise takes one.
+AnteMove = Tuple[Chain, Structure, Optional[Sequent], Trace]
+
+# The first witness of a (node, trace) pair: the move that derived it and
+# each premise's part of the trace, in premise order.
+Witness = Tuple[Move, Tuple[Trace, ...]]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
     if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
         rule = LEX if ant.word is not None else AXIOM
-        return ((rule, (), ant),), (), 0, ()
+        return ((rule, (), ant),), (), ()
     return None
 
 
@@ -382,24 +381,23 @@ def _right_moves(seq: Sequent,
         if isinstance(ant, Bin) and ant.mode == succ.mode:
             out.append((((RuleName("ProdR", succ.mode), (), ant),),
                         (premise(ant.left, succ.left),
-                         premise(ant.right, succ.right)), 0, ()))
+                         premise(ant.right, succ.right)), ()))
     elif isinstance(succ, Over):
         goal = premise(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
-        out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,),
-                    0, ()))
+        out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,), ()))
     elif isinstance(succ, Under):
         goal = premise(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
         out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
-                    0, ()))
+                    ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
             out.append((((rule, (), ant),), (premise(ant.body, succ.body),),
-                        0, ()))
+                        ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
             out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
-                        (premise(ant, succ.body),), 1, ()))
+                        (premise(ant, succ.body),), ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
@@ -407,7 +405,7 @@ def _right_moves(seq: Sequent,
         if not ant.has_cmode_node:
             goal = premise(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
-                        (goal,), 0, ()))
+                        (goal,), ()))
     return out
 
 
@@ -423,43 +421,43 @@ def _left_moves_at(out: List[AnteMove], ant: Structure, site: Site,
             firing = scope_firing(rule, ant, site)
             out.append((((rule, site, ant),),
                         replace(ant, site, FLeaf(f.result)),
-                        Sequent(right, f.argument), 0,
+                        Sequent(right, f.argument),
                         () if firing is None else (firing,)))
         if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
                 and right.formula.mode == node.mode):
             f = right.formula
             out.append((((RuleName("UnderL", node.mode), site, ant),),
                         replace(ant, site, FLeaf(f.result)),
-                        Sequent(left, f.argument), 0, ()))
+                        Sequent(left, f.argument), ()))
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, Dia):
             new = Un(f.mode, FLeaf(f.body))
             out.append((((RuleName("DiaL", f.mode), site, ant),),
-                        replace(ant, site, new), None, 0, ()))
+                        replace(ant, site, new), None, ()))
         elif isinstance(f, Product):
             new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
             out.append((((RuleName("ProdL", f.mode), site, ant),),
-                        replace(ant, site, new), None, 0, ()))
+                        replace(ant, site, new), None, ()))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
             mid = replace(ant, site, Un(VALUE, node))
             out.append((((T_RULE, site, ant),
                          (RuleName("BoxDownL", VALUE), site, mid)),
-                        replace(ant, site, FLeaf(f.body)), None, 1, ()))
+                        replace(ant, site, FLeaf(f.body)), None, ()))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
                 and body.formula.mode == node.mode):
             new = FLeaf(body.formula.body)
             out.append((((RuleName("BoxDownL", node.mode), site, ant),),
-                        replace(ant, site, new), None, 0, ()))
+                        replace(ant, site, new), None, ()))
 
 
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
            new: Structure) -> None:
     """Add the move that rewrites the subtree at ``site`` to ``new``."""
-    out.append((((rule, site, ant),), replace(ant, site, new), None, 1, ()))
+    out.append((((rule, site, ant),), replace(ant, site, new), None, ()))
 
 
 def _quoting(out: List[AnteMove], ant: Structure, site: Site,
@@ -481,7 +479,7 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
     assert new is not None
     out.append((((T_RULE, site + below, ant),
                  (rule, site, replace(ant, site, quoted))),
-                replace(ant, site, new), None, 2, ()))
+                replace(ant, site, new), None, ()))
 
 
 def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
@@ -512,7 +510,7 @@ def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
         elif isinstance(node.right, Un) and node.right.mode == VALUE:
             _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
         # with neither side quoted, a single T on the whole pair reaches the
-        # same sequent more cheaply, via the consumer of that diamond
+        # same sequent in fewer steps, via the consumer of that diamond
     new = _unquote_ante(node)
     if new is not None:
         _plain(out, ant, site, UNQUOTE_ANTE, new)
@@ -554,72 +552,27 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #   1. explore: walk the graph from the goal, taking each node's moves from
 #      the move table (generated there once, possibly by an earlier call).
 #      Each node is expanded once, and its moves then go into the index
-#      phase 2 reads: each move under each of its premises, and a first
-#      label for each move with no premises;
-#   2. evaluate: fix, per node and per scope trace (the sequence of worded
-#      continuation-functor firings a derivation performs, outermost first),
-#      the least cost of a derivation, where the cost of a derivation is the
-#      largest sum of move costs along a root-to-leaf path;
+#      phase 2 reads, each move under each of its premises;
+#   2. derive: find, per node, every scope trace (the sequence of worded
+#      continuation-functor firings a derivation performs, outermost first)
+#      of some derivation of it, and the first witness of each;
 #   3. extract: per goal trace, shortest first and up to max_derivations
-#      of them, a derivation of that least cost (``_extract``).  A
+#      of them, the derivation its witnesses spell out (``_extract``).  A
 #      derivation's reading is its trace, so each reading is witnessed
 #      once, and its rule-order variants (a sentence can have
 #      astronomically many derivations of a single reading) are never built.
 #
-# Phase 2 is label-setting.  It takes its labels from a ``_BucketQueue`` in
-# nondecreasing structural cost, so the first label of a node and trace
-# carries its least cost and is final, and every later label of a trace
-# already settled is dropped.  A two-premise move joins a label with every
-# trace the other premise has settled; that premise settled each at no
-# greater cost, so the join costs this label's s plus the move's, and a
-# trace the other premise settles later joins from its side.  The least
-# costs are unique, so the order within one cost, and the order in which
-# phase 1 met the nodes, change no result.
-
-class _BucketQueue:
-    """A monotone priority queue keyed by small nonnegative integer costs:
-    a bucket queue (Dial, *Algorithm 360*, CACM 1969).
-
-    ``buckets[s]`` is the FIFO list of the items pushed at cost ``s``.
-    ``drain`` yields the buckets in increasing ``s``, each in push order,
-    including items pushed meanwhile.  That is the order of a heap of
-    ``(s, push counter, item)`` as long as no push costs less than the item
-    being yielded, so no heap is needed.  Phase 2 of ``_search`` keeps to
-    that: a pushed label costs the yielded one plus a move's nonnegative
-    cost.  The list is as long as the largest cost pushed, the cost of a
-    derivation that phase 2 has assembled.
-    """
-
-    __slots__ = ("buckets",)
-
-    def __init__(self) -> None:
-        self.buckets: List[Optional[list]] = []
-
-    def push(self, s: int, item) -> None:
-        buckets = self.buckets
-        while len(buckets) <= s:
-            buckets.append([])
-        buckets[s].append(item)
-
-    def drain(self, stop_at: Optional[float] = None
-              ) -> Iterator[Tuple[int, object]]:
-        """Yield ``(s, item)`` until the queue is empty.  Raise
-        ``SearchTimeout`` instead of the next item once ``time.monotonic()``
-        reaches ``stop_at``, if one is given."""
-        buckets = self.buckets
-        s = 0
-        while s < len(buckets):
-            # a list iterator reads the length at each step, so it also
-            # yields what a cost-0 move appends to this bucket meanwhile
-            for item in buckets[s]:
-                if stop_at is not None and time.monotonic() >= stop_at:
-                    raise SearchTimeout
-                yield s, item
-            # free the drained labels; a push below s would now fail
-            buckets[s] = None
-            s += 1
-        buckets.clear()
-
+# Phase 2 is a plain fixpoint, as in agenda-based deduction (Shieber,
+# Schabes & Pereira, *Principles and Implementation of Deductive Parsing*,
+# 1995).  Its items are (node, trace) pairs, and its worklist is one list,
+# read in append order and seeded with the axioms in the order phase 1
+# meets them.  A pair enters the worklist once, when it is first derived,
+# and records its witness: the move that derived it and each premise's part
+# of the trace.  A one-premise move derives its conclusion from each pair
+# of its premise; a two-premise move joins each pair of one premise with
+# every trace the other premise has derived so far, and a trace the other
+# premise derives later joins from its side.  Every witness names premise
+# pairs derived strictly before it.
 
 def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
@@ -682,9 +635,8 @@ class MoveTable:
         return moves
 
     def _assemble(self, seq: Sequent) -> List[Move]:
-        """All backward moves at ``seq``, each with its structural cost,
-        in fixed order: the axiom alone, if it
-        applies; otherwise the right moves, the left moves, the
+        """All backward moves at ``seq``, in fixed order: the axiom alone,
+        if it applies; otherwise the right moves, the left moves, the
         succedent-side Unquote and the structural moves.
 
         The moves follow the search's cycles (no gate discards a
@@ -714,7 +666,7 @@ class MoveTable:
                 and not ant.has_cmode_node
                 and isinstance(ant, Un) and ant.mode == VALUE):
             out.append((((UNQUOTE_SUCC, (), ant),),
-                        (self.premise(ant, Dia(VALUE, succ)),), 1, ()))
+                        (self.premise(ant, Dia(VALUE, succ)),), ()))
         self._thread(out, succ, structural)
         return out
 
@@ -729,10 +681,10 @@ class MoveTable:
         """Add ``ante_moves`` under the succedent ``succ``: each keeps its
         chain and gets its premises."""
         premise, canonical = self.premise, self.canonical
-        for steps, main, minor, ms, trace in ante_moves:
+        for steps, main, minor, trace in ante_moves:
             first = premise(main, succ)
             out.append((steps, (first,) if minor is None
-                        else (first, canonical(minor)), ms, trace))
+                        else (first, canonical(minor)), trace))
 
 
 # ---------------------------------------------------------------------------
@@ -848,18 +800,16 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     shorter scope orders first, and scope orders of one length by their
     (word, position) pairs.  An empty list means that ``goal`` has no
     derivation.  ``deadline`` (seconds, wall clock) optionally aborts the
-    search, which reads the clock before it expands each node, before each
-    label settles and before each extraction step; an aborted search
-    reports no derivations and ``timed_out``.  No ``budget`` means
+    search, which reads the clock before it expands each node, before it
+    reads each derived pair and before each extraction step; an aborted
+    search reports no derivations and ``timed_out``.  No ``budget`` means
     ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``).  Every other goal is
     searched, over the sequent graph that the move table spans
-    (``MoveTable._assemble``), in the three phases described above
-    ``_BucketQueue``.  Every move carries its structural cost, and no cap
-    acts on the costs: they only order phase 2 and choose the derivation
-    phase 3 returns.
+    (``MoveTable._assemble``), in the three phases described in the
+    commentary that opens this section of the module.
 
     Why the search ends.  Phase 1 walks the sequents reachable from the
     goal, and there are finitely many of them.  Every formula of one is a
@@ -887,24 +837,16 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       that took a connective off.
 
     So the size of a reachable sequent is bounded by the goal's connectives
-    and leaves, and the graph is finite.  Phase 2 settles each node and
+    and leaves, and the graph is finite.  Phase 2 derives each node and
     trace once, and a trace fires each worded continuation functor of the
     goal once at most, so phase 2 ends too.
 
-    Why extraction never backtracks, and ends.  Phase 3 extracts each goal
-    trace at its least cost ``s``, and extracts each premise at the least
-    cost of its part of the trace (``_extract``).  Least costs are exact:
-    the label that settled a node and trace at ``s`` came from a move whose
-    premises had settled their parts at ``s`` less the move's cost or
-    below.  That move and split is admissible, so an admissible choice
-    exists at every node extraction reaches, and the first one in table
-    order is taken.  Along a branch the least cost falls by at least each
-    move's cost, and every cost-0 move takes a formula connective off, so
-    every branch ends.  Each subderivation returned is a least-cost one for its
-    sequent and part, so the derivation costs ``s`` and no sequent recurs
-    with one trace on a branch of it.  A derivation's reading is its trace
-    (``extract_reading`` reads the firings in preorder, the order in which
-    phase 2 joins traces), so each reading found is returned once.
+    Why extraction ends.  Phase 3 follows the first witness of each pair,
+    and every witness names premise pairs derived strictly before it, so no
+    pair recurs below itself and every branch ends (``_extract``).  A
+    derivation's reading is its trace (``extract_reading`` reads the
+    firings in preorder, the order in which phase 2 joins traces), so each
+    reading found is returned once.
 
     An empty result is a refutation, given two premises.
 
@@ -925,25 +867,24 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       leaf fires nothing.  Move the Unquote up past them.  If the consumer
       is ``DiaR(v)``, the Unquote now stands at a quoted root; if it is
       ``T+DiaR``, the two cancel and both go.  The scope trace is the
-      same, the main branch costs no more, and each side premise of the
-      moved steps loses the Unquote's structural step from its path.  From a
-      continuation-free antecedent only Root, at the root, and the
-      unfolding of a c-mode product make a c-mode node, so without c-mode
-      products in the lexicon the quoted root is continuation-free as the
-      gate asks; a lexicon with one is not covered.
+      same.  From a continuation-free antecedent only Root, at the root,
+      and the unfolding of a c-mode product make a c-mode node, so without
+      c-mode products in the lexicon the quoted root is continuation-free
+      as the gate asks; a lexicon with one is not covered.
 
     ``table`` keeps the moves of the sequents the search expands.  Calls
     given the same table generate each sequent's moves once among them;
     a call given none uses a private one.  Sharing cannot change a result:
     moves depend on the sequent alone, and everything that depends on the
-    goal (the nodes reached, least costs, the extraction) stays private to
-    the call.
+    goal (the nodes reached, the derived pairs and their witnesses, the
+    extraction) stays private to the call.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
-    builds forms a reference cycle: structures, sequents, moves, labels and
-    derivations are acyclic, and the recursive extraction is a module-level
-    function, not a closure that refers to itself through its own cell.
+    builds forms a reference cycle: structures, sequents, moves, witnesses
+    and derivations are acyclic, and the recursive extraction is a
+    module-level function, not a closure that refers to itself through its
+    own cell.
     Reference counting therefore frees everything the call drops, and a
     collection during the search could reclaim nothing; it would only
     rescan the growing graph.
@@ -966,13 +907,14 @@ def _search(goal: Sequent, budget: SearchBudget,
     stop_at = None if deadline is None else time.monotonic() + deadline
     try:
         # phase 1: walk the reachable sequent graph, expanding each node
-        # once, and index each move under each of its premises
+        # once, and index each move under each of its premises; each axiom
+        # seeds phase 2
         goal = table.canonical(goal)
         table_moves = table.moves
         reached: Set[str] = {goal.key}
         deps: Dict[str, List[Tuple[str, Move, int]]] = {}
-        labels = _BucketQueue()
-        push_label = labels.push
+        derived: Dict[str, Dict[Trace, Witness]] = {}
+        agenda: List[Tuple[str, Trace]] = []
         work = [goal]
         while work:
             if stop_at is not None and time.monotonic() >= stop_at:
@@ -984,84 +926,61 @@ def _search(goal: Sequent, budget: SearchBudget,
                 moves = table.moves_of(seq)
             for move in moves:
                 premises = move[1]
-                if not premises:  # the axiom, which costs nothing
-                    push_label(0, (key, ()))
+                if not premises and key not in derived:  # the axiom
+                    derived[key] = {(): (move, ())}
+                    agenda.append((key, ()))
                 for slot, premise in enumerate(premises):
                     deps.setdefault(premise.key, []).append((key, move, slot))
                     if premise.key not in reached:
                         reached.add(premise.key)
                         work.append(premise)
 
-        # phase 2: fix the least derivation cost per node and scope trace,
-        # label-setting, from the bucket queue that phase 1 seeded with the
-        # axioms.  A trace can be no longer than the node's stock of worded
-        # continuation functors, so the space of labels is finite.  Labels
-        # are pushed only for reached nodes; the table may hold more nodes,
-        # from other calls.
-        least: Dict[str, Dict[Trace, int]] = {}
-        for s, (key, trace) in labels.drain(stop_at):
-            by_trace = least.get(key)
-            if by_trace is None:
-                least[key] = {trace: s}
-            elif trace in by_trace:
-                continue
-            else:
-                by_trace[trace] = s
-            for parent, (_steps, premises, ms, own), slot in \
-                    deps.get(key, ()):
-                ps = ms + s
+        # phase 2: derive every (node, trace) pair, each once with its first
+        # witness.  A trace can be no longer than the node's stock of worded
+        # continuation functors, so there are finitely many pairs.  Pairs
+        # are derived only for reached nodes; the table may hold more nodes,
+        # from other calls.  A list iterator reads the length at each step,
+        # so it also yields the pairs appended meanwhile
+        for key, trace in agenda:
+            if stop_at is not None and time.monotonic() >= stop_at:
+                raise SearchTimeout
+            for parent, move, slot in deps.get(key, ()):
+                premises, own = move[1], move[2]
+                by_trace = derived.get(parent)
+                if by_trace is None:
+                    by_trace = derived[parent] = {}
                 if len(premises) == 1:
-                    push_label(ps, (parent, own + trace))
+                    new = own + trace
+                    if new not in by_trace:
+                        by_trace[new] = (move, (trace,))
+                        agenda.append((parent, new))
                     continue
-                for trace2 in least.get(premises[1 - slot].key, ()):
-                    both = trace + trace2 if slot == 0 else trace2 + trace
-                    push_label(ps, (parent, own + both))
+                # over a snapshot: a join may derive a pair at the other
+                # premise itself
+                for other in tuple(derived.get(premises[1 - slot].key, ())):
+                    parts = (trace, other) if slot == 0 else (other, trace)
+                    new = own + parts[0] + parts[1]
+                    if new not in by_trace:
+                        by_trace[new] = (move, parts)
+                        agenda.append((parent, new))
 
-        # phase 3: one least-cost derivation per goal trace, shortest
-        # traces first, up to the cap on readings
-        traces = sorted(least.get(goal.key, ()),
+        # phase 3: one derivation per goal trace, shortest traces first, up
+        # to the cap on readings
+        traces = sorted(derived.get(goal.key, ()),
                         key=lambda trace: (len(trace), trace))
-        return SearchResult([_extract(table, least, goal, trace, stop_at)
+        return SearchResult([_extract(derived, goal, trace, stop_at)
                              for trace in traces[:budget.max_derivations]])
     except SearchTimeout:
         return SearchResult([], timed_out=True)
 
 
-def _splits(trace: Trace, n: int) -> List[Tuple[Trace, ...]]:
-    """Every way to cut ``trace`` into ``n`` consecutive parts, shortest
-    first part first; none when ``n`` is 0 and ``trace`` is not empty."""
-    if n == 0:
-        return [] if trace else [()]
-    if n == 1:
-        return [(trace,)]
-    return [(trace[:cut],) + tail for cut in range(len(trace) + 1)
-            for tail in _splits(trace[cut:], n - 1)]
-
-
-def _admissible(least: Dict[str, Dict[Trace, int]],
-                premises: Tuple[Sequent, ...], parts: Tuple[Trace, ...],
-                s: int) -> bool:
-    """Whether each premise has its part at a least cost of ``s`` or less."""
-    for premise, part in zip(premises, parts):
-        cost = least.get(premise.key, {}).get(part)
-        if cost is None or cost > s:
-            return False
-    return True
-
-
-def _extract(table: MoveTable, least: Dict[str, Dict[Trace, int]],
-             seq: Sequent, trace: Trace,
-             stop_at: Optional[float]) -> Derivation:
-    """Phase 3 of ``prove``: a derivation of ``seq`` with scope trace
-    ``trace`` at its least cost ``s``, from phase 2's ``least``.
-
-    The moves are tried in the table's order, and a move deals the rest of
-    the trace to its premises in every order-keeping way (``_splits``).
-    The first move and split that is admissible, with each premise's part
-    at a least cost of ``s`` less the move's cost or below, is taken, and
-    each premise is extracted the same way at the least cost of its part.
-    ``prove`` says why an admissible choice always exists, so nothing is
-    undone.
+def _extract(derived: Dict[str, Dict[Trace, Witness]], seq: Sequent,
+             trace: Trace, stop_at: Optional[float]) -> Derivation:
+    """Phase 3 of ``prove``: the derivation of ``seq`` with scope trace
+    ``trace`` that phase 2's first witnesses spell out, the witness's move
+    applied over each premise's extraction at its part of the trace.  It
+    ends because every witness names premise pairs derived strictly before
+    it.
 
     A module-level function rather than a nested one: a recursive closure
     refers to itself through its own cell, and that cycle would keep the
@@ -1069,24 +988,11 @@ def _extract(table: MoveTable, least: Dict[str, Dict[Trace, int]],
     """
     if stop_at is not None and time.monotonic() >= stop_at:
         raise SearchTimeout
-    s = least[seq.key][trace]
-    for steps, premises, ms, own in table.moves[seq.key]:
-        if ms > s:
-            continue
-        if own:
-            if not trace or trace[0] != own[0]:
-                continue
-            rest = trace[1:]
-        else:
-            rest = trace
-        for parts in _splits(rest, len(premises)):
-            if _admissible(least, premises, parts, s - ms):
-                subs = []
-                for premise, part in zip(premises, parts):
-                    subs.append(_extract(table, least, premise, part,
-                                         stop_at))
-                return _apply_chain(seq, steps, tuple(subs))
-    raise AssertionError(f"no admissible move for {trace} at {seq}")
+    (steps, premises, _own), parts = derived[seq.key][trace]
+    subs = []
+    for premise, part in zip(premises, parts):
+        subs.append(_extract(derived, premise, part, stop_at))
+    return _apply_chain(seq, steps, tuple(subs))
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,16 @@ returned, which always consist of single honest rule applications:
 every scope trace of every node with the first witness of each, and then
 extracts one derivation per scope reading of the goal by following those
 witnesses; see the commentary on ``prove``.  Five more economies concern
-the cost of a search, not its space, and leave every result as it is:
+the cost of a search, not its space.  They leave every verdict and reading
+as it is, and the derivations of the first search on a table too:
 
-* The graph's edges outlive one search.  A node's moves depend only on the
-  sequent, so a ``MoveTable`` keeps them for later calls (tabled
-  deduction).  ``parse_sentence`` shares one table between the goal types
-  of each bracketing and drops it before the next.
+* The graph's edges and its solved nodes outlive one search (tabled
+  deduction).  A node's moves depend only on the sequent, and so do the
+  scope traces of a node a search has derived to the end, so a
+  ``MoveTable`` keeps both for later calls: a later search seeds a solved
+  node's traces instead of expanding it again.  ``parse_sentence`` shares
+  one table between the goal types of each bracketing and drops it before
+  the next.
 * The left and structural moves depend on the antecedent alone, and no
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
@@ -552,10 +556,13 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #   1. explore: walk the graph from the goal, taking each node's moves from
 #      the move table (generated there once, possibly by an earlier call).
 #      Each node is expanded once, and its moves then go into the index
-#      phase 2 reads, each move under each of its premises;
+#      phase 2 reads, each move under each of its premises.  A node that
+#      an earlier call on the table solved is not expanded: its pairs seed
+#      phase 2 instead;
 #   2. derive: find, per node, every scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first)
-#      of some derivation of it, and the first witness of each;
+#      of some derivation of it, and the first witness of each, into the
+#      table's solved map;
 #   3. extract: per goal trace, shortest first and up to max_derivations
 #      of them, the derivation its witnesses spell out (``_extract``).  A
 #      derivation's reading is its trace, so each reading is witnessed
@@ -565,12 +572,14 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # Phase 2 is a plain fixpoint, as in agenda-based deduction (Shieber,
 # Schabes & Pereira, *Principles and Implementation of Deductive Parsing*,
 # 1995).  Its items are (node, trace) pairs, and its worklist is one list,
-# read in append order and seeded with the axioms in the order phase 1
-# meets them.  A pair enters the worklist once, when it is first derived,
-# and records its witness: the move that derived it and each premise's part
-# of the trace.  A one-premise move derives its conclusion from each pair
-# of its premise; a two-premise move joins each pair of one premise with
-# every trace the other premise has derived so far, and a trace the other
+# read in append order and seeded with the axioms and the solved nodes'
+# pairs in the order phase 1 meets them.  A pair enters the worklist once,
+# when it is first derived, and records its witness: the move that derived
+# it and each premise's part of the trace; a seeded pair keeps the witness
+# an earlier call recorded.  A one-premise move derives its conclusion from
+# each pair of its premise; a two-premise move joins each pair of one
+# premise with every trace the other premise has derived so far (a solved
+# premise has all of its traces from the start), and a trace the other
 # premise derives later joins from its side.  Every witness names premise
 # pairs derived strictly before it.
 
@@ -590,7 +599,8 @@ def scope_firing(rule: RuleName, antecedent: Structure,
 
 
 class MoveTable:
-    """The moves of every sequent expanded so far, keyed by ``key``.
+    """The moves of every sequent expanded so far, keyed by ``key``, and
+    the scope traces of every sequent solved so far.
 
     Moves depend on the sequent alone, so one table can serve several
     ``prove`` calls.  ``parse_sentence`` gives each bracketing its own table,
@@ -598,6 +608,13 @@ class MoveTable:
     the goals over one tree reach largely the same sequents, while a table
     spanning bracketings would hold the whole sentence's graph for little
     further sharing.
+
+    A node's derived pairs depend on the sequent alone too, once a search
+    has derived all of them.  ``solved`` maps the key of every node that a
+    search on the table reached and ran to the end on to its complete
+    ``{trace: witness}`` map, empty for a node that derives nothing.  A
+    later search seeds a solved node's pairs instead of expanding it again
+    (see ``prove``); a search cut by its deadline leaves no entry behind.
 
     A sequent's moves are assembled from two halves.  The axiom, the right
     moves and the succedent-side Unquote are generated per sequent.  The
@@ -616,12 +633,13 @@ class MoveTable:
     move alone (see ``Move``).
     """
 
-    __slots__ = ("sequents", "moves", "halves")
+    __slots__ = ("sequents", "moves", "halves", "solved")
 
     def __init__(self) -> None:
         self.sequents: Dict[str, Sequent] = {}
         self.moves: Dict[str, List[Move]] = {}
         self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
+        self.solved: Dict[str, Dict[Trace, Witness]] = {}
 
     def canonical(self, seq: Sequent) -> Sequent:
         """The table's one sequent with the key of ``seq``."""
@@ -843,7 +861,10 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
     Why extraction ends.  Phase 3 follows the first witness of each pair,
     and every witness names premise pairs derived strictly before it, so no
-    pair recurs below itself and every branch ends (``_extract``).  A
+    pair recurs below itself and every branch ends (``_extract``).  That
+    holds across the calls on one table: a witness an earlier call derived
+    names only that call's pairs or older ones, and every pair of an
+    earlier call precedes all of this call's.  A
     derivation's reading is its trace (``extract_reading`` reads the
     firings in preorder, the order in which phase 2 joins traces), so each
     reading found is returned once.
@@ -872,12 +893,20 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       c-mode products in the lexicon the quoted root is continuation-free
       as the gate asks; a lexicon with one is not covered.
 
-    ``table`` keeps the moves of the sequents the search expands.  Calls
-    given the same table generate each sequent's moves once among them;
-    a call given none uses a private one.  Sharing cannot change a result:
-    moves depend on the sequent alone, and everything that depends on the
-    goal (the nodes reached, the derived pairs and their witnesses, the
-    extraction) stays private to the call.
+    ``table`` keeps the moves of the sequents the search expands, and the
+    derived pairs of the sequents it solves.  Calls given the same table
+    generate each sequent's moves once among them, and derive each
+    sequent's pairs once among those that run to the end; a call given none
+    uses a private one.  Sharing keeps every verdict and reading:
+    the nodes a finished search reaches are closed under premises, so each
+    of them has every trace it can derive, and a later call that seeds
+    those pairs derives the same traces as it would on its own.  The first
+    goal on a table returns exactly what a fresh search returns.  A later
+    goal returns the same readings in the same order, but a reading's
+    derivation may be another rule-order variant of it, spelled out by the
+    witnesses an earlier call chose.  A call cut by its deadline may have
+    derived only some pairs of a node, so it removes every entry it added
+    and leaves only its moves behind.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
@@ -908,12 +937,14 @@ def _search(goal: Sequent, budget: SearchBudget,
     try:
         # phase 1: walk the reachable sequent graph, expanding each node
         # once, and index each move under each of its premises; each axiom
-        # seeds phase 2
+        # seeds phase 2, and so does each pair of a node an earlier call
+        # solved, which is not expanded again
         goal = table.canonical(goal)
         table_moves = table.moves
         reached: Set[str] = {goal.key}
         deps: Dict[str, List[Tuple[str, Move, int]]] = {}
-        derived: Dict[str, Dict[Trace, Witness]] = {}
+        derived = table.solved
+        added: List[str] = []
         agenda: List[Tuple[str, Trace]] = []
         work = [goal]
         while work:
@@ -921,13 +952,19 @@ def _search(goal: Sequent, budget: SearchBudget,
                 raise SearchTimeout
             seq = work.pop()
             key = seq.key
+            by_trace = derived.get(key)
+            if by_trace is not None:
+                agenda.extend([(key, trace) for trace in by_trace])
+                continue
+            by_trace = derived[key] = {}
+            added.append(key)
             moves = table_moves.get(key)
             if moves is None:
                 moves = table.moves_of(seq)
             for move in moves:
                 premises = move[1]
-                if not premises and key not in derived:  # the axiom
-                    derived[key] = {(): (move, ())}
+                if not premises and not by_trace:  # the axiom
+                    by_trace[()] = (move, ())
                     agenda.append((key, ()))
                 for slot, premise in enumerate(premises):
                     deps.setdefault(premise.key, []).append((key, move, slot))
@@ -935,20 +972,18 @@ def _search(goal: Sequent, budget: SearchBudget,
                         reached.add(premise.key)
                         work.append(premise)
 
-        # phase 2: derive every (node, trace) pair, each once with its first
-        # witness.  A trace can be no longer than the node's stock of worded
-        # continuation functors, so there are finitely many pairs.  Pairs
-        # are derived only for reached nodes; the table may hold more nodes,
-        # from other calls.  A list iterator reads the length at each step,
-        # so it also yields the pairs appended meanwhile
+        # phase 2: derive every (node, trace) pair of the nodes phase 1
+        # expanded, each once with its first witness, into the table's
+        # solved map.  A trace can be no longer than the node's stock of
+        # worded continuation functors, so there are finitely many pairs.
+        # A list iterator reads the length at each step, so it also yields
+        # the pairs appended meanwhile
         for key, trace in agenda:
             if stop_at is not None and time.monotonic() >= stop_at:
                 raise SearchTimeout
             for parent, move, slot in deps.get(key, ()):
                 premises, own = move[1], move[2]
-                by_trace = derived.get(parent)
-                if by_trace is None:
-                    by_trace = derived[parent] = {}
+                by_trace = derived[parent]
                 if len(premises) == 1:
                     new = own + trace
                     if new not in by_trace:
@@ -957,7 +992,7 @@ def _search(goal: Sequent, budget: SearchBudget,
                     continue
                 # over a snapshot: a join may derive a pair at the other
                 # premise itself
-                for other in tuple(derived.get(premises[1 - slot].key, ())):
+                for other in tuple(derived[premises[1 - slot].key]):
                     parts = (trace, other) if slot == 0 else (other, trace)
                     new = own + parts[0] + parts[1]
                     if new not in by_trace:
@@ -966,11 +1001,14 @@ def _search(goal: Sequent, budget: SearchBudget,
 
         # phase 3: one derivation per goal trace, shortest traces first, up
         # to the cap on readings
-        traces = sorted(derived.get(goal.key, ()),
+        traces = sorted(derived[goal.key],
                         key=lambda trace: (len(trace), trace))
         return SearchResult([_extract(derived, goal, trace, stop_at)
                              for trace in traces[:budget.max_derivations]])
     except SearchTimeout:
+        # a cut call's pairs may be incomplete: it leaves only its moves
+        for key in added:
+            del derived[key]
         return SearchResult([], timed_out=True)
 
 

@@ -271,6 +271,17 @@ def test_parse_corpus_format():
         ("Alice saw Bob", "ok", 1), ("Anybody saw nobody", "bad", None)]
 
 
+def test_the_seven_token_corpus_file_reads():
+    # CI runs this file through `polagram corpus`, which takes about 15 s,
+    # so tier-1 only reads it
+    path = Path(__file__).parent / "data" / "seven_tokens.tsv"
+    lines = parse_corpus(path.read_text(encoding="utf-8"))
+    assert [(l.sentence, l.expected, l.reading_count) for l in lines] == [
+        ("Nobody's mother introduced anybody's father to somebody", "ok", 1),
+        ("Anybody's mother introduced nobody's father to somebody", "bad",
+         None)]
+
+
 def test_parse_corpus_rejects_garbage():
     with pytest.raises(ValueError, match="line 1"):
         parse_corpus("no tab separator here\n")

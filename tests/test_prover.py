@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import polagram.prover
 from polagram import (
     Atom, Bin, Derivation, Dia, FLeaf, GOAL_TYPES, RuleName, SearchBudget,
     Sequent, Un, NP, S0, SPLUS, SMINUS, UMODE, VALUE,
@@ -612,6 +613,88 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
                 assert all(t is h for t, h in zip(threaded, half))
 
 
+def _readings(result):
+    return [extract_reading(d).scope_order for d in result.derivations]
+
+
+def test_a_later_goal_on_a_solved_table_keeps_its_readings(lex, searched):
+    # over the possessive frame, every tree with both goal orders on one
+    # table: parse_sentence's own calls (GOAL_TYPES in order) and the
+    # reverse order.  The first goal gets exactly a fresh search's
+    # derivations; a later goal seeds the pairs the first solved, so it may
+    # return another rule-order variant of a reading, but the same readings
+    # in the same order
+    for sentence in POSSESSIVE_FRAME:
+        trees = bracketings(tokenize(sentence, lex), lex)
+        _parse, shared = searched(sentence)
+        assert len(shared) == len(GOAL_TYPES) * len(trees)
+        for i, tree in enumerate(trees):
+            goals = [Sequent(tree, goal_type) for goal_type in GOAL_TYPES]
+            fresh = [prove(goal) for goal in goals]
+            table = MoveTable()
+            reverse = [prove(goal, table=table) for goal in goals[::-1]]
+            for first, results in ((0, shared[2 * i:2 * i + 2]),
+                                   (1, reverse[::-1])):
+                assert _proofs(results[first]) == _proofs(fresh[first])
+                later = results[1 - first]
+                assert all(validate_derivation(d) for d in later.derivations)
+                assert _readings(later) == _readings(fresh[1 - first]), \
+                    (sentence, str(goals[1 - first]))
+
+
+class _Clock:
+    """A stand-in for ``time.monotonic`` that ticks once per read, so that
+    a deadline of ``n`` cuts a search at its ``n``-th clock read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return float(self.reads)
+
+
+def _solved_snapshot(table):
+    return {key: dict(by_trace) for key, by_trace in table.solved.items()}
+
+
+def test_a_cut_search_leaves_nothing_solved(lex):
+    # a search cut in any phase leaves the table's solved map as it found
+    # it: the next search on a fresh table is exactly a fresh search, and
+    # a second goal cut after a first keeps every entry the first solved
+    tree = parse_structure(POSSESSIVE, lex)
+    first, second = (Sequent(tree, goal_type) for goal_type in GOAL_TYPES)
+    fresh = {goal.key: prove(goal) for goal in (first, second)}
+    for goal, before_it in ((first, ()), (second, (first,))):
+        table, twin = MoveTable(), MoveTable()
+        for earlier in before_it:
+            assert _proofs(prove(earlier, table=table)) \
+                == _proofs(fresh[earlier.key])
+            prove(earlier, table=twin)
+        before = _solved_snapshot(table)
+        result = prove(goal, deadline=0, table=table)
+        assert result.timed_out and _solved_snapshot(table) == before
+        clock = _Clock()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polagram.prover, "time", clock)
+            # the clock reads of an uncut search, the first setting the
+            # deadline: a deadline of the last count cuts the last check,
+            # an extraction step
+            assert not prove(goal, deadline=1e12, table=twin).timed_out
+            checks = clock.reads - 1
+            for cut in (1, checks // 3, 2 * checks // 3, checks):
+                clock.reads = 0
+                result = prove(goal, deadline=float(cut), table=table)
+                assert result.timed_out and not result.derivations
+                assert _solved_snapshot(table) == before, (str(goal), cut)
+        again = prove(goal, table=table)
+        if before_it:
+            assert _readings(again) == _readings(fresh[goal.key])
+            assert all(validate_derivation(d) for d in again.derivations)
+        else:
+            assert _proofs(again) == _proofs(fresh[goal.key])
+
+
 def _listing(seq, moves):
     """The moves at ``seq`` as plain data: each step's rule, site and
     conclusion key, the premises' keys and the trace."""
@@ -644,13 +727,33 @@ def test_table_moves_equal_fresh_moves(lex):
     assert (expanded, antecedents) == (38998, 23290)
 
 
+class _ReadLog(dict):
+    """A move map that records the keys whose moves were looked up."""
+
+    def __init__(self, moves):
+        super().__init__(moves)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def test_one_antecedent_half_serves_every_succedent(lex):
     # the deriving possessive tree, both goals through one table: the
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
     table = MoveTable()
-    for goal_type in GOAL_TYPES:
+    # the second goal expands only the 1,601 sequents the first left
+    # unreached, where a search of its own expands 8,785: each search
+    # solves exactly the sequents it expands
+    for goal_type, expanded, total in zip(GOAL_TYPES, (8162, 1601),
+                                          (8162, 9763)):
+        table.moves = _ReadLog(table.moves)
         prove(Sequent(tree, goal_type), table=table)
+        assert len(table.moves.read) == expanded
+        assert table.solved.keys() == table.moves.keys()
+        assert len(table.solved) == len(table.moves) == total
     assert len(table.moves) == 9763
     assert len(table.halves) == 5645
 

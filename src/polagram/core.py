@@ -648,5 +648,16 @@ def _ps(st: Structure, required: int) -> str:
 
 
 def print_structure(st: Structure) -> str:
-    """Render a structure, showing word labels where present."""
+    """Render a structure, showing word labels where present.
+
+    ``parse_structure`` reads the text back to the same structure, up to
+    the leaves' positions, except for two kinds of leaf:
+
+    * an unworded leaf of a clause-type abbreviation (``FLeaf(S0)`` prints
+      ``s0``), which reads back as a word under a lexicon that has a word
+      spelled like the abbreviation;
+    * a formula leaf whose type is a product or a diamond other than an
+      abbreviation (``FLeaf`` of ``np * np`` prints ``(np * np)``), which
+      reads back as a structural node.
+    """
     return _ps(st, _LVL_SLASH)

@@ -115,8 +115,9 @@ def parse_sentence(sentence: str, lex: Lexicon,
     gc.disable()
     try:
         for tree in bracketings(tokens, lex):
-            # the goal types of one tree share their moves; the table is
-            # dropped before the next tree (see MoveTable)
+            # the goal types of one tree share their solved sequents and
+            # antecedent halves; the table is dropped before the next tree
+            # (see MoveTable)
             table = MoveTable()
             for goal_type in (goals if goals is not None else GOAL_TYPES):
                 remaining = None

@@ -56,13 +56,14 @@ witnesses; see the commentary on ``prove``.  Five more economies concern
 the cost of a search, not its space.  They leave every verdict and reading
 as it is, and the derivations of the first search on a table too:
 
-* The graph's edges and its solved nodes outlive one search (tabled
-  deduction).  A node's moves depend only on the sequent, and so do the
-  scope traces of a node a search has derived to the end, so a
-  ``MoveTable`` keeps both for later calls: a later search seeds a solved
-  node's traces instead of expanding it again.  ``parse_sentence`` shares
-  one table between the goal types of each bracketing and drops it before
-  the next.
+* The graph's solved nodes outlive one search (tabled deduction: a
+  table keeps what a later call reads).  The scope traces of a node a
+  search has derived to the end depend only on the sequent, so a
+  ``MoveTable`` keeps them for later calls: a later search seeds a solved
+  node's traces instead of expanding it again, and so never asks for its
+  moves.  A node's moves are assembled when a search expands it and go
+  with that search.  ``parse_sentence`` shares one table between the goal
+  types of each bracketing and drops it before the next.
 * The left and structural moves depend on the antecedent alone, and no
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
@@ -525,7 +526,7 @@ def _antecedent_moves(ant: Structure
     """The left moves and the structural moves at the antecedent ``ant``:
     the half of a sequent's moves that does not depend on its succedent.
     While a context is live only the spine sites are visited, so only the
-    moves at c-mode nodes are offered (see ``MoveTable._assemble``)."""
+    moves at c-mode nodes are offered (see ``MoveTable.moves_of``)."""
     sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
     left: List[AnteMove] = []
     structural: List[AnteMove] = []
@@ -553,12 +554,12 @@ def _apply_chain(seq: Sequent, steps: Chain,
 # The search runs over the finite graph of the sequents reachable from the
 # goal (``prove`` argues that it is finite) in three exact phases:
 #
-#   1. explore: walk the graph from the goal, taking each node's moves from
-#      the move table (generated there once, possibly by an earlier call).
-#      Each node is expanded once, and its moves then go into the index
-#      phase 2 reads, each move under each of its premises.  A node that
-#      an earlier call on the table solved is not expanded: its pairs seed
-#      phase 2 instead;
+#   1. explore: walk the graph from the goal, expanding each node once:
+#      the move table assembles its moves (``MoveTable.moves_of``), and
+#      they go into the index phase 2 reads, each move under each of its
+#      premises, for the length of the search.  A node that an earlier
+#      call on the table solved is not expanded: its pairs seed phase 2
+#      instead;
 #   2. derive: find, per node, every scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first)
 #      of some derivation of it, and the first witness of each, into the
@@ -599,18 +600,20 @@ def scope_firing(rule: RuleName, antecedent: Structure,
 
 
 class MoveTable:
-    """The moves of every sequent expanded so far, keyed by ``key``, and
-    the scope traces of every sequent solved so far.
+    """What the searches on one tree share: the sequents reached so far,
+    keyed by ``key``, the antecedent halves of their moves, and the scope
+    traces of every sequent solved so far.
 
-    Moves depend on the sequent alone, so one table can serve several
-    ``prove`` calls.  ``parse_sentence`` gives each bracketing its own table,
-    shared by that bracketing's goal types, and drops it before the next:
-    the goals over one tree reach largely the same sequents, while a table
-    spanning bracketings would hold the whole sentence's graph for little
-    further sharing.
+    A search asks for a node's moves once, when it expands the node
+    (``moves_of``), and keeps them only while it runs; the table keeps
+    what a later call reads.  ``parse_sentence`` gives each bracketing its
+    own table, shared by that bracketing's goal types, and drops it before
+    the next: the goals over one tree reach largely the same sequents,
+    while a table spanning bracketings would hold the whole sentence's
+    graph for little further sharing.
 
-    A node's derived pairs depend on the sequent alone too, once a search
-    has derived all of them.  ``solved`` maps the key of every node that a
+    A node's derived pairs depend on the sequent alone, once a search has
+    derived all of them.  ``solved`` maps the key of every node that a
     search on the table reached and ran to the end on to its complete
     ``{trace: witness}`` map, empty for a node that derives nothing.  A
     later search seeds a solved node's pairs instead of expanding it again
@@ -626,18 +629,17 @@ class MoveTable:
     a sequent builds just that half's premises under its succedent, and
     every sequent over the antecedent shares each move's chain tuple.
 
-    Premises are hash-consed: every premise the moves hold is the table's
+    Premises are hash-consed: every premise a move holds is the table's
     one ``Sequent`` for its key, so a sequent that many moves lead to is
     stored once; one the table holds is found by its key, not built
     (``premise``).  Each move carries its scope trace, which depends on the
     move alone (see ``Move``).
     """
 
-    __slots__ = ("sequents", "moves", "halves", "solved")
+    __slots__ = ("sequents", "halves", "solved")
 
     def __init__(self) -> None:
         self.sequents: Dict[str, Sequent] = {}
-        self.moves: Dict[str, List[Move]] = {}
         self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
         self.solved: Dict[str, Dict[Trace, Witness]] = {}
 
@@ -646,16 +648,11 @@ class MoveTable:
         return self.sequents.setdefault(seq.key, seq)
 
     def moves_of(self, seq: Sequent) -> List[Move]:
-        """The moves at ``seq`` (a canonical sequent), generated once."""
-        moves = self.moves.get(seq.key)
-        if moves is None:
-            moves = self.moves[seq.key] = self._assemble(seq)
-        return moves
-
-    def _assemble(self, seq: Sequent) -> List[Move]:
-        """All backward moves at ``seq``, in fixed order: the axiom alone,
-        if it applies; otherwise the right moves, the left moves, the
-        succedent-side Unquote and the structural moves.
+        """All backward moves at ``seq`` (a canonical sequent), in fixed
+        order: the axiom alone, if it applies; otherwise the right moves,
+        the left moves, the succedent-side Unquote and the structural
+        moves.  Each call assembles them anew; only the antecedent half is
+        kept (``halves``).
 
         The moves follow the search's cycles (no gate discards a
         normal-form derivation).  While a continuation node is live, only
@@ -826,7 +823,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``).  Every other goal is
     searched, over the sequent graph that the move table spans
-    (``MoveTable._assemble``), in the three phases described in the
+    (``MoveTable.moves_of``), in the three phases described in the
     commentary that opens this section of the module.
 
     Why the search ends.  Phase 1 walks the sequents reachable from the
@@ -893,11 +890,12 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       c-mode products in the lexicon the quoted root is continuation-free
       as the gate asks; a lexicon with one is not covered.
 
-    ``table`` keeps the moves of the sequents the search expands, and the
-    derived pairs of the sequents it solves.  Calls given the same table
-    generate each sequent's moves once among them, and derive each
-    sequent's pairs once among those that run to the end; a call given none
-    uses a private one.  Sharing keeps every verdict and reading:
+    ``table`` keeps the sequents the search reaches, the antecedent halves
+    of their moves, and the derived pairs of the sequents it solves.  Calls
+    given the same table generate each antecedent's half once among them,
+    and derive each sequent's pairs once among those that run to the end,
+    so none of them expands a sequent an earlier one solved; a call given
+    none uses a private one.  Sharing keeps every verdict and reading:
     the nodes a finished search reaches are closed under premises, so each
     of them has every trace it can derive, and a later call that seeds
     those pairs derives the same traces as it would on its own.  The first
@@ -906,7 +904,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     derivation may be another rule-order variant of it, spelled out by the
     witnesses an earlier call chose.  A call cut by its deadline may have
     derived only some pairs of a node, so it removes every entry it added
-    and leaves only its moves behind.
+    to ``solved`` and leaves only sequents and halves behind.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
@@ -932,7 +930,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
 def _search(goal: Sequent, budget: SearchBudget,
             deadline: Optional[float], table: MoveTable) -> SearchResult:
-    """The three-phase search of ``prove`` over the moves in ``table``."""
+    """The three-phase search of ``prove`` on ``table``."""
     stop_at = None if deadline is None else time.monotonic() + deadline
     try:
         # phase 1: walk the reachable sequent graph, expanding each node
@@ -940,7 +938,6 @@ def _search(goal: Sequent, budget: SearchBudget,
         # seeds phase 2, and so does each pair of a node an earlier call
         # solved, which is not expanded again
         goal = table.canonical(goal)
-        table_moves = table.moves
         reached: Set[str] = {goal.key}
         deps: Dict[str, List[Tuple[str, Move, int]]] = {}
         derived = table.solved
@@ -958,10 +955,7 @@ def _search(goal: Sequent, budget: SearchBudget,
                 continue
             by_trace = derived[key] = {}
             added.append(key)
-            moves = table_moves.get(key)
-            if moves is None:
-                moves = table.moves_of(seq)
-            for move in moves:
+            for move in table.moves_of(seq):
                 premises = move[1]
                 if not premises and not by_trace:  # the axiom
                     by_trace[()] = (move, ())
@@ -1006,7 +1000,7 @@ def _search(goal: Sequent, budget: SearchBudget,
         return SearchResult([_extract(derived, goal, trace, stop_at)
                              for trace in traces[:budget.max_derivations]])
     except SearchTimeout:
-        # a cut call's pairs may be incomplete: it leaves only its moves
+        # a cut call's pairs may be incomplete: it leaves none of them
         for key in added:
             del derived[key]
         return SearchResult([], timed_out=True)

@@ -463,17 +463,28 @@ def test_a_short_search_reads_its_deadline(lex):
 
 # -- phase 2 over a hand-filled move table ------------------------------------
 
+class _HandTable(MoveTable):
+    """A move table whose moves are listed by hand, per node key."""
+
+    def __init__(self):
+        super().__init__()
+        self.listed = {}
+
+    def moves_of(self, seq):
+        return self.listed[seq.key]
+
+
 def _hand_search(moves):
     """``_search`` from "goal" over a move table filled by hand with
     ``moves``, each (node, premise nodes, trace) and one step long; the
     nodes of each derivation found, in preorder."""
-    table = MoveTable()
+    table = _HandTable()
     node = {name: table.canonical(Sequent(FLeaf(Atom(name)), Atom(name)))
             for at, premises, *_rest in moves for name in (at,) + premises}
     for at, premises, trace in moves:
         step = ((RuleName("Step" if premises else "Axiom"), (),
                  node[at].antecedent),)
-        table.moves.setdefault(node[at].key, []).append(
+        table.listed.setdefault(node[at].key, []).append(
             (step, tuple(node[p] for p in premises), trace))
     result = _search(node["goal"], SearchBudget(), None, table)
     assert not result.timed_out
@@ -579,20 +590,37 @@ def _proofs(result):
     return [derivation_to_dict(d) for d in result.derivations]
 
 
+class _RecordingTable(MoveTable):
+    """The move table, recording the moves it assembled for each node a
+    search expanded, and how many times it was asked for moves."""
+
+    def __init__(self):
+        super().__init__()
+        self.expanded = {}
+        self.calls = 0
+
+    def moves_of(self, seq):
+        moves = self.expanded[seq.key] = super().moves_of(seq)
+        self.calls += 1
+        return moves
+
+
 @pytest.mark.parametrize("sentence", SHARING_SENTENCES)
 def test_a_shared_move_table_changes_nothing(lex, sentence):
+    checked = 0
     for tree in bracketings(tokenize(sentence, lex), lex):
         goals = [Sequent(tree, goal_type) for goal_type in (S0, SPLUS)]
         fresh = {g.key: _proofs(prove(g)) for g in goals}
         for order in (goals, goals[::-1]):
-            table = MoveTable()
+            table = _RecordingTable()
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
             # hash-consing: each key has one Sequent object in the table;
             # each move carries the scope firing of its last step; a left
             # or structural move holds the very chain tuple of its
             # antecedent's half, whatever the succedent
-            for key, moves in table.moves.items():
+            checked += len(table.expanded)
+            for key, moves in table.expanded.items():
                 node = table.sequents[key]
                 assert node.key == key
                 for steps, premises, trace in moves:
@@ -611,6 +639,7 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
                             if id(steps) in ids]
                 assert len(threaded) == len(half)
                 assert all(t is h for t, h in zip(threaded, half))
+    assert checked
 
 
 def _readings(result):
@@ -715,54 +744,47 @@ def test_table_moves_equal_fresh_moves(lex):
     expanded = antecedents = 0
     for sentence in SHARING_SENTENCES + POSSESSIVES:
         for tree in bracketings(tokenize(sentence, lex), lex):
-            table = MoveTable()
+            table = _RecordingTable()
             for goal_type in GOAL_TYPES:
                 prove(Sequent(tree, goal_type), table=table)
-            for key, moves in table.moves.items():
+            for key, moves in table.expanded.items():
                 node = table.sequents[key]
                 assert _listing(node, moves) == _listing(
                     node, MoveTable().moves_of(node)), key
-            expanded += len(table.moves)
+            expanded += len(table.expanded)
             antecedents += len(table.halves)
     assert (expanded, antecedents) == (38998, 23290)
-
-
-class _ReadLog(dict):
-    """A move map that records the keys whose moves were looked up."""
-
-    def __init__(self, moves):
-        super().__init__(moves)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
     # the deriving possessive tree, both goals through one table: the
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
-    table = MoveTable()
+    table = _RecordingTable()
     # the second goal expands only the 1,601 sequents the first left
     # unreached, where a search of its own expands 8,785: each search
-    # solves exactly the sequents it expands
+    # asks for the moves of each node it expands once, and solves exactly
+    # the sequents it expands
     for goal_type, expanded, total in zip(GOAL_TYPES, (8162, 1601),
                                           (8162, 9763)):
-        table.moves = _ReadLog(table.moves)
+        calls = table.calls
         prove(Sequent(tree, goal_type), table=table)
-        assert len(table.moves.read) == expanded
-        assert table.solved.keys() == table.moves.keys()
-        assert len(table.solved) == len(table.moves) == total
-    assert len(table.moves) == 9763
+        assert table.calls - calls == expanded
+        assert table.solved.keys() == table.expanded.keys()
+        assert len(table.solved) == len(table.expanded) == total
+    assert len(table.solved) == 9763
     assert len(table.halves) == 5645
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
 
-def _has_value_diamond(ant):
-    """Whether the antecedent holds a value-mode structural diamond."""
-    return "U(" in ant.key
+def _has_value_diamond(st):
+    """Whether the structure holds a value-mode structural diamond."""
+    if isinstance(st, Un):
+        return st.mode == VALUE or _has_value_diamond(st.body)
+    if isinstance(st, Bin):
+        return _has_value_diamond(st.left) or _has_value_diamond(st.right)
+    return False
 
 
 class AnywhereUnquoteTable(MoveTable):
@@ -775,8 +797,8 @@ class AnywhereUnquoteTable(MoveTable):
         super().__init__()
         self.extra = 0
 
-    def _assemble(self, seq):
-        out = super()._assemble(seq)
+    def moves_of(self, seq):
+        out = super().moves_of(seq)
         ant, succ = seq.antecedent, seq.succedent
         if (isinstance(succ, Dia) and succ.mode == UMODE
                 and not ant.has_cmode_node and _has_value_diamond(ant)
@@ -816,7 +838,7 @@ def test_unquote_at_a_quoted_root_loses_nothing(lex):
                 assert _goal_traces(goal, table) \
                     == _goal_traces(goal, oracle), (sentence, str(goal))
             extra += oracle.extra
-    assert extra
+    assert extra == 3489
 
 
 # -- the skeleton check -------------------------------------------------------

@@ -12,6 +12,7 @@ resulting derivations are collapsed to their distinct scope readings.
 from __future__ import annotations
 
 import gc
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -99,8 +100,11 @@ def parse_sentence(sentence: str, lex: Lexicon,
     searches are skipped and the result is marked timed out.
     A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
-    derived the goal.
+    derived the goal.  A NaN ``deadline`` raises ValueError before any
+    search, as ``prove`` does.
     """
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("the deadline must be a number of seconds, not NaN")
     if budget is None:
         budget = SearchBudget()
     tokens = tokenize(sentence, lex)

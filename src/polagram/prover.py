@@ -57,13 +57,9 @@ the cost of a search, not its space.  They leave every verdict and reading
 as it is, and the derivations of the first search on a table too:
 
 * The graph's solved nodes outlive one search (tabled deduction: a
-  table keeps what a later call reads).  The scope traces of a node a
-  search has derived to the end depend only on the sequent, so a
-  ``MoveTable`` keeps them for later calls: a later search seeds a solved
-  node's traces instead of expanding it again, and so never asks for its
-  moves.  A node's moves are assembled when a search expands it and go
-  with that search.  ``parse_sentence`` shares one table between the goal
-  types of each bracketing and drops it before the next.
+  table keeps what a later call reads, on the terms ``MoveTable``
+  states).  A later search seeds a solved node's traces instead of
+  expanding it again, and so never asks for its moves.
 * The left and structural moves depend on the antecedent alone, and no
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
@@ -85,7 +81,9 @@ as it is, and the derivations of the first search on a table too:
 from __future__ import annotations
 
 import gc
+import math
 import time
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -604,20 +602,22 @@ class MoveTable:
     keyed by ``key``, the antecedent halves of their moves, and the scope
     traces of every sequent solved so far.
 
-    A search asks for a node's moves once, when it expands the node
-    (``moves_of``), and keeps them only while it runs; the table keeps
-    what a later call reads.  ``parse_sentence`` gives each bracketing its
-    own table, shared by that bracketing's goal types, and drops it before
-    the next: the goals over one tree reach largely the same sequents,
-    while a table spanning bracketings would hold the whole sentence's
-    graph for little further sharing.
-
-    A node's derived pairs depend on the sequent alone, once a search has
-    derived all of them.  ``solved`` maps the key of every node that a
-    search on the table reached and ran to the end on to its complete
-    ``{trace: witness}`` map, empty for a node that derives nothing.  A
-    later search seeds a solved node's pairs instead of expanding it again
-    (see ``prove``); a search cut by its deadline leaves no entry behind.
+    The table keeps across calls what a later call reads, and no search's
+    working state: a search assembles a node's moves when it expands the
+    node (``moves_of``), and keeps them, its index of parents and its
+    derived pairs to itself.  Any search adds to ``sequents`` and
+    ``halves``, cut or not.  ``solved`` maps the key of every node that a
+    completed search reached to its complete ``{trace: witness}`` map,
+    empty for a node that derives nothing: once all are derived, a node's
+    pairs depend on the sequent alone.  A search publishes its pairs there
+    only when it completes, extraction included, so a search cut by its
+    deadline leaves ``solved`` as it found it.  A later search seeds a
+    solved node's pairs instead of expanding it again (``prove`` argues
+    that this keeps every reading).  ``parse_sentence`` gives each
+    bracketing its own table, shared by that bracketing's goal types, and
+    drops it before the next: the goals over one tree reach largely the
+    same sequents, while a table spanning bracketings would hold the whole
+    sentence's graph for little further sharing.
 
     A sequent's moves are assembled from two halves.  The axiom, the right
     moves and the succedent-side Unquote are generated per sequent.  The
@@ -817,8 +817,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     derivation.  ``deadline`` (seconds, wall clock) optionally aborts the
     search, which reads the clock before it expands each node, before it
     reads each derived pair and before each extraction step; an aborted
-    search reports no derivations and ``timed_out``.  No ``budget`` means
-    ``SearchBudget()``.
+    search reports no derivations and ``timed_out``.  A NaN ``deadline``
+    raises ValueError before any search, since no clock reading would ever
+    pass it.  No ``budget`` means ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``).  Every other goal is
@@ -890,21 +891,17 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       c-mode products in the lexicon the quoted root is continuation-free
       as the gate asks; a lexicon with one is not covered.
 
-    ``table`` keeps the sequents the search reaches, the antecedent halves
-    of their moves, and the derived pairs of the sequents it solves.  Calls
-    given the same table generate each antecedent's half once among them,
-    and derive each sequent's pairs once among those that run to the end,
-    so none of them expands a sequent an earlier one solved; a call given
-    none uses a private one.  Sharing keeps every verdict and reading:
-    the nodes a finished search reaches are closed under premises, so each
-    of them has every trace it can derive, and a later call that seeds
-    those pairs derives the same traces as it would on its own.  The first
-    goal on a table returns exactly what a fresh search returns.  A later
-    goal returns the same readings in the same order, but a reading's
-    derivation may be another rule-order variant of it, spelled out by the
-    witnesses an earlier call chose.  A call cut by its deadline may have
-    derived only some pairs of a node, so it removes every entry it added
-    to ``solved`` and leaves only sequents and halves behind.
+    ``table`` is shared with other calls on the terms ``MoveTable``
+    states; a call given none uses a private one.  Calls on one table
+    generate each antecedent's half once among them, and none expands a
+    sequent that an earlier completed call solved.  Sharing keeps every
+    verdict and reading: the nodes a completed search reaches are closed
+    under premises, so each of them has every trace it can derive, and a
+    later call that seeds those pairs derives the same traces as it would
+    on its own.  The first goal on a table returns exactly what a fresh
+    search returns.  A later goal returns the same readings in the same
+    order, but a reading's derivation may be another rule-order variant of
+    it, spelled out by the witnesses an earlier call chose.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
@@ -916,6 +913,8 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     collection during the search could reclaim nothing; it would only
     rescan the growing graph.
     """
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("the deadline must be a number of seconds, not NaN")
     if _skeleton_refutes(goal):
         return SearchResult([])
     collecting = gc.isenabled()
@@ -936,12 +935,11 @@ def _search(goal: Sequent, budget: SearchBudget,
         # phase 1: walk the reachable sequent graph, expanding each node
         # once, and index each move under each of its premises; each axiom
         # seeds phase 2, and so does each pair of a node an earlier call
-        # solved, which is not expanded again
+        # solved, which is not expanded again.  A node is reached when it
+        # first gets an entry in ``deps``
         goal = table.canonical(goal)
-        reached: Set[str] = {goal.key}
-        deps: Dict[str, List[Tuple[str, Move, int]]] = {}
-        derived = table.solved
-        added: List[str] = []
+        deps: Dict[str, List[Tuple[str, Move, int]]] = {goal.key: []}
+        derived: Dict[str, Dict[Trace, Witness]] = {}
         agenda: List[Tuple[str, Trace]] = []
         work = [goal]
         while work:
@@ -949,33 +947,32 @@ def _search(goal: Sequent, budget: SearchBudget,
                 raise SearchTimeout
             seq = work.pop()
             key = seq.key
-            by_trace = derived.get(key)
+            by_trace = table.solved.get(key)
             if by_trace is not None:
+                derived[key] = by_trace
                 agenda.extend([(key, trace) for trace in by_trace])
                 continue
             by_trace = derived[key] = {}
-            added.append(key)
             for move in table.moves_of(seq):
                 premises = move[1]
                 if not premises and not by_trace:  # the axiom
                     by_trace[()] = (move, ())
                     agenda.append((key, ()))
                 for slot, premise in enumerate(premises):
-                    deps.setdefault(premise.key, []).append((key, move, slot))
-                    if premise.key not in reached:
-                        reached.add(premise.key)
+                    if premise.key not in deps:
+                        deps[premise.key] = []
                         work.append(premise)
+                    deps[premise.key].append((key, move, slot))
 
         # phase 2: derive every (node, trace) pair of the nodes phase 1
-        # expanded, each once with its first witness, into the table's
-        # solved map.  A trace can be no longer than the node's stock of
-        # worded continuation functors, so there are finitely many pairs.
-        # A list iterator reads the length at each step, so it also yields
-        # the pairs appended meanwhile
+        # expanded, each once with its first witness.  A trace can be no
+        # longer than the node's stock of worded continuation functors, so
+        # there are finitely many pairs.  A list iterator reads the length
+        # at each step, so it also yields the pairs appended meanwhile
         for key, trace in agenda:
             if stop_at is not None and time.monotonic() >= stop_at:
                 raise SearchTimeout
-            for parent, move, slot in deps.get(key, ()):
+            for parent, move, slot in deps[key]:
                 premises, own = move[1], move[2]
                 by_trace = derived[parent]
                 if len(premises) == 1:
@@ -994,19 +991,21 @@ def _search(goal: Sequent, budget: SearchBudget,
                         agenda.append((parent, new))
 
         # phase 3: one derivation per goal trace, shortest traces first, up
-        # to the cap on readings
+        # to the cap on readings.  A seeded node's witnesses name premises
+        # that only the table holds
         traces = sorted(derived[goal.key],
                         key=lambda trace: (len(trace), trace))
-        return SearchResult([_extract(derived, goal, trace, stop_at)
-                             for trace in traces[:budget.max_derivations]])
+        solved = ChainMap(derived, table.solved)
+        derivations = [_extract(solved, goal, trace, stop_at)
+                       for trace in traces[:budget.max_derivations]]
     except SearchTimeout:
-        # a cut call's pairs may be incomplete: it leaves none of them
-        for key in added:
-            del derived[key]
         return SearchResult([], timed_out=True)
+    # the search is complete: only now does the table get its pairs
+    table.solved.update(derived)
+    return SearchResult(derivations)
 
 
-def _extract(derived: Dict[str, Dict[Trace, Witness]], seq: Sequent,
+def _extract(derived: ChainMap[str, Dict[Trace, Witness]], seq: Sequent,
              trace: Trace, stop_at: Optional[float]) -> Derivation:
     """Phase 3 of ``prove``: the derivation of ``seq`` with scope trace
     ``trace`` that phase 2's first witnesses spell out, the witness's move

@@ -226,6 +226,18 @@ def test_the_deadline_and_the_collector_pause_cover_bracketings(
     assert collecting == [False]
 
 
+def test_a_nan_deadline_is_refused_before_any_search(lex, monkeypatch):
+    # no clock reading passes a NaN deadline, so the searches would never
+    # time out; the parse refuses it before it builds a tree
+    import polagram.parser
+    built = []
+    monkeypatch.setattr(polagram.parser, "bracketings",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        parse_sentence("Nobody saw anybody", lex, deadline=float("nan"))
+    assert built == []
+
+
 # -- the collector -------------------------------------------------------------
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -461,6 +461,17 @@ def test_a_short_search_reads_its_deadline(lex):
     assert result.timed_out and not result.derivations
 
 
+def test_a_nan_deadline_is_refused_before_any_search(lex, monkeypatch):
+    # no clock reading passes a NaN deadline, so such a search would never
+    # time out; prove refuses it before the skeleton check
+    checked = []
+    monkeypatch.setattr(polagram.prover, "_skeleton_refutes", checked.append)
+    for antecedent in ("(alice * saw) * bob", "nobody * (saw * anybody)"):
+        with pytest.raises(ValueError):
+            prove(seq(antecedent, "s0", lex), deadline=float("nan"))
+    assert checked == []
+
+
 # -- phase 2 over a hand-filled move table ------------------------------------
 
 class _HandTable(MoveTable):
@@ -722,6 +733,29 @@ def test_a_cut_search_leaves_nothing_solved(lex):
             assert all(validate_derivation(d) for d in again.derivations)
         else:
             assert _proofs(again) == _proofs(fresh[goal.key])
+
+
+def test_a_later_goal_extracts_through_nodes_it_did_not_reach(lex):
+    # "Nobody saw anybody": the s+ search after the s0 search on one table
+    # seeds solved nodes without expanding them, so its derivation runs
+    # through nodes it never reached, which only the table holds
+    tree = parse_structure("nobody * (saw * anybody)", lex)
+    first, later = (Sequent(tree, goal_type) for goal_type in (S0, SPLUS))
+    table = _RecordingTable()
+    prove(first, table=table)
+    solved_before = set(table.solved)
+    table.expanded = {}
+    result = prove(later, table=table)
+    reached = {later.key} | set(table.expanded)
+    for moves in table.expanded.values():
+        reached.update(premise.key for _steps, premises, _trace in moves
+                       for premise in premises)
+    unreached = {node.conclusion.key for d in result.derivations
+                 for node in d.walk()} & (solved_before - reached)
+    assert unreached
+    assert result.derivations
+    assert all(validate_derivation(d) for d in result.derivations)
+    assert _readings(result) == _readings(prove(later))
 
 
 def _listing(seq, moves):

@@ -30,7 +30,7 @@ The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
 and the moves offered follow that normal form, which keeps the reachable
 sequent graph finite and small (details at the move generator and in
-``prove``).  Four economies matter, all invisible in the derivations
+``prove``).  Five economies matter, all invisible in the derivations
 returned, which always consist of single honest rule applications:
 
 * T is never applied blindly; it is fused into the moves that consume the
@@ -43,6 +43,11 @@ returned, which always consist of single honest rule applications:
 * Surface-mode logic, diamond merging and succedent decomposition wait until
   the antecedent is continuation-free; while a context is live only the
   spine moves run.
+* Left→ and Right→ move the focus only toward a scope-taker: into a
+  constituent that holds a c-mode formula.  A focus with none can neither
+  collapse nor close the cycle, so a derivation could only climb back out
+  of it, leaving quotes that the fused T adds where they are consumed (the
+  argument is in ``prove``).
 * The succedent-side Unquote is offered only at a quoted root, an
   antecedent that is itself a value diamond, which the value-diamond
   introduction consumes at once.  Anywhere else the steps between the
@@ -93,7 +98,7 @@ from .core import (
     parse_formula, print_formula, sequent_key,
 )
 
-Site = Tuple[int, ...]
+Site = tuple[int, ...]
 
 
 class SearchTimeout(Exception):
@@ -342,7 +347,7 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 
 # A scope trace: the worded continuation-functor firings of a derivation
 # (``scope_firing``), outermost first.
-Trace = Tuple[Tuple[str, Optional[int]], ...]
+Trace = tuple[tuple[str, int | None], ...]
 
 # A move is (steps, premises, trace).  Its chain, steps, is the (rule, site,
 # antecedent) of each step, applied top-down; a step concludes its
@@ -351,19 +356,19 @@ Trace = Tuple[Tuple[str, Optional[int]], ...]
 # the succedent-side Unquote work at the root, the others on the antecedent
 # alone).  premises are the subgoals of the innermost step, and trace is
 # the scope firing of the last step as a 1-tuple, or ().
-Chain = Tuple[Tuple[RuleName, Site, Structure], ...]
-Move = Tuple[Chain, Tuple[Sequent, ...], Trace]
+Chain = tuple[tuple[RuleName, Site, Structure], ...]
+Move = tuple[Chain, tuple[Sequent, ...], Trace]
 
 # An antecedent move is a left or structural move with the succedent left
 # out: (steps, main, minor, trace), where main is the antecedent of the
 # premise that keeps the conclusion's succedent and minor is the other
 # premise, a whole sequent, or None.  Its chain serves every succedent as
 # it is; only the main premise takes one.
-AnteMove = Tuple[Chain, Structure, Optional[Sequent], Trace]
+AnteMove = tuple[Chain, Structure, Sequent | None, Trace]
 
 # The first witness of a (node, trace) pair: the move that derived it and
 # each premise's part of the trace, in premise order.
-Witness = Tuple[Move, Tuple[Trace, ...]]
+Witness = tuple[Move, tuple[Trace, ...]]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
@@ -496,14 +501,18 @@ def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
     new = _root_bwd(node)
     if new is not None:
         _plain(out, ant, site, ROOT_B, new)
+    # Left→ and Right→ descend the focus into node.left.left and
+    # node.left.right; they go only toward a scope-taker, since a focus
+    # with no c-mode formula can only climb back out (see ``prove``)
     new = _left_fwd(node)
-    if new is not None:
+    if new is not None and node.left.left.has_cmode_formula:
         _plain(out, ant, site, LEFT_F, new)
     new = _left_bwd(node)
     if new is not None:
         _plain(out, ant, site, LEFT_B, new)
     if isinstance(node, Bin) and node.mode == CMODE:
-        if isinstance(node.left, Bin) and node.left.mode == DEFAULT:
+        if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
+                and node.left.right.has_cmode_formula):
             _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
         if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
             _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
@@ -659,10 +668,12 @@ class MoveTable:
         the spine moves at c-mode nodes are offered: rotations, Root and
         collapses of c-mode functors.  Everything else waits for a
         continuation-free antecedent.  Root introduces its unit only where
-        a c-mode functor can consume the context, and the succedent-side
-        Unquote only at a quoted root: an antecedent that is itself a value
-        diamond, so that the diamond introduction cancels the new diamond
-        at once (``prove`` says why that loses nothing).
+        a c-mode functor can consume the context, Left→ and Right→ move the
+        focus only into a constituent that holds a c-mode formula, and the
+        succedent-side Unquote is offered only at a quoted root: an
+        antecedent that is itself a value diamond, so that the diamond
+        introduction cancels the new diamond at once (``prove`` says why
+        these gates lose nothing).
         """
         axiom = _axiom_move(seq)
         if axiom is not None:
@@ -867,7 +878,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     firings in preorder, the order in which phase 2 joins traces), so each
     reading found is returned once.
 
-    An empty result is a refutation, given two premises.
+    An empty result is a refutation, given three premises.
 
     * Normal form, a claim not proved here: a derivation has one of the
       same scope trace in the normal form the move table offers (T fused
@@ -890,6 +901,30 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       and the unfolding of a c-mode product make a c-mode node, so without
       c-mode products in the lexicon the quoted root is continuation-free
       as the gate asks; a lexicon with one is not covered.
+    * The focus descends only toward a scope-taker, argued in part.  Left→
+      takes ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
+      ``(◇A ∘ B) *c C`` to ``B *c (C ∘ ◇A)``; the table offers them only
+      when the new focus, ``A`` or ``B``, holds a c-mode formula.  Take a
+      derivation that moves the focus into a constituent ``X`` with none.
+      While the context is live, the antecedent's moves are those at its
+      c-mode node, and no right rule applies under a clause succedent.
+      None collapses there, as ``X`` holds no c-mode functor and the
+      context is no leaf; Root's inverse needs the context to be the unit
+      alone, and the context holds ``X``'s sibling.  Each further descent
+      goes into a part of ``X``, which has no c-mode formula either.  So
+      before anything fires or the cycle closes, the derivation climbs
+      back out of ``X``.  If every climb inverts the descent it follows
+      (Left← after Left→, Right← after Right→), the excursion ends at the
+      sequent it started from, except for the quotes that Right→ put on
+      the siblings it passed.  Drop the excursion, and commute each of
+      those T steps down to the step that consumes its quote, as the
+      normal form does: the scope trace is the same.
+      Not covered, and a claim: an excursion that climbs out in the other
+      orientation, through Left← after Right→ or Right← after Left→, which
+      takes the focus's sibling into the context and the unit into the
+      focus.  The claim is that such a sequent adds no scope trace; a
+      table that also offers every scope-free descent finds the same goal
+      traces on every sentence tested.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  Calls on one table

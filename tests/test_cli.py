@@ -272,14 +272,18 @@ def test_parse_corpus_format():
 
 
 def test_the_seven_token_corpus_file_reads():
-    # CI runs this file through `polagram corpus`, which takes about 15 s,
+    # CI runs this file through `polagram corpus`, which takes about 2 s,
     # so tier-1 only reads it
     path = Path(__file__).parent / "data" / "seven_tokens.tsv"
     lines = parse_corpus(path.read_text(encoding="utf-8"))
     assert [(l.sentence, l.expected, l.reading_count) for l in lines] == [
         ("Nobody's mother introduced anybody's father to somebody", "ok", 1),
         ("Anybody's mother introduced nobody's father to somebody", "bad",
-         None)]
+         None),
+        ("Alice's mother's father introduced nobody's mother to anybody's "
+         "father", "ok", 1),
+        ("Somebody's mother introduced everybody's father to nobody's "
+         "mother", "ok", 4)]
 
 
 def test_parse_corpus_rejects_garbage():

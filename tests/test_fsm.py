@@ -271,7 +271,7 @@ POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
 # its trace's first witnesses spell out; under a tree's second goal type,
 # some witnesses come from the pairs its first goal solved).
 POSSESSIVE_FRAME_SHA256 = \
-    "0f1ec28e019d6fe348cb8cc5f7572079223280991e148c1cb6c42ceae686fcb3"
+    "73cad7b4341072ce9c91ec5212e1cc3ffe9ccf858739de5b40e11df6e5161177"
 
 
 def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):

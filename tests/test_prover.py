@@ -1,12 +1,16 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import polagram.prover
 from polagram import (
     Atom, Bin, Derivation, Dia, FLeaf, GOAL_TYPES, RuleName, SearchBudget,
-    Sequent, Un, NP, S0, SPLUS, SMINUS, UMODE, VALUE,
+    Sequent, Un, NP, S0, SPLUS, SMINUS, DEFAULT, UMODE, VALUE,
     derivation_from_dict, derivation_to_dict, extract_reading,
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
@@ -14,8 +18,8 @@ from polagram import (
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
-    _left_fwd, _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
-    _skeleton_refutes, scope_firing,
+    _left_fwd, _plain, _quoting, _right_bwd, _right_fwd, _root_bwd,
+    _root_fwd, _search, _skeleton_refutes, _spine_sites, scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -264,14 +268,33 @@ def test_enumerate_includes_root_forward(lex):
 
 
 def test_enumerate_right_forward(lex):
-    goal = seq("(<>np * saw) *c np", "s0", lex)
+    goal = seq("(<>np * everybody) *c np", "s0", lex)
     results = [premises
                for steps, premises, _trace in MoveTable().moves_of(goal)
                if steps == ((RIGHT_F, (), goal.antecedent),)]
     # compared as printed: the premise keeps the goal's leaf positions,
     # which a fresh parse of its text would number afresh
     assert [[str(p) for p in premises] for premises in results] \
-        == [["saw *c (np * <>np) |- s0"]]
+        == [["everybody *c (np * <>np) |- s0"]]
+
+
+@pytest.mark.parametrize("antecedent,descents", [
+    ("(<>np * saw) *c np", set()),
+    ("(np * saw) *c nobody", set()),
+    ("(<>np * everybody) *c np", {RIGHT_F}),
+    ("(nobody * saw) *c np", {LEFT_F}),
+    ("(nobody * <>everybody) *c np", {LEFT_F, RIGHT_F}),
+])
+def test_the_focus_descends_only_toward_a_scope_taker(lex, antecedent,
+                                                      descents):
+    # Left→ moves the focus into the left half of the surface pair under
+    # the c-mode node, Right→ into its right half; neither is offered
+    # into a half with no c-mode formula, whatever the context holds
+    goal = seq(antecedent, "s0", lex)
+    offered = {steps[-1][0] for steps, _premises, _trace
+               in MoveTable().moves_of(goal)
+               if steps[-1][1] == ()}
+    assert offered & {LEFT_F, RIGHT_F} == descents
 
 
 def test_enumerate_deterministic_order(lex):
@@ -401,7 +424,7 @@ def test_memo_and_plain_search_agree(lex):
         if not oracle.exhausted:
             assert found == got, text
             uncut += 1
-    assert uncut == 6
+    assert uncut == 9
 
 
 def test_no_branch_repeats_a_sequent(lex):
@@ -787,7 +810,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.expanded)
             antecedents += len(table.halves)
-    assert (expanded, antecedents) == (38998, 23290)
+    assert (expanded, antecedents) == (10505, 6244)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -795,19 +818,19 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
     table = _RecordingTable()
-    # the second goal expands only the 1,601 sequents the first left
-    # unreached, where a search of its own expands 8,785: each search
+    # the second goal expands only the 155 sequents the first left
+    # unreached, where a search of its own expands 670: each search
     # asks for the moves of each node it expands once, and solves exactly
     # the sequents it expands
-    for goal_type, expanded, total in zip(GOAL_TYPES, (8162, 1601),
-                                          (8162, 9763)):
+    for goal_type, expanded, total in zip(GOAL_TYPES, (580, 155),
+                                          (580, 735)):
         calls = table.calls
         prove(Sequent(tree, goal_type), table=table)
         assert table.calls - calls == expanded
         assert table.solved.keys() == table.expanded.keys()
         assert len(table.solved) == len(table.expanded) == total
-    assert len(table.solved) == 9763
-    assert len(table.halves) == 5645
+    assert len(table.solved) == 735
+    assert len(table.halves) == 405
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
@@ -846,6 +869,34 @@ class AnywhereUnquoteTable(MoveTable):
         return out
 
 
+class DescendAnywhereTable(MoveTable):
+    """The move table with Left→ and Right→ also offered where they move
+    the focus into a constituent with no c-mode formula, after the moves
+    the table offers.  ``extra`` counts the descents it added."""
+
+    def __init__(self):
+        super().__init__()
+        self.extra = 0
+
+    def moves_of(self, seq):
+        out = super().moves_of(seq)
+        ant = seq.antecedent
+        descents = []
+        # Left→ and Right→ work at c-mode nodes, which are all spine sites
+        for site, node in _spine_sites(ant):
+            inner = node.left
+            if not (isinstance(inner, Bin) and inner.mode == DEFAULT):
+                continue
+            if not inner.left.has_cmode_formula:
+                _plain(descents, ant, site, LEFT_F, _left_fwd(node))
+            if not inner.right.has_cmode_formula:
+                _quoting(descents, ant, site, node, (0, 0), RIGHT_F,
+                         _right_fwd)
+        self.extra += len(descents)
+        self._thread(out, seq.succedent, descents)
+        return out
+
+
 def _goal_traces(goal, table):
     """The scope traces phase 2 derives for ``goal``, in the order ``prove``
     returns them: one derivation each, with no cap on readings."""
@@ -855,24 +906,36 @@ def _goal_traces(goal, table):
     return [extract_reading(d).scope_order for d in result.derivations]
 
 
-# the slice, fixed before it was run: the grid and both possessives
-UNQUOTE_ORACLE_SLICE = GRID + POSSESSIVES
+# the slice of both oracle tables, fixed before each was first run: the grid
+# and both possessives
+ORACLE_SLICE = GRID + POSSESSIVES
 
 
-def test_unquote_at_a_quoted_root_loses_nothing(lex):
-    # against a table that also offers the Unquote everywhere it used to,
-    # every (tree, goal) search derives the same goal traces, so finds the
-    # same readings; each table is shared by the goals of its tree
+def _extra_after_equal_traces(lex, oracle_table):
+    """Check that every (tree, goal) search over ``ORACLE_SLICE`` derives
+    the same goal traces on a ``MoveTable`` as on ``oracle_table()``, so
+    finds the same readings, each table shared by the goals of its tree;
+    the oracle tables' ``extra`` counts, summed."""
     extra = 0
-    for sentence in UNQUOTE_ORACLE_SLICE:
+    for sentence in ORACLE_SLICE:
         for tree in bracketings(tokenize(sentence, lex), lex):
-            table, oracle = MoveTable(), AnywhereUnquoteTable()
+            table, oracle = MoveTable(), oracle_table()
             for goal_type in GOAL_TYPES:
                 goal = Sequent(tree, goal_type)
                 assert _goal_traces(goal, table) \
                     == _goal_traces(goal, oracle), (sentence, str(goal))
             extra += oracle.extra
-    assert extra == 3489
+    return extra
+
+
+def test_unquote_at_a_quoted_root_loses_nothing(lex):
+    # against a table that also offers the Unquote everywhere it used to
+    assert _extra_after_equal_traces(lex, AnywhereUnquoteTable) == 1138
+
+
+def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
+    # against a table that also descends into scope-free constituents
+    assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 16238
 
 
 # -- the skeleton check -------------------------------------------------------
@@ -939,6 +1002,49 @@ def test_outside_the_fragment_the_search_decides(antecedent, derives):
         assert _proofs(result) == _proofs(searched)
         assert not result.timed_out
         assert bool(result.derivations) == derives
+
+
+# -- re-importing the package -------------------------------------------------
+
+# Imports the package afresh, as the benchmark does before each set-up, and
+# prints how many copies of the prover's and core's namespaces are alive
+# after 2 and after 10 re-imports.  A namespace outlives its module object
+# while any function defined in it is alive, so namespaces are counted.
+REIMPORT_SCRIPT = """
+import gc, importlib, sys
+
+def reimport():
+    for name in [n for n in sys.modules
+                 if n == "polagram" or n.startswith("polagram.")]:
+        del sys.modules[name]
+    importlib.import_module("polagram").default_lexicon()
+
+def copies():
+    gc.collect()
+    return [sum(isinstance(o, dict) and o.get("__name__") == name
+                and "__spec__" in o for o in gc.get_objects())
+            for name in ("polagram.prover", "polagram.core")]
+
+reimport()
+counts = []
+for n in (2, 8):
+    for _ in range(n):
+        reimport()
+    counts.append(copies())
+print(counts)
+"""
+
+
+def test_re_importing_the_package_frees_the_old_copies():
+    # a module-level alias built with typing's generics lands in typing's
+    # caches, which would keep every old copy of the package alive
+    src = Path(polagram.prover.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    after_few, after_many = json.loads(proc.stdout)
+    assert after_few == after_many
 
 
 # -- serialization ------------------------------------------------------------

@@ -213,20 +213,21 @@ class Structure:
 
     Three flags say what the tree contains, so that no caller needs to read
     the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
-    unit leaf) and ``has_cmode_formula`` (a leaf formula with a c-mode
-    connective).
+    unit leaf) and ``has_open_cmode_formula`` (a leaf formula with a c-mode
+    connective at an open site, outside every unary node: a scope-taker
+    that no quote or other structural diamond freezes).
     """
 
     __slots__ = ("key", "_hash", "has_cmode_node", "has_unit",
-                 "has_cmode_formula")
+                 "has_open_cmode_formula")
 
     def _finish(self, key: str, cmode_node: bool, unit: bool,
-                cmode_formula: bool) -> None:
+                open_cmode_formula: bool) -> None:
         self.key = key
         self._hash = hash(key)
         self.has_cmode_node = cmode_node
         self.has_unit = unit
-        self.has_cmode_formula = cmode_formula
+        self.has_open_cmode_formula = open_cmode_formula
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Structure) and self.key == other.key)
@@ -278,7 +279,8 @@ class Bin(Structure):
                      mode == CMODE or left.has_cmode_node
                      or right.has_cmode_node,
                      left.has_unit or right.has_unit,
-                     left.has_cmode_formula or right.has_cmode_formula)
+                     left.has_open_cmode_formula
+                     or right.has_open_cmode_formula)
 
 
 class Un(Structure):
@@ -289,8 +291,9 @@ class Un(Structure):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
+        # no site lies in the body (``_open_sites`` stops at a unary node)
         self._finish(f"U{mode}({body.key})", body.has_cmode_node,
-                     body.has_unit, body.has_cmode_formula)
+                     body.has_unit, False)
 
 
 UNIT_LEAF = UnitLeaf()

@@ -101,10 +101,16 @@ def parse_sentence(sentence: str, lex: Lexicon,
     A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
     derived the goal.  A NaN ``deadline`` raises ValueError before any
-    search, as ``prove`` does.
+    search, as ``prove`` does, and so does an empty ``goals``: with no goal
+    type to prove, no search could find a derivation or refute one.  No
+    ``goals`` means ``GOAL_TYPES``.
     """
     if deadline is not None and math.isnan(deadline):
         raise ValueError("the deadline must be a number of seconds, not NaN")
+    if goals is None:
+        goals = GOAL_TYPES
+    elif not goals:
+        raise ValueError("no goal type to prove")
     if budget is None:
         budget = SearchBudget()
     tokens = tokenize(sentence, lex)
@@ -123,7 +129,7 @@ def parse_sentence(sentence: str, lex: Lexicon,
             # antecedent halves; the table is dropped before the next tree
             # (see MoveTable)
             table = MoveTable()
-            for goal_type in (goals if goals is not None else GOAL_TYPES):
+            for goal_type in goals:
                 remaining = None
                 if stop_at is not None:
                     remaining = stop_at - time.monotonic()

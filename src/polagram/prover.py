@@ -43,10 +43,12 @@ returned, which always consist of single honest rule applications:
 * Surface-mode logic, diamond merging and succedent decomposition wait until
   the antecedent is continuation-free; while a context is live only the
   spine moves run.
-* Left→ and Right→ move the focus only toward a scope-taker: into a
-  constituent that holds a c-mode formula.  A focus with none can neither
-  collapse nor close the cycle, so a derivation could only climb back out
-  of it, leaving quotes that the fused T adds where they are consumed (the
+* Root→, Left→ and Right→ move the focus only toward a scope-taker that
+  no quote freezes: into a constituent that holds a c-mode formula outside
+  every unary node.  While a context is live no move enters a unary node,
+  so nothing fires at a focus with no such formula, and a derivation
+  could only climb back out of it, undoing the descent or the Root→ and
+  leaving quotes that the fused T adds where they are consumed (the
   argument is in ``prove``).
 * The succedent-side Unquote is offered only at a quoted root, an
   antecedent that is itself a value diamond, which the value-diamond
@@ -494,25 +496,26 @@ def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
                          node: Structure) -> None:
     """Add the postulate moves at one site, with T fused into consumers."""
     if (not site and not ant.has_cmode_node and not ant.has_unit
-            and ant.has_cmode_formula):
+            and ant.has_open_cmode_formula):
         # Root introduces its unit at the spine only, one context at a time,
-        # and only where a c-mode functor could consume the context
+        # and only where a c-mode functor outside every quote could consume
+        # the context
         _plain(out, ant, site, ROOT_F, _root_fwd(node))
     new = _root_bwd(node)
     if new is not None:
         _plain(out, ant, site, ROOT_B, new)
     # Left→ and Right→ descend the focus into node.left.left and
-    # node.left.right; they go only toward a scope-taker, since a focus
-    # with no c-mode formula can only climb back out (see ``prove``)
+    # node.left.right; they go only toward a scope-taker that no unary node
+    # freezes, since any other focus can only climb back out (see ``prove``)
     new = _left_fwd(node)
-    if new is not None and node.left.left.has_cmode_formula:
+    if new is not None and node.left.left.has_open_cmode_formula:
         _plain(out, ant, site, LEFT_F, new)
     new = _left_bwd(node)
     if new is not None:
         _plain(out, ant, site, LEFT_B, new)
     if isinstance(node, Bin) and node.mode == CMODE:
         if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
-                and node.left.right.has_cmode_formula):
+                and node.left.right.has_open_cmode_formula):
             _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
         if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
             _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
@@ -667,9 +670,9 @@ class MoveTable:
         normal-form derivation).  While a continuation node is live, only
         the spine moves at c-mode nodes are offered: rotations, Root and
         collapses of c-mode functors.  Everything else waits for a
-        continuation-free antecedent.  Root introduces its unit only where
-        a c-mode functor can consume the context, Left→ and Right→ move the
-        focus only into a constituent that holds a c-mode formula, and the
+        continuation-free antecedent.  Root→, Left→ and Right→ make a
+        constituent the focus only where it holds a c-mode formula outside
+        every unary node, a scope-taker that no quote freezes, and the
         succedent-side Unquote is offered only at a quoted root: an
         antecedent that is itself a value diamond, so that the diamond
         introduction cancels the new diamond at once (``prove`` says why
@@ -901,30 +904,37 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       and the unfolding of a c-mode product make a c-mode node, so without
       c-mode products in the lexicon the quoted root is continuation-free
       as the gate asks; a lexicon with one is not covered.
-    * The focus descends only toward a scope-taker, argued in part.  Left→
-      takes ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
+    * The focus moves only toward a scope-taker that no quote freezes,
+      argued in part.  Root→ takes ``Γ`` to ``Γ *c 1``, Left→ takes
+      ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
       ``(◇A ∘ B) *c C`` to ``B *c (C ∘ ◇A)``; the table offers them only
-      when the new focus, ``A`` or ``B``, holds a c-mode formula.  Take a
-      derivation that moves the focus into a constituent ``X`` with none.
-      While the context is live, the antecedent's moves are those at its
-      c-mode node, and no right rule applies under a clause succedent.
-      None collapses there, as ``X`` holds no c-mode functor and the
-      context is no leaf; Root's inverse needs the context to be the unit
-      alone, and the context holds ``X``'s sibling.  Each further descent
-      goes into a part of ``X``, which has no c-mode formula either.  So
-      before anything fires or the cycle closes, the derivation climbs
-      back out of ``X``.  If every climb inverts the descent it follows
-      (Left← after Left→, Right← after Right→), the excursion ends at the
-      sequent it started from, except for the quotes that Right→ put on
-      the siblings it passed.  Drop the excursion, and commute each of
-      those T steps down to the step that consumes its quote, as the
-      normal form does: the scope trace is the same.
+      when the new focus, ``Γ``, ``A`` or ``B``, holds a c-mode formula at
+      an open site, outside every unary node.  While a context is live, the
+      antecedent's moves are those at its c-mode spine sites, and no right
+      rule applies under a clause succedent; no such move enters a unary
+      node, so a quoted scope-taker stays quoted until the cycle closes.
+      Take a derivation that makes a constituent ``X`` with no open c-mode
+      formula the focus.  Nothing collapses there, as ``X`` is no c-mode
+      functor leaf and the context is no c-mode argument leaf, and each
+      further descent goes into a part of ``X``, which has no open c-mode
+      formula either.  After Left→ or Right→, Root's inverse cannot close
+      the cycle: it needs the context to be the unit alone, and the context
+      holds ``X``'s sibling.  So before anything fires or the cycle closes,
+      the derivation climbs back out of ``X``.  If every climb inverts the
+      descent it follows (Left← after Left→, Right← after Right→), the
+      excursion ends at the sequent it started from, except for the quotes
+      that Right→ put on the siblings it passed.  Drop the excursion, and
+      commute each of those T steps down to the step that consumes its
+      quote, as the normal form does: the scope trace is the same.  After
+      Root→ the context is the unit, which no rotation takes apart, so
+      only Root← can undo it, and the same argument drops the excursion
+      from Root→ to that Root←.
       Not covered, and a claim: an excursion that climbs out in the other
       orientation, through Left← after Right→ or Right← after Left→, which
       takes the focus's sibling into the context and the unit into the
       focus.  The claim is that such a sequent adds no scope trace; a
-      table that also offers every scope-free descent finds the same goal
-      traces on every sentence tested.
+      table that also offers every withheld descent and Root→ finds the
+      same goal traces on every sentence tested.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  Calls on one table

@@ -272,7 +272,7 @@ def test_parse_corpus_format():
 
 
 def test_the_seven_token_corpus_file_reads():
-    # CI runs this file through `polagram corpus`, which takes about 2 s,
+    # CI runs this file through `polagram corpus`, which takes about 1 s,
     # so tier-1 only reads it
     path = Path(__file__).parent / "data" / "seven_tokens.tsv"
     lines = parse_corpus(path.read_text(encoding="utf-8"))
@@ -283,7 +283,10 @@ def test_the_seven_token_corpus_file_reads():
         ("Alice's mother's father introduced nobody's mother to anybody's "
          "father", "ok", 1),
         ("Somebody's mother introduced everybody's father to nobody's "
-         "mother", "ok", 4)]
+         "mother", "ok", 4),
+        ("Nobody introduced anybody's mother to somebody's father", "ok", 1),
+        ("Everybody's mother introduced somebody to nobody's father", "ok",
+         4)]
 
 
 def test_parse_corpus_rejects_garbage():

@@ -10,7 +10,7 @@ from polagram import (
     SyntaxErrorWithPos, load_lexicon, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
-from polagram.prover import structure_to_dict
+from polagram.prover import _open_sites, structure_to_dict
 
 
 def test_parse_atom():
@@ -136,7 +136,10 @@ def test_structure_flags_match_key_probes(s):
     # the key substrings the flags replace, kept here as their oracle
     assert s.has_cmode_node == ("Bc(" in s.key)
     assert s.has_unit == ("!" in s.key)
-    assert s.has_cmode_formula == _has_cmode_connective(s.key)
+    # a c-mode formula counts only at an open site, outside every unary node
+    assert s.has_open_cmode_formula == any(
+        isinstance(node, FLeaf) and _has_cmode_connective(node.formula.key)
+        for _site, node in _open_sites(s))
 
 
 # -- structures and sequents -------------------------------------------------

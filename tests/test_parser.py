@@ -238,6 +238,19 @@ def test_a_nan_deadline_is_refused_before_any_search(lex, monkeypatch):
     assert built == []
 
 
+def test_no_goal_types_are_refused_before_any_search(lex, monkeypatch):
+    # with no goal type there is nothing to search, so "ungrammatical"
+    # would be a verdict no search reached; the parse refuses it before it
+    # builds a tree
+    import polagram.parser
+    built = []
+    monkeypatch.setattr(polagram.parser, "bracketings",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        parse_sentence("Nobody saw anybody", lex, goals=())
+    assert built == []
+
+
 # -- the collector -------------------------------------------------------------
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -283,18 +283,24 @@ def test_enumerate_right_forward(lex):
     ("(np * saw) *c nobody", set()),
     ("(<>np * everybody) *c np", {RIGHT_F}),
     ("(nobody * saw) *c np", {LEFT_F}),
-    ("(nobody * <>everybody) *c np", {LEFT_F, RIGHT_F}),
+    ("(nobody * <>everybody) *c np", {LEFT_F}),
+    ("(<>(nobody * saw) * everybody) *c np", {RIGHT_F}),
+    ("(<>np * <>(saw * everybody)) *c np", set()),
+    ("nobody * (saw * <>anybody)", {ROOT_F}),
+    ("<>(nobody * (saw * anybody))", set()),
 ])
 def test_the_focus_descends_only_toward_a_scope_taker(lex, antecedent,
                                                       descents):
     # Left→ moves the focus into the left half of the surface pair under
     # the c-mode node, Right→ into its right half; neither is offered
-    # into a half with no c-mode formula, whatever the context holds
+    # into a half with no c-mode formula outside every unary node, whatever
+    # the context holds.  Root→ makes the whole antecedent the focus, and
+    # is offered only where it holds such a formula
     goal = seq(antecedent, "s0", lex)
     offered = {steps[-1][0] for steps, _premises, _trace
                in MoveTable().moves_of(goal)
                if steps[-1][1] == ()}
-    assert offered & {LEFT_F, RIGHT_F} == descents
+    assert offered & {ROOT_F, LEFT_F, RIGHT_F} == descents
 
 
 def test_enumerate_deterministic_order(lex):
@@ -810,7 +816,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.expanded)
             antecedents += len(table.halves)
-    assert (expanded, antecedents) == (10505, 6244)
+    assert (expanded, antecedents) == (7159, 4497)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -818,19 +824,19 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
     table = _RecordingTable()
-    # the second goal expands only the 155 sequents the first left
-    # unreached, where a search of its own expands 670: each search
+    # the second goal expands only the 94 sequents the first left
+    # unreached, where a search of its own expands 468: each search
     # asks for the moves of each node it expands once, and solves exactly
     # the sequents it expands
-    for goal_type, expanded, total in zip(GOAL_TYPES, (580, 155),
-                                          (580, 735)):
+    for goal_type, expanded, total in zip(GOAL_TYPES, (406, 94),
+                                          (406, 500)):
         calls = table.calls
         prove(Sequent(tree, goal_type), table=table)
         assert table.calls - calls == expanded
         assert table.solved.keys() == table.expanded.keys()
         assert len(table.solved) == len(table.expanded) == total
-    assert len(table.solved) == 735
-    assert len(table.halves) == 405
+    assert len(table.solved) == 500
+    assert len(table.halves) == 292
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
@@ -869,10 +875,23 @@ class AnywhereUnquoteTable(MoveTable):
         return out
 
 
+def _has_cmode_formula(st):
+    """Whether the structure holds a leaf formula with a c-mode connective,
+    inside unary nodes too."""
+    if isinstance(st, Un):
+        return _has_cmode_formula(st.body)
+    if isinstance(st, Bin):
+        return _has_cmode_formula(st.left) or _has_cmode_formula(st.right)
+    return isinstance(st, FLeaf) and st.formula.has_cmode
+
+
 class DescendAnywhereTable(MoveTable):
     """The move table with Left→ and Right→ also offered where they move
-    the focus into a constituent with no c-mode formula, after the moves
-    the table offers.  ``extra`` counts the descents it added."""
+    the focus into a constituent with no c-mode formula outside every
+    unary node, that is, one that holds none or only quoted ones, and
+    Root→ also offered at a continuation-free antecedent whose c-mode
+    formulas are all quoted, after the moves the table offers.  ``extra``
+    counts the moves it added."""
 
     def __init__(self):
         super().__init__()
@@ -881,19 +900,23 @@ class DescendAnywhereTable(MoveTable):
     def moves_of(self, seq):
         out = super().moves_of(seq)
         ant = seq.antecedent
-        descents = []
+        added = []
+        if (not ant.has_cmode_node and not ant.has_unit
+                and not ant.has_open_cmode_formula
+                and _has_cmode_formula(ant)):
+            _plain(added, ant, (), ROOT_F, _root_fwd(ant))
         # Left→ and Right→ work at c-mode nodes, which are all spine sites
         for site, node in _spine_sites(ant):
             inner = node.left
             if not (isinstance(inner, Bin) and inner.mode == DEFAULT):
                 continue
-            if not inner.left.has_cmode_formula:
-                _plain(descents, ant, site, LEFT_F, _left_fwd(node))
-            if not inner.right.has_cmode_formula:
-                _quoting(descents, ant, site, node, (0, 0), RIGHT_F,
+            if not inner.left.has_open_cmode_formula:
+                _plain(added, ant, site, LEFT_F, _left_fwd(node))
+            if not inner.right.has_open_cmode_formula:
+                _quoting(added, ant, site, node, (0, 0), RIGHT_F,
                          _right_fwd)
-        self.extra += len(descents)
-        self._thread(out, seq.succedent, descents)
+        self.extra += len(added)
+        self._thread(out, seq.succedent, added)
         return out
 
 
@@ -930,12 +953,14 @@ def _extra_after_equal_traces(lex, oracle_table):
 
 def test_unquote_at_a_quoted_root_loses_nothing(lex):
     # against a table that also offers the Unquote everywhere it used to
-    assert _extra_after_equal_traces(lex, AnywhereUnquoteTable) == 1138
+    assert _extra_after_equal_traces(lex, AnywhereUnquoteTable) == 968
 
 
 def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
-    # against a table that also descends into scope-free constituents
-    assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 16238
+    # against a table that also descends into constituents whose c-mode
+    # formulas are none or all quoted, and opens a context at an antecedent
+    # whose c-mode formulas are all quoted
+    assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 27850
 
 
 # -- the skeleton check -------------------------------------------------------

@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 affirmative verdict / all pass, 1 negative verdict / some fail
 (or the reader closed the output pipe early), 2 usage or input error, 3
 unknown verdict (``parse`` and ``sequent`` only: the search timed out before
-it found a derivation).  All I/O is UTF-8.
+it found a derivation).  All I/O is UTF-8; a byte-order mark that opens a
+lexicon or corpus file is skipped.
 
 Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``;
 ``#`` starts a comment.  Lexicon files follow the lexicon module's format.
@@ -100,20 +101,21 @@ def _add_prover_options(p: argparse.ArgumentParser) -> None:
 
 def _lexicon_from(args) -> Lexicon:
     if args.lexicon:
-        with open(args.lexicon, encoding="utf-8") as fh:
+        with open(args.lexicon, encoding="utf-8-sig") as fh:
             return load_lexicon(fh.read())
     return default_lexicon()
 
 
-def _budget_for(args) -> SearchBudget:
-    """The budget ``--max-derivations`` asks for, ``SearchBudget``'s
-    default when it is not given.  Raises ValueError for a cap below 1, and
-    for a NaN or negative ``--time-limit`` (0 and inf are limits)."""
+def _budget_for(args) -> Optional[SearchBudget]:
+    """The budget ``--max-derivations`` asks for, or None when it is not
+    given, which leaves the default to ``prove``.  Raises ValueError for a
+    cap below 1, and for a NaN or negative ``--time-limit`` (0 and inf are
+    limits)."""
     if args.time_limit is not None and not args.time_limit >= 0:
         raise ValueError("--time-limit must be a nonnegative number of "
                          f"seconds, not {args.time_limit}")
     if args.max_derivations is None:
-        return SearchBudget()
+        return None
     return SearchBudget(args.max_derivations)
 
 
@@ -252,7 +254,7 @@ def cmd_corpus(args) -> int:
         lex = _lexicon_from(args)
         machine = machine_from_lexicon(lex)
         if args.path:
-            with open(args.path, encoding="utf-8") as fh:
+            with open(args.path, encoding="utf-8-sig") as fh:
                 lines = parse_corpus(fh.read())
         else:
             lines = list(BUILTIN_CORPUS)

@@ -302,11 +302,6 @@ UNIT_LEAF = UnitLeaf()
 # ---------------------------------------------------------------------------
 # Sequents
 
-def sequent_key(antecedent: Structure, succedent: Formula) -> str:
-    """The key of ``Sequent(antecedent, succedent)``, without building it."""
-    return antecedent.key + "|-" + succedent.key
-
-
 class Sequent:
     """An antecedent and a succedent, compared and hashed by ``key``."""
 
@@ -315,7 +310,7 @@ class Sequent:
     def __init__(self, antecedent: Structure, succedent: Formula):
         self.antecedent = antecedent
         self.succedent = succedent
-        self.key = sequent_key(antecedent, succedent)
+        self.key = antecedent.key + "|-" + succedent.key
         self._hash = hash(self.key)
 
     def __eq__(self, other: object) -> bool:

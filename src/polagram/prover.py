@@ -59,7 +59,7 @@ returned, which always consist of single honest rule applications:
 ``prove`` derives, by a plain fixpoint over the reachable sequent graph,
 every scope trace of every node with the first witness of each, and then
 extracts one derivation per scope reading of the goal by following those
-witnesses; see the commentary on ``prove``.  Five more economies concern
+witnesses; see the commentary on ``prove``.  Four more economies concern
 the cost of a search, not its space.  They leave every verdict and reading
 as it is, and the derivations of the first search on a table too:
 
@@ -74,10 +74,6 @@ as it is, and the derivations of the first search on a table too:
 * While a context is live, move generation walks only the subtrees that
   hold a c-mode node and visits only the c-mode sites; no other site
   offers a move then.
-* The table hash-conses premises: every premise its moves hold is the one
-  ``Sequent`` object for its key, so a sequent that many moves lead to
-  is stored once.  A premise already in the table is looked up by its key
-  before a ``Sequent`` is built for it.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -97,7 +93,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
-    parse_formula, print_formula, sequent_key,
+    parse_formula, print_formula,
 )
 
 Site = tuple[int, ...]
@@ -381,39 +377,37 @@ def _axiom_move(seq: Sequent) -> Optional[Move]:
     return None
 
 
-def _right_moves(seq: Sequent,
-                 premise: Callable[[Structure, Formula], Sequent]
-                 ) -> List[Move]:
-    """The right moves at ``seq``, with premises from ``premise``."""
+def _right_moves(seq: Sequent) -> List[Move]:
+    """The right moves at ``seq``."""
     out: List[Move] = []
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
         if isinstance(ant, Bin) and ant.mode == succ.mode:
             out.append((((RuleName("ProdR", succ.mode), (), ant),),
-                        (premise(ant.left, succ.left),
-                         premise(ant.right, succ.right)), ()))
+                        (Sequent(ant.left, succ.left),
+                         Sequent(ant.right, succ.right)), ()))
     elif isinstance(succ, Over):
-        goal = premise(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
+        goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
         out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,), ()))
     elif isinstance(succ, Under):
-        goal = premise(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
+        goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
         out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
                     ()))
     elif isinstance(succ, Dia):
         rule = RuleName("DiaR", succ.mode)
         if isinstance(ant, Un) and ant.mode == succ.mode:
-            out.append((((rule, (), ant),), (premise(ant.body, succ.body),),
+            out.append((((rule, (), ant),), (Sequent(ant.body, succ.body),),
                         ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
             out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
-                        (premise(ant, succ.body),), ()))
+                        (Sequent(ant, succ.body),), ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
-            goal = premise(Un(succ.mode, ant), succ.body)
+            goal = Sequent(Un(succ.mode, ant), succ.body)
             out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
                         (goal,), ()))
     return out
@@ -610,26 +604,26 @@ def scope_firing(rule: RuleName, antecedent: Structure,
 
 
 class MoveTable:
-    """What the searches on one tree share: the sequents reached so far,
-    keyed by ``key``, the antecedent halves of their moves, and the scope
-    traces of every sequent solved so far.
+    """What the searches on one tree share: the antecedent halves of the
+    moves of the sequents reached so far, and the scope traces of every
+    sequent solved so far.
 
     The table keeps across calls what a later call reads, and no search's
     working state: a search assembles a node's moves when it expands the
     node (``moves_of``), and keeps them, its index of parents and its
-    derived pairs to itself.  Any search adds to ``sequents`` and
-    ``halves``, cut or not.  ``solved`` maps the key of every node that a
-    completed search reached to its complete ``{trace: witness}`` map,
-    empty for a node that derives nothing: once all are derived, a node's
-    pairs depend on the sequent alone.  A search publishes its pairs there
-    only when it completes, extraction included, so a search cut by its
-    deadline leaves ``solved`` as it found it.  A later search seeds a
-    solved node's pairs instead of expanding it again (``prove`` argues
-    that this keeps every reading).  ``parse_sentence`` gives each
-    bracketing its own table, shared by that bracketing's goal types, and
-    drops it before the next: the goals over one tree reach largely the
-    same sequents, while a table spanning bracketings would hold the whole
-    sentence's graph for little further sharing.
+    derived pairs to itself.  Any search adds to ``halves``, cut or not.
+    ``solved`` maps the key of every node that a completed search reached
+    to its complete ``{trace: witness}`` map, empty for a node that
+    derives nothing: once all are derived, a node's pairs depend on the
+    sequent alone.  A search publishes its pairs there only when it
+    completes, extraction included, so a search cut by its deadline leaves
+    ``solved`` as it found it.  A later search seeds a solved node's pairs
+    instead of expanding it again (``prove`` argues that this keeps every
+    reading).  ``parse_sentence`` gives each bracketing its own table,
+    shared by that bracketing's goal types, and drops it before the next:
+    the goals over one tree reach largely the same sequents, while a table
+    spanning bracketings would hold the whole sentence's graph for little
+    further sharing.
 
     A sequent's moves are assembled from two halves.  The axiom, the right
     moves and the succedent-side Unquote are generated per sequent.  The
@@ -639,32 +633,28 @@ class MoveTable:
     is generated once per antecedent and kept in ``halves`` under its
     ``key``.  A chain names antecedents only (see ``Move``), so assembling
     a sequent builds just that half's premises under its succedent, and
-    every sequent over the antecedent shares each move's chain tuple.
-
-    Premises are hash-consed: every premise a move holds is the table's
-    one ``Sequent`` for its key, so a sequent that many moves lead to is
-    stored once; one the table holds is found by its key, not built
-    (``premise``).  Each move carries its scope trace, which depends on the
+    every sequent over the antecedent shares each move's chain tuple and
+    minor premise.  Each move carries its scope trace, which depends on the
     move alone (see ``Move``).
+
+    Premises are built, not interned: a search keys every node by
+    ``key``, so two equal premises need not be one object, and most
+    premises a search builds are new, so a lookup before each would mostly
+    miss.
     """
 
-    __slots__ = ("sequents", "halves", "solved")
+    __slots__ = ("halves", "solved")
 
     def __init__(self) -> None:
-        self.sequents: Dict[str, Sequent] = {}
         self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
         self.solved: Dict[str, Dict[Trace, Witness]] = {}
 
-    def canonical(self, seq: Sequent) -> Sequent:
-        """The table's one sequent with the key of ``seq``."""
-        return self.sequents.setdefault(seq.key, seq)
-
     def moves_of(self, seq: Sequent) -> List[Move]:
-        """All backward moves at ``seq`` (a canonical sequent), in fixed
-        order: the axiom alone, if it applies; otherwise the right moves,
-        the left moves, the succedent-side Unquote and the structural
-        moves.  Each call assembles them anew; only the antecedent half is
-        kept (``halves``).
+        """All backward moves at ``seq``, in fixed order: the axiom alone,
+        if it applies; otherwise the right moves, the left moves, the
+        succedent-side Unquote and the structural moves.  Each call
+        assembles them anew; only the antecedent half is kept
+        (``halves``).
 
         The moves follow the search's cycles (no gate discards a
         normal-form derivation).  While a continuation node is live, only
@@ -689,31 +679,24 @@ class MoveTable:
         if half is None:
             half = self.halves[ant.key] = _antecedent_moves(ant)
         left, structural = half
-        out = _right_moves(seq, self.premise)
+        out = _right_moves(seq)
         self._thread(out, succ, left)
         if (isinstance(succ, Dia) and succ.mode == UMODE
                 and not ant.has_cmode_node
                 and isinstance(ant, Un) and ant.mode == VALUE):
             out.append((((UNQUOTE_SUCC, (), ant),),
-                        (self.premise(ant, Dia(VALUE, succ)),), ()))
+                        (Sequent(ant, Dia(VALUE, succ)),), ()))
         self._thread(out, succ, structural)
         return out
-
-    def premise(self, ant: Structure, succ: Formula) -> Sequent:
-        """The table's one sequent ``ant |- succ``, looked up by its key
-        before one is built."""
-        seq = self.sequents.get(sequent_key(ant, succ))
-        return self.canonical(Sequent(ant, succ)) if seq is None else seq
 
     def _thread(self, out: List[Move], succ: Formula,
                 ante_moves: List[AnteMove]) -> None:
         """Add ``ante_moves`` under the succedent ``succ``: each keeps its
-        chain and gets its premises."""
-        premise, canonical = self.premise, self.canonical
+        chain and its minor premise and gets its main premise."""
         for steps, main, minor, trace in ante_moves:
-            first = premise(main, succ)
+            first = Sequent(main, succ)
             out.append((steps, (first,) if minor is None
-                        else (first, canonical(minor)), trace))
+                        else (first, minor), trace))
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +965,6 @@ def _search(goal: Sequent, budget: SearchBudget,
         # seeds phase 2, and so does each pair of a node an earlier call
         # solved, which is not expanded again.  A node is reached when it
         # first gets an entry in ``deps``
-        goal = table.canonical(goal)
         deps: Dict[str, List[Tuple[str, Move, int]]] = {goal.key: []}
         derived: Dict[str, Dict[Trace, Witness]] = {}
         agenda: List[Tuple[str, Trace]] = []

@@ -272,8 +272,8 @@ def test_parse_corpus_format():
 
 
 def test_the_seven_token_corpus_file_reads():
-    # CI runs this file through `polagram corpus`, which takes about 1 s,
-    # so tier-1 only reads it
+    # CI runs this file through `polagram corpus`, both engines, in about
+    # 1 s; tier-1 pins its derivations in test_fsm
     path = Path(__file__).parent / "data" / "seven_tokens.tsv"
     lines = parse_corpus(path.read_text(encoding="utf-8"))
     assert [(l.sentence, l.expected, l.reading_count) for l in lines] == [
@@ -286,7 +286,10 @@ def test_the_seven_token_corpus_file_reads():
          "mother", "ok", 4),
         ("Nobody introduced anybody's mother to somebody's father", "ok", 1),
         ("Everybody's mother introduced somebody to nobody's father", "ok",
-         4)]
+         4),
+        ("Alice introduced nobody's mother to anybody's father", "ok", 1),
+        ("Alice introduced anybody's mother to nobody's father", "bad",
+         None)]
 
 
 def test_parse_corpus_rejects_garbage():
@@ -298,6 +301,27 @@ def test_corpus_small_file_passes(tmp_path, capsys):
     path = tmp_path / "corpus.tsv"
     path.write_text("Alice saw Bob\tok\t1\nAnybody saw nobody\tbad\n",
                     encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 0
+    assert "2/2 passed" in out
+
+
+def test_a_byte_order_mark_opens_a_lexicon_file(tmp_path, capsys):
+    path = tmp_path / "bom.lex"
+    path.write_text("alice := np\nbob := np\nsaw := (np \\ s0) / np\n",
+                    encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, "parse", "Alice saw Bob", "--lexicon",
+                         str(path))
+    assert (code, err) == (0, "")
+    assert "grammatical, 1 reading" in out
+
+
+def test_a_byte_order_mark_opens_a_corpus_file(tmp_path, capsys):
+    path = tmp_path / "bom.tsv"
+    path.write_text("Alice saw Bob\tok\t1\nAnybody saw nobody\tbad\n",
+                    encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     code, out, _ = run(capsys, "corpus", str(path))
     assert code == 0
     assert "2/2 passed" in out

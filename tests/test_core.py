@@ -272,7 +272,7 @@ def test_word_labels_are_part_of_the_key():
     assert plain.key != worded.key
 
 
-def test_canonical_distinguishes_content():
+def test_keys_distinguish_content():
     a = Sequent(FLeaf(NP), NP)
     b = Sequent(FLeaf(S), S)
     assert a.key != b.key

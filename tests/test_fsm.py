@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from polagram import (
     load_lexicon, machine_from_lexicon, parse_sentence, predict,
     quantifier_occurrences, tokenize, validate_derivation,
 )
+from polagram.cli import parse_corpus
 from polagram.fsm import EPSILON
 
 POS, NEU, NEG = PolState.POS, PolState.NEU, PolState.NEG
@@ -299,6 +301,37 @@ def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
         grammatical += result.verdict == GRAMMATICAL
     assert (len(sentences), grammatical) == (49, 37)
     assert digest.hexdigest() == POSSESSIVE_FRAME_SHA256
+
+
+SEVEN_TOKENS = Path(__file__).parent / "data" / "seven_tokens.tsv"
+
+# The same digest over every row of the 7- to 9-token corpus file, in file
+# order: the searches that a change inside the prover moves first
+SEVEN_TOKENS_SHA256 = \
+    "a66735a0aeb48ee27b0ea06190997c31b54b17c700b42af646260d94f4ccb703"
+
+
+def test_the_seven_token_derivations_are_pinned(parsed, machine):
+    lines = parse_corpus(SEVEN_TOKENS.read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for line in lines:
+        result = parsed(line.sentence)
+        digest.update(f"{result.verdict} {result.timed_out}\n"
+                      .encode("utf-8"))
+        for d in result.derivations:
+            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
+            digest.update(blob.encode("utf-8") + b"\n")
+        assert not result.timed_out, line.sentence
+        assert (result.verdict == GRAMMATICAL) == (line.expected == "ok"), \
+            line.sentence
+        admissible = predict(machine,
+                             quantifier_occurrences(result.tokens, machine))
+        assert {r.scope_order for r in result.readings} \
+            == {r.scope_order for r in admissible}, line.sentence
+        if line.reading_count is not None:
+            assert len(result.readings) == line.reading_count, line.sentence
+    assert len(lines) == 8
+    assert digest.hexdigest() == SEVEN_TOKENS_SHA256
 
 
 def test_an_uncapped_search_ends_and_agrees_with_the_machine(lex, machine):

@@ -519,7 +519,7 @@ def _hand_search(moves):
     ``moves``, each (node, premise nodes, trace) and one step long; the
     nodes of each derivation found, in preorder."""
     table = _HandTable()
-    node = {name: table.canonical(Sequent(FLeaf(Atom(name)), Atom(name)))
+    node = {name: Sequent(FLeaf(Atom(name)), Atom(name))
             for at, premises, *_rest in moves for name in (at,) + premises}
     for at, premises, trace in moves:
         step = ((RuleName("Step" if premises else "Axiom"), (),
@@ -631,8 +631,8 @@ def _proofs(result):
 
 
 class _RecordingTable(MoveTable):
-    """The move table, recording the moves it assembled for each node a
-    search expanded, and how many times it was asked for moves."""
+    """The move table, recording each node a search expanded with the moves
+    it assembled for it, and how many times it was asked for moves."""
 
     def __init__(self):
         super().__init__()
@@ -640,7 +640,8 @@ class _RecordingTable(MoveTable):
         self.calls = 0
 
     def moves_of(self, seq):
-        moves = self.expanded[seq.key] = super().moves_of(seq)
+        moves = super().moves_of(seq)
+        self.expanded[seq.key] = seq, moves
         self.calls += 1
         return moves
 
@@ -655,18 +656,15 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             table = _RecordingTable()
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
-            # hash-consing: each key has one Sequent object in the table;
-            # each move carries the scope firing of its last step; a left
-            # or structural move holds the very chain tuple of its
-            # antecedent's half, whatever the succedent
+            # each move's chain starts at its node; each move carries the
+            # scope firing of its last step; a left or structural move
+            # holds the very chain tuple of its antecedent's half, whatever
+            # the succedent
             checked += len(table.expanded)
-            for key, moves in table.expanded.items():
-                node = table.sequents[key]
+            for key, (node, moves) in table.expanded.items():
                 assert node.key == key
                 for steps, premises, trace in moves:
                     assert Sequent(steps[0][2], node.succedent).key == key
-                    for premise in premises:
-                        assert premise is table.sequents[premise.key]
                     rule, site, antecedent = steps[-1]
                     firing = scope_firing(rule, antecedent, site)
                     assert trace == (() if firing is None else (firing,))
@@ -776,7 +774,7 @@ def test_a_later_goal_extracts_through_nodes_it_did_not_reach(lex):
     table.expanded = {}
     result = prove(later, table=table)
     reached = {later.key} | set(table.expanded)
-    for moves in table.expanded.values():
+    for _node, moves in table.expanded.values():
         reached.update(premise.key for _steps, premises, _trace in moves
                        for premise in premises)
     unreached = {node.conclusion.key for d in result.derivations
@@ -810,8 +808,7 @@ def test_table_moves_equal_fresh_moves(lex):
             table = _RecordingTable()
             for goal_type in GOAL_TYPES:
                 prove(Sequent(tree, goal_type), table=table)
-            for key, moves in table.expanded.items():
-                node = table.sequents[key]
+            for key, (node, moves) in table.expanded.items():
                 assert _listing(node, moves) == _listing(
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.expanded)
@@ -871,7 +868,7 @@ class AnywhereUnquoteTable(MoveTable):
             at = len(out) - len(self.halves[ant.key][1])
             self.extra += 1
             out.insert(at, (((UNQUOTE_SUCC, (), ant),),
-                            (self.premise(ant, Dia(VALUE, succ)),), ()))
+                            (Sequent(ant, Dia(VALUE, succ)),), ()))
         return out
 
 

@@ -216,10 +216,18 @@ class Structure:
     unit leaf) and ``has_open_cmode_formula`` (a leaf formula with a c-mode
     connective at an open site, outside every unary node: a scope-taker
     that no quote or other structural diamond freezes).
+
+    One slot is filled lazily, and only by the prover's skeleton check
+    (``prover._reductions``): ``skeleton_reductions``, the frozenset of
+    skeletons the tree reduces to, or None where the check abstains.  It is
+    unset until that check first reads a goal's antecedent, and then set on
+    each formula leaf and surface-mode node the check reaches, so trees that
+    share a subtree reduce it once.  It lives and dies with the tree, and
+    it is outside ``key``, equality and hashing.
     """
 
     __slots__ = ("key", "_hash", "has_cmode_node", "has_unit",
-                 "has_open_cmode_formula")
+                 "has_open_cmode_formula", "skeleton_reductions")
 
     def _finish(self, key: str, cmode_node: bool, unit: bool,
                 open_cmode_formula: bool) -> None:
@@ -291,7 +299,7 @@ class Un(Structure):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
-        # no site lies in the body (``_open_sites`` stops at a unary node)
+        # no site lies in the body (the move walk stops at a unary node)
         self._finish(f"U{mode}({body.key})", body.has_cmode_node,
                      body.has_unit, False)
 

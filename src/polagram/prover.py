@@ -71,9 +71,10 @@ as it is, and the derivations of the first search on a table too:
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
   premises (``MoveTable``).
-* While a context is live, move generation walks only the subtrees that
-  hold a c-mode node and visits only the c-mode sites; no other site
-  offers a move then.
+* One walk generates an antecedent's moves, dispatching once per site on
+  the node's class and mode (``_walk``).  While a context is live it
+  enters only the subtrees that hold a c-mode node and offers moves only
+  at the c-mode sites; no other site offers a move then.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -88,11 +89,12 @@ import math
 import time
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
-    Structure, Un, Under, UnitLeaf, UNIT_LEAF, CMODE, DEFAULT, UMODE, VALUE,
+    Structure, Un, Under, UnitLeaf, UNIT_LEAF, BINARY_MODES, CMODE, DEFAULT,
+    UMODE, UNARY_MODES, VALUE,
     parse_formula, print_formula,
 )
 
@@ -138,6 +140,12 @@ T_RULE = RuleName("T")
 KPRIME = RuleName("K′")
 UNQUOTE_ANTE = RuleName("UnquoteAnte")
 UNQUOTE_SUCC = RuleName("UnquoteSucc")
+# the left rules, by the mode they carry
+OVER_L = {mode: RuleName("OverL", mode) for mode in BINARY_MODES}
+UNDER_L = {mode: RuleName("UnderL", mode) for mode in BINARY_MODES}
+PROD_L = {mode: RuleName("ProdL", mode) for mode in BINARY_MODES}
+DIA_L = {mode: RuleName("DiaL", mode) for mode in UNARY_MODES}
+BOX_DOWN_L = {mode: RuleName("BoxDownL", mode) for mode in UNARY_MODES}
 
 _DISPLAY_BASE = {
     "ProdR": "⊗{m}I", "ProdL": "⊗{m}E",
@@ -246,32 +254,6 @@ def replace(st: Structure, site: Site, new: Structure) -> Structure:
     if isinstance(st, Un):
         return Un(st.mode, replace(st.body, rest, new))
     raise IndexError(f"no subtree at {site}")
-
-
-def _open_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]]:
-    """Sites ordered leftmost-innermost (children before parents), stopping
-    at unary wrappers: a quoted (or otherwise boxed) subtree is opaque until
-    the wrapper is consumed, so moves strictly inside it commute to after
-    its removal."""
-    out: List[Tuple[Site, Structure]] = []
-    if isinstance(st, Bin):
-        out.extend(_open_sites(st.left, prefix + (0,)))
-        out.extend(_open_sites(st.right, prefix + (1,)))
-    out.append((prefix, st))
-    return out
-
-
-def _spine_sites(st: Structure, prefix: Site = ()) -> List[Tuple[Site, Structure]]:
-    """The c-mode sites among ``_open_sites``, in its order.  While a
-    context is live no other site offers a move, and only a subtree with a
-    c-mode node holds one."""
-    out: List[Tuple[Site, Structure]] = []
-    if isinstance(st, Bin) and st.has_cmode_node:
-        out.extend(_spine_sites(st.left, prefix + (0,)))
-        out.extend(_spine_sites(st.right, prefix + (1,)))
-        if st.mode == CMODE:
-            out.append((prefix, st))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,51 +395,6 @@ def _right_moves(seq: Sequent) -> List[Move]:
     return out
 
 
-def _left_moves_at(out: List[AnteMove], ant: Structure, site: Site,
-                   node: Structure) -> None:
-    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``."""
-    if isinstance(node, Bin):
-        left, right = node.left, node.right
-        if (isinstance(left, FLeaf) and isinstance(left.formula, Over)
-                and left.formula.mode == node.mode):
-            f = left.formula
-            rule = RuleName("OverL", node.mode)
-            firing = scope_firing(rule, ant, site)
-            out.append((((rule, site, ant),),
-                        replace(ant, site, FLeaf(f.result)),
-                        Sequent(right, f.argument),
-                        () if firing is None else (firing,)))
-        if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
-                and right.formula.mode == node.mode):
-            f = right.formula
-            out.append((((RuleName("UnderL", node.mode), site, ant),),
-                        replace(ant, site, FLeaf(f.result)),
-                        Sequent(left, f.argument), ()))
-    elif isinstance(node, FLeaf):
-        f = node.formula
-        if isinstance(f, Dia):
-            new = Un(f.mode, FLeaf(f.body))
-            out.append((((RuleName("DiaL", f.mode), site, ant),),
-                        replace(ant, site, new), None, ()))
-        elif isinstance(f, Product):
-            new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
-            out.append((((RuleName("ProdL", f.mode), site, ant),),
-                        replace(ant, site, new), None, ()))
-        elif isinstance(f, BoxDown) and f.mode == VALUE:
-            # needs a quoting step before the value box-down can be dropped
-            mid = replace(ant, site, Un(VALUE, node))
-            out.append((((T_RULE, site, ant),
-                         (RuleName("BoxDownL", VALUE), site, mid)),
-                        replace(ant, site, FLeaf(f.body)), None, ()))
-    elif isinstance(node, Un):
-        body = node.body
-        if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
-                and body.formula.mode == node.mode):
-            new = FLeaf(body.formula.body)
-            out.append((((RuleName("BoxDownL", node.mode), site, ant),),
-                        replace(ant, site, new), None, ()))
-
-
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
            new: Structure) -> None:
     """Add the move that rewrites the subtree at ``site`` to ``new``."""
@@ -486,59 +423,106 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
                 replace(ant, site, new), None, ()))
 
 
-def _structural_moves_at(out: List[AnteMove], ant: Structure, site: Site,
-                         node: Structure) -> None:
-    """Add the postulate moves at one site, with T fused into consumers."""
-    if (not site and not ant.has_cmode_node and not ant.has_unit
-            and ant.has_open_cmode_formula):
-        # Root introduces its unit at the spine only, one context at a time,
-        # and only where a c-mode functor outside every quote could consume
-        # the context
-        _plain(out, ant, site, ROOT_F, _root_fwd(node))
-    new = _root_bwd(node)
-    if new is not None:
-        _plain(out, ant, site, ROOT_B, new)
-    # Left→ and Right→ descend the focus into node.left.left and
-    # node.left.right; they go only toward a scope-taker that no unary node
-    # freezes, since any other focus can only climb back out (see ``prove``)
-    new = _left_fwd(node)
-    if new is not None and node.left.left.has_open_cmode_formula:
-        _plain(out, ant, site, LEFT_F, new)
-    new = _left_bwd(node)
-    if new is not None:
-        _plain(out, ant, site, LEFT_B, new)
-    if isinstance(node, Bin) and node.mode == CMODE:
-        if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
-                and node.left.right.has_open_cmode_formula):
-            _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
-        if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
-            _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
-    if isinstance(node, Bin) and node.mode == DEFAULT:
-        if isinstance(node.left, Un) and node.left.mode == VALUE:
-            _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
-        elif isinstance(node.right, Un) and node.right.mode == VALUE:
-            _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
-        # with neither side quoted, a single T on the whole pair reaches the
-        # same sequent in fewer steps, via the consumer of that diamond
-    new = _unquote_ante(node)
-    if new is not None:
-        _plain(out, ant, site, UNQUOTE_ANTE, new)
-
-
 def _antecedent_moves(ant: Structure
                       ) -> Tuple[List[AnteMove], List[AnteMove]]:
     """The left moves and the structural moves at the antecedent ``ant``:
-    the half of a sequent's moves that does not depend on its succedent.
-    While a context is live only the spine sites are visited, so only the
-    moves at c-mode nodes are offered (see ``MoveTable.moves_of``)."""
-    sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
+    the half of a sequent's moves that does not depend on its succedent,
+    each list in the order ``_walk`` visits the sites."""
     left: List[AnteMove] = []
     structural: List[AnteMove] = []
-    for site, node in sites:
-        _left_moves_at(left, ant, site, node)
-    for site, node in sites:
-        _structural_moves_at(structural, ant, site, node)
+    _walk(ant, ant, (), ant.has_cmode_node, left, structural)
     return left, structural
+
+
+def _walk(ant: Structure, node: Structure, site: Site, live: bool,
+          left: List[AnteMove], structural: List[AnteMove]) -> None:
+    """Add the moves at the sites of ``ant`` in ``node``, its subtree at
+    ``site``, with T fused into its consumers: children before parents,
+    left to right, one dispatch per site on the node's class and mode.
+
+    The walk stops at unary nodes: a quoted (or otherwise boxed) subtree is
+    opaque until the wrapper is consumed, so moves strictly inside it
+    commute to after its removal.  While a context is ``live`` it enters
+    only the binary nodes that hold a c-mode node and offers moves only at
+    c-mode nodes, since no other site offers one then (see
+    ``MoveTable.moves_of``)."""
+    if isinstance(node, Bin):
+        a, b, mode = node.left, node.right, node.mode
+        if not live or isinstance(a, Bin) and a.has_cmode_node:
+            _walk(ant, a, site + (0,), live, left, structural)
+        if not live or isinstance(b, Bin) and b.has_cmode_node:
+            _walk(ant, b, site + (1,), live, left, structural)
+        if live and mode != CMODE:
+            return
+        if (isinstance(a, FLeaf) and isinstance(a.formula, Over)
+                and a.formula.mode == mode):
+            f = a.formula
+            # a c-mode functor with a word takes scope (``scope_firing``)
+            firing = () if mode != CMODE or a.word is None \
+                else ((a.word, a.pos),)
+            left.append((((OVER_L[mode], site, ant),),
+                         replace(ant, site, FLeaf(f.result)),
+                         Sequent(b, f.argument), firing))
+        if (isinstance(b, FLeaf) and isinstance(b.formula, Under)
+                and b.formula.mode == mode):
+            f = b.formula
+            left.append((((UNDER_L[mode], site, ant),),
+                         replace(ant, site, FLeaf(f.result)),
+                         Sequent(a, f.argument), ()))
+    elif live:
+        return
+    if not (site or live or ant.has_unit) and ant.has_open_cmode_formula:
+        # Root introduces its unit at the spine only, one context at a time,
+        # and only where a c-mode functor outside every quote could consume
+        # the context
+        _plain(structural, ant, site, ROOT_F, _root_fwd(ant))
+    if isinstance(node, Bin):
+        if mode == CMODE:
+            if isinstance(b, UnitLeaf):
+                _plain(structural, ant, site, ROOT_B, _root_bwd(node))
+            # Left→ and Right→ descend the focus into a.left and a.right;
+            # they go only toward a scope-taker that no unary node freezes,
+            # since any other focus can only climb back out (see ``prove``)
+            down = isinstance(a, Bin) and a.mode == DEFAULT
+            up = isinstance(b, Bin) and b.mode == DEFAULT
+            if down and a.left.has_open_cmode_formula:
+                _plain(structural, ant, site, LEFT_F, _left_fwd(node))
+            if up:
+                _plain(structural, ant, site, LEFT_B, _left_bwd(node))
+            if down and a.right.has_open_cmode_formula:
+                _quoting(structural, ant, site, node, (0, 0), RIGHT_F,
+                         _right_fwd)
+            if up:
+                _quoting(structural, ant, site, node, (1, 1), RIGHT_B,
+                         _right_bwd)
+        elif isinstance(a, Un) and a.mode == VALUE:
+            _quoting(structural, ant, site, node, (1,), KPRIME, _kprime)
+        elif isinstance(b, Un) and b.mode == VALUE:
+            _quoting(structural, ant, site, node, (0,), KPRIME, _kprime)
+        # with neither side quoted, a single T on the whole pair reaches the
+        # same sequent in fewer steps, via the consumer of that diamond
+    elif isinstance(node, FLeaf):
+        f = node.formula
+        if isinstance(f, Dia):
+            _plain(left, ant, site, DIA_L[f.mode], Un(f.mode, FLeaf(f.body)))
+        elif isinstance(f, Product):
+            _plain(left, ant, site, PROD_L[f.mode],
+                   Bin(f.mode, FLeaf(f.left), FLeaf(f.right)))
+        elif isinstance(f, BoxDown) and f.mode == VALUE:
+            # needs a quoting step before the value box-down can be dropped
+            mid = replace(ant, site, Un(VALUE, node))
+            left.append((((T_RULE, site, ant),
+                          (BOX_DOWN_L[VALUE], site, mid)),
+                         replace(ant, site, FLeaf(f.body)), None, ()))
+    elif isinstance(node, Un):
+        body = node.body
+        if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
+                and body.formula.mode == node.mode):
+            _plain(left, ant, site, BOX_DOWN_L[node.mode],
+                   FLeaf(body.formula.body))
+        new = _unquote_ante(node)
+        if new is not None:
+            _plain(structural, ant, site, UNQUOTE_ANTE, new)
 
 
 def _apply_chain(seq: Sequent, steps: Chain,
@@ -736,22 +720,32 @@ def _leaf_skeleton(f: Formula) -> Optional[Formula]:
     return _skeleton(f)
 
 
-def _reductions(st: Structure) -> Optional[Set[Formula]]:
+def _reductions(st: Structure) -> Optional[FrozenSet[Formula]]:
     """The skeletons a plain surface tree reduces to by left and right
     application; None if ``st`` has a c-mode node, the unit or a structural
-    diamond, or a leaf without a skeleton."""
+    diamond, or a leaf without a skeleton.  Kept on a formula leaf or
+    surface-mode node once computed (``Structure.skeleton_reductions``)."""
+    try:
+        return st.skeleton_reductions
+    except AttributeError:
+        pass
+    reductions: Optional[FrozenSet[Formula]] = None
     if isinstance(st, FLeaf):
         skeleton = _leaf_skeleton(st.formula)
-        return None if skeleton is None else {skeleton}
-    if not isinstance(st, Bin) or st.mode != DEFAULT:
+        if skeleton is not None:
+            reductions = frozenset((skeleton,))
+    elif isinstance(st, Bin) and st.mode == DEFAULT:
+        left, right = _reductions(st.left), _reductions(st.right)
+        if left is not None and right is not None:
+            reductions = frozenset(
+                [f.result for f in left
+                 if isinstance(f, Over) and f.argument in right]
+                + [f.result for f in right
+                   if isinstance(f, Under) and f.argument in left])
+    else:
         return None
-    left, right = _reductions(st.left), _reductions(st.right)
-    if left is None or right is None:
-        return None
-    return ({f.result for f in left
-             if isinstance(f, Over) and f.argument in right}
-            | {f.result for f in right
-               if isinstance(f, Under) and f.argument in left})
+    st.skeleton_reductions = reductions
+    return reductions
 
 
 def _skeleton_refutes(goal: Sequent) -> bool:
@@ -793,7 +787,10 @@ def _skeleton_refutes(goal: Sequent) -> bool:
     a cut-free NL derivation is an atom, so only the eliminations apply,
     and they are the applications tried here.  No search can find a
     derivation: the refutation is exact.  The check makes one pass over
-    the tree.
+    each distinct subtree: a subtree keeps its reductions
+    (``Structure.skeleton_reductions``), so the trees of one sentence,
+    which share each span's subtrees, and both goals of a tree reduce each
+    of them once.
     """
     target = _skeleton(goal.succedent)
     if not isinstance(target, Atom):
@@ -843,9 +840,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       alone: it is fused into the move that consumes its quote (a Right
       rotation, a K′ merge, a value-diamond introduction, a value box-down
       elimination), and wraps a node that is not a value diamond.  No move
-      enters a unary node's body (``_open_sites`` and ``_spine_sites`` stop
-      at ``Un``), so what T wrapped stays as it was until its diamond goes,
-      and K′ merges two diamonds into one.  So on each chain of unary
+      enters a unary node's body (``_walk`` stops at ``Un``), so what T
+      wrapped stays as it was until its diamond goes, and K′ merges two
+      diamonds into one.  So on each chain of unary
       nodes the diamonds T made are no more than one plus the unary nodes
       that took a connective off.
 

@@ -10,7 +10,8 @@ from polagram import (
     SyntaxErrorWithPos, load_lexicon, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
-from polagram.prover import _open_sites, structure_to_dict
+from polagram.prover import structure_to_dict
+from test_prover import _open_sites
 
 
 def test_parse_atom():

@@ -9,17 +9,21 @@ import pytest
 
 import polagram.prover
 from polagram import (
-    Atom, Bin, Derivation, Dia, FLeaf, GOAL_TYPES, RuleName, SearchBudget,
-    Sequent, Un, NP, S0, SPLUS, SMINUS, DEFAULT, UMODE, VALUE,
+    Atom, Bin, BoxDown, Derivation, Dia, FLeaf, GOAL_TYPES, Over, Product,
+    RuleName, SearchBudget, Sequent, Un, Under, NP, S0, SPLUS, SMINUS, CMODE,
+    DEFAULT, UMODE, VALUE,
     derivation_from_dict, derivation_to_dict, extract_reading,
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
 )
+from polagram.cli import BUILTIN_CORPUS
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
-    T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _apply_chain, _left_bwd,
-    _left_fwd, _plain, _quoting, _right_bwd, _right_fwd, _root_bwd,
-    _root_fwd, _search, _skeleton_refutes, _spine_sites, scope_firing,
+    T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _antecedent_moves,
+    _apply_chain, _kprime, _left_bwd, _left_fwd, _plain, _quoting,
+    _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
+    _skeleton_refutes, _unquote_ante, replace, scope_firing,
+    structure_from_dict, structure_to_dict,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -785,6 +789,154 @@ def test_a_later_goal_extracts_through_nodes_it_did_not_reach(lex):
     assert _readings(result) == _readings(prove(later))
 
 
+POSSESSIVES = ["Nobody's mother saw anybody's father",
+               "Anybody's mother saw nobody's father"]
+SEVEN_TOKEN_ROWS = [
+    line.split("\t")[0] for line in
+    (Path(__file__).parent / "data" / "seven_tokens.tsv").read_text(
+        encoding="utf-8").splitlines()
+    if line and not line.startswith("#")]
+# the sentences whose trees the move walk and the shared skeleton
+# reductions are checked on
+WALK_SLICE = (GRID + POSSESSIVES + SEVEN_TOKEN_ROWS
+              + [line.sentence for line in BUILTIN_CORPUS])
+
+
+# -- the reference move generator --------------------------------------------
+
+# An antecedent's moves generated the slow way: list the sites, then ask
+# every site for every rule.  ``prover._walk`` must match it move for move.
+
+def _open_sites(st, prefix=()):
+    """Sites ordered leftmost-innermost (children before parents), stopping
+    at unary wrappers: a quoted (or otherwise boxed) subtree is opaque until
+    the wrapper is consumed, so moves strictly inside it commute to after
+    its removal."""
+    out = []
+    if isinstance(st, Bin):
+        out.extend(_open_sites(st.left, prefix + (0,)))
+        out.extend(_open_sites(st.right, prefix + (1,)))
+    out.append((prefix, st))
+    return out
+
+
+def _spine_sites(st, prefix=()):
+    """The c-mode sites among ``_open_sites``, in its order.  While a
+    context is live no other site offers a move, and only a subtree with a
+    c-mode node holds one."""
+    out = []
+    if isinstance(st, Bin) and st.has_cmode_node:
+        out.extend(_spine_sites(st.left, prefix + (0,)))
+        out.extend(_spine_sites(st.right, prefix + (1,)))
+        if st.mode == CMODE:
+            out.append((prefix, st))
+    return out
+
+
+def _left_moves_at(out, ant, site, node):
+    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``."""
+    if isinstance(node, Bin):
+        left, right = node.left, node.right
+        if (isinstance(left, FLeaf) and isinstance(left.formula, Over)
+                and left.formula.mode == node.mode):
+            f = left.formula
+            rule = RuleName("OverL", node.mode)
+            firing = scope_firing(rule, ant, site)
+            out.append((((rule, site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(right, f.argument),
+                        () if firing is None else (firing,)))
+        if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
+                and right.formula.mode == node.mode):
+            f = right.formula
+            out.append((((RuleName("UnderL", node.mode), site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(left, f.argument), ()))
+    elif isinstance(node, FLeaf):
+        f = node.formula
+        if isinstance(f, Dia):
+            new = Un(f.mode, FLeaf(f.body))
+            out.append((((RuleName("DiaL", f.mode), site, ant),),
+                        replace(ant, site, new), None, ()))
+        elif isinstance(f, Product):
+            new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
+            out.append((((RuleName("ProdL", f.mode), site, ant),),
+                        replace(ant, site, new), None, ()))
+        elif isinstance(f, BoxDown) and f.mode == VALUE:
+            mid = replace(ant, site, Un(VALUE, node))
+            out.append((((T_RULE, site, ant),
+                         (RuleName("BoxDownL", VALUE), site, mid)),
+                        replace(ant, site, FLeaf(f.body)), None, ()))
+    elif isinstance(node, Un):
+        body = node.body
+        if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
+                and body.formula.mode == node.mode):
+            new = FLeaf(body.formula.body)
+            out.append((((RuleName("BoxDownL", node.mode), site, ant),),
+                        replace(ant, site, new), None, ()))
+
+
+def _structural_moves_at(out, ant, site, node):
+    """Add the postulate moves at one site, with T fused into consumers."""
+    if (not site and not ant.has_cmode_node and not ant.has_unit
+            and ant.has_open_cmode_formula):
+        _plain(out, ant, site, ROOT_F, _root_fwd(node))
+    new = _root_bwd(node)
+    if new is not None:
+        _plain(out, ant, site, ROOT_B, new)
+    new = _left_fwd(node)
+    if new is not None and node.left.left.has_open_cmode_formula:
+        _plain(out, ant, site, LEFT_F, new)
+    new = _left_bwd(node)
+    if new is not None:
+        _plain(out, ant, site, LEFT_B, new)
+    if isinstance(node, Bin) and node.mode == CMODE:
+        if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
+                and node.left.right.has_open_cmode_formula):
+            _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
+        if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
+            _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
+    if isinstance(node, Bin) and node.mode == DEFAULT:
+        if isinstance(node.left, Un) and node.left.mode == VALUE:
+            _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
+        elif isinstance(node.right, Un) and node.right.mode == VALUE:
+            _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
+    new = _unquote_ante(node)
+    if new is not None:
+        _plain(out, ant, site, UNQUOTE_ANTE, new)
+
+
+def _reference_moves(ant):
+    """The left and the structural moves at ``ant``, each list in site
+    order: the spine sites while a context is live, else the open sites."""
+    sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
+    left, structural = [], []
+    for site, node in sites:
+        _left_moves_at(left, ant, site, node)
+    for site, node in sites:
+        _structural_moves_at(structural, ant, site, node)
+    return left, structural
+
+
+def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
+    # every antecedent whose moves parse_sentence asks for, on both goals
+    # of every tree: the walk's moves equal the reference's, move for move
+    # (chain, main premise, minor premise, trace) and in order
+    antecedents = {}
+
+    class Recording(MoveTable):
+        def moves_of(self, seq):
+            antecedents.setdefault(seq.antecedent.key, seq.antecedent)
+            return super().moves_of(seq)
+
+    monkeypatch.setattr(polagram.parser, "MoveTable", Recording)
+    for sentence in WALK_SLICE:
+        parse_sentence(sentence, lex)
+    for key, ant in antecedents.items():
+        assert _antecedent_moves(ant) == _reference_moves(ant), key
+    assert len(antecedents) == 28509
+
+
 def _listing(seq, moves):
     """The moves at ``seq`` as plain data: each step's rule, site and
     conclusion key, the premises' keys and the trace."""
@@ -792,10 +944,6 @@ def _listing(seq, moves):
               for rule, site, antecedent in steps],
              [premise.key for premise in premises], trace)
             for steps, premises, trace in moves]
-
-
-POSSESSIVES = ["Nobody's mother saw anybody's father",
-               "Anybody's mother saw nobody's father"]
 
 
 def test_table_moves_equal_fresh_moves(lex):
@@ -993,6 +1141,46 @@ def test_skeleton_refutations_are_exact(lex):
     assert refuted
 
 
+def test_shared_skeleton_reductions_equal_unshared_ones(lex):
+    # the trees of one sentence share each span's subtrees, and a subtree
+    # keeps its reductions; every check on them, both goals of every tree in
+    # turn, equals the check on a fresh copy that shares nothing
+    checks = refuted = 0
+    for sentence in WALK_SLICE:
+        trees = bracketings(tokenize(sentence, lex), lex)
+        shared = [_skeleton_refutes(Sequent(tree, goal_type))
+                  for tree in trees for goal_type in GOAL_TYPES]
+        copies = [structure_from_dict(structure_to_dict(tree))
+                  for tree in trees]
+        assert shared == [_skeleton_refutes(Sequent(tree, goal_type))
+                          for tree in copies for goal_type in GOAL_TYPES]
+        checks += len(shared)
+        refuted += sum(shared)
+    assert (checks, refuted) == (5644, 5508)
+
+
+def test_a_parse_reduces_each_distinct_subtree_once(lex, monkeypatch):
+    # "Nobody's mother saw anybody's father": 14 trees and 2 goals make 28
+    # checks, which would visit 28 x 9 nodes, but the trees hold 39
+    # distinct subtrees.  A second parse builds new trees and reduces them
+    # again: the reductions live on the trees, not in a module-level cache
+    reductions, checked, runs = polagram.prover._reductions, [], []
+
+    def counting(st):
+        if not hasattr(st, "skeleton_reductions"):
+            runs.append(st)
+        return reductions(st)
+
+    refutes = polagram.prover._skeleton_refutes
+    monkeypatch.setattr(polagram.prover, "_reductions", counting)
+    monkeypatch.setattr(polagram.prover, "_skeleton_refutes",
+                        lambda goal: checked.append(goal) or refutes(goal))
+    for parse in (1, 2):
+        assert parse_sentence(POSSESSIVES[0], lex).verdict == "grammatical"
+        assert (len(checked), len(runs)) == (28 * parse, 39 * parse)
+        assert len({id(st) for st in runs}) == len(runs)
+
+
 # a type-raised subject and a verb taking one (higher-order slash
 # arguments), and a scope-taker whose Out and In differ in skeleton
 ABSTAIN_LEXICON = """\
@@ -1088,7 +1276,6 @@ def _recursive_walk(d):
 def test_walk_is_the_recursive_preorder(parsed):
     # the same nodes, the very objects, in the same order as a recursive
     # preorder, over every derivation of the built-in corpus and the grid
-    from polagram.cli import BUILTIN_CORPUS
     nodes = 0
     for sentence in [line.sentence for line in BUILTIN_CORPUS] + GRID:
         for d in parsed(sentence).derivations:

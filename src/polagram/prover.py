@@ -63,10 +63,12 @@ witnesses; see the commentary on ``prove``.  Four more economies concern
 the cost of a search, not its space.  They leave every verdict and reading
 as it is, and the derivations of the first search on a table too:
 
-* The graph's solved nodes outlive one search (tabled deduction: a
-  table keeps what a later call reads, on the terms ``MoveTable``
-  states).  A later search seeds a solved node's traces instead of
-  expanding it again, and so never asks for its moves.
+* The graph's solved nodes outlive one search (tabled deduction).  A
+  search derives its pairs straight into its table's solved map, and a
+  later search seeds a solved node's traces instead of expanding it
+  again, and so never asks for its moves.  A search its deadline cuts
+  empties that map, as a tabling engine discards its incomplete tables
+  on an abort (``MoveTable``).
 * The left and structural moves depend on the antecedent alone, and no
   move's chain names a succedent, so the table generates those moves once
   per antecedent; a succedent the search reaches it under only gets their
@@ -87,7 +89,6 @@ from __future__ import annotations
 import gc
 import math
 import time
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -99,10 +100,6 @@ from .core import (
 )
 
 Site = tuple[int, ...]
-
-
-class SearchTimeout(Exception):
-    """Raised internally when a wall-clock deadline expires."""
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +547,15 @@ def _apply_chain(seq: Sequent, steps: Chain,
 #      instead;
 #   2. derive: find, per node, every scope trace (the sequence of worded
 #      continuation-functor firings a derivation performs, outermost first)
-#      of some derivation of it, and the first witness of each, into the
-#      table's solved map;
+#      of some derivation of it, and the first witness of each, straight
+#      into the table's solved map, the one store of derived pairs.  A
+#      deadline that passes in this phase or the first empties that map;
 #   3. extract: per goal trace, shortest first and up to max_derivations
-#      of them, the derivation its witnesses spell out (``_extract``).  A
-#      derivation's reading is its trace, so each reading is witnessed
-#      once, and its rule-order variants (a sentence can have
-#      astronomically many derivations of a single reading) are never built.
+#      of them, the derivation its witnesses spell out (``_extract``),
+#      with no clock read.  A derivation's reading is its trace, so each
+#      reading is witnessed once, and its rule-order variants (a sentence
+#      can have astronomically many derivations of a single reading) are
+#      never built.
 #
 # Phase 2 is a plain fixpoint, as in agenda-based deduction (Shieber,
 # Schabes & Pereira, *Principles and Implementation of Deductive Parsing*,
@@ -592,22 +591,24 @@ class MoveTable:
     moves of the sequents reached so far, and the scope traces of every
     sequent solved so far.
 
-    The table keeps across calls what a later call reads, and no search's
-    working state: a search assembles a node's moves when it expands the
-    node (``moves_of``), and keeps them, its index of parents and its
-    derived pairs to itself.  Any search adds to ``halves``, cut or not.
-    ``solved`` maps the key of every node that a completed search reached
-    to its complete ``{trace: witness}`` map, empty for a node that
-    derives nothing: once all are derived, a node's pairs depend on the
-    sequent alone.  A search publishes its pairs there only when it
-    completes, extraction included, so a search cut by its deadline leaves
-    ``solved`` as it found it.  A later search seeds a solved node's pairs
-    instead of expanding it again (``prove`` argues that this keeps every
-    reading).  ``parse_sentence`` gives each bracketing its own table,
-    shared by that bracketing's goal types, and drops it before the next:
-    the goals over one tree reach largely the same sequents, while a table
-    spanning bracketings would hold the whole sentence's graph for little
-    further sharing.
+    The table keeps across calls what a later call reads: a search
+    assembles a node's moves when it expands the node (``moves_of``), and
+    keeps them and its index of parents to itself.  Any search adds to
+    ``halves``, cut or not.  ``solved`` maps the key of every node a search
+    reached to its ``{trace: witness}`` map, empty for a node that derives
+    nothing.  A search derives into it as it goes, so the map of a node it
+    is still deriving is partial; once the search has derived all its
+    pairs, a node's map depends on the sequent alone.  A search cut by its
+    deadline empties ``solved``, partial maps and earlier searches' maps
+    alike (a tabling engine discards its incomplete tables on an abort:
+    Chen & Warren, *Tabled Evaluation with Delaying for General Logic
+    Programs*, 1996), so between calls every map it holds is complete.  A
+    later search seeds a solved node's pairs instead of expanding it again
+    (``prove`` argues that this keeps every reading).  ``parse_sentence``
+    gives each bracketing its own table, shared by that bracketing's goal
+    types, and drops it before the next: the goals over one tree reach
+    largely the same sequents, while a table spanning bracketings would
+    hold the whole sentence's graph for little further sharing.
 
     A sequent's moves are assembled from two halves.  The axiom, the right
     moves and the succedent-side Unquote are generated per sequent.  The
@@ -809,11 +810,13 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     shorter scope orders first, and scope orders of one length by their
     (word, position) pairs.  An empty list means that ``goal`` has no
     derivation.  ``deadline`` (seconds, wall clock) optionally aborts the
-    search, which reads the clock before it expands each node, before it
-    reads each derived pair and before each extraction step; an aborted
-    search reports no derivations and ``timed_out``.  A NaN ``deadline``
-    raises ValueError before any search, since no clock reading would ever
-    pass it.  No ``budget`` means ``SearchBudget()``.
+    search, which reads the clock before it expands each node and before
+    it reads each derived pair; an aborted search empties the table's
+    solved map and reports no derivations and ``timed_out``.  Extraction
+    reads no clock: it follows witnesses, one step per node of the
+    derivations it returns, so once phase 2 ends the search completes.  A
+    NaN ``deadline`` raises ValueError before any search, since no clock
+    reading would ever pass it.  No ``budget`` means ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``).  Every other goal is
@@ -854,12 +857,13 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     Why extraction ends.  Phase 3 follows the first witness of each pair,
     and every witness names premise pairs derived strictly before it, so no
     pair recurs below itself and every branch ends (``_extract``).  That
-    holds across the calls on one table: a witness an earlier call derived
-    names only that call's pairs or older ones, and every pair of an
-    earlier call precedes all of this call's.  A
-    derivation's reading is its trace (``extract_reading`` reads the
-    firings in preorder, the order in which phase 2 joins traces), so each
-    reading found is returned once.
+    holds across the calls on one table.  A cut call empties the solved
+    map, so it holds only the pairs of this call and of earlier calls that
+    completed.  A witness an earlier call derived names only that call's
+    pairs or older ones, and every pair of an earlier call precedes all of
+    this call's.  A derivation's reading is its trace (``extract_reading``
+    reads the firings in preorder, the order in which phase 2 joins
+    traces), so each reading found is returned once.
 
     An empty result is a refutation, given three premises.
 
@@ -917,16 +921,18 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       same goal traces on every sentence tested.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
-    states; a call given none uses a private one.  Calls on one table
-    generate each antecedent's half once among them, and none expands a
-    sequent that an earlier completed call solved.  Sharing keeps every
-    verdict and reading: the nodes a completed search reaches are closed
-    under premises, so each of them has every trace it can derive, and a
-    later call that seeds those pairs derives the same traces as it would
-    on its own.  The first goal on a table returns exactly what a fresh
-    search returns.  A later goal returns the same readings in the same
-    order, but a reading's derivation may be another rule-order variant of
-    it, spelled out by the witnesses an earlier call chose.
+    states; a call given none uses a private one.  A call derives into
+    the table's solved map as it goes and empties the map if its deadline
+    cuts it.  Calls on one table generate each antecedent's half once
+    among them, and none expands a sequent that an earlier call solved
+    and left in the map.  Sharing keeps every verdict and reading: the
+    nodes a completed search reaches are closed under premises, so each of
+    them has every trace it can derive, and a later call that seeds those
+    pairs derives the same traces as it would on its own.  The first goal
+    on a table returns exactly what a fresh search returns.  A later goal
+    returns the same readings in the same order, but a reading's
+    derivation may be another rule-order variant of it, spelled out by the
+    witnesses an earlier call chose.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
@@ -956,81 +962,73 @@ def _search(goal: Sequent, budget: SearchBudget,
             deadline: Optional[float], table: MoveTable) -> SearchResult:
     """The three-phase search of ``prove`` on ``table``."""
     stop_at = None if deadline is None else time.monotonic() + deadline
-    try:
-        # phase 1: walk the reachable sequent graph, expanding each node
-        # once, and index each move under each of its premises; each axiom
-        # seeds phase 2, and so does each pair of a node an earlier call
-        # solved, which is not expanded again.  A node is reached when it
-        # first gets an entry in ``deps``
-        deps: Dict[str, List[Tuple[str, Move, int]]] = {goal.key: []}
-        derived: Dict[str, Dict[Trace, Witness]] = {}
-        agenda: List[Tuple[str, Trace]] = []
-        work = [goal]
-        while work:
-            if stop_at is not None and time.monotonic() >= stop_at:
-                raise SearchTimeout
-            seq = work.pop()
-            key = seq.key
-            by_trace = table.solved.get(key)
-            if by_trace is not None:
-                derived[key] = by_trace
-                agenda.extend([(key, trace) for trace in by_trace])
+    solved = table.solved
+    # phase 1: walk the reachable sequent graph, expanding each node once,
+    # and index each move under each of its premises; each axiom seeds
+    # phase 2, and so does each pair of a node an earlier call solved,
+    # which is not expanded again.  A node is reached when it first gets an
+    # entry in ``deps``
+    deps: Dict[str, List[Tuple[str, Move, int]]] = {goal.key: []}
+    agenda: List[Tuple[str, Trace]] = []
+    work = [goal]
+    while work:
+        if stop_at is not None and time.monotonic() >= stop_at:
+            solved.clear()
+            return SearchResult([], timed_out=True)
+        seq = work.pop()
+        key = seq.key
+        by_trace = solved.get(key)
+        if by_trace is not None:
+            agenda.extend([(key, trace) for trace in by_trace])
+            continue
+        by_trace = solved[key] = {}
+        for move in table.moves_of(seq):
+            premises = move[1]
+            if not premises and not by_trace:  # the axiom
+                by_trace[()] = (move, ())
+                agenda.append((key, ()))
+            for slot, premise in enumerate(premises):
+                if premise.key not in deps:
+                    deps[premise.key] = []
+                    work.append(premise)
+                deps[premise.key].append((key, move, slot))
+
+    # phase 2: derive every (node, trace) pair of the nodes phase 1
+    # expanded, each once with its first witness.  A trace can be no longer
+    # than the node's stock of worded continuation functors, so there are
+    # finitely many pairs.  A list iterator reads the length at each step,
+    # so it also yields the pairs appended meanwhile
+    for key, trace in agenda:
+        if stop_at is not None and time.monotonic() >= stop_at:
+            solved.clear()
+            return SearchResult([], timed_out=True)
+        for parent, move, slot in deps[key]:
+            premises, own = move[1], move[2]
+            by_trace = solved[parent]
+            if len(premises) == 1:
+                new = own + trace
+                if new not in by_trace:
+                    by_trace[new] = (move, (trace,))
+                    agenda.append((parent, new))
                 continue
-            by_trace = derived[key] = {}
-            for move in table.moves_of(seq):
-                premises = move[1]
-                if not premises and not by_trace:  # the axiom
-                    by_trace[()] = (move, ())
-                    agenda.append((key, ()))
-                for slot, premise in enumerate(premises):
-                    if premise.key not in deps:
-                        deps[premise.key] = []
-                        work.append(premise)
-                    deps[premise.key].append((key, move, slot))
+            # over a snapshot: a join may derive a pair at the other premise
+            # itself
+            for other in tuple(solved[premises[1 - slot].key]):
+                parts = (trace, other) if slot == 0 else (other, trace)
+                new = own + parts[0] + parts[1]
+                if new not in by_trace:
+                    by_trace[new] = (move, parts)
+                    agenda.append((parent, new))
 
-        # phase 2: derive every (node, trace) pair of the nodes phase 1
-        # expanded, each once with its first witness.  A trace can be no
-        # longer than the node's stock of worded continuation functors, so
-        # there are finitely many pairs.  A list iterator reads the length
-        # at each step, so it also yields the pairs appended meanwhile
-        for key, trace in agenda:
-            if stop_at is not None and time.monotonic() >= stop_at:
-                raise SearchTimeout
-            for parent, move, slot in deps[key]:
-                premises, own = move[1], move[2]
-                by_trace = derived[parent]
-                if len(premises) == 1:
-                    new = own + trace
-                    if new not in by_trace:
-                        by_trace[new] = (move, (trace,))
-                        agenda.append((parent, new))
-                    continue
-                # over a snapshot: a join may derive a pair at the other
-                # premise itself
-                for other in tuple(derived[premises[1 - slot].key]):
-                    parts = (trace, other) if slot == 0 else (other, trace)
-                    new = own + parts[0] + parts[1]
-                    if new not in by_trace:
-                        by_trace[new] = (move, parts)
-                        agenda.append((parent, new))
-
-        # phase 3: one derivation per goal trace, shortest traces first, up
-        # to the cap on readings.  A seeded node's witnesses name premises
-        # that only the table holds
-        traces = sorted(derived[goal.key],
-                        key=lambda trace: (len(trace), trace))
-        solved = ChainMap(derived, table.solved)
-        derivations = [_extract(solved, goal, trace, stop_at)
-                       for trace in traces[:budget.max_derivations]]
-    except SearchTimeout:
-        return SearchResult([], timed_out=True)
-    # the search is complete: only now does the table get its pairs
-    table.solved.update(derived)
-    return SearchResult(derivations)
+    # phase 3: one derivation per goal trace, shortest traces first, up to
+    # the cap on readings
+    traces = sorted(solved[goal.key], key=lambda trace: (len(trace), trace))
+    return SearchResult([_extract(solved, goal, trace)
+                         for trace in traces[:budget.max_derivations]])
 
 
-def _extract(derived: ChainMap[str, Dict[Trace, Witness]], seq: Sequent,
-             trace: Trace, stop_at: Optional[float]) -> Derivation:
+def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,
+             trace: Trace) -> Derivation:
     """Phase 3 of ``prove``: the derivation of ``seq`` with scope trace
     ``trace`` that phase 2's first witnesses spell out, the witness's move
     applied over each premise's extraction at its part of the trace.  It
@@ -1041,12 +1039,10 @@ def _extract(derived: ChainMap[str, Dict[Trace, Witness]], seq: Sequent,
     refers to itself through its own cell, and that cycle would keep the
     call's whole sequent graph alive until the cyclic collector next ran.
     """
-    if stop_at is not None and time.monotonic() >= stop_at:
-        raise SearchTimeout
-    (steps, premises, _own), parts = derived[seq.key][trace]
+    (steps, premises, _own), parts = solved[seq.key][trace]
     subs = []
     for premise, part in zip(premises, parts):
-        subs.append(_extract(derived, premise, part, stop_at))
+        subs.append(_extract(solved, premise, part))
     return _apply_chain(seq, steps, tuple(subs))
 
 

@@ -409,7 +409,7 @@ class PlainSearch:
         return found
 
 
-def test_memo_and_plain_search_agree(lex):
+def test_prove_finds_every_reading_the_plain_search_finds(lex):
     # every reading the capped oracle finds, prove finds; where the oracle
     # was not cut, prove finds no other.  The caps are the oracle's alone
     cases = [
@@ -725,45 +725,54 @@ class _Clock:
         return float(self.reads)
 
 
-def _solved_snapshot(table):
-    return {key: dict(by_trace) for key, by_trace in table.solved.items()}
-
-
-def test_a_cut_search_leaves_nothing_solved(lex):
-    # a search cut in any phase leaves the table's solved map as it found
-    # it: the next search on a fresh table is exactly a fresh search, and
-    # a second goal cut after a first keeps every entry the first solved
+def test_a_cut_search_empties_the_solved_map(lex):
+    # a search cut in either phase empties the table's solved map, the
+    # pairs an earlier goal solved included, so the next search on that
+    # table is exactly a fresh search: for the first goal of the
+    # possessive tree, and for its second goal after the first
     tree = parse_structure(POSSESSIVE, lex)
     first, second = (Sequent(tree, goal_type) for goal_type in GOAL_TYPES)
-    fresh = {goal.key: prove(goal) for goal in (first, second)}
-    for goal, before_it in ((first, ()), (second, (first,))):
-        table, twin = MoveTable(), MoveTable()
-        for earlier in before_it:
-            assert _proofs(prove(earlier, table=table)) \
-                == _proofs(fresh[earlier.key])
-            prove(earlier, table=twin)
-        before = _solved_snapshot(table)
-        result = prove(goal, deadline=0, table=table)
-        assert result.timed_out and _solved_snapshot(table) == before
-        clock = _Clock()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polagram.prover, "time", clock)
+    fresh = {goal.key: _proofs(prove(goal)) for goal in (first, second)}
+    clock = _Clock()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polagram.prover, "time", clock)
+        for goal, before_it in ((first, ()), (second, (first,))):
             # the clock reads of an uncut search, the first setting the
             # deadline: a deadline of the last count cuts the last check,
-            # an extraction step
+            # a pair phase 2 reads
+            twin = MoveTable()
+            for earlier in before_it:
+                prove(earlier, table=twin)
+            clock.reads = 0
             assert not prove(goal, deadline=1e12, table=twin).timed_out
             checks = clock.reads - 1
             for cut in (1, checks // 3, 2 * checks // 3, checks):
+                table = MoveTable()
+                for earlier in before_it:
+                    assert _proofs(prove(earlier, table=table)) \
+                        == fresh[earlier.key]
+                assert table.solved or not before_it
                 clock.reads = 0
                 result = prove(goal, deadline=float(cut), table=table)
                 assert result.timed_out and not result.derivations
-                assert _solved_snapshot(table) == before, (str(goal), cut)
-        again = prove(goal, table=table)
-        if before_it:
-            assert _readings(again) == _readings(fresh[goal.key])
-            assert all(validate_derivation(d) for d in again.derivations)
-        else:
-            assert _proofs(again) == _proofs(fresh[goal.key])
+                assert table.solved == {}, (str(goal), cut)
+                assert _proofs(prove(goal, table=table)) == fresh[goal.key]
+
+
+def test_extraction_reads_no_clock(lex):
+    # the clock is read in phases 1 and 2 only, so an uncut search reads it
+    # as often whatever number of derivations it extracts
+    goal = seq("somebody * (saw * everybody)", "s+", lex)
+    reads = []
+    clock = _Clock()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polagram.prover, "time", clock)
+        for cap in (1, 16):
+            clock.reads = 0
+            result = prove(goal, SearchBudget(cap), deadline=1e12)
+            assert len(result.derivations) == min(cap, 2)
+            reads.append(clock.reads)
+    assert reads[0] == reads[1]
 
 
 def test_a_later_goal_extracts_through_nodes_it_did_not_reach(lex):

@@ -27,11 +27,12 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .core import Sequent, SyntaxErrorWithPos, parse_formula, parse_structure
+from .core import (Sequent, SyntaxErrorWithPos, parse_formula,
+                   parse_structure, print_formula)
 from .fsm import (machine_from_lexicon, predict, quantifier_occurrences,
                   accepting_runs, evaluation_order_ok, inverted_windows)
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, tokenize
-from .parser import GRAMMATICAL, UNKNOWN, parse_sentence
+from .parser import GOAL_TYPES, GRAMMATICAL, UNKNOWN, parse_sentence
 from .prover import SearchBudget, prove
 from .readings import extract_reading, reading_to_dict
 from .semantics import FiniteModel, denotation, is_downward_entailing, \
@@ -353,7 +354,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a sentence")
     p.add_argument("sentence")
     p.add_argument("--goal", metavar="FORMULA",
-                   help="prove this goal type only (default: s0 and s+)")
+                   help="prove this goal type only (default: "
+                   + " and ".join(map(print_formula, GOAL_TYPES)) + ")")
     p.add_argument("--show-derivation", action="store_true")
     p.add_argument("--json", action="store_true")
     _add_prover_options(p)

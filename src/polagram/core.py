@@ -209,7 +209,8 @@ class Structure:
 
     ``key`` is a canonical string that records the tree, its formulas and
     the word and position labels on its leaves; two structures are equal
-    iff their keys are equal.
+    iff their keys are equal, and a structure hashes as its key, a string
+    that caches its own hash, so a tree that is never hashed pays nothing.
 
     Three flags say what the tree contains, so that no caller needs to read
     the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
@@ -226,13 +227,12 @@ class Structure:
     it is outside ``key``, equality and hashing.
     """
 
-    __slots__ = ("key", "_hash", "has_cmode_node", "has_unit",
+    __slots__ = ("key", "has_cmode_node", "has_unit",
                  "has_open_cmode_formula", "skeleton_reductions")
 
     def _finish(self, key: str, cmode_node: bool, unit: bool,
                 open_cmode_formula: bool) -> None:
         self.key = key
-        self._hash = hash(key)
         self.has_cmode_node = cmode_node
         self.has_unit = unit
         self.has_open_cmode_formula = open_cmode_formula
@@ -241,7 +241,7 @@ class Structure:
         return self is other or (isinstance(other, Structure) and self.key == other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __str__(self) -> str:
         return print_structure(self)
@@ -313,19 +313,18 @@ UNIT_LEAF = UnitLeaf()
 class Sequent:
     """An antecedent and a succedent, compared and hashed by ``key``."""
 
-    __slots__ = ("antecedent", "succedent", "key", "_hash")
+    __slots__ = ("antecedent", "succedent", "key")
 
     def __init__(self, antecedent: Structure, succedent: Formula):
         self.antecedent = antecedent
         self.succedent = succedent
         self.key = antecedent.key + "|-" + succedent.key
-        self._hash = hash(self.key)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Sequent) and self.key == other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __str__(self) -> str:
         return f"{print_structure(self.antecedent)} |- {print_formula(self.succedent)}"

@@ -126,7 +126,7 @@ def parse_sentence(sentence: str, lex: Lexicon,
     try:
         for tree in bracketings(tokens, lex):
             # the goal types of one tree share their solved sequents and
-            # antecedent halves; the table is dropped before the next tree
+            # antecedents' moves; the table is dropped before the next tree
             # (see MoveTable)
             table = MoveTable()
             for goal_type in goals:

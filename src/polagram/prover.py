@@ -69,14 +69,17 @@ as it is, and the derivations of the first search on a table too:
   again, and so never asks for its moves.  A search its deadline cuts
   empties that map, as a tabling engine discards its incomplete tables
   on an abort (``MoveTable``).
-* The left and structural moves depend on the antecedent alone, and no
-  move's chain names a succedent, so the table generates those moves once
-  per antecedent; a succedent the search reaches it under only gets their
+* A sequent's moves are the succedent's moves, then the antecedent's one
+  list.  Every move but the axiom, the right rules and the
+  succedent-side Unquote depends on the antecedent alone, and no move's
+  chain names a succedent, so the table generates that list once per
+  antecedent; a succedent the search reaches it under only gets its
   premises (``MoveTable``).
-* One walk generates an antecedent's moves, dispatching once per site on
-  the node's class and mode (``_walk``).  While a context is live it
-  enters only the subtrees that hold a c-mode node and offers moves only
-  at the c-mode sites; no other site offers a move then.
+* One walk generates an antecedent's list, site by site, dispatching
+  once per site on the node's class and mode (``_walk``).  While a
+  context is live it enters only the subtrees that hold a c-mode node and
+  offers moves only at the c-mode sites; no other site offers a move
+  then.
 * The cyclic garbage collector is paused while ``prove`` runs, and
   ``parse_sentence`` pauses it across all of its ``prove`` calls.  The
   search creates no reference cycles, so reference counting frees all it
@@ -137,7 +140,12 @@ T_RULE = RuleName("T")
 KPRIME = RuleName("K′")
 UNQUOTE_ANTE = RuleName("UnquoteAnte")
 UNQUOTE_SUCC = RuleName("UnquoteSucc")
-# the left rules, by the mode they carry
+# the logical rules, by the mode they carry
+PROD_R = {mode: RuleName("ProdR", mode) for mode in BINARY_MODES}
+OVER_R = {mode: RuleName("OverR", mode) for mode in BINARY_MODES}
+UNDER_R = {mode: RuleName("UnderR", mode) for mode in BINARY_MODES}
+DIA_R = {mode: RuleName("DiaR", mode) for mode in UNARY_MODES}
+BOX_DOWN_R = {mode: RuleName("BoxDownR", mode) for mode in UNARY_MODES}
 OVER_L = {mode: RuleName("OverL", mode) for mode in BINARY_MODES}
 UNDER_L = {mode: RuleName("UnderL", mode) for mode in BINARY_MODES}
 PROD_L = {mode: RuleName("ProdL", mode) for mode in BINARY_MODES}
@@ -336,11 +344,11 @@ Trace = tuple[tuple[str, int | None], ...]
 Chain = tuple[tuple[RuleName, Site, Structure], ...]
 Move = tuple[Chain, tuple[Sequent, ...], Trace]
 
-# An antecedent move is a left or structural move with the succedent left
-# out: (steps, main, minor, trace), where main is the antecedent of the
-# premise that keeps the conclusion's succedent and minor is the other
-# premise, a whole sequent, or None.  Its chain serves every succedent as
-# it is; only the main premise takes one.
+# An antecedent move is a move that reads the antecedent alone, with the
+# succedent left out: (steps, main, minor, trace), where main is the
+# antecedent of the premise that keeps the conclusion's succedent and minor
+# is the other premise, a whole sequent, or None.  Its chain serves every
+# succedent as it is; only the main premise takes one.
 AnteMove = tuple[Chain, Structure, Sequent | None, Trace]
 
 # The first witness of a (node, trace) pair: the move that derived it and
@@ -357,23 +365,23 @@ def _axiom_move(seq: Sequent) -> Optional[Move]:
 
 
 def _right_moves(seq: Sequent) -> List[Move]:
-    """The right moves at ``seq``."""
+    """The moves at ``seq`` that read its succedent: the right rules and
+    the succedent-side Unquote."""
     out: List[Move] = []
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
         if isinstance(ant, Bin) and ant.mode == succ.mode:
-            out.append((((RuleName("ProdR", succ.mode), (), ant),),
+            out.append((((PROD_R[succ.mode], (), ant),),
                         (Sequent(ant.left, succ.left),
                          Sequent(ant.right, succ.right)), ()))
     elif isinstance(succ, Over):
         goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
-        out.append((((RuleName("OverR", succ.mode), (), ant),), (goal,), ()))
+        out.append((((OVER_R[succ.mode], (), ant),), (goal,), ()))
     elif isinstance(succ, Under):
         goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
-        out.append((((RuleName("UnderR", succ.mode), (), ant),), (goal,),
-                    ()))
+        out.append((((UNDER_R[succ.mode], (), ant),), (goal,), ()))
     elif isinstance(succ, Dia):
-        rule = RuleName("DiaR", succ.mode)
+        rule = DIA_R[succ.mode]
         if isinstance(ant, Un) and ant.mode == succ.mode:
             out.append((((rule, (), ant),), (Sequent(ant.body, succ.body),),
                         ()))
@@ -381,14 +389,19 @@ def _right_moves(seq: Sequent) -> List[Move]:
             # fuse a T on the whole antecedent with the diamond introduction
             out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
                         (Sequent(ant, succ.body),), ()))
+        elif (succ.mode == UMODE and isinstance(ant, Un)
+              and ant.mode == VALUE and not ant.has_cmode_node):
+            # the succedent-side Unquote, at a quoted root only, where the
+            # value-diamond introduction takes the new diamond off at once
+            out.append((((UNQUOTE_SUCC, (), ant),),
+                        (Sequent(ant, Dia(VALUE, succ)),), ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
             goal = Sequent(Un(succ.mode, ant), succ.body)
-            out.append((((RuleName("BoxDownR", succ.mode), (), ant),),
-                        (goal,), ()))
+            out.append((((BOX_DOWN_R[succ.mode], (), ant),), (goal,), ()))
     return out
 
 
@@ -420,22 +433,21 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
                 replace(ant, site, new), None, ()))
 
 
-def _antecedent_moves(ant: Structure
-                      ) -> Tuple[List[AnteMove], List[AnteMove]]:
-    """The left moves and the structural moves at the antecedent ``ant``:
-    the half of a sequent's moves that does not depend on its succedent,
-    each list in the order ``_walk`` visits the sites."""
-    left: List[AnteMove] = []
-    structural: List[AnteMove] = []
-    _walk(ant, ant, (), ant.has_cmode_node, left, structural)
-    return left, structural
+def _antecedent_moves(ant: Structure) -> List[AnteMove]:
+    """The moves at the antecedent ``ant``: the part of a sequent's moves
+    that does not depend on its succedent, in the order ``_walk`` visits
+    the sites."""
+    out: List[AnteMove] = []
+    _walk(ant, ant, (), ant.has_cmode_node, out)
+    return out
 
 
 def _walk(ant: Structure, node: Structure, site: Site, live: bool,
-          left: List[AnteMove], structural: List[AnteMove]) -> None:
+          out: List[AnteMove]) -> None:
     """Add the moves at the sites of ``ant`` in ``node``, its subtree at
     ``site``, with T fused into its consumers: children before parents,
-    left to right, one dispatch per site on the node's class and mode.
+    left to right, one dispatch per site on the node's class and mode, and
+    at each site its left moves, then its structural moves.
 
     The walk stops at unary nodes: a quoted (or otherwise boxed) subtree is
     opaque until the wrapper is consumed, so moves strictly inside it
@@ -446,9 +458,9 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
     if isinstance(node, Bin):
         a, b, mode = node.left, node.right, node.mode
         if not live or isinstance(a, Bin) and a.has_cmode_node:
-            _walk(ant, a, site + (0,), live, left, structural)
+            _walk(ant, a, site + (0,), live, out)
         if not live or isinstance(b, Bin) and b.has_cmode_node:
-            _walk(ant, b, site + (1,), live, left, structural)
+            _walk(ant, b, site + (1,), live, out)
         if live and mode != CMODE:
             return
         if (isinstance(a, FLeaf) and isinstance(a.formula, Over)
@@ -457,69 +469,71 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             # a c-mode functor with a word takes scope (``scope_firing``)
             firing = () if mode != CMODE or a.word is None \
                 else ((a.word, a.pos),)
-            left.append((((OVER_L[mode], site, ant),),
-                         replace(ant, site, FLeaf(f.result)),
-                         Sequent(b, f.argument), firing))
+            out.append((((OVER_L[mode], site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(b, f.argument), firing))
         if (isinstance(b, FLeaf) and isinstance(b.formula, Under)
                 and b.formula.mode == mode):
             f = b.formula
-            left.append((((UNDER_L[mode], site, ant),),
-                         replace(ant, site, FLeaf(f.result)),
-                         Sequent(a, f.argument), ()))
-    elif live:
-        return
-    if not (site or live or ant.has_unit) and ant.has_open_cmode_formula:
-        # Root introduces its unit at the spine only, one context at a time,
-        # and only where a c-mode functor outside every quote could consume
-        # the context
-        _plain(structural, ant, site, ROOT_F, _root_fwd(ant))
-    if isinstance(node, Bin):
+            out.append((((UNDER_L[mode], site, ant),),
+                        replace(ant, site, FLeaf(f.result)),
+                        Sequent(a, f.argument), ()))
         if mode == CMODE:
             if isinstance(b, UnitLeaf):
-                _plain(structural, ant, site, ROOT_B, _root_bwd(node))
+                _plain(out, ant, site, ROOT_B, _root_bwd(node))
             # Left→ and Right→ descend the focus into a.left and a.right;
             # they go only toward a scope-taker that no unary node freezes,
             # since any other focus can only climb back out (see ``prove``)
             down = isinstance(a, Bin) and a.mode == DEFAULT
             up = isinstance(b, Bin) and b.mode == DEFAULT
             if down and a.left.has_open_cmode_formula:
-                _plain(structural, ant, site, LEFT_F, _left_fwd(node))
+                _plain(out, ant, site, LEFT_F, _left_fwd(node))
             if up:
-                _plain(structural, ant, site, LEFT_B, _left_bwd(node))
+                _plain(out, ant, site, LEFT_B, _left_bwd(node))
             if down and a.right.has_open_cmode_formula:
-                _quoting(structural, ant, site, node, (0, 0), RIGHT_F,
-                         _right_fwd)
+                _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
             if up:
-                _quoting(structural, ant, site, node, (1, 1), RIGHT_B,
-                         _right_bwd)
-        elif isinstance(a, Un) and a.mode == VALUE:
-            _quoting(structural, ant, site, node, (1,), KPRIME, _kprime)
-        elif isinstance(b, Un) and b.mode == VALUE:
-            _quoting(structural, ant, site, node, (0,), KPRIME, _kprime)
-        # with neither side quoted, a single T on the whole pair reaches the
-        # same sequent in fewer steps, via the consumer of that diamond
+                _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
+        else:
+            if not (site or ant.has_unit) and ant.has_open_cmode_formula:
+                # Root introduces its unit at the spine only, one context at
+                # a time (no context is live at a surface-mode site), and
+                # only where a c-mode functor outside every quote could
+                # consume the context; a formula leaf's root does the same
+                _plain(out, ant, site, ROOT_F, _root_fwd(ant))
+            if isinstance(a, Un) and a.mode == VALUE:
+                _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
+            elif isinstance(b, Un) and b.mode == VALUE:
+                _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
+            # with neither side quoted, a single T on the whole pair reaches
+            # the same sequent in fewer steps, via the consumer of that
+            # diamond
+    elif live:
+        return
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, Dia):
-            _plain(left, ant, site, DIA_L[f.mode], Un(f.mode, FLeaf(f.body)))
+            _plain(out, ant, site, DIA_L[f.mode], Un(f.mode, FLeaf(f.body)))
         elif isinstance(f, Product):
-            _plain(left, ant, site, PROD_L[f.mode],
+            _plain(out, ant, site, PROD_L[f.mode],
                    Bin(f.mode, FLeaf(f.left), FLeaf(f.right)))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
             mid = replace(ant, site, Un(VALUE, node))
-            left.append((((T_RULE, site, ant),
-                          (BOX_DOWN_L[VALUE], site, mid)),
-                         replace(ant, site, FLeaf(f.body)), None, ()))
+            out.append((((T_RULE, site, ant),
+                         (BOX_DOWN_L[VALUE], site, mid)),
+                        replace(ant, site, FLeaf(f.body)), None, ()))
+        if not site and f.has_cmode:  # Root, as at a surface-mode root
+            _plain(out, ant, site, ROOT_F, _root_fwd(ant))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
                 and body.formula.mode == node.mode):
-            _plain(left, ant, site, BOX_DOWN_L[node.mode],
+            _plain(out, ant, site, BOX_DOWN_L[node.mode],
                    FLeaf(body.formula.body))
         new = _unquote_ante(node)
         if new is not None:
-            _plain(structural, ant, site, UNQUOTE_ANTE, new)
+            _plain(out, ant, site, UNQUOTE_ANTE, new)
 
 
 def _apply_chain(seq: Sequent, steps: Chain,
@@ -587,9 +601,8 @@ def scope_firing(rule: RuleName, antecedent: Structure,
 
 
 class MoveTable:
-    """What the searches on one tree share: the antecedent halves of the
-    moves of the sequents reached so far, and the scope traces of every
-    sequent solved so far.
+    """What the searches on one tree share: the moves of each antecedent
+    reached so far, and the scope traces of every sequent solved so far.
 
     The table keeps across calls what a later call reads: a search
     assembles a node's moves when it expands the node (``moves_of``), and
@@ -610,17 +623,17 @@ class MoveTable:
     largely the same sequents, while a table spanning bracketings would
     hold the whole sentence's graph for little further sharing.
 
-    A sequent's moves are assembled from two halves.  The axiom, the right
-    moves and the succedent-side Unquote are generated per sequent.  The
-    left and structural moves depend on the antecedent alone
-    (``_antecedent_moves``), and the search reaches one antecedent under
-    several succedents (``s0``, ``s-``, ``<>s0``, ``<p>s0``), so that half
-    is generated once per antecedent and kept in ``halves`` under its
-    ``key``.  A chain names antecedents only (see ``Move``), so assembling
-    a sequent builds just that half's premises under its succedent, and
-    every sequent over the antecedent shares each move's chain tuple and
-    minor premise.  Each move carries its scope trace, which depends on the
-    move alone (see ``Move``).
+    A sequent's moves are the succedent's moves, then the antecedent's one
+    list.  The axiom, the right moves and the succedent-side Unquote read
+    the succedent and are generated per sequent.  Every other move depends
+    on the antecedent alone (``_antecedent_moves``), and the search reaches
+    one antecedent under several succedents (``s0``, ``s-``, ``<>s0``,
+    ``<p>s0``), so its list is generated once per antecedent and kept in
+    ``halves`` under its ``key``.  A chain names antecedents only (see
+    ``Move``), so assembling a sequent builds just the list's main
+    premises under its succedent, and every sequent over the antecedent
+    shares each move's chain tuple and minor premise.  Each move carries
+    its scope trace, which depends on the move alone (see ``Move``).
 
     Premises are built, not interned: a search keys every node by
     ``key``, so two equal premises need not be one object, and most
@@ -631,15 +644,14 @@ class MoveTable:
     __slots__ = ("halves", "solved")
 
     def __init__(self) -> None:
-        self.halves: Dict[str, Tuple[List[AnteMove], List[AnteMove]]] = {}
+        self.halves: Dict[str, List[AnteMove]] = {}
         self.solved: Dict[str, Dict[Trace, Witness]] = {}
 
     def moves_of(self, seq: Sequent) -> List[Move]:
         """All backward moves at ``seq``, in fixed order: the axiom alone,
-        if it applies; otherwise the right moves, the left moves, the
-        succedent-side Unquote and the structural moves.  Each call
-        assembles them anew; only the antecedent half is kept
-        (``halves``).
+        if it applies; otherwise the succedent's moves (``_right_moves``),
+        then the antecedent's one list, site by site.  Each call assembles
+        them anew; only the antecedent's list is kept (``halves``).
 
         The moves follow the search's cycles (no gate discards a
         normal-form derivation).  While a continuation node is live, only
@@ -659,19 +671,12 @@ class MoveTable:
             # so alternative unfoldings of it would only duplicate
             # derivations.
             return [axiom]
-        ant, succ = seq.antecedent, seq.succedent
-        half = self.halves.get(ant.key)
-        if half is None:
-            half = self.halves[ant.key] = _antecedent_moves(ant)
-        left, structural = half
+        ant = seq.antecedent
+        ante_moves = self.halves.get(ant.key)
+        if ante_moves is None:
+            ante_moves = self.halves[ant.key] = _antecedent_moves(ant)
         out = _right_moves(seq)
-        self._thread(out, succ, left)
-        if (isinstance(succ, Dia) and succ.mode == UMODE
-                and not ant.has_cmode_node
-                and isinstance(ant, Un) and ant.mode == VALUE):
-            out.append((((UNQUOTE_SUCC, (), ant),),
-                        (Sequent(ant, Dia(VALUE, succ)),), ()))
-        self._thread(out, succ, structural)
+        self._thread(out, seq.succedent, ante_moves)
         return out
 
     def _thread(self, out: List[Move], succ: Formula,
@@ -876,7 +881,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       itself a value diamond, which ``DiaR(v)`` then takes off.  Take a
       derivation that unquotes at another continuation-free ``Γ``.  Above
       that step its main branch keeps the succedent ``◇v ◇u X`` through
-      left and structural steps up to the right rule that removes the
+      steps on the antecedent up to the right rule that removes the
       ``◇v`` (``DiaR(v)`` or the fused ``T+DiaR``, the only right rules
       such a succedent has).  Those steps read the antecedent alone, so
       each is a move under ``◇u X`` too, unless that sequent is an axiom,
@@ -923,7 +928,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  A call derives into
     the table's solved map as it goes and empties the map if its deadline
-    cuts it.  Calls on one table generate each antecedent's half once
+    cuts it.  Calls on one table generate each antecedent's moves once
     among them, and none expands a sequent that an earlier call solved
     and left in the map.  Sharing keeps every verdict and reading: the
     nodes a completed search reaches are closed under premises, so each of

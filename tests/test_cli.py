@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from polagram.cli import BUILTIN_CORPUS, main, parse_corpus
+from polagram.core import print_formula
+from polagram.parser import GOAL_TYPES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,6 +137,19 @@ def test_parse_json_stable(capsys):
         {"scope": [{"word": "nobody", "pos": 0},
                    {"word": "anybody", "pos": 2}],
          "linear": True}]
+
+
+def test_parse_goal_help_names_every_default_goal_type(capsys):
+    # the default the --goal help states is read off GOAL_TYPES
+    with pytest.raises(SystemExit):
+        main(["parse", "--help"])
+    out = capsys.readouterr().out
+    goal_help = " ".join(
+        out.rsplit("--goal FORMULA", 1)[1].split("--show-derivation")[0]
+        .split())
+    assert goal_help.startswith("prove this goal type only (default: ")
+    for goal_type in GOAL_TYPES:
+        assert print_formula(goal_type) in goal_help
 
 
 # -- sequent ------------------------------------------------------------------

@@ -303,16 +303,34 @@ def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
     assert digest.hexdigest() == POSSESSIVE_FRAME_SHA256
 
 
-SEVEN_TOKENS = Path(__file__).parent / "data" / "seven_tokens.tsv"
+DATA = Path(__file__).parent / "data"
+
+
+def _rows(name):
+    return parse_corpus((DATA / name).read_text(encoding="utf-8"))
+
 
 # The same digest over every row of the 7- to 9-token corpus file, in file
 # order: the searches that a change inside the prover moves first
 SEVEN_TOKENS_SHA256 = \
     "a66735a0aeb48ee27b0ea06190997c31b54b17c700b42af646260d94f4ccb703"
 
+# And over the 25 rows of the ditransitive frame that end in "to
+# everybody", in file order, where the order of the moves at one site
+# decides which rule-order variant some readings get
+TO_EVERYBODY_SHA256 = \
+    "beefd857866f596aeef338ec6047d70f50601375f0685473e4f8b883655cddff"
 
-def test_the_seven_token_derivations_are_pinned(parsed, machine):
-    lines = parse_corpus(SEVEN_TOKENS.read_text(encoding="utf-8"))
+
+@pytest.mark.parametrize("lines,count,expected_digest", [
+    pytest.param(_rows("seven_tokens.tsv"), 8, SEVEN_TOKENS_SHA256,
+                 id="seven_tokens"),
+    pytest.param([line for line in _rows("ditransitive.tsv")
+                  if line.sentence.endswith(" to everybody")],
+                 25, TO_EVERYBODY_SHA256, id="ditransitive_to_everybody"),
+])
+def test_the_seven_token_derivations_are_pinned(parsed, machine, lines,
+                                                count, expected_digest):
     digest = hashlib.sha256()
     for line in lines:
         result = parsed(line.sentence)
@@ -330,8 +348,8 @@ def test_the_seven_token_derivations_are_pinned(parsed, machine):
             == {r.scope_order for r in admissible}, line.sentence
         if line.reading_count is not None:
             assert len(result.readings) == line.reading_count, line.sentence
-    assert len(lines) == 8
-    assert digest.hexdigest() == SEVEN_TOKENS_SHA256
+    assert len(lines) == count
+    assert digest.hexdigest() == expected_digest
 
 
 def test_an_uncapped_search_ends_and_agrees_with_the_machine(lex, machine):

@@ -661,9 +661,9 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
             # each move's chain starts at its node; each move carries the
-            # scope firing of its last step; a left or structural move
-            # holds the very chain tuple of its antecedent's half, whatever
-            # the succedent
+            # scope firing of its last step; an antecedent move holds the
+            # very chain tuple of its antecedent's list, whatever the
+            # succedent
             checked += len(table.expanded)
             for key, (node, moves) in table.expanded.items():
                 assert node.key == key
@@ -674,8 +674,8 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
                     assert trace == (() if firing is None else (firing,))
                 if moves and moves[0][0][0][0] in (AXIOM, LEX):
                     continue  # the axiom alone; no half was read
-                left, structural = table.halves[node.antecedent.key]
-                half = [steps for steps, *_rest in left + structural]
+                half = [steps for steps, *_rest
+                        in table.halves[node.antecedent.key]]
                 ids = {id(steps) for steps in half}
                 threaded = [steps for steps, *_rest in moves
                             if id(steps) in ids]
@@ -916,15 +916,15 @@ def _structural_moves_at(out, ant, site, node):
 
 
 def _reference_moves(ant):
-    """The left and the structural moves at ``ant``, each list in site
-    order: the spine sites while a context is live, else the open sites."""
+    """The moves at ``ant`` in site order, each site's left moves, then its
+    structural moves: the spine sites while a context is live, else the
+    open sites."""
     sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
-    left, structural = [], []
+    out = []
     for site, node in sites:
-        _left_moves_at(left, ant, site, node)
-    for site, node in sites:
-        _structural_moves_at(structural, ant, site, node)
-    return left, structural
+        _left_moves_at(out, ant, site, node)
+        _structural_moves_at(out, ant, site, node)
+    return out
 
 
 def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
@@ -1021,8 +1021,9 @@ class AnywhereUnquoteTable(MoveTable):
                 and not ant.has_cmode_node and _has_value_diamond(ant)
                 and not (isinstance(ant, Un) and ant.mode == VALUE)):
             # no axiom applies to an antecedent with a structural diamond,
-            # so the structural half ends the list
-            at = len(out) - len(self.halves[ant.key][1])
+            # so the antecedent's list ends the moves, after the
+            # succedent's
+            at = len(out) - len(self.halves[ant.key])
             self.extra += 1
             out.insert(at, (((UNQUOTE_SUCC, (), ant),),
                             (Sequent(ant, Dia(VALUE, succ)),), ()))

@@ -71,10 +71,11 @@ as it is, and the derivations of the first search on a table too:
   on an abort (``MoveTable``).
 * A sequent's moves are the succedent's moves, then the antecedent's one
   list.  Every move but the axiom, the right rules and the
-  succedent-side Unquote depends on the antecedent alone, and no move's
-  chain names a succedent, so the table generates that list once per
-  antecedent; a succedent the search reaches it under only gets its
-  premises (``MoveTable``).
+  succedent-side Unquote depends on the antecedent alone, and a move's
+  step names a rule and sites, no structure, so the table generates that
+  list once per antecedent; a succedent the search reaches it under only
+  gets its premises (``MoveTable``).  The sequent a fused T passes through
+  is built only when a derivation is extracted (``_apply_step``).
 * One walk generates an antecedent's list, site by site, dispatching
   once per site on the node's class and mode (``_walk``).  While a
   context is live it enters only the subtrees that hold a c-mode node and
@@ -334,22 +335,23 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # (``scope_firing``), outermost first.
 Trace = tuple[tuple[str, int | None], ...]
 
-# A move is (steps, premises, trace).  Its chain, steps, is the (rule, site,
-# antecedent) of each step, applied top-down; a step concludes its
-# antecedent under the succedent of the sequent the move sits at, since no
-# rule a chain fuses rewrites the succedent (the right rules, the axiom and
-# the succedent-side Unquote work at the root, the others on the antecedent
-# alone).  premises are the subgoals of the innermost step, and trace is
-# the scope firing of the last step as a 1-tuple, or ().
-Chain = tuple[tuple[RuleName, Site, Structure], ...]
-Move = tuple[Chain, tuple[Sequent, ...], Trace]
+# A move is (step, premises, trace).  Its step, (rule, site, quote), applies
+# rule at site of the sequent the move sits at; quote is None, or the site
+# of the T fused in front of the rule, which quotes the subtree there under
+# a value diamond for the rule to consume.  Every fused T is followed by its
+# consumer alone, so a step says all that a move applies, and names no
+# structure: ``_apply_step`` builds the sequent a fused T passes through
+# when a derivation is extracted.  premises are the rule's subgoals, and
+# trace is its scope firing as a 1-tuple, or ().
+Step = tuple[RuleName, Site, Site | None]
+Move = tuple[Step, tuple[Sequent, ...], Trace]
 
 # An antecedent move is a move that reads the antecedent alone, with the
-# succedent left out: (steps, main, minor, trace), where main is the
+# succedent left out: (step, main, minor, trace), where main is the
 # antecedent of the premise that keeps the conclusion's succedent and minor
-# is the other premise, a whole sequent, or None.  Its chain serves every
+# is the other premise, a whole sequent, or None.  Its step serves every
 # succedent as it is; only the main premise takes one.
-AnteMove = tuple[Chain, Structure, Sequent | None, Trace]
+AnteMove = tuple[Step, Structure, Sequent | None, Trace]
 
 # The first witness of a (node, trace) pair: the move that derived it and
 # each premise's part of the trace, in premise order.
@@ -360,7 +362,7 @@ def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
     if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
         rule = LEX if ant.word is not None else AXIOM
-        return ((rule, (), ant),), (), ()
+        return (rule, (), None), (), ()
     return None
 
 
@@ -371,29 +373,28 @@ def _right_moves(seq: Sequent) -> List[Move]:
     ant, succ = seq.antecedent, seq.succedent
     if isinstance(succ, Product):
         if isinstance(ant, Bin) and ant.mode == succ.mode:
-            out.append((((PROD_R[succ.mode], (), ant),),
+            out.append(((PROD_R[succ.mode], (), None),
                         (Sequent(ant.left, succ.left),
                          Sequent(ant.right, succ.right)), ()))
     elif isinstance(succ, Over):
         goal = Sequent(Bin(succ.mode, ant, FLeaf(succ.argument)), succ.result)
-        out.append((((OVER_R[succ.mode], (), ant),), (goal,), ()))
+        out.append(((OVER_R[succ.mode], (), None), (goal,), ()))
     elif isinstance(succ, Under):
         goal = Sequent(Bin(succ.mode, FLeaf(succ.argument), ant), succ.result)
-        out.append((((UNDER_R[succ.mode], (), ant),), (goal,), ()))
+        out.append(((UNDER_R[succ.mode], (), None), (goal,), ()))
     elif isinstance(succ, Dia):
         rule = DIA_R[succ.mode]
         if isinstance(ant, Un) and ant.mode == succ.mode:
-            out.append((((rule, (), ant),), (Sequent(ant.body, succ.body),),
+            out.append(((rule, (), None), (Sequent(ant.body, succ.body),),
                         ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
-            out.append((((T_RULE, (), ant), (rule, (), Un(VALUE, ant))),
-                        (Sequent(ant, succ.body),), ()))
+            out.append(((rule, (), ()), (Sequent(ant, succ.body),), ()))
         elif (succ.mode == UMODE and isinstance(ant, Un)
               and ant.mode == VALUE and not ant.has_cmode_node):
             # the succedent-side Unquote, at a quoted root only, where the
             # value-diamond introduction takes the new diamond off at once
-            out.append((((UNQUOTE_SUCC, (), ant),),
+            out.append(((UNQUOTE_SUCC, (), None),
                         (Sequent(ant, Dia(VALUE, succ)),), ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
@@ -401,14 +402,14 @@ def _right_moves(seq: Sequent) -> List[Move]:
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
             goal = Sequent(Un(succ.mode, ant), succ.body)
-            out.append((((BOX_DOWN_R[succ.mode], (), ant),), (goal,), ()))
+            out.append(((BOX_DOWN_R[succ.mode], (), None), (goal,), ()))
     return out
 
 
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
            new: Structure) -> None:
     """Add the move that rewrites the subtree at ``site`` to ``new``."""
-    out.append((((rule, site, ant),), replace(ant, site, new), None, ()))
+    out.append(((rule, site, None), replace(ant, site, new), None, ()))
 
 
 def _quoting(out: List[AnteMove], ant: Structure, site: Site,
@@ -416,7 +417,8 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
              rewrite: Callable[[Structure], Optional[Structure]]) -> None:
     """Add the move that applies ``rewrite`` to ``node``, the subtree at
     ``site``, which needs a value diamond at ``below`` it: the rewrite
-    alone if one is there, else after a T that quotes that subtree."""
+    alone if one is there, else after a T that quotes that subtree, fused
+    in front of the rewrite at ``site + below``."""
     target = subtree(node, below)
     if isinstance(target, Un) and target.mode == VALUE:
         _plain(out, ant, site, rule, rewrite(node))
@@ -425,12 +427,10 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
         # the unit only ever exists to be consumed by Root; quoting a
         # context that contains it leads nowhere
         return
-    quoted = replace(node, below, Un(VALUE, target))
-    new = rewrite(quoted)
+    new = rewrite(replace(node, below, Un(VALUE, target)))
     assert new is not None
-    out.append((((T_RULE, site + below, ant),
-                 (rule, site, replace(ant, site, quoted))),
-                replace(ant, site, new), None, ()))
+    out.append(((rule, site, site + below), replace(ant, site, new), None,
+                ()))
 
 
 def _antecedent_moves(ant: Structure) -> List[AnteMove]:
@@ -469,13 +469,13 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             # a c-mode functor with a word takes scope (``scope_firing``)
             firing = () if mode != CMODE or a.word is None \
                 else ((a.word, a.pos),)
-            out.append((((OVER_L[mode], site, ant),),
+            out.append(((OVER_L[mode], site, None),
                         replace(ant, site, FLeaf(f.result)),
                         Sequent(b, f.argument), firing))
         if (isinstance(b, FLeaf) and isinstance(b.formula, Under)
                 and b.formula.mode == mode):
             f = b.formula
-            out.append((((UNDER_L[mode], site, ant),),
+            out.append(((UNDER_L[mode], site, None),
                         replace(ant, site, FLeaf(f.result)),
                         Sequent(a, f.argument), ()))
         if mode == CMODE:
@@ -519,9 +519,7 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
                    Bin(f.mode, FLeaf(f.left), FLeaf(f.right)))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
-            mid = replace(ant, site, Un(VALUE, node))
-            out.append((((T_RULE, site, ant),
-                         (BOX_DOWN_L[VALUE], site, mid)),
+            out.append(((BOX_DOWN_L[VALUE], site, site),
                         replace(ant, site, FLeaf(f.body)), None, ()))
         if not site and f.has_cmode:  # Root, as at a surface-mode root
             _plain(out, ant, site, ROOT_F, _root_fwd(ant))
@@ -536,15 +534,19 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             _plain(out, ant, site, UNQUOTE_ANTE, new)
 
 
-def _apply_chain(seq: Sequent, steps: Chain,
-                 premises: Tuple[Derivation, ...]) -> Derivation:
-    """The derivation a move at ``seq`` builds over ``premises``: step 0
-    concludes ``seq``, a later step its antecedent under that succedent."""
-    for rule, site, ant in reversed(steps[1:]):
-        premises = (Derivation(rule, Sequent(ant, seq.succedent), premises,
-                               site),)
-    rule, site, _ant = steps[0]
-    return Derivation(rule, seq, premises, site)
+def _apply_step(seq: Sequent, step: Step,
+                premises: Tuple[Derivation, ...]) -> Derivation:
+    """The derivation a move at ``seq`` builds over ``premises``: its rule
+    at its site, under the T its step fuses in front of the rule, if any.
+    The one place that builds the sequent such a T passes through."""
+    rule, site, quote = step
+    if quote is None:
+        return Derivation(rule, seq, premises, site)
+    ant = seq.antecedent
+    quoted = Sequent(replace(ant, quote, Un(VALUE, subtree(ant, quote))),
+                     seq.succedent)
+    consumer = Derivation(rule, quoted, premises, site)
+    return Derivation(T_RULE, seq, (consumer,), quote)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +631,10 @@ class MoveTable:
     on the antecedent alone (``_antecedent_moves``), and the search reaches
     one antecedent under several succedents (``s0``, ``s-``, ``<>s0``,
     ``<p>s0``), so its list is generated once per antecedent and kept in
-    ``halves`` under its ``key``.  A chain names antecedents only (see
+    ``halves`` under its ``key``.  A step names a rule and sites only (see
     ``Move``), so assembling a sequent builds just the list's main
     premises under its succedent, and every sequent over the antecedent
-    shares each move's chain tuple and minor premise.  Each move carries
+    shares each move's step tuple and minor premise.  Each move carries
     its scope trace, which depends on the move alone (see ``Move``).
 
     Premises are built, not interned: a search keys every node by
@@ -676,17 +678,14 @@ class MoveTable:
         if ante_moves is None:
             ante_moves = self.halves[ant.key] = _antecedent_moves(ant)
         out = _right_moves(seq)
-        self._thread(out, seq.succedent, ante_moves)
-        return out
-
-    def _thread(self, out: List[Move], succ: Formula,
-                ante_moves: List[AnteMove]) -> None:
-        """Add ``ante_moves`` under the succedent ``succ``: each keeps its
-        chain and its minor premise and gets its main premise."""
-        for steps, main, minor, trace in ante_moves:
+        # each antecedent move keeps its step and its minor premise and gets
+        # its main premise under the succedent
+        succ = seq.succedent
+        for step, main, minor, trace in ante_moves:
             first = Sequent(main, succ)
-            out.append((steps, (first,) if minor is None
+            out.append((step, (first,) if minor is None
                         else (first, minor), trace))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1044,11 +1043,11 @@ def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,
     refers to itself through its own cell, and that cycle would keep the
     call's whole sequent graph alive until the cyclic collector next ran.
     """
-    (steps, premises, _own), parts = solved[seq.key][trace]
+    (step, premises, _own), parts = solved[seq.key][trace]
     subs = []
     for premise, part in zip(premises, parts):
         subs.append(_extract(solved, premise, part))
-    return _apply_chain(seq, steps, tuple(subs))
+    return _apply_step(seq, step, tuple(subs))
 
 
 # ---------------------------------------------------------------------------

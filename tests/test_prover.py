@@ -20,10 +20,10 @@ from polagram.cli import BUILTIN_CORPUS
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _antecedent_moves,
-    _apply_chain, _kprime, _left_bwd, _left_fwd, _plain, _quoting,
-    _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
+    _apply_step, _expected_premises, _kprime, _left_bwd, _left_fwd, _plain,
+    _quoting, _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
     _skeleton_refutes, _unquote_ante, replace, scope_firing,
-    structure_from_dict, structure_to_dict,
+    structure_from_dict, structure_to_dict, subtree,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -261,21 +261,21 @@ def test_enumerate_includes_root_forward(lex):
     # Root introduces its unit at the root of an antecedent whose leaves
     # hold a continuation functor, and not where nothing could consume it
     goal = seq("nobody * (saw * anybody)", "s0", lex)
-    roots = [(steps, premises)
-             for steps, premises, _trace in MoveTable().moves_of(goal)
-             if steps[0][0] == ROOT_F]
-    assert roots == [(((ROOT_F, (), goal.antecedent),),
+    roots = [(step, premises)
+             for step, premises, _trace in MoveTable().moves_of(goal)
+             if step[0] == ROOT_F]
+    assert roots == [((ROOT_F, (), None),
                       (seq("(nobody * (saw * anybody)) *c 1", "s0", lex),))]
     plain = seq("alice * (saw * bob)", "s0", lex)
-    assert all(steps[0][0] != ROOT_F
-               for steps, _p, _trace in MoveTable().moves_of(plain))
+    assert all(step[0] != ROOT_F
+               for step, _p, _trace in MoveTable().moves_of(plain))
 
 
 def test_enumerate_right_forward(lex):
     goal = seq("(<>np * everybody) *c np", "s0", lex)
     results = [premises
-               for steps, premises, _trace in MoveTable().moves_of(goal)
-               if steps == ((RIGHT_F, (), goal.antecedent),)]
+               for step, premises, _trace in MoveTable().moves_of(goal)
+               if step == (RIGHT_F, (), None)]
     # compared as printed: the premise keeps the goal's leaf positions,
     # which a fresh parse of its text would number afresh
     assert [[str(p) for p in premises] for premises in results] \
@@ -301,9 +301,9 @@ def test_the_focus_descends_only_toward_a_scope_taker(lex, antecedent,
     # the context holds.  Root→ makes the whole antecedent the focus, and
     # is offered only where it holds such a formula
     goal = seq(antecedent, "s0", lex)
-    offered = {steps[-1][0] for steps, _premises, _trace
+    offered = {step[0] for step, _premises, _trace
                in MoveTable().moves_of(goal)
-               if steps[-1][1] == ()}
+               if step[1] == ()}
     assert offered & {ROOT_F, LEFT_F, RIGHT_F} == descents
 
 
@@ -312,10 +312,9 @@ def test_enumerate_deterministic_order(lex):
     again = seq("nobody * (saw * anybody)", "s0", lex)
 
     def listing(at):
-        return [[(str(r), s, Sequent(a, at.succedent).key)
-                 for r, s, a in steps]
-                + [p.key for p in premises]
-                for steps, premises, _trace in MoveTable().moves_of(at)]
+        return [[str(rule), site, quote] + [p.key for p in premises]
+                for (rule, site, quote), premises, _trace
+                in MoveTable().moves_of(at)]
 
     assert listing(goal) == listing(goal) == listing(again)
 
@@ -357,15 +356,16 @@ def test_deterministic_output(lex):
         == [d.render() for d in b.derivations]
 
 
-def _chain_cost(steps):
-    """The structural steps of a move's chain, each T among them."""
-    return sum(rule in STRUCTURAL_RULES for rule, _site, _ant in steps)
+def _step_cost(step):
+    """The structural rules a move applies, its fused T among them."""
+    rule, _site, quote = step
+    return (rule in STRUCTURAL_RULES) + (quote is not None)
 
 
 class PlainSearch:
     """The reference search: a plain depth-first search over
     ``MoveTable().moves_of`` under a per-branch cap on structural steps,
-    spent move by move (``_chain_cost``), that repeats no sequent on a
+    spent move by move (``_step_cost``), that repeats no sequent on a
     branch.  It finds one
     derivation per scope trace, and is exponentially slower than ``prove``;
     kept as an independent check of the three-phase search.  A move the
@@ -382,16 +382,20 @@ class PlainSearch:
         if seq.key in path:
             return {}
         every = MoveTable().moves_of(seq)
-        moves = [m for m in every if _chain_cost(m[0]) <= s_rem]
+        moves = [m for m in every if _step_cost(m[0]) <= s_rem]
         self.exhausted = self.exhausted or len(moves) < len(every)
         found = {}
         path.add(seq.key)
-        for steps, premises, own in moves:
-            s2 = s_rem - _chain_cost(steps)
-            # fused chains pass through intermediate sequents, which count
+        for step, premises, own in moves:
+            s2 = s_rem - _step_cost(step)
+            # a fused T passes through the sequent it quotes, which counts
             # toward the branch's no-repeat check too
-            mids = {Sequent(mid, seq.succedent).key
-                    for _r, _s, mid in steps[1:]}
+            mids = set()
+            quote = step[2]
+            if quote is not None:
+                ant = seq.antecedent
+                quoted = replace(ant, quote, Un(VALUE, subtree(ant, quote)))
+                mids.add(Sequent(quoted, seq.succedent).key)
             if mids & path:
                 continue
             path |= mids
@@ -403,7 +407,7 @@ class PlainSearch:
                             for trace, ds in subs.items()
                             for t, d in theirs.items()}
             for trace, ds in subs.items():
-                found.setdefault(own + trace, _apply_chain(seq, steps, ds))
+                found.setdefault(own + trace, _apply_step(seq, step, ds))
             path -= mids
         path.discard(seq.key)
         return found
@@ -526,8 +530,7 @@ def _hand_search(moves):
     node = {name: Sequent(FLeaf(Atom(name)), Atom(name))
             for at, premises, *_rest in moves for name in (at,) + premises}
     for at, premises, trace in moves:
-        step = ((RuleName("Step" if premises else "Axiom"), (),
-                 node[at].antecedent),)
+        step = (RuleName("Step" if premises else "Axiom"), (), None)
         table.listed.setdefault(node[at].key, []).append(
             (step, tuple(node[p] for p in premises), trace))
     result = _search(node["goal"], SearchBudget(), None, table)
@@ -660,25 +663,26 @@ def test_a_shared_move_table_changes_nothing(lex, sentence):
             table = _RecordingTable()
             for goal in order:
                 assert _proofs(prove(goal, table=table)) == fresh[goal.key]
-            # each move's chain starts at its node; each move carries the
-            # scope firing of its last step; an antecedent move holds the
-            # very chain tuple of its antecedent's list, whatever the
-            # succedent
+            # a fused T quotes a site at or below its rule's; each move
+            # carries the scope firing of its rule, and a move that fires
+            # fuses no T, so the rule reads its node's antecedent; an
+            # antecedent move holds the very step tuple of its antecedent's
+            # list, whatever the succedent
             checked += len(table.expanded)
             for key, (node, moves) in table.expanded.items():
                 assert node.key == key
-                for steps, premises, trace in moves:
-                    assert Sequent(steps[0][2], node.succedent).key == key
-                    rule, site, antecedent = steps[-1]
-                    firing = scope_firing(rule, antecedent, site)
+                for (rule, site, quote), premises, trace in moves:
+                    assert quote is None or quote[:len(site)] == site
+                    firing = scope_firing(rule, node.antecedent, site)
                     assert trace == (() if firing is None else (firing,))
-                if moves and moves[0][0][0][0] in (AXIOM, LEX):
+                    assert firing is None or quote is None
+                if moves and moves[0][0][0] in (AXIOM, LEX):
                     continue  # the axiom alone; no half was read
-                half = [steps for steps, *_rest
+                half = [step for step, *_rest
                         in table.halves[node.antecedent.key]]
-                ids = {id(steps) for steps in half}
-                threaded = [steps for steps, *_rest in moves
-                            if id(steps) in ids]
+                ids = {id(step) for step in half}
+                threaded = [step for step, *_rest in moves
+                            if id(step) in ids]
                 assert len(threaded) == len(half)
                 assert all(t is h for t, h in zip(threaded, half))
     assert checked
@@ -851,37 +855,35 @@ def _left_moves_at(out, ant, site, node):
             f = left.formula
             rule = RuleName("OverL", node.mode)
             firing = scope_firing(rule, ant, site)
-            out.append((((rule, site, ant),),
+            out.append(((rule, site, None),
                         replace(ant, site, FLeaf(f.result)),
                         Sequent(right, f.argument),
                         () if firing is None else (firing,)))
         if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
                 and right.formula.mode == node.mode):
             f = right.formula
-            out.append((((RuleName("UnderL", node.mode), site, ant),),
+            out.append(((RuleName("UnderL", node.mode), site, None),
                         replace(ant, site, FLeaf(f.result)),
                         Sequent(left, f.argument), ()))
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, Dia):
             new = Un(f.mode, FLeaf(f.body))
-            out.append((((RuleName("DiaL", f.mode), site, ant),),
+            out.append(((RuleName("DiaL", f.mode), site, None),
                         replace(ant, site, new), None, ()))
         elif isinstance(f, Product):
             new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
-            out.append((((RuleName("ProdL", f.mode), site, ant),),
+            out.append(((RuleName("ProdL", f.mode), site, None),
                         replace(ant, site, new), None, ()))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
-            mid = replace(ant, site, Un(VALUE, node))
-            out.append((((T_RULE, site, ant),
-                         (RuleName("BoxDownL", VALUE), site, mid)),
+            out.append(((RuleName("BoxDownL", VALUE), site, site),
                         replace(ant, site, FLeaf(f.body)), None, ()))
     elif isinstance(node, Un):
         body = node.body
         if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
                 and body.formula.mode == node.mode):
             new = FLeaf(body.formula.body)
-            out.append((((RuleName("BoxDownL", node.mode), site, ant),),
+            out.append(((RuleName("BoxDownL", node.mode), site, None),
                         replace(ant, site, new), None, ()))
 
 
@@ -930,7 +932,7 @@ def _reference_moves(ant):
 def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
     # every antecedent whose moves parse_sentence asks for, on both goals
     # of every tree: the walk's moves equal the reference's, move for move
-    # (chain, main premise, minor premise, trace) and in order
+    # (step, main premise, minor premise, trace) and in order
     antecedents = {}
 
     class Recording(MoveTable):
@@ -946,13 +948,56 @@ def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
     assert len(antecedents) == 28509
 
 
+def _offered_moves_checked(node, moves):
+    """Check that each of ``moves``, offered at ``node``, applied over stub
+    premises, is one valid rule application, or a valid T over one; the
+    number checked."""
+    for step, premises, _trace in moves:
+        stubs = tuple(Derivation(AXIOM, premise) for premise in premises)
+        applied = [_apply_step(node, step, stubs)]
+        if step[2] is not None:
+            assert applied[0].rule == T_RULE
+            applied.append(applied[0].premises[0])
+        assert applied[-1].premises is stubs
+        for d in applied:
+            assert _expected_premises(d.rule, d.conclusion, d.site) \
+                == [p.conclusion for p in d.premises], (str(node), step)
+    return len(moves)
+
+
+def test_every_offered_move_is_a_valid_rule_application(lex, monkeypatch):
+    # every move offered at a node that parse_sentence's searches expand
+    # over the grid and both possessives, extracted or not.  Extraction
+    # builds what a fused T passes through, so this checks the T of every
+    # move the search only offers.  The slice fuses T into Right→ and K′
+    # only; the goal after it has the fused value-diamond introduction and
+    # value box-down elimination
+    expanded = {}
+
+    class Recording(MoveTable):
+        def moves_of(self, seq):
+            moves = super().moves_of(seq)
+            expanded[seq.key] = seq, moves
+            return moves
+
+    monkeypatch.setattr(polagram.parser, "MoveTable", Recording)
+    for sentence in GRID + POSSESSIVES:
+        parse_sentence(sentence, lex)
+    assert sum(_offered_moves_checked(node, moves)
+               for node, moves in expanded.values()) == 6129
+    goal = seq("np * []np", "<>(np * np)")
+    moves = MoveTable().moves_of(goal)
+    assert [step for step, *_rest in moves] \
+        == [(RuleName("DiaR"), (), ()), (RuleName("BoxDownL"), (1,), (1,))]
+    _offered_moves_checked(goal, moves)
+
+
 def _listing(seq, moves):
-    """The moves at ``seq`` as plain data: each step's rule, site and
-    conclusion key, the premises' keys and the trace."""
-    return [([(str(rule), site, Sequent(antecedent, seq.succedent).key)
-              for rule, site, antecedent in steps],
+    """The moves at ``seq`` as plain data: the step's rule, site and
+    quote, the premises' keys and the trace."""
+    return [((str(rule), site, quote),
              [premise.key for premise in premises], trace)
-            for steps, premises, trace in moves]
+            for (rule, site, quote), premises, trace in moves]
 
 
 def test_table_moves_equal_fresh_moves(lex):
@@ -1025,7 +1070,7 @@ class AnywhereUnquoteTable(MoveTable):
             # succedent's
             at = len(out) - len(self.halves[ant.key])
             self.extra += 1
-            out.insert(at, (((UNQUOTE_SUCC, (), ant),),
+            out.insert(at, ((UNQUOTE_SUCC, (), None),
                             (Sequent(ant, Dia(VALUE, succ)),), ()))
         return out
 
@@ -1071,7 +1116,10 @@ class DescendAnywhereTable(MoveTable):
                 _quoting(added, ant, site, node, (0, 0), RIGHT_F,
                          _right_fwd)
         self.extra += len(added)
-        self._thread(out, seq.succedent, added)
+        for step, main, minor, trace in added:
+            first = Sequent(main, seq.succedent)
+            out.append((step, (first,) if minor is None
+                        else (first, minor), trace))
         return out
 
 

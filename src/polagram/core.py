@@ -212,11 +212,13 @@ class Structure:
     iff their keys are equal, and a structure hashes as its key, a string
     that caches its own hash, so a tree that is never hashed pays nothing.
 
-    Three flags say what the tree contains, so that no caller needs to read
+    Four flags say what the tree contains, so that no caller needs to read
     the key format: ``has_cmode_node`` (a c-mode node), ``has_unit`` (the
-    unit leaf) and ``has_open_cmode_formula`` (a leaf formula with a c-mode
+    unit leaf), ``has_open_cmode_formula`` (a leaf formula with a c-mode
     connective at an open site, outside every unary node: a scope-taker
-    that no quote or other structural diamond freezes).
+    that no quote or other structural diamond freezes) and
+    ``has_open_quote`` (a value diamond at an open site: the tree is one, or
+    a binary node outside every unary node has one as a child).
 
     One slot is filled lazily, and only by the prover's skeleton check
     (``prover._reductions``): ``skeleton_reductions``, the frozenset of
@@ -228,14 +230,16 @@ class Structure:
     """
 
     __slots__ = ("key", "has_cmode_node", "has_unit",
-                 "has_open_cmode_formula", "skeleton_reductions")
+                 "has_open_cmode_formula", "has_open_quote",
+                 "skeleton_reductions")
 
     def _finish(self, key: str, cmode_node: bool, unit: bool,
-                open_cmode_formula: bool) -> None:
+                open_cmode_formula: bool, open_quote: bool) -> None:
         self.key = key
         self.has_cmode_node = cmode_node
         self.has_unit = unit
         self.has_open_cmode_formula = open_cmode_formula
+        self.has_open_quote = open_quote
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Structure) and self.key == other.key)
@@ -264,14 +268,14 @@ class FLeaf(Structure):
         self.pos = pos
         key = "F" + formula.key if word is None and pos is None \
             else f"F[{word}@{pos}]{formula.key}"
-        self._finish(key, False, False, formula.has_cmode)
+        self._finish(key, False, False, formula.has_cmode, False)
 
 
 class UnitLeaf(Structure):
     __slots__ = ()
 
     def __init__(self):
-        self._finish("!", False, True, False)
+        self._finish("!", False, True, False, False)
 
 
 class Bin(Structure):
@@ -288,7 +292,8 @@ class Bin(Structure):
                      or right.has_cmode_node,
                      left.has_unit or right.has_unit,
                      left.has_open_cmode_formula
-                     or right.has_open_cmode_formula)
+                     or right.has_open_cmode_formula,
+                     left.has_open_quote or right.has_open_quote)
 
 
 class Un(Structure):
@@ -299,9 +304,10 @@ class Un(Structure):
             raise ValueError(f"bad unary mode {mode!r}")
         self.mode = mode
         self.body = body
-        # no site lies in the body (the move walk stops at a unary node)
+        # no site lies in the body (the move walk stops at a unary node),
+        # so only the node itself can be an open quote
         self._finish(f"U{mode}({body.key})", body.has_cmode_node,
-                     body.has_unit, False)
+                     body.has_unit, False, mode == VALUE)
 
 
 UNIT_LEAF = UnitLeaf()

@@ -30,7 +30,7 @@ The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
 and the moves offered follow that normal form, which keeps the reachable
 sequent graph finite and small (details at the move generator and in
-``prove``).  Five economies matter, all invisible in the derivations
+``prove``).  Six economies matter, all invisible in the derivations
 returned, which always consist of single honest rule applications:
 
 * T is never applied blindly; it is fused into the moves that consume the
@@ -55,6 +55,11 @@ returned, which always consist of single honest rule applications:
   introduction consumes at once.  Anywhere else the steps between the
   Unquote and that consumer read the antecedent alone, so they can come
   first (the argument is in ``prove``).
+* K′ merges quotes innermost first: the T fused into it never quotes a
+  pair that holds an open quote, a value diamond outside every unary
+  node.  The K′ moves inside the pair merge that quote first, and then
+  the pair is a quote and K′ merges it with no T (the argument is in
+  ``prove``).
 
 ``prove`` derives, by a plain fixpoint over the reachable sequent graph,
 every scope trace of every node with the first witness of each, and then
@@ -501,10 +506,16 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
                 # only where a c-mode functor outside every quote could
                 # consume the context; a formula leaf's root does the same
                 _plain(out, ant, site, ROOT_F, _root_fwd(ant))
+            # K′ merges a quote with its sibling, under a fused T unless the
+            # sibling is a quote too.  Quotes merge innermost first: T never
+            # wraps a pair that holds an open quote, which the moves at the
+            # pair's own sites merge first (see ``prove``)
             if isinstance(a, Un) and a.mode == VALUE:
-                _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
+                if not (b.has_open_quote and isinstance(b, Bin)):
+                    _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
             elif isinstance(b, Un) and b.mode == VALUE:
-                _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
+                if not (a.has_open_quote and isinstance(a, Bin)):
+                    _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
             # with neither side quoted, a single T on the whole pair reaches
             # the same sequent in fewer steps, via the consumer of that
             # diamond
@@ -661,11 +672,12 @@ class MoveTable:
         collapses of c-mode functors.  Everything else waits for a
         continuation-free antecedent.  Root→, Left→ and Right→ make a
         constituent the focus only where it holds a c-mode formula outside
-        every unary node, a scope-taker that no quote freezes, and the
+        every unary node, a scope-taker that no quote freezes; the
         succedent-side Unquote is offered only at a quoted root: an
         antecedent that is itself a value diamond, so that the diamond
-        introduction cancels the new diamond at once (``prove`` says why
-        these gates lose nothing).
+        introduction cancels the new diamond at once; and K′ quotes no
+        pair that holds an open quote, so quotes merge innermost first
+        (``prove`` says why these gates lose nothing).
         """
         axiom = _axiom_move(seq)
         if axiom is not None:
@@ -869,7 +881,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     reads the firings in preorder, the order in which phase 2 joins
     traces), so each reading found is returned once.
 
-    An empty result is a refutation, given three premises.
+    An empty result is a refutation, given four premises.
 
     * Normal form, a claim not proved here: a derivation has one of the
       same scope trace in the normal form the move table offers (T fused
@@ -923,6 +935,31 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       focus.  The claim is that such a sequent adds no scope trace; a
       table that also offers every withheld descent and Root→ finds the
       same goal traces on every sentence tested.
+    * Quotes merge innermost first, argued in part.  K′ merges a quote
+      ``◇A`` with its sibling ``X`` under a fused T only when ``X`` is no
+      pair that holds an open quote, a value diamond outside every unary
+      node.  Take a withheld move at ``Γ[◇A ∘ X] ⊢ G``, where the open
+      quotes of ``X`` are ``◇Y1``, ..., ``◇Yk``, and let ``X°`` be ``X``
+      with those k diamonds dropped.  K′ is offered only while no context
+      is live, so every pair in the antecedent is a surface-mode node, and
+      a fused T never quotes the unit, so ``X`` holds none.  By induction
+      on the size of ``X``, offered moves turn ``X`` into ``◇X°``: first
+      each side of ``X`` that is a pair with an open quote becomes a
+      quote; then each side is a quote or holds no open quote, one of
+      them is a quote, and K′ at ``X`` is offered, under a fused T or,
+      when both sides are quotes, plain.  The plain K′ with ``◇A`` then
+      reaches ``Γ[◇(A ∘ X°)] ⊢ G``, and none of these moves fires.  k
+      T steps, at the sites of ``Y1``, ..., ``Yk``, take that sequent to
+      the withheld move's premise ``Γ[◇(A ∘ X)] ⊢ G``, so a derivation of
+      the premise, under them, derives it with the same scope trace, as
+      T fires nothing.
+      Not covered, and a claim: that the table derives that trace at
+      ``Γ[◇(A ∘ X°)] ⊢ G``.  That is the normal-form premise, for a
+      derivation whose T steps sit inside a quote, and its normal form
+      may again use a withheld move, so no induction is shown to end.  A
+      table that also offers every withheld K′ (``QuoteAnywhereTable`` in
+      the tests) finds the same goal traces on the grid, both possessives
+      and the whole ditransitive frame.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  A call derives into

@@ -141,6 +141,10 @@ def test_structure_flags_match_key_probes(s):
     assert s.has_open_cmode_formula == any(
         isinstance(node, FLeaf) and _has_cmode_connective(node.formula.key)
         for _site, node in _open_sites(s))
+    # so does a quote: a value-mode unary node at an open site
+    assert s.has_open_quote == any(
+        isinstance(node, Un) and node.mode == VALUE
+        for _site, node in _open_sites(s))
 
 
 # -- structures and sequents -------------------------------------------------

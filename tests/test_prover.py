@@ -887,8 +887,14 @@ def _left_moves_at(out, ant, site, node):
                         replace(ant, site, new), None, ()))
 
 
-def _structural_moves_at(out, ant, site, node):
-    """Add the postulate moves at one site, with T fused into consumers."""
+def _is_quote(st):
+    return isinstance(st, Un) and st.mode == VALUE
+
+
+def _structural_moves_at(out, ant, site, node, quote_anywhere=False):
+    """Add the postulate moves at one site, with T fused into consumers.
+    K′ quotes a sibling that is no quote only if it holds no open quote,
+    unless ``quote_anywhere``."""
     if (not site and not ant.has_cmode_node and not ant.has_unit
             and ant.has_open_cmode_formula):
         _plain(out, ant, site, ROOT_F, _root_fwd(node))
@@ -908,16 +914,20 @@ def _structural_moves_at(out, ant, site, node):
         if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
             _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
     if isinstance(node, Bin) and node.mode == DEFAULT:
-        if isinstance(node.left, Un) and node.left.mode == VALUE:
-            _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
-        elif isinstance(node.right, Un) and node.right.mode == VALUE:
-            _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
+        left, right = node.left, node.right
+        if _is_quote(left):
+            if (quote_anywhere or _is_quote(right)
+                    or not right.has_open_quote):
+                _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
+        elif _is_quote(right):
+            if quote_anywhere or not left.has_open_quote:
+                _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
     new = _unquote_ante(node)
     if new is not None:
         _plain(out, ant, site, UNQUOTE_ANTE, new)
 
 
-def _reference_moves(ant):
+def _reference_moves(ant, quote_anywhere=False):
     """The moves at ``ant`` in site order, each site's left moves, then its
     structural moves: the spine sites while a context is live, else the
     open sites."""
@@ -925,7 +935,7 @@ def _reference_moves(ant):
     out = []
     for site, node in sites:
         _left_moves_at(out, ant, site, node)
-        _structural_moves_at(out, ant, site, node)
+        _structural_moves_at(out, ant, site, node, quote_anywhere)
     return out
 
 
@@ -945,7 +955,7 @@ def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
         parse_sentence(sentence, lex)
     for key, ant in antecedents.items():
         assert _antecedent_moves(ant) == _reference_moves(ant), key
-    assert len(antecedents) == 28509
+    assert len(antecedents) == 13642
 
 
 def _offered_moves_checked(node, moves):
@@ -984,7 +994,7 @@ def test_every_offered_move_is_a_valid_rule_application(lex, monkeypatch):
     for sentence in GRID + POSSESSIVES:
         parse_sentence(sentence, lex)
     assert sum(_offered_moves_checked(node, moves)
-               for node, moves in expanded.values()) == 6129
+               for node, moves in expanded.values()) == 4252
     goal = seq("np * []np", "<>(np * np)")
     moves = MoveTable().moves_of(goal)
     assert [step for step, *_rest in moves] \
@@ -1015,7 +1025,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.expanded)
             antecedents += len(table.halves)
-    assert (expanded, antecedents) == (7159, 4497)
+    assert (expanded, antecedents) == (5379, 3357)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -1023,19 +1033,19 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
     table = _RecordingTable()
-    # the second goal expands only the 94 sequents the first left
-    # unreached, where a search of its own expands 468: each search
+    # the second goal expands only the 65 sequents the first left
+    # unreached, where a search of its own expands 328: each search
     # asks for the moves of each node it expands once, and solves exactly
     # the sequents it expands
-    for goal_type, expanded, total in zip(GOAL_TYPES, (406, 94),
-                                          (406, 500)):
+    for goal_type, expanded, total in zip(GOAL_TYPES, (285, 65),
+                                          (285, 350)):
         calls = table.calls
         prove(Sequent(tree, goal_type), table=table)
         assert table.calls - calls == expanded
         assert table.solved.keys() == table.expanded.keys()
         assert len(table.solved) == len(table.expanded) == total
-    assert len(table.solved) == 500
-    assert len(table.halves) == 292
+    assert len(table.solved) == 350
+    assert len(table.halves) == 202
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
@@ -1123,6 +1133,25 @@ class DescendAnywhereTable(MoveTable):
         return out
 
 
+class QuoteAnywhereTable(MoveTable):
+    """The move table with K′ also offered under a fused T that quotes a
+    pair holding an open quote, in the place the move had among the others
+    (``_reference_moves`` with ``quote_anywhere``).  ``extra`` counts the
+    moves it added, once per antecedent list."""
+
+    def __init__(self):
+        super().__init__()
+        self.extra = 0
+
+    def moves_of(self, seq):
+        ant = seq.antecedent
+        if ant.key not in self.halves:
+            moves = self.halves[ant.key] = _reference_moves(
+                ant, quote_anywhere=True)
+            self.extra += len(moves) - len(_antecedent_moves(ant))
+        return super().moves_of(seq)
+
+
 def _goal_traces(goal, table):
     """The scope traces phase 2 derives for ``goal``, in the order ``prove``
     returns them: one derivation each, with no cap on readings."""
@@ -1132,18 +1161,18 @@ def _goal_traces(goal, table):
     return [extract_reading(d).scope_order for d in result.derivations]
 
 
-# the slice of both oracle tables, fixed before each was first run: the grid
+# the slice of the oracle tables, fixed before each was first run: the grid
 # and both possessives
 ORACLE_SLICE = GRID + POSSESSIVES
 
 
-def _extra_after_equal_traces(lex, oracle_table):
-    """Check that every (tree, goal) search over ``ORACLE_SLICE`` derives
-    the same goal traces on a ``MoveTable`` as on ``oracle_table()``, so
-    finds the same readings, each table shared by the goals of its tree;
-    the oracle tables' ``extra`` counts, summed."""
+def _extra_after_equal_traces(lex, oracle_table, sentences=ORACLE_SLICE):
+    """Check that every (tree, goal) search over ``sentences`` derives the
+    same goal traces on a ``MoveTable`` as on ``oracle_table()``, so finds
+    the same readings, each table shared by the goals of its tree; the
+    oracle tables' ``extra`` counts, summed."""
     extra = 0
-    for sentence in ORACLE_SLICE:
+    for sentence in sentences:
         for tree in bracketings(tokenize(sentence, lex), lex):
             table, oracle = MoveTable(), oracle_table()
             for goal_type in GOAL_TYPES:
@@ -1156,7 +1185,7 @@ def _extra_after_equal_traces(lex, oracle_table):
 
 def test_unquote_at_a_quoted_root_loses_nothing(lex):
     # against a table that also offers the Unquote everywhere it used to
-    assert _extra_after_equal_traces(lex, AnywhereUnquoteTable) == 968
+    assert _extra_after_equal_traces(lex, AnywhereUnquoteTable) == 582
 
 
 def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
@@ -1164,6 +1193,12 @@ def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
     # formulas are none or all quoted, and opens a context at an antecedent
     # whose c-mode formulas are all quoted
     assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 27850
+
+
+def test_merging_quotes_innermost_first_loses_nothing(lex):
+    # against a table that also quotes, for K′, a pair that holds an open
+    # quote
+    assert _extra_after_equal_traces(lex, QuoteAnywhereTable) == 138
 
 
 # -- the skeleton check -------------------------------------------------------

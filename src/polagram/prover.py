@@ -30,13 +30,20 @@ The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
 and the moves offered follow that normal form, which keeps the reachable
 sequent graph finite and small (details at the move generator and in
-``prove``).  Six economies matter, all invisible in the derivations
+``prove``).  Eight economies matter, all invisible in the derivations
 returned, which always consist of single honest rule applications:
 
-* T is never applied blindly; it is fused into the moves that consume the
-  diamond it creates (Right rotations, K' merges, value-diamond introduction,
-  value box-down elimination).  Any derivation can be normalized into this
-  shape by commuting each T down to its consumer.
+* A producer is fused into its consumer: a step whose only use is the one
+  step after it is offered only together with that step, as one move.  T
+  is never applied blindly; it is fused into the moves that consume the
+  diamond it creates (Right rotations, K' merges, value-diamond
+  introduction, value box-down elimination), and any derivation can be
+  normalized into this shape by commuting each T down to its consumer.
+  The succedent-side Unquote is fused into the value-diamond introduction
+  that takes its new diamond off, and the box-down introduction at
+  ``□m ◇m A`` into the diamond introduction that takes its diamond off,
+  the one move at the sequent between them (unfused where the wrapped
+  antecedent has a move of its own).
 * Root introduces its unit at the antecedent root only, one live context at
   a time; rotated contexts still reach every position because rotation
   happens before and after each collapse of a continuation functor.
@@ -50,6 +57,10 @@ returned, which always consist of single honest rule applications:
   could only climb back out of it, undoing the descent or the Root→ and
   leaving quotes that the fused T adds where they are consumed (the
   argument is in ``prove``).
+* Left← and Right← climb toward the unit: no move takes the unit into the
+  focus, where nothing can fire or close the cycle until it leaves again.
+  So the unit always stays in the context, and the one climb out of a
+  focus inverts the descent into it (the argument is in ``prove``).
 * The succedent-side Unquote is offered only at a quoted root, an
   antecedent that is itself a value diamond, which the value-diamond
   introduction consumes at once.  Anywhere else the steps between the
@@ -60,6 +71,11 @@ returned, which always consist of single honest rule applications:
   node.  The K′ moves inside the pair merge that quote first, and then
   the pair is a quote and K′ merges it with no T (the argument is in
   ``prove``).
+* K′ merges quotes after the polarity switch: it is not offered under a
+  box-down succedent.  The box-down introduction freezes the antecedent
+  until the diamond introduction removes its wrapper, and an elimination
+  carries the merged pair whole into one premise, so the merge can wait
+  (the argument is in ``prove``).
 
 ``prove`` derives, by a plain fixpoint over the reachable sequent graph,
 every scope trace of every node with the first witness of each, and then
@@ -75,12 +91,13 @@ as it is, and the derivations of the first search on a table too:
   empties that map, as a tabling engine discards its incomplete tables
   on an abort (``MoveTable``).
 * A sequent's moves are the succedent's moves, then the antecedent's one
-  list.  Every move but the axiom, the right rules and the
-  succedent-side Unquote depends on the antecedent alone, and a move's
-  step names a rule and sites, no structure, so the table generates that
-  list once per antecedent; a succedent the search reaches it under only
-  gets its premises (``MoveTable``).  The sequent a fused T passes through
-  is built only when a derivation is extracted (``_apply_step``).
+  list.  Every move but the axiom and the right rules depends on the
+  antecedent alone (K′ only asks that the succedent be no box-down), and
+  a move's step names rules and sites, no structure, so the table
+  generates that list once per antecedent; a succedent the search reaches
+  it under only gets its premises (``MoveTable``).  The sequent a fused
+  step passes through is built only when a derivation is extracted
+  (``_apply_step``).
 * One walk generates an antecedent's list, site by site, dispatching
   once per site on the node's class and mode (``_walk``).  While a
   context is live it enters only the subtrees that hold a c-mode node and
@@ -255,16 +272,27 @@ def subtree(st: Structure, site: Site) -> Structure:
 
 
 def replace(st: Structure, site: Site, new: Structure) -> Structure:
-    if not site:
-        return new
-    step, rest = site[0], site[1:]
-    if isinstance(st, Bin):
-        if step == 0:
-            return Bin(st.mode, replace(st.left, rest, new), st.right)
-        return Bin(st.mode, st.left, replace(st.right, rest, new))
-    if isinstance(st, Un):
-        return Un(st.mode, replace(st.body, rest, new))
-    raise IndexError(f"no subtree at {site}")
+    """``st`` with its subtree at ``site`` replaced by ``new``: one walk
+    down the site, step by step, then the ancestors it passed rebuilt
+    bottom-up around ``new``."""
+    path = []
+    for step in site:
+        path.append((st, step))
+        if isinstance(st, Bin):
+            st = st.right if step else st.left
+        elif isinstance(st, Un):
+            st = st.body
+        else:
+            raise IndexError(f"no subtree at {site}")
+    while path:
+        parent, step = path.pop()
+        if isinstance(parent, Un):
+            new = Un(parent.mode, new)
+        elif step:
+            new = Bin(parent.mode, parent.left, new)
+        else:
+            new = Bin(parent.mode, new, parent.right)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +368,18 @@ def _unquote_ante(st: Structure) -> Optional[Structure]:
 # (``scope_firing``), outermost first.
 Trace = tuple[tuple[str, int | None], ...]
 
-# A move is (step, premises, trace).  Its step, (rule, site, quote), applies
-# rule at site of the sequent the move sits at; quote is None, or the site
-# of the T fused in front of the rule, which quotes the subtree there under
-# a value diamond for the rule to consume.  Every fused T is followed by its
-# consumer alone, so a step says all that a move applies, and names no
-# structure: ``_apply_step`` builds the sequent a fused T passes through
-# when a derivation is extracted.  premises are the rule's subgoals, and
-# trace is its scope firing as a 1-tuple, or ().
-Step = tuple[RuleName, Site, Site | None]
+# A move is (step, premises, trace).  Its step, (rule, site, fused), applies
+# rule at site of the sequent the move sits at; fused is None, or the
+# (rule, site) of the one step fused in front of the rule, a producer whose
+# only use is the rule, its consumer: a T that quotes the subtree at its
+# site under a value diamond, the succedent-side Unquote whose new diamond
+# the value-diamond introduction takes off, or a box-down introduction
+# whose diamond the diamond introduction takes off.  Every fused step is
+# followed by its consumer alone, so a step says all that a move applies,
+# and names no structure: ``_apply_step`` builds the sequent a fused step
+# passes through when a derivation is extracted.  premises are the rule's
+# subgoals, and trace is its scope firing as a 1-tuple, or ().
+Step = tuple[RuleName, Site, tuple[RuleName, Site] | None]
 Move = tuple[Step, tuple[Sequent, ...], Trace]
 
 # An antecedent move is a move that reads the antecedent alone, with the
@@ -394,21 +425,40 @@ def _right_moves(seq: Sequent) -> List[Move]:
                         ()))
         elif succ.mode == VALUE:
             # fuse a T on the whole antecedent with the diamond introduction
-            out.append(((rule, (), ()), (Sequent(ant, succ.body),), ()))
+            out.append(((rule, (), (T_RULE, ())), (Sequent(ant, succ.body),),
+                        ()))
         elif (succ.mode == UMODE and isinstance(ant, Un)
               and ant.mode == VALUE and not ant.has_cmode_node):
-            # the succedent-side Unquote, at a quoted root only, where the
-            # value-diamond introduction takes the new diamond off at once
-            out.append(((UNQUOTE_SUCC, (), None),
-                        (Sequent(ant, Dia(VALUE, succ)),), ()))
+            # the succedent-side Unquote, at a quoted root only, fused with
+            # the value-diamond introduction that takes its new diamond off
+            out.append(((DIA_R[VALUE], (), (UNQUOTE_SUCC, ())),
+                        (Sequent(ant.body, succ),), ()))
     elif isinstance(succ, BoxDown):
         # box-down introduction applies to any antecedent at all, so it waits
         # for the pause between continuation cycles; decomposing while a
         # c-node is live only multiplies interleavings of the same proofs
         if not ant.has_cmode_node:
-            goal = Sequent(Un(succ.mode, ant), succ.body)
-            out.append(((BOX_DOWN_R[succ.mode], (), None), (goal,), ()))
+            mode, body = succ.mode, succ.body
+            if (isinstance(body, Dia) and body.mode == mode
+                    and not _wrapper_has_moves(ant, mode)):
+                # the diamond introduction is the one move at the premise,
+                # so it is fused with the box-down introduction
+                out.append(((DIA_R[mode], (), (BOX_DOWN_R[mode], ())),
+                            (Sequent(ant, body.body),), ()))
+            else:
+                goal = Sequent(Un(mode, ant), body)
+                out.append(((BOX_DOWN_R[mode], (), None), (goal,), ()))
     return out
+
+
+def _wrapper_has_moves(ant: Structure, mode: str) -> bool:
+    """Whether ``⟨mode⟩ant`` has an antecedent move of its own: the
+    box-down elimination, at a box-down formula leaf of ``mode``, or the
+    antecedent-side Unquote, at a value diamond over a u-diamond."""
+    if isinstance(ant, FLeaf):
+        f = ant.formula
+        return isinstance(f, BoxDown) and f.mode == mode
+    return mode == VALUE and isinstance(ant, Un) and ant.mode == UMODE
 
 
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
@@ -434,8 +484,8 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
         return
     new = rewrite(replace(node, below, Un(VALUE, target)))
     assert new is not None
-    out.append(((rule, site, site + below), replace(ant, site, new), None,
-                ()))
+    out.append(((rule, site, (T_RULE, site + below)),
+                replace(ant, site, new), None, ()))
 
 
 def _antecedent_moves(ant: Structure) -> List[AnteMove]:
@@ -452,7 +502,9 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
     """Add the moves at the sites of ``ant`` in ``node``, its subtree at
     ``site``, with T fused into its consumers: children before parents,
     left to right, one dispatch per site on the node's class and mode, and
-    at each site its left moves, then its structural moves.
+    at each site its left moves, then its structural moves.  The rotations
+    move the focus down only toward an open scope-taker and up only toward
+    the unit, and K′ merges quotes innermost first (see ``prove``).
 
     The walk stops at unary nodes: a quoted (or otherwise boxed) subtree is
     opaque until the wrapper is consumed, so moves strictly inside it
@@ -488,12 +540,15 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
                 _plain(out, ant, site, ROOT_B, _root_bwd(node))
             # Left→ and Right→ descend the focus into a.left and a.right;
             # they go only toward a scope-taker that no unary node freezes,
-            # since any other focus can only climb back out (see ``prove``)
+            # since any other focus can only climb back out (see ``prove``).
+            # Left← and Right← climb toward the unit, never taking it into
+            # the focus: Left← is not offered where b.left holds it, and
+            # Right←'s fused T refuses to quote it
             down = isinstance(a, Bin) and a.mode == DEFAULT
             up = isinstance(b, Bin) and b.mode == DEFAULT
             if down and a.left.has_open_cmode_formula:
                 _plain(out, ant, site, LEFT_F, _left_fwd(node))
-            if up:
+            if up and not b.left.has_unit:
                 _plain(out, ant, site, LEFT_B, _left_bwd(node))
             if down and a.right.has_open_cmode_formula:
                 _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
@@ -530,7 +585,7 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
                    Bin(f.mode, FLeaf(f.left), FLeaf(f.right)))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
             # needs a quoting step before the value box-down can be dropped
-            out.append(((BOX_DOWN_L[VALUE], site, site),
+            out.append(((BOX_DOWN_L[VALUE], site, (T_RULE, site)),
                         replace(ant, site, FLeaf(f.body)), None, ()))
         if not site and f.has_cmode:  # Root, as at a surface-mode root
             _plain(out, ant, site, ROOT_F, _root_fwd(ant))
@@ -548,16 +603,24 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
 def _apply_step(seq: Sequent, step: Step,
                 premises: Tuple[Derivation, ...]) -> Derivation:
     """The derivation a move at ``seq`` builds over ``premises``: its rule
-    at its site, under the T its step fuses in front of the rule, if any.
-    The one place that builds the sequent such a T passes through."""
-    rule, site, quote = step
-    if quote is None:
+    at its site, under the step fused in front of the rule, if any (a T,
+    the succedent-side Unquote or a box-down introduction).  The one place
+    that builds the sequent such a fused step passes through."""
+    rule, site, fused = step
+    if fused is None:
         return Derivation(rule, seq, premises, site)
-    ant = seq.antecedent
-    quoted = Sequent(replace(ant, quote, Un(VALUE, subtree(ant, quote))),
-                     seq.succedent)
-    consumer = Derivation(rule, quoted, premises, site)
-    return Derivation(T_RULE, seq, (consumer,), quote)
+    first, at = fused
+    ant, succ = seq.antecedent, seq.succedent
+    if first is T_RULE:
+        between = Sequent(replace(ant, at, Un(VALUE, subtree(ant, at))),
+                          succ)
+    elif first is UNQUOTE_SUCC:
+        between = Sequent(ant, Dia(VALUE, succ))
+    else:
+        assert isinstance(succ, BoxDown) and first is BOX_DOWN_R[succ.mode]
+        between = Sequent(Un(succ.mode, ant), succ.body)
+    consumer = Derivation(rule, between, premises, site)
+    return Derivation(first, seq, (consumer,), at)
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +700,18 @@ class MoveTable:
     hold the whole sentence's graph for little further sharing.
 
     A sequent's moves are the succedent's moves, then the antecedent's one
-    list.  The axiom, the right moves and the succedent-side Unquote read
-    the succedent and are generated per sequent.  Every other move depends
-    on the antecedent alone (``_antecedent_moves``), and the search reaches
-    one antecedent under several succedents (``s0``, ``s-``, ``<>s0``,
-    ``<p>s0``), so its list is generated once per antecedent and kept in
-    ``halves`` under its ``key``.  A step names a rule and sites only (see
-    ``Move``), so assembling a sequent builds just the list's main
-    premises under its succedent, and every sequent over the antecedent
-    shares each move's step tuple and minor premise.  Each move carries
-    its scope trace, which depends on the move alone (see ``Move``).
+    list.  The axiom and the right moves (the succedent-side Unquote among
+    them, fused into its diamond introduction) read the succedent and are
+    generated per sequent.  Every other move depends on the antecedent
+    alone (``_antecedent_moves``), and the search reaches one antecedent
+    under several succedents (``s0``, ``s+``, ``s-``, ``np``), so its
+    list is generated once per antecedent and kept in ``halves`` under its
+    ``key``; a box-down succedent takes the list without its K′ moves.  A
+    step names rules and sites only (see ``Move``), so assembling a
+    sequent builds just the list's main premises under its succedent, and
+    every sequent over the antecedent shares each move's step tuple and
+    minor premise.  Each move carries its scope trace, which depends on
+    the move alone (see ``Move``).
 
     Premises are built, not interned: a search keys every node by
     ``key``, so two equal premises need not be one object, and most
@@ -663,8 +728,9 @@ class MoveTable:
     def moves_of(self, seq: Sequent) -> List[Move]:
         """All backward moves at ``seq``, in fixed order: the axiom alone,
         if it applies; otherwise the succedent's moves (``_right_moves``),
-        then the antecedent's one list, site by site.  Each call assembles
-        them anew; only the antecedent's list is kept (``halves``).
+        then the antecedent's one list, site by site, without its K′ moves
+        under a box-down succedent.  Each call assembles them anew; only
+        the antecedent's list is kept (``halves``).
 
         The moves follow the search's cycles (no gate discards a
         normal-form derivation).  While a continuation node is live, only
@@ -672,12 +738,17 @@ class MoveTable:
         collapses of c-mode functors.  Everything else waits for a
         continuation-free antecedent.  Root→, Left→ and Right→ make a
         constituent the focus only where it holds a c-mode formula outside
-        every unary node, a scope-taker that no quote freezes; the
-        succedent-side Unquote is offered only at a quoted root: an
-        antecedent that is itself a value diamond, so that the diamond
-        introduction cancels the new diamond at once; and K′ quotes no
-        pair that holds an open quote, so quotes merge innermost first
-        (``prove`` says why these gates lose nothing).
+        every unary node, a scope-taker that no quote freezes, and Left←
+        and Right← never take the unit into the focus.  A producer whose
+        only use is the next step is fused into it: T into its consumer,
+        the succedent-side Unquote, offered only at a quoted root (an
+        antecedent that is itself a value diamond), into the diamond
+        introduction that cancels its new diamond, and the box-down
+        introduction at ``□m ◇m A`` into the diamond introduction, unless
+        the wrapped antecedent has a move of its own.  K′ quotes no pair
+        that holds an open quote, so quotes merge innermost first, and it
+        waits out a box-down succedent, so quotes merge after the polarity
+        switch (``prove`` says why these gates lose nothing).
         """
         axiom = _axiom_move(seq)
         if axiom is not None:
@@ -690,9 +761,13 @@ class MoveTable:
         if ante_moves is None:
             ante_moves = self.halves[ant.key] = _antecedent_moves(ant)
         out = _right_moves(seq)
+        succ = seq.succedent
+        if isinstance(succ, BoxDown):
+            # K′ waits for the box-down introduction's diamond to go
+            ante_moves = [move for move in ante_moves
+                          if move[0][0] is not KPRIME]
         # each antecedent move keeps its step and its minor premise and gets
         # its main premise under the succedent
-        succ = seq.succedent
         for step, main, minor, trace in ante_moves:
             first = Sequent(main, succ)
             out.append((step, (first,) if minor is None
@@ -842,10 +917,11 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
     Why the search ends.  Phase 1 walks the sequents reachable from the
     goal, and there are finitely many of them.  Every formula of one is a
-    subformula of a goal formula, or the ``◇v ◇u X`` that the
-    succedent-side Unquote makes of a subformula ``◇u X``, and every word
-    label is one of the goal's; so it is enough that the structures stay
-    bounded in size.
+    subformula of a goal formula (the ``◇v ◇u X`` that the succedent-side
+    Unquote makes of a subformula ``◇u X`` stands only in the sequent it
+    passes through on the way to its fused diamond introduction), and every
+    word label is one of the goal's; so it is enough that the structures
+    stay bounded in size.
 
     * Only decomposition and Root add ``Bin`` nodes and leaves.  A
       decomposition (a slash introduction, the product elimination) takes
@@ -881,32 +957,46 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     reads the firings in preorder, the order in which phase 2 joins
     traces), so each reading found is returned once.
 
-    An empty result is a refutation, given four premises.
+    An empty result is a refutation, given seven premises.
 
     * Normal form, a claim not proved here: a derivation has one of the
-      same scope trace in the normal form the move table offers (T fused
-      into its consumers, Root at the root, surface moves last; see the
-      module docstring).
+      same scope trace in the normal form the move table offers (each
+      producer fused into its consumer, Root at the root, surface moves
+      last; see the module docstring).
     * The succedent-side Unquote at a quoted root, argued.  The table
-      offers the premise ``Γ ⊢ ◇v ◇u X`` of ``Γ ⊢ ◇u X`` only when ``Γ`` is
-      itself a value diamond, which ``DiaR(v)`` then takes off.  Take a
-      derivation that unquotes at another continuation-free ``Γ``.  Above
-      that step its main branch keeps the succedent ``◇v ◇u X`` through
-      steps on the antecedent up to the right rule that removes the
-      ``◇v`` (``DiaR(v)`` or the fused ``T+DiaR``, the only right rules
-      such a succedent has).  Those steps read the antecedent alone, so
-      each is a move under ``◇u X`` too, unless that sequent is an axiom,
-      which closes the branch with the same trace: a derivation over one
-      leaf fires nothing.  Move the Unquote up past them.  If the consumer
-      is ``DiaR(v)``, the Unquote now stands at a quoted root; if it is
-      ``T+DiaR``, the two cancel and both go.  The scope trace is the
-      same.  From a continuation-free antecedent only Root, at the root,
-      and the unfolding of a c-mode product make a c-mode node, so without
-      c-mode products in the lexicon the quoted root is continuation-free
-      as the gate asks; a lexicon with one is not covered.
+      offers the Unquote at ``Γ ⊢ ◇u X`` only when ``Γ`` is itself a value
+      diamond ``◇Δ``, fused with the ``DiaR(v)`` that takes the new diamond
+      off: the move's premise is ``Δ ⊢ ◇u X``.  Take a derivation that
+      unquotes at a continuation-free ``Γ``.  Above that step its main
+      branch keeps the succedent ``◇v ◇u X`` through steps on the
+      antecedent up to the right rule that removes the ``◇v`` (``DiaR(v)``
+      or the fused ``T+DiaR``, the only right rules such a succedent has).
+      Those steps read the antecedent alone, so each is a move under
+      ``◇u X`` too, unless that sequent is an axiom, which closes the
+      branch with the same trace: a derivation over one leaf fires nothing.
+      Move the Unquote up past them.  If the consumer is ``DiaR(v)``, the
+      Unquote now stands right below it at a quoted root, which is the
+      fused move; if it is ``T+DiaR``, the two cancel and both go.  The
+      scope trace is the same.  From a continuation-free antecedent only
+      Root, at the root, and the unfolding of a c-mode product make a
+      c-mode node, so without c-mode products in the lexicon the quoted
+      root is continuation-free as the gate asks; a lexicon with one is not
+      covered.
+    * The box-down introduction fused with its diamond introduction,
+      argued.  At a continuation-free ``Γ ⊢ □m ◇m A`` the table offers
+      ``BoxDownR(m)`` and the ``DiaR(m)`` after it as one move, with the
+      premise ``Γ ⊢ A``, unless ``⟨m⟩Γ`` has an antecedent move of its
+      own.  The sequent between them, ``⟨m⟩Γ ⊢ ◇m A``, is no axiom, as its
+      antecedent is no formula leaf, and its one right rule is ``DiaR(m)``,
+      as its antecedent is a diamond of the succedent's mode.  The walk
+      stops at its unary root, where the only moves are the box-down
+      elimination at a ``□m`` formula leaf and, for ``m = v``, the
+      antecedent-side Unquote at a ``⟨u⟩`` node: the cases the table leaves
+      unfused.  So every derivation through that sequent takes the fused
+      move.
     * The focus moves only toward a scope-taker that no quote freezes,
-      argued in part.  Root→ takes ``Γ`` to ``Γ *c 1``, Left→ takes
-      ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
+      argued, given the next premise.  Root→ takes ``Γ`` to ``Γ *c 1``,
+      Left→ takes ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
       ``(◇A ∘ B) *c C`` to ``B *c (C ∘ ◇A)``; the table offers them only
       when the new focus, ``Γ``, ``A`` or ``B``, holds a c-mode formula at
       an open site, outside every unary node.  While a context is live, the
@@ -920,39 +1010,61 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       formula either.  After Left→ or Right→, Root's inverse cannot close
       the cycle: it needs the context to be the unit alone, and the context
       holds ``X``'s sibling.  So before anything fires or the cycle closes,
-      the derivation climbs back out of ``X``.  If every climb inverts the
-      descent it follows (Left← after Left→, Right← after Right→), the
-      excursion ends at the sequent it started from, except for the quotes
-      that Right→ put on the siblings it passed.  Drop the excursion, and
-      commute each of those T steps down to the step that consumes its
-      quote, as the normal form does: the scope trace is the same.  After
-      Root→ the context is the unit, which no rotation takes apart, so
-      only Root← can undo it, and the same argument drops the excursion
-      from Root→ to that Root←.
-      Not covered, and a claim: an excursion that climbs out in the other
-      orientation, through Left← after Right→ or Right← after Left→, which
-      takes the focus's sibling into the context and the unit into the
-      focus.  The claim is that such a sequent adds no scope trace; a
-      table that also offers every withheld descent and Root→ finds the
-      same goal traces on every sentence tested.
+      the derivation climbs back out of ``X``.  By the next premise the
+      unit stays in ``C``, so each climb inverts the descent it follows:
+      after Left→ Right← would have to quote ``C``, and after Right→
+      Left← would take ``C`` into the focus, so Left← follows Left→ and
+      Right← follows Right→.  The excursion ends at the sequent it started
+      from, except for the quotes that Right→ put on the siblings it
+      passed.  Drop the excursion, and commute each of those T steps down
+      to the step that consumes its quote, as the normal form does: the
+      scope trace is the same.  After Root→ the context is the unit, which
+      no rotation takes apart, so only Root← can undo it, and the same
+      argument drops the excursion from Root→ to that Root←.
+    * The climb toward the unit, argued in part.  Left← takes
+      ``A *c (X ∘ Y)`` to ``(A ∘ X) *c Y``, and the table offers it only
+      when ``X`` holds no unit; Right← takes ``A *c (X ∘ ◇Y)`` to
+      ``(◇Y ∘ A) *c X``, and its fused T refuses a subtree that holds the
+      unit.  A quote it moves without a T was made by a T, the diamond
+      elimination or K′, none of which quotes the unit (with no
+      value-mode box-down in the lexicon, nothing else makes a quote).
+      Root→ puts the unit in the context, so no offered move takes it into
+      the focus.  Read the structure as a tree rooted at its unit,
+      as ``_skeleton_refutes`` does: the rotations keep that tree and move
+      only the c-mode edge, so the sequents between two firings plug one
+      tree and differ in the subtree that is the focus and in their quotes.
+      Take a derivation that takes the unit into the focus.  Nothing fires
+      there, as the focus is no c-mode functor leaf, and the cycle cannot
+      close, as the context is not the unit alone; so rotations take the
+      unit back into the context before anything fires or the cycle
+      closes.  That excursion runs from a sequent ``S`` to a sequent ``S′``
+      with the unit in the context, and in the rooted tree the focus of
+      ``S′`` is reached from that of ``S`` by climbing toward the root to
+      the lowest subtree that holds both, then descending: moves the table
+      offers, as no climb toward the root takes the unit into the focus.
+      Not covered, and a claim: that this route, whose Right rotations
+      quote other siblings than the excursion's did, derives the same
+      scope traces as ``S′``.  A table that also offers the withheld Left←
+      (``ClimbAnywhereTable`` in the tests) finds the same goal traces on
+      the grid, both possessives and the whole ditransitive frame.
     * Quotes merge innermost first, argued in part.  K′ merges a quote
       ``◇A`` with its sibling ``X`` under a fused T only when ``X`` is no
       pair that holds an open quote, a value diamond outside every unary
-      node.  Take a withheld move at ``Γ[◇A ∘ X] ⊢ G``, where the open
-      quotes of ``X`` are ``◇Y1``, ..., ``◇Yk``, and let ``X°`` be ``X``
-      with those k diamonds dropped.  K′ is offered only while no context
-      is live, so every pair in the antecedent is a surface-mode node, and
-      a fused T never quotes the unit, so ``X`` holds none.  By induction
-      on the size of ``X``, offered moves turn ``X`` into ``◇X°``: first
-      each side of ``X`` that is a pair with an open quote becomes a
-      quote; then each side is a quote or holds no open quote, one of
-      them is a quote, and K′ at ``X`` is offered, under a fused T or,
-      when both sides are quotes, plain.  The plain K′ with ``◇A`` then
-      reaches ``Γ[◇(A ∘ X°)] ⊢ G``, and none of these moves fires.  k
-      T steps, at the sites of ``Y1``, ..., ``Yk``, take that sequent to
-      the withheld move's premise ``Γ[◇(A ∘ X)] ⊢ G``, so a derivation of
-      the premise, under them, derives it with the same scope trace, as
-      T fires nothing.
+      node.  Take a withheld move at ``Γ[◇A ∘ X] ⊢ G``, where ``G`` is no
+      box-down (the next premise covers one), the open quotes of ``X`` are
+      ``◇Y1``, ..., ``◇Yk``, and ``X°`` is ``X`` with those k diamonds
+      dropped.  K′ is offered only while no context is live, so every pair
+      in the antecedent is a surface-mode node, and a fused T never quotes
+      the unit, so ``X`` holds none.  By induction on the size of ``X``,
+      offered moves turn ``X`` into ``◇X°``: first each side of ``X`` that
+      is a pair with an open quote becomes a quote; then each side is a
+      quote or holds no open quote, one of them is a quote, and K′ at
+      ``X`` is offered, under a fused T or, when both sides are quotes,
+      plain.  The plain K′ with ``◇A`` then reaches ``Γ[◇(A ∘ X°)] ⊢ G``,
+      and none of these moves fires.  k T steps, at the sites of ``Y1``,
+      ..., ``Yk``, take that sequent to the withheld move's premise
+      ``Γ[◇(A ∘ X)] ⊢ G``, so a derivation of the premise, under them,
+      derives it with the same scope trace, as T fires nothing.
       Not covered, and a claim: that the table derives that trace at
       ``Γ[◇(A ∘ X°)] ⊢ G``.  That is the normal-form premise, for a
       derivation whose T steps sit inside a quote, and its normal form
@@ -960,6 +1072,29 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       table that also offers every withheld K′ (``QuoteAnywhereTable`` in
       the tests) finds the same goal traces on the grid, both possessives
       and the whole ditransitive frame.
+    * Quotes merge after the polarity switch, argued in part.  The table
+      offers no K′ at a sequent whose succedent is a box-down ``□m B``.
+      Take a derivation with such a step, from ``Γ[◇A ∘ X] ⊢ □m B`` to
+      ``Γ[◇(A ∘ X)] ⊢ □m B``, and the step above it on that branch.  Its
+      conclusion is no axiom, its antecedent being no formula leaf, and
+      the one right rule of ``□m B`` is the box-down introduction, which
+      wraps the whole antecedent in ``⟨m⟩``.  The walk enters no unary
+      node, so nothing reaches inside the wrapper until ``DiaR(m)`` takes
+      it off, and that is the fused move wherever K′ applies inside (the
+      premise on the fused box-down introduction; unfused, the wrapped
+      antecedent is a leaf or a unary node).  So the box-down steps can
+      come first and K′ right after them, at ``Γ[◇A ∘ X] ⊢ A``, to the
+      same premise.  An antecedent move away from the merged quote
+      commutes with K′ too, and an elimination carries the merged pair
+      whole into one premise, the main one or the minor one, so the K′ can
+      move up into that premise.  Each such swap moves the K′ up past a
+      step that fires the same, and the scope trace is the same.
+      Not covered, and a claim: a K′ that Root→ follows, whose cycle's
+      rotations may consume the merged quote, where without the merge a
+      Right rotation would quote the pair with its inner quote.  A table
+      that also offers K′ under a box-down succedent
+      (``MergeUnderBoxDownTable`` in the tests) finds the same goal traces
+      on the grid, both possessives and the whole ditransitive frame.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  A call derives into

@@ -1,4 +1,5 @@
-"""The K′ oracle over the whole ditransitive frame, outside the tier-1 suite.
+"""The move table's oracles over the whole ditransitive frame, outside the
+tier-1 suite.
 
 Run by its path, which pytest collects although the name does not start
 with ``test_``:
@@ -6,23 +7,42 @@ with ``test_``:
     PYTHONPATH=src python -m pytest -q tests/oracle_quotes.py
 
 On both goal types of every tree of all 125 rows of
-``tests/data/ditransitive.tsv``, a move table that merges quotes innermost
-first derives the same goal traces, in order, as ``QuoteAnywhereTable``,
-which also quotes for K′ a pair that holds an open quote; it adds 32,250
-such moves.  About 14 s on a 2-CPU VM.
+``tests/data/ditransitive.tsv``, the move table derives the same goal
+traces, in order, as each of four tables that also offer moves it leaves
+out, and each such table adds a pinned number of moves:
+
+* ``QuoteAnywhereTable`` also quotes, for K′, a pair that holds an open
+  quote;
+* ``ClimbAnywhereTable`` also offers the Left← that moves the unit into
+  the focus;
+* ``UnfusedTable`` also offers the succedent-side Unquote and the box-down
+  introduction apart from the diamond introduction after them;
+* ``MergeUnderBoxDownTable`` also offers K′ under a box-down succedent.
 """
 
 from pathlib import Path
 
+import pytest
+
 from polagram.cli import parse_corpus
-from test_prover import QuoteAnywhereTable, _extra_after_equal_traces
+from test_prover import (
+    ClimbAnywhereTable, MergeUnderBoxDownTable, QuoteAnywhereTable,
+    UnfusedTable, _extra_after_equal_traces,
+)
 
 DITRANSITIVE = [line.sentence for line in parse_corpus(
     (Path(__file__).parent / "data" / "ditransitive.tsv").read_text(
         encoding="utf-8"))]
 
 
-def test_merging_quotes_innermost_first_loses_nothing_on_the_frame(lex):
+@pytest.mark.parametrize("oracle_table,extra", [
+    (QuoteAnywhereTable, 22750),
+    (ClimbAnywhereTable, 21500),
+    (UnfusedTable, 10207),
+    (MergeUnderBoxDownTable, 6110),
+])
+def test_the_oracle_finds_the_same_traces_on_the_frame(lex, oracle_table,
+                                                       extra):
     assert len(DITRANSITIVE) == 125
-    assert _extra_after_equal_traces(lex, QuoteAnywhereTable,
-                                     DITRANSITIVE) == 32250
+    assert _extra_after_equal_traces(lex, oracle_table,
+                                     DITRANSITIVE) == extra

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from polagram.prover import (
     _apply_step, _expected_premises, _kprime, _left_bwd, _left_fwd, _plain,
     _quoting, _right_bwd, _right_fwd, _root_bwd, _root_fwd, _search,
     _skeleton_refutes, _unquote_ante, replace, scope_firing,
-    structure_from_dict, structure_to_dict, subtree,
+    structure_from_dict, structure_to_dict,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -312,8 +313,8 @@ def test_enumerate_deterministic_order(lex):
     again = seq("nobody * (saw * anybody)", "s0", lex)
 
     def listing(at):
-        return [[str(rule), site, quote] + [p.key for p in premises]
-                for (rule, site, quote), premises, _trace
+        return [[str(rule), site, fused] + [p.key for p in premises]
+                for (rule, site, fused), premises, _trace
                 in MoveTable().moves_of(at)]
 
     assert listing(goal) == listing(goal) == listing(again)
@@ -357,9 +358,10 @@ def test_deterministic_output(lex):
 
 
 def _step_cost(step):
-    """The structural rules a move applies, its fused T among them."""
-    rule, _site, quote = step
-    return (rule in STRUCTURAL_RULES) + (quote is not None)
+    """The structural rules a move applies, its fused step among them."""
+    rule, _site, fused = step
+    return (rule in STRUCTURAL_RULES) + (fused is not None
+                                         and fused[0] in STRUCTURAL_RULES)
 
 
 class PlainSearch:
@@ -388,14 +390,12 @@ class PlainSearch:
         path.add(seq.key)
         for step, premises, own in moves:
             s2 = s_rem - _step_cost(step)
-            # a fused T passes through the sequent it quotes, which counts
-            # toward the branch's no-repeat check too
+            # a fused step passes through a sequent, which counts toward
+            # the branch's no-repeat check too
             mids = set()
-            quote = step[2]
-            if quote is not None:
-                ant = seq.antecedent
-                quoted = replace(ant, quote, Un(VALUE, subtree(ant, quote)))
-                mids.add(Sequent(quoted, seq.succedent).key)
+            if step[2] is not None:
+                between = _apply_step(seq, step, ()).premises[0]
+                mids.add(between.conclusion.key)
             if mids & path:
                 continue
             path |= mids
@@ -653,39 +653,59 @@ class _RecordingTable(MoveTable):
         return moves
 
 
+# The sentences of ``SHARING_SENTENCES`` where a later goal on a shared
+# table returns another rule-order variant of a reading than a fresh search
+# (``prove`` allows it: the witnesses come from the pairs the first goal
+# solved), with the goal types that do
+LATER_GOAL_VARIANTS = {"a man saw alice": {"s+"}, "a man saw bob": {"s+"},
+                       "a man saw somebody": {"s+"},
+                       "a man saw everybody": {"s0", "s+"}}
+
+
 @pytest.mark.parametrize("sentence", SHARING_SENTENCES)
 def test_a_shared_move_table_changes_nothing(lex, sentence):
     checked = 0
+    variants = set()
     for tree in bracketings(tokenize(sentence, lex), lex):
         goals = [Sequent(tree, goal_type) for goal_type in (S0, SPLUS)]
-        fresh = {g.key: _proofs(prove(g)) for g in goals}
+        fresh = {g.key: prove(g) for g in goals}
         for order in (goals, goals[::-1]):
             table = _RecordingTable()
-            for goal in order:
-                assert _proofs(prove(goal, table=table)) == fresh[goal.key]
-            # a fused T quotes a site at or below its rule's; each move
+            for position, goal in enumerate(order):
+                result, alone = prove(goal, table=table), fresh[goal.key]
+                if _proofs(result) != _proofs(alone):
+                    # the first goal on a table gets exactly a fresh
+                    # search's derivations, a later one its readings
+                    assert position
+                    assert _readings(result) == _readings(alone)
+                    variants.add(str(goal.succedent))
+            # a fused step sits at or below its rule's site; each move
             # carries the scope firing of its rule, and a move that fires
-            # fuses no T, so the rule reads its node's antecedent; an
+            # fuses no step, so the rule reads its node's antecedent; an
             # antecedent move holds the very step tuple of its antecedent's
-            # list, whatever the succedent
+            # list, whatever the succedent, which leaves out only K′ under
+            # a box-down
             checked += len(table.expanded)
             for key, (node, moves) in table.expanded.items():
                 assert node.key == key
-                for (rule, site, quote), premises, trace in moves:
-                    assert quote is None or quote[:len(site)] == site
+                for (rule, site, fused), premises, trace in moves:
+                    assert fused is None or fused[1][:len(site)] == site
                     firing = scope_firing(rule, node.antecedent, site)
                     assert trace == (() if firing is None else (firing,))
-                    assert firing is None or quote is None
+                    assert firing is None or fused is None
                 if moves and moves[0][0][0] in (AXIOM, LEX):
                     continue  # the axiom alone; no half was read
+                boxed = isinstance(node.succedent, BoxDown)
                 half = [step for step, *_rest
-                        in table.halves[node.antecedent.key]]
+                        in table.halves[node.antecedent.key]
+                        if not (boxed and step[0] == KPRIME)]
                 ids = {id(step) for step in half}
                 threaded = [step for step, *_rest in moves
                             if id(step) in ids]
                 assert len(threaded) == len(half)
                 assert all(t is h for t, h in zip(threaded, half))
     assert checked
+    assert variants == LATER_GOAL_VARIANTS.get(sentence, set())
 
 
 def _readings(result):
@@ -876,7 +896,7 @@ def _left_moves_at(out, ant, site, node):
             out.append(((RuleName("ProdL", f.mode), site, None),
                         replace(ant, site, new), None, ()))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
-            out.append(((RuleName("BoxDownL", VALUE), site, site),
+            out.append(((RuleName("BoxDownL", VALUE), site, (T_RULE, site)),
                         replace(ant, site, FLeaf(f.body)), None, ()))
     elif isinstance(node, Un):
         body = node.body
@@ -891,10 +911,12 @@ def _is_quote(st):
     return isinstance(st, Un) and st.mode == VALUE
 
 
-def _structural_moves_at(out, ant, site, node, quote_anywhere=False):
+def _structural_moves_at(out, ant, site, node, quote_anywhere=False,
+                         climb_anywhere=False):
     """Add the postulate moves at one site, with T fused into consumers.
     K′ quotes a sibling that is no quote only if it holds no open quote,
-    unless ``quote_anywhere``."""
+    unless ``quote_anywhere``; Left← moves no unit into the focus, unless
+    ``climb_anywhere``."""
     if (not site and not ant.has_cmode_node and not ant.has_unit
             and ant.has_open_cmode_formula):
         _plain(out, ant, site, ROOT_F, _root_fwd(node))
@@ -905,7 +927,8 @@ def _structural_moves_at(out, ant, site, node, quote_anywhere=False):
     if new is not None and node.left.left.has_open_cmode_formula:
         _plain(out, ant, site, LEFT_F, new)
     new = _left_bwd(node)
-    if new is not None:
+    if new is not None and (climb_anywhere
+                            or not node.right.left.has_unit):
         _plain(out, ant, site, LEFT_B, new)
     if isinstance(node, Bin) and node.mode == CMODE:
         if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
@@ -927,15 +950,15 @@ def _structural_moves_at(out, ant, site, node, quote_anywhere=False):
         _plain(out, ant, site, UNQUOTE_ANTE, new)
 
 
-def _reference_moves(ant, quote_anywhere=False):
+def _reference_moves(ant, **widen):
     """The moves at ``ant`` in site order, each site's left moves, then its
     structural moves: the spine sites while a context is live, else the
-    open sites."""
+    open sites.  ``widen`` passes ``_structural_moves_at`` its flags."""
     sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
     out = []
     for site, node in sites:
         _left_moves_at(out, ant, site, node)
-        _structural_moves_at(out, ant, site, node, quote_anywhere)
+        _structural_moves_at(out, ant, site, node, **widen)
     return out
 
 
@@ -955,18 +978,18 @@ def test_the_walk_offers_the_reference_moves(lex, monkeypatch):
         parse_sentence(sentence, lex)
     for key, ant in antecedents.items():
         assert _antecedent_moves(ant) == _reference_moves(ant), key
-    assert len(antecedents) == 13642
+    assert len(antecedents) == 7783
 
 
 def _offered_moves_checked(node, moves):
     """Check that each of ``moves``, offered at ``node``, applied over stub
-    premises, is one valid rule application, or a valid T over one; the
-    number checked."""
+    premises, is one valid rule application, or a valid application of
+    its fused step over one; the number checked."""
     for step, premises, _trace in moves:
         stubs = tuple(Derivation(AXIOM, premise) for premise in premises)
         applied = [_apply_step(node, step, stubs)]
         if step[2] is not None:
-            assert applied[0].rule == T_RULE
+            assert (applied[0].rule, applied[0].site) == step[2]
             applied.append(applied[0].premises[0])
         assert applied[-1].premises is stubs
         for d in applied:
@@ -978,10 +1001,12 @@ def _offered_moves_checked(node, moves):
 def test_every_offered_move_is_a_valid_rule_application(lex, monkeypatch):
     # every move offered at a node that parse_sentence's searches expand
     # over the grid and both possessives, extracted or not.  Extraction
-    # builds what a fused T passes through, so this checks the T of every
-    # move the search only offers.  The slice fuses T into Right→ and K′
-    # only; the goal after it has the fused value-diamond introduction and
-    # value box-down elimination
+    # builds what a fused step passes through, so this checks the fused
+    # step of every move the search only offers.  The slice fuses T into
+    # Right→ and K′, and the succedent-side Unquote and the box-down
+    # introduction into diamond introductions; the goal after it has T
+    # fused into the value-diamond introduction and the value box-down
+    # elimination
     expanded = {}
 
     class Recording(MoveTable):
@@ -994,20 +1019,21 @@ def test_every_offered_move_is_a_valid_rule_application(lex, monkeypatch):
     for sentence in GRID + POSSESSIVES:
         parse_sentence(sentence, lex)
     assert sum(_offered_moves_checked(node, moves)
-               for node, moves in expanded.values()) == 4252
+               for node, moves in expanded.values()) == 3233
     goal = seq("np * []np", "<>(np * np)")
     moves = MoveTable().moves_of(goal)
     assert [step for step, *_rest in moves] \
-        == [(RuleName("DiaR"), (), ()), (RuleName("BoxDownL"), (1,), (1,))]
+        == [(RuleName("DiaR"), (), (T_RULE, ())),
+            (RuleName("BoxDownL"), (1,), (T_RULE, (1,)))]
     _offered_moves_checked(goal, moves)
 
 
 def _listing(seq, moves):
     """The moves at ``seq`` as plain data: the step's rule, site and
-    quote, the premises' keys and the trace."""
-    return [((str(rule), site, quote),
+    fused step, the premises' keys and the trace."""
+    return [((str(rule), site, fused),
              [premise.key for premise in premises], trace)
-            for (rule, site, quote), premises, trace in moves]
+            for (rule, site, fused), premises, trace in moves]
 
 
 def test_table_moves_equal_fresh_moves(lex):
@@ -1025,7 +1051,7 @@ def test_table_moves_equal_fresh_moves(lex):
                     node, MoveTable().moves_of(node)), key
             expanded += len(table.expanded)
             antecedents += len(table.halves)
-    assert (expanded, antecedents) == (5379, 3357)
+    assert (expanded, antecedents) == (4107, 2654)
 
 
 def test_one_antecedent_half_serves_every_succedent(lex):
@@ -1033,19 +1059,52 @@ def test_one_antecedent_half_serves_every_succedent(lex):
     # sequents expanded have far fewer distinct antecedents
     tree = parse_structure(POSSESSIVE, lex)
     table = _RecordingTable()
-    # the second goal expands only the 65 sequents the first left
-    # unreached, where a search of its own expands 328: each search
+    # the second goal expands only the 52 sequents the first left
+    # unreached, where a search of its own expands 224: each search
     # asks for the moves of each node it expands once, and solves exactly
     # the sequents it expands
-    for goal_type, expanded, total in zip(GOAL_TYPES, (285, 65),
-                                          (285, 350)):
+    for goal_type, expanded, total in zip(GOAL_TYPES, (189, 52),
+                                          (189, 241)):
         calls = table.calls
         prove(Sequent(tree, goal_type), table=table)
         assert table.calls - calls == expanded
         assert table.solved.keys() == table.expanded.keys()
         assert len(table.solved) == len(table.expanded) == total
-    assert len(table.solved) == 350
-    assert len(table.halves) == 202
+    assert len(table.solved) == 241
+    assert len(table.halves) == 141
+
+
+def _bench_round(name, monkeypatch):
+    """The sentences of one seed-1 round of the benchmark workload
+    ``name``, as ``bench/workloads.py`` draws them; the module is loaded
+    from its path, under a name that ``monkeypatch`` drops afterwards."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.GENERATORS[name](1).sentences
+
+
+@pytest.mark.parametrize("workload,expanded", [("grid", 3554),
+                                               ("possessive", 481)])
+def test_a_bench_round_expands_a_pinned_number_of_sequents(
+        lex, monkeypatch, workload, expanded):
+    # the size of the graph the benchmark's searches walk: the sequents
+    # that one parse_sentence round of the workload's seed-1 sentences
+    # expands, so that a change which regrows the graph fails here too
+    calls = []
+
+    class Counting(MoveTable):
+        def moves_of(self, seq):
+            calls.append(seq)
+            return super().moves_of(seq)
+
+    monkeypatch.setattr(polagram.parser, "MoveTable", Counting)
+    for sentence in _bench_round(workload, monkeypatch):
+        parse_sentence(sentence, lex)
+    assert len(calls) == expanded
 
 
 # -- the succedent-side Unquote at a quoted root ------------------------------
@@ -1133,11 +1192,13 @@ class DescendAnywhereTable(MoveTable):
         return out
 
 
-class QuoteAnywhereTable(MoveTable):
-    """The move table with K′ also offered under a fused T that quotes a
-    pair holding an open quote, in the place the move had among the others
-    (``_reference_moves`` with ``quote_anywhere``).  ``extra`` counts the
-    moves it added, once per antecedent list."""
+class _WidenedWalkTable(MoveTable):
+    """The move table with each antecedent's list generated by
+    ``_reference_moves`` under the flags ``widen``, so each withheld move
+    sits in the place it had among the others.  ``extra`` counts the moves
+    it added, once per antecedent list."""
+
+    widen = {}
 
     def __init__(self):
         super().__init__()
@@ -1146,10 +1207,73 @@ class QuoteAnywhereTable(MoveTable):
     def moves_of(self, seq):
         ant = seq.antecedent
         if ant.key not in self.halves:
-            moves = self.halves[ant.key] = _reference_moves(
-                ant, quote_anywhere=True)
+            moves = self.halves[ant.key] = _reference_moves(ant,
+                                                            **self.widen)
             self.extra += len(moves) - len(_antecedent_moves(ant))
         return super().moves_of(seq)
+
+
+class QuoteAnywhereTable(_WidenedWalkTable):
+    """The move table with K′ also offered under a fused T that quotes a
+    pair holding an open quote."""
+
+    widen = {"quote_anywhere": True}
+
+
+class ClimbAnywhereTable(_WidenedWalkTable):
+    """The move table with Left← also offered where it moves the unit into
+    the focus: at ``A *c (X ∘ Y)`` with the unit in ``X``."""
+
+    widen = {"climb_anywhere": True}
+
+
+class UnfusedTable(MoveTable):
+    """The move table with the succedent-side Unquote and the box-down
+    introduction also offered unfused, each right after the move that
+    fuses it into its diamond introduction, with the premise the
+    validator's rule demands.  ``extra`` counts the moves it added."""
+
+    def __init__(self):
+        super().__init__()
+        self.extra = 0
+
+    def moves_of(self, seq):
+        out = super().moves_of(seq)
+        for at, (step, _premises, _trace) in enumerate(out):
+            fused = step[2]
+            if fused is not None and fused[0] != T_RULE:
+                first, site = fused
+                premises = tuple(_expected_premises(first, seq, site))
+                out.insert(at + 1, ((first, site, None), premises, ()))
+                self.extra += 1
+                break  # a succedent has one such move at most
+        return out
+
+
+class MergeUnderBoxDownTable(MoveTable):
+    """The move table with K′ also offered under a box-down succedent, in
+    the place it has in the antecedent's list.  ``extra`` counts the moves
+    it added."""
+
+    def __init__(self):
+        super().__init__()
+        self.extra = 0
+
+    def moves_of(self, seq):
+        out = super().moves_of(seq)
+        succ = seq.succedent
+        if not isinstance(succ, BoxDown) or out and out[0][0][0] in (AXIOM,
+                                                                   LEX):
+            return out
+        half = self.halves[seq.antecedent.key]
+        merges = sum(step[0] == KPRIME for step, *_rest in half)
+        self.extra += merges
+        out = out[:len(out) - (len(half) - merges)]
+        for step, main, minor, trace in half:
+            first = Sequent(main, succ)
+            out.append((step, (first,) if minor is None else (first, minor),
+                        trace))
+        return out
 
 
 def _goal_traces(goal, table):
@@ -1192,13 +1316,30 @@ def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
     # against a table that also descends into constituents whose c-mode
     # formulas are none or all quoted, and opens a context at an antecedent
     # whose c-mode formulas are all quoted
-    assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 27850
+    assert _extra_after_equal_traces(lex, DescendAnywhereTable) == 3633
 
 
 def test_merging_quotes_innermost_first_loses_nothing(lex):
     # against a table that also quotes, for K′, a pair that holds an open
     # quote
     assert _extra_after_equal_traces(lex, QuoteAnywhereTable) == 138
+
+
+def test_climbing_toward_the_unit_loses_nothing(lex):
+    # against a table that also offers the Left← that moves the unit into
+    # the focus
+    assert _extra_after_equal_traces(lex, ClimbAnywhereTable) == 330
+
+
+def test_fusing_the_unquote_and_the_box_down_loses_nothing(lex):
+    # against a table that also offers the succedent-side Unquote and the
+    # box-down introduction apart from the diamond introduction after them
+    assert _extra_after_equal_traces(lex, UnfusedTable) == 539
+
+
+def test_merging_quotes_after_the_polarity_switch_loses_nothing(lex):
+    # against a table that also offers K′ under a box-down succedent
+    assert _extra_after_equal_traces(lex, MergeUnderBoxDownTable) == 132
 
 
 # -- the skeleton check -------------------------------------------------------

@@ -30,7 +30,7 @@ The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
 and the moves offered follow that normal form, which keeps the reachable
 sequent graph finite and small (details at the move generator and in
-``prove``).  Eight economies matter, all invisible in the derivations
+``prove``).  Seven economies matter, all invisible in the derivations
 returned, which always consist of single honest rule applications:
 
 * A producer is fused into its consumer: a step whose only use is the one
@@ -71,11 +71,6 @@ returned, which always consist of single honest rule applications:
   node.  The K′ moves inside the pair merge that quote first, and then
   the pair is a quote and K′ merges it with no T (the argument is in
   ``prove``).
-* K′ merges quotes after the polarity switch: it is not offered under a
-  box-down succedent.  The box-down introduction freezes the antecedent
-  until the diamond introduction removes its wrapper, and an elimination
-  carries the merged pair whole into one premise, so the merge can wait
-  (the argument is in ``prove``).
 
 ``prove`` derives, by a plain fixpoint over the reachable sequent graph,
 every scope trace of every node with the first witness of each, and then
@@ -92,12 +87,11 @@ as it is, and the derivations of the first search on a table too:
   on an abort (``MoveTable``).
 * A sequent's moves are the succedent's moves, then the antecedent's one
   list.  Every move but the axiom and the right rules depends on the
-  antecedent alone (K′ only asks that the succedent be no box-down), and
-  a move's step names rules and sites, no structure, so the table
-  generates that list once per antecedent; a succedent the search reaches
-  it under only gets its premises (``MoveTable``).  The sequent a fused
-  step passes through is built only when a derivation is extracted
-  (``_apply_step``).
+  antecedent alone, and a move's step names rules and sites, no
+  structure, so the table generates that list once per antecedent; a
+  succedent the search reaches it under only gets its premises
+  (``MoveTable``).  The sequent a fused step passes through is built only
+  when a derivation is extracted (``_apply_step``).
 * One walk generates an antecedent's list, site by site, dispatching
   once per site on the node's class and mode (``_walk``).  While a
   context is live it enters only the subtrees that hold a c-mode node and
@@ -272,27 +266,16 @@ def subtree(st: Structure, site: Site) -> Structure:
 
 
 def replace(st: Structure, site: Site, new: Structure) -> Structure:
-    """``st`` with its subtree at ``site`` replaced by ``new``: one walk
-    down the site, step by step, then the ancestors it passed rebuilt
-    bottom-up around ``new``."""
-    path = []
-    for step in site:
-        path.append((st, step))
-        if isinstance(st, Bin):
-            st = st.right if step else st.left
-        elif isinstance(st, Un):
-            st = st.body
-        else:
-            raise IndexError(f"no subtree at {site}")
-    while path:
-        parent, step = path.pop()
-        if isinstance(parent, Un):
-            new = Un(parent.mode, new)
-        elif step:
-            new = Bin(parent.mode, parent.left, new)
-        else:
-            new = Bin(parent.mode, new, parent.right)
-    return new
+    if not site:
+        return new
+    step, rest = site[0], site[1:]
+    if isinstance(st, Bin):
+        if step == 0:
+            return Bin(st.mode, replace(st.left, rest, new), st.right)
+        return Bin(st.mode, st.left, replace(st.right, rest, new))
+    if isinstance(st, Un):
+        return Un(st.mode, replace(st.body, rest, new))
+    raise IndexError(f"no subtree at {site}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +423,10 @@ def _right_moves(seq: Sequent) -> List[Move]:
         if not ant.has_cmode_node:
             mode, body = succ.mode, succ.body
             if (isinstance(body, Dia) and body.mode == mode
-                    and not _wrapper_has_moves(ant, mode)):
+                    and not _unary_rewrites(mode, ant)):
                 # the diamond introduction is the one move at the premise,
-                # so it is fused with the box-down introduction
+                # whose antecedent offers none, so it is fused with the
+                # box-down introduction
                 out.append(((DIA_R[mode], (), (BOX_DOWN_R[mode], ())),
                             (Sequent(ant, body.body),), ()))
             else:
@@ -451,14 +435,20 @@ def _right_moves(seq: Sequent) -> List[Move]:
     return out
 
 
-def _wrapper_has_moves(ant: Structure, mode: str) -> bool:
-    """Whether ``⟨mode⟩ant`` has an antecedent move of its own: the
-    box-down elimination, at a box-down formula leaf of ``mode``, or the
-    antecedent-side Unquote, at a value diamond over a u-diamond."""
-    if isinstance(ant, FLeaf):
-        f = ant.formula
-        return isinstance(f, BoxDown) and f.mode == mode
-    return mode == VALUE and isinstance(ant, Un) and ant.mode == UMODE
+def _unary_rewrites(mode: str,
+                    body: Structure) -> List[Tuple[RuleName, Structure]]:
+    """The moves at a unary node ``⟨mode⟩body``, as (rule, new subtree):
+    the box-down elimination at a box-down formula leaf of its mode, and
+    the antecedent-side Unquote at a value diamond over a u-diamond.  The
+    walk offers these at a unary site, and the box-down introduction is
+    fused with its diamond introduction only where they are none."""
+    out = []
+    if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
+            and body.formula.mode == mode):
+        out.append((BOX_DOWN_L[mode], FLeaf(body.formula.body)))
+    if mode == VALUE and isinstance(body, Un) and body.mode == UMODE:
+        out.append((UNQUOTE_ANTE, body))
+    return out
 
 
 def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
@@ -590,14 +580,8 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
         if not site and f.has_cmode:  # Root, as at a surface-mode root
             _plain(out, ant, site, ROOT_F, _root_fwd(ant))
     elif isinstance(node, Un):
-        body = node.body
-        if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
-                and body.formula.mode == node.mode):
-            _plain(out, ant, site, BOX_DOWN_L[node.mode],
-                   FLeaf(body.formula.body))
-        new = _unquote_ante(node)
-        if new is not None:
-            _plain(out, ant, site, UNQUOTE_ANTE, new)
+        for rule, new in _unary_rewrites(node.mode, node.body):
+            _plain(out, ant, site, rule, new)
 
 
 def _apply_step(seq: Sequent, step: Step,
@@ -706,12 +690,11 @@ class MoveTable:
     alone (``_antecedent_moves``), and the search reaches one antecedent
     under several succedents (``s0``, ``s+``, ``s-``, ``np``), so its
     list is generated once per antecedent and kept in ``halves`` under its
-    ``key``; a box-down succedent takes the list without its K′ moves.  A
-    step names rules and sites only (see ``Move``), so assembling a
-    sequent builds just the list's main premises under its succedent, and
-    every sequent over the antecedent shares each move's step tuple and
-    minor premise.  Each move carries its scope trace, which depends on
-    the move alone (see ``Move``).
+    ``key``.  A step names rules and sites only (see ``Move``), so
+    assembling a sequent builds just the list's main premises under its
+    succedent, and every sequent over the antecedent shares each move's
+    step tuple and minor premise.  Each move carries its scope trace,
+    which depends on the move alone (see ``Move``).
 
     Premises are built, not interned: a search keys every node by
     ``key``, so two equal premises need not be one object, and most
@@ -728,9 +711,8 @@ class MoveTable:
     def moves_of(self, seq: Sequent) -> List[Move]:
         """All backward moves at ``seq``, in fixed order: the axiom alone,
         if it applies; otherwise the succedent's moves (``_right_moves``),
-        then the antecedent's one list, site by site, without its K′ moves
-        under a box-down succedent.  Each call assembles them anew; only
-        the antecedent's list is kept (``halves``).
+        then the antecedent's one list, site by site.  Each call assembles
+        them anew; only the antecedent's list is kept (``halves``).
 
         The moves follow the search's cycles (no gate discards a
         normal-form derivation).  While a continuation node is live, only
@@ -746,9 +728,8 @@ class MoveTable:
         introduction that cancels its new diamond, and the box-down
         introduction at ``□m ◇m A`` into the diamond introduction, unless
         the wrapped antecedent has a move of its own.  K′ quotes no pair
-        that holds an open quote, so quotes merge innermost first, and it
-        waits out a box-down succedent, so quotes merge after the polarity
-        switch (``prove`` says why these gates lose nothing).
+        that holds an open quote, so quotes merge innermost first
+        (``prove`` says why these gates lose nothing).
         """
         axiom = _axiom_move(seq)
         if axiom is not None:
@@ -761,13 +742,9 @@ class MoveTable:
         if ante_moves is None:
             ante_moves = self.halves[ant.key] = _antecedent_moves(ant)
         out = _right_moves(seq)
-        succ = seq.succedent
-        if isinstance(succ, BoxDown):
-            # K′ waits for the box-down introduction's diamond to go
-            ante_moves = [move for move in ante_moves
-                          if move[0][0] is not KPRIME]
         # each antecedent move keeps its step and its minor premise and gets
         # its main premise under the succedent
+        succ = seq.succedent
         for step, main, minor, trace in ante_moves:
             first = Sequent(main, succ)
             out.append((step, (first,) if minor is None
@@ -957,7 +934,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     reads the firings in preorder, the order in which phase 2 joins
     traces), so each reading found is returned once.
 
-    An empty result is a refutation, given seven premises.
+    An empty result is a refutation, given six premises.
 
     * Normal form, a claim not proved here: a derivation has one of the
       same scope trace in the normal form the move table offers (each
@@ -986,14 +963,15 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       argued.  At a continuation-free ``Γ ⊢ □m ◇m A`` the table offers
       ``BoxDownR(m)`` and the ``DiaR(m)`` after it as one move, with the
       premise ``Γ ⊢ A``, unless ``⟨m⟩Γ`` has an antecedent move of its
-      own.  The sequent between them, ``⟨m⟩Γ ⊢ ◇m A``, is no axiom, as its
-      antecedent is no formula leaf, and its one right rule is ``DiaR(m)``,
-      as its antecedent is a diamond of the succedent's mode.  The walk
-      stops at its unary root, where the only moves are the box-down
-      elimination at a ``□m`` formula leaf and, for ``m = v``, the
-      antecedent-side Unquote at a ``⟨u⟩`` node: the cases the table leaves
-      unfused.  So every derivation through that sequent takes the fused
-      move.
+      own: the walk stops at that unary root, and one function,
+      ``_unary_rewrites``, gives both the walk's moves there and the gate
+      (the box-down elimination at a ``□m`` formula leaf and, for
+      ``m = v``, the antecedent-side Unquote at a ``⟨u⟩`` node).  The
+      sequent between them, ``⟨m⟩Γ ⊢ ◇m A``, is no axiom, as its
+      antecedent is no formula leaf, and its one right rule is
+      ``DiaR(m)``, as its antecedent is a diamond of the succedent's mode.
+      So where ``⟨m⟩Γ`` has no move, every derivation through that sequent
+      takes the fused move.
     * The focus moves only toward a scope-taker that no quote freezes,
       argued, given the next premise.  Root→ takes ``Γ`` to ``Γ *c 1``,
       Left→ takes ``(A ∘ B) *c C`` to ``A *c (B ∘ C)`` and Right→ takes
@@ -1050,21 +1028,21 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     * Quotes merge innermost first, argued in part.  K′ merges a quote
       ``◇A`` with its sibling ``X`` under a fused T only when ``X`` is no
       pair that holds an open quote, a value diamond outside every unary
-      node.  Take a withheld move at ``Γ[◇A ∘ X] ⊢ G``, where ``G`` is no
-      box-down (the next premise covers one), the open quotes of ``X`` are
-      ``◇Y1``, ..., ``◇Yk``, and ``X°`` is ``X`` with those k diamonds
-      dropped.  K′ is offered only while no context is live, so every pair
-      in the antecedent is a surface-mode node, and a fused T never quotes
-      the unit, so ``X`` holds none.  By induction on the size of ``X``,
-      offered moves turn ``X`` into ``◇X°``: first each side of ``X`` that
-      is a pair with an open quote becomes a quote; then each side is a
-      quote or holds no open quote, one of them is a quote, and K′ at
-      ``X`` is offered, under a fused T or, when both sides are quotes,
-      plain.  The plain K′ with ``◇A`` then reaches ``Γ[◇(A ∘ X°)] ⊢ G``,
-      and none of these moves fires.  k T steps, at the sites of ``Y1``,
-      ..., ``Yk``, take that sequent to the withheld move's premise
-      ``Γ[◇(A ∘ X)] ⊢ G``, so a derivation of the premise, under them,
-      derives it with the same scope trace, as T fires nothing.
+      node.  Take a withheld move at ``Γ[◇A ∘ X] ⊢ G``, where the open
+      quotes of ``X`` are ``◇Y1``, ..., ``◇Yk``, and let ``X°`` be ``X``
+      with those k diamonds dropped.  K′ is offered only while no context
+      is live, so every pair in the antecedent is a surface-mode node, and
+      a fused T never quotes the unit, so ``X`` holds none.  By induction
+      on the size of ``X``, offered moves turn ``X`` into ``◇X°``: first
+      each side of ``X`` that is a pair with an open quote becomes a
+      quote; then each side is a quote or holds no open quote, one of
+      them is a quote, and K′ at ``X`` is offered, under a fused T or,
+      when both sides are quotes, plain.  The plain K′ with ``◇A`` then
+      reaches ``Γ[◇(A ∘ X°)] ⊢ G``, and none of these moves fires.  k
+      T steps, at the sites of ``Y1``, ..., ``Yk``, take that sequent to
+      the withheld move's premise ``Γ[◇(A ∘ X)] ⊢ G``, so a derivation of
+      the premise, under them, derives it with the same scope trace, as
+      T fires nothing.
       Not covered, and a claim: that the table derives that trace at
       ``Γ[◇(A ∘ X°)] ⊢ G``.  That is the normal-form premise, for a
       derivation whose T steps sit inside a quote, and its normal form
@@ -1072,29 +1050,6 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       table that also offers every withheld K′ (``QuoteAnywhereTable`` in
       the tests) finds the same goal traces on the grid, both possessives
       and the whole ditransitive frame.
-    * Quotes merge after the polarity switch, argued in part.  The table
-      offers no K′ at a sequent whose succedent is a box-down ``□m B``.
-      Take a derivation with such a step, from ``Γ[◇A ∘ X] ⊢ □m B`` to
-      ``Γ[◇(A ∘ X)] ⊢ □m B``, and the step above it on that branch.  Its
-      conclusion is no axiom, its antecedent being no formula leaf, and
-      the one right rule of ``□m B`` is the box-down introduction, which
-      wraps the whole antecedent in ``⟨m⟩``.  The walk enters no unary
-      node, so nothing reaches inside the wrapper until ``DiaR(m)`` takes
-      it off, and that is the fused move wherever K′ applies inside (the
-      premise on the fused box-down introduction; unfused, the wrapped
-      antecedent is a leaf or a unary node).  So the box-down steps can
-      come first and K′ right after them, at ``Γ[◇A ∘ X] ⊢ A``, to the
-      same premise.  An antecedent move away from the merged quote
-      commutes with K′ too, and an elimination carries the merged pair
-      whole into one premise, the main one or the minor one, so the K′ can
-      move up into that premise.  Each such swap moves the K′ up past a
-      step that fires the same, and the scope trace is the same.
-      Not covered, and a claim: a K′ that Root→ follows, whose cycle's
-      rotations may consume the merged quote, where without the merge a
-      Right rotation would quote the pair with its inner quote.  A table
-      that also offers K′ under a box-down succedent
-      (``MergeUnderBoxDownTable`` in the tests) finds the same goal traces
-      on the grid, both possessives and the whole ditransitive frame.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  A call derives into

@@ -44,7 +44,7 @@ def report(line):
 # change to the witness order moves it without changing any reading.
 CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
 AUDITED_DERIVATIONS_SHA256 = \
-    "2dd196257408c37ae8f8ba94acaf739ffe2c905a868a78cd41084ae6734deed3"
+    "a381be03e6a6abdc705d7c15e1af3ab189987ad127cc08e895b03bdc3467d914"
 
 
 def test_criterion_1_acceptability_table(parsed):

@@ -19,9 +19,10 @@ Backward search applies each of these as an antecedent (or succedent)
 rewrite.  No cap bounds it: T, the only rule that grows a structure, is
 always fused into the move that consumes its quote, and the sequents that
 the moves reach from a goal are then finite in number (the argument is in
-``prove``).  So a search explores them all, and an empty result is a
-refutation; only a wall-clock deadline can cut a search short, and the
-result says when one did.  A search returns one derivation per scope
+``prove``).  So a search ends on its own, with every trace of every
+sequent it expands derived, and an empty result is a refutation; only a
+wall-clock deadline can cut a search short, and the result says when one
+did.  A search returns one derivation per scope
 reading it finds, up to a cap on readings.  A goal whose surface tree cannot
 reduce to its clause type over the words' skeleton types is refuted before
 any search (``_skeleton_refutes``).
@@ -72,19 +73,29 @@ returned, which always consist of single honest rule applications:
   the pair is a quote and K′ merges it with no T (the argument is in
   ``prove``).
 
-``prove`` derives, by a plain fixpoint over the reachable sequent graph,
-every scope trace of every node with the first witness of each, and then
-extracts one derivation per scope reading of the goal by following those
-witnesses; see the commentary on ``prove``.  Four more economies concern
-the cost of a search, not its space.  They leave every verdict and reading
-as it is, and the derivations of the first search on a table too:
+``prove`` derives, in one agenda loop over the sequent graph it reaches
+from the goal, every scope trace of every node it expands with the first
+witness of each, and then extracts one derivation per scope reading of the
+goal by following those witnesses; see the commentary on ``prove``.  Five
+more economies concern the cost of a search, not its space.  They leave
+every verdict, reading and goal trace as it is; all but the first leave
+the derivations of the first search on a table as they are too:
 
+* A two-premise move's second premise is reached only once its first
+  premise derives a pair (the demand rule).  A move whose first premise
+  derives nothing derives nothing, so a sequent reached only as the
+  second premise of such moves is never expanded; the sequents expanded
+  still derive every trace they can (the induction is in ``prove``).
+  Pairs are derived in another order than in a search that expands the
+  whole graph first, so a reading's witness may spell out another
+  rule-order variant of it.
 * The graph's solved nodes outlive one search (tabled deduction).  A
   search derives its pairs straight into its table's solved map, and a
-  later search seeds a solved node's traces instead of expanding it
-  again, and so never asks for its moves.  A search its deadline cuts
-  empties that map, as a tabling engine discards its incomplete tables
-  on an abort (``MoveTable``).
+  move that a later search registers under a solved node gets that
+  node's pairs replayed; the node is not expanded again, so its moves are
+  never asked for.  A search its deadline cuts empties that map, as a
+  tabling engine discards its incomplete tables on an abort
+  (``MoveTable``).
 * A sequent's moves are the succedent's moves, then the antecedent's one
   list.  Every move but the axiom and the right rules depends on the
   antecedent alone, and a move's step names rules and sites, no
@@ -109,8 +120,11 @@ from __future__ import annotations
 import gc
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple,
+)
 
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
@@ -376,6 +390,11 @@ AnteMove = tuple[Step, Structure, Sequent | None, Trace]
 # each premise's part of the trace, in premise order.
 Witness = tuple[Move, tuple[Trace, ...]]
 
+# The moves a search has registered under each node it reached, by key:
+# (parent, move, slot) for each move at parent that waits on the node as
+# its premise at slot.
+Dependents = dict[str, list[tuple[str, Move, int]]]
+
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
     ant = seq.antecedent
@@ -611,39 +630,52 @@ def _apply_step(seq: Sequent, step: Step,
 # The prover
 #
 # The search runs over the finite graph of the sequents reachable from the
-# goal (``prove`` argues that it is finite) in three exact phases:
+# goal (``prove`` argues that it is finite) in one agenda loop, which
+# interleaves two exact steps, and then extracts:
 #
-#   1. explore: walk the graph from the goal, expanding each node once:
-#      the move table assembles its moves (``MoveTable.moves_of``), and
-#      they go into the index phase 2 reads, each move under each of its
-#      premises, for the length of the search.  A node that an earlier
-#      call on the table solved is not expanded: its pairs seed phase 2
-#      instead;
-#   2. derive: find, per node, every scope trace (the sequence of worded
-#      continuation-functor firings a derivation performs, outermost first)
-#      of some derivation of it, and the first witness of each, straight
-#      into the table's solved map, the one store of derived pairs.  A
-#      deadline that passes in this phase or the first empties that map;
-#   3. extract: per goal trace, shortest first and up to max_derivations
-#      of them, the derivation its witnesses spell out (``_extract``),
-#      with no clock read.  A derivation's reading is its trace, so each
-#      reading is witnessed once, and its rule-order variants (a sentence
-#      can have astronomically many derivations of a single reading) are
-#      never built.
+#   * explore: expand a node once: the move table assembles its moves
+#     (``MoveTable.moves_of``), and each move is registered, for the
+#     length of the search, under the premise it waits on: a one-premise
+#     move under its premise, a two-premise move under its first premise
+#     only.  A premise is reached when a move is first registered under
+#     it; a new one is expanded later, and one that an earlier call solved
+#     is never expanded;
+#   * derive: read each derived (node, trace) pair once, the trace being
+#     the scope firings of some derivation of the node (``Trace``), and
+#     join it into the moves registered under its node; each pair a join
+#     derives is new or dropped, and a new one goes straight into the
+#     table's solved map, the one store of derived pairs, with its first
+#     witness.  The first time a node derives a pair, each two-premise
+#     move that waits on it as its first premise is registered under its
+#     second premise too, which is reached then (the demand rule);
+#   * extract: per goal trace, shortest first and up to max_derivations
+#     of them, the derivation its witnesses spell out (``_extract``),
+#     with no clock read.  A derivation's reading is its trace, so each
+#     reading is witnessed once, and its rule-order variants (a sentence
+#     can have astronomically many derivations of a single reading) are
+#     never built.
 #
-# Phase 2 is a plain fixpoint, as in agenda-based deduction (Shieber,
+# The loop reads every pair it has derived before it expands the next
+# node, so a move registered at an expansion under a node that already
+# holds pairs has all of them replayed at once: the pairs of a node this
+# call expanded, read already, or of a node an earlier call solved, which
+# are never read.  A move registered under its second premise needs no
+# replay: each pair of its first premise is read or replayed after that,
+# and joins every trace the second premise holds then.  A deadline that
+# passes inside the loop empties the solved map.
+#
+# The loop is a plain fixpoint, as in agenda-based deduction (Shieber,
 # Schabes & Pereira, *Principles and Implementation of Deductive Parsing*,
-# 1995).  Its items are (node, trace) pairs, and its worklist is one list,
-# read in append order and seeded with the axioms and the solved nodes'
-# pairs in the order phase 1 meets them.  A pair enters the worklist once,
-# when it is first derived, and records its witness: the move that derived
-# it and each premise's part of the trace; a seeded pair keeps the witness
-# an earlier call recorded.  A one-premise move derives its conclusion from
-# each pair of its premise; a two-premise move joins each pair of one
-# premise with every trace the other premise has derived so far (a solved
-# premise has all of its traces from the start), and a trace the other
-# premise derives later joins from its side.  Every witness names premise
-# pairs derived strictly before it.
+# 1995), with Earley-style completion: a move's next premise is predicted
+# only once the one before it is complete with a pair.  Its items are
+# (node, trace) pairs, and its agenda is one queue, read in append order.
+# A pair enters it once, when it is first derived, and records its
+# witness: the move that derived it and each premise's part of the trace.
+# A one-premise move derives its conclusion from each pair of its premise;
+# a two-premise move joins each pair of one premise with every trace the
+# other premise has derived so far, and a trace the other premise derives
+# later joins from its side.  Every witness names premise pairs derived
+# strictly before it.
 
 def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
@@ -666,18 +698,21 @@ class MoveTable:
 
     The table keeps across calls what a later call reads: a search
     assembles a node's moves when it expands the node (``moves_of``), and
-    keeps them and its index of parents to itself.  Any search adds to
-    ``halves``, cut or not.  ``solved`` maps the key of every node a search
-    reached to its ``{trace: witness}`` map, empty for a node that derives
-    nothing.  A search derives into it as it goes, so the map of a node it
-    is still deriving is partial; once the search has derived all its
-    pairs, a node's map depends on the sequent alone.  A search cut by its
-    deadline empties ``solved``, partial maps and earlier searches' maps
-    alike (a tabling engine discards its incomplete tables on an abort:
-    Chen & Warren, *Tabled Evaluation with Delaying for General Logic
-    Programs*, 1996), so between calls every map it holds is complete.  A
-    later search seeds a solved node's pairs instead of expanding it again
-    (``prove`` argues that this keeps every reading).  ``parse_sentence``
+    keeps them and its index of the moves waiting on each node to itself.
+    Any search adds to ``halves``, cut or not.  ``solved`` maps the key of
+    every node a search expanded to its ``{trace: witness}`` map, empty for
+    a node that derives nothing.  A search derives into it as it goes, so
+    the map of a node it is still deriving is partial; once the search has
+    derived all its pairs, a node's map depends on the sequent alone, even
+    though the second premises that no pair demanded were never reached
+    (``prove`` argues both).  A search cut by its deadline empties
+    ``solved``, partial maps and earlier searches' maps alike (a tabling
+    engine discards its incomplete tables on an abort: Chen & Warren,
+    *Tabled Evaluation with Delaying for General Logic Programs*, 1996), so
+    between calls every map it holds is complete.  A later search does not
+    expand a solved node again: each move it registers under the node gets
+    the node's pairs replayed (``prove`` argues that this keeps every
+    reading).  ``parse_sentence``
     gives each bracketing its own table, shared by that bracketing's goal
     types, and drops it before the next: the goals over one tree reach
     largely the same sequents, while a table spanning bracketings would
@@ -882,23 +917,24 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     it reads each derived pair; an aborted search empties the table's
     solved map and reports no derivations and ``timed_out``.  Extraction
     reads no clock: it follows witnesses, one step per node of the
-    derivations it returns, so once phase 2 ends the search completes.  A
-    NaN ``deadline`` raises ValueError before any search, since no clock
-    reading would ever pass it.  No ``budget`` means ``SearchBudget()``.
+    derivations it returns, so once the agenda loop ends the search
+    completes.  A NaN ``deadline`` raises ValueError before any search,
+    since no clock reading would ever pass it.  No ``budget`` means
+    ``SearchBudget()``.
 
     A goal whose skeleton cannot reduce to its clause type is refuted
     before any search (``_skeleton_refutes``).  Every other goal is
     searched, over the sequent graph that the move table spans
-    (``MoveTable.moves_of``), in the three phases described in the
-    commentary that opens this section of the module.
+    (``MoveTable.moves_of``), in the one agenda loop described in the
+    commentary that opens this section of the module, and then extracted.
 
-    Why the search ends.  Phase 1 walks the sequents reachable from the
-    goal, and there are finitely many of them.  Every formula of one is a
-    subformula of a goal formula (the ``◇v ◇u X`` that the succedent-side
-    Unquote makes of a subformula ``◇u X`` stands only in the sequent it
-    passes through on the way to its fused diamond introduction), and every
-    word label is one of the goal's; so it is enough that the structures
-    stay bounded in size.
+    Why the search ends.  The loop expands each node once, and only nodes
+    reachable from the goal, of which there are finitely many.  Every
+    formula of one is a subformula of a goal formula (the ``◇v ◇u X`` that
+    the succedent-side Unquote makes of a subformula ``◇u X`` stands only
+    in the sequent it passes through on the way to its fused diamond
+    introduction), and every word label is one of the goal's; so it is
+    enough that the structures stay bounded in size.
 
     * Only decomposition and Root add ``Bin`` nodes and leaves.  A
       decomposition (a slash introduction, the product elimination) takes
@@ -919,11 +955,37 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       that took a connective off.
 
     So the size of a reachable sequent is bounded by the goal's connectives
-    and leaves, and the graph is finite.  Phase 2 derives each node and
-    trace once, and a trace fires each worded continuation functor of the
-    goal once at most, so phase 2 ends too.
+    and leaves, and the graph is finite.  The loop derives and reads each
+    node and trace once, and a trace fires each worded continuation
+    functor of the goal once at most, so the loop ends too.
 
-    Why extraction ends.  Phase 3 follows the first witness of each pair,
+    Why the demand rule loses nothing.  Every node the loop expands ends
+    with every trace that some derivation of it over the table's moves has,
+    by induction on the height of that derivation.  An axiom is derived
+    when its node is expanded.  Otherwise take the derivation's last move
+    ``m`` at ``N``.  The expansion of ``N`` registers ``m`` under its first
+    premise ``P1``, which is thus expanded, or was solved by an earlier
+    call whose map is complete; by induction ``P1`` derives its part ``t1``
+    of the trace.  For a one-premise move, ``t1`` reaches ``m`` when it is
+    read, or is replayed into ``m`` if ``P1`` held it when ``m`` was
+    registered, and ``N`` derives the trace.  For a two-premise move,
+    ``P1`` derives a pair, so ``m`` is registered under its second premise
+    ``P2`` when ``P1`` derives its first pair or, if ``P1`` held one
+    already, when ``m`` is registered under ``P1``: before any pair of
+    ``P1`` reaches ``m``.  So ``P2`` is expanded or solved, and derives its
+    part ``t2`` by induction.  If ``t2`` was derived before ``t1`` reached
+    ``m``, the join at ``t1`` takes it; otherwise ``t2`` is read after
+    ``m`` waits on ``P2`` and joins ``t1`` from its side.  Either way ``N``
+    derives the trace.  So the demand rule skips only second premises of
+    moves that derive nothing, every node in the solved map holds the trace
+    set it would hold in a search that expands the whole reachable graph
+    first, and a refutation stays as exact as the premises below make it.
+    Only the order in which pairs are derived changes, so a first witness,
+    and the rule-order variant it spells out, may differ from that
+    search's; the tests keep that search as ``ExhaustiveSearch``, the
+    reference ``prove`` must match.
+
+    Why extraction ends.  Extraction follows the first witness of each pair,
     and every witness names premise pairs derived strictly before it, so no
     pair recurs below itself and every branch ends (``_extract``).  That
     holds across the calls on one table.  A cut call empties the solved
@@ -931,7 +993,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     completed.  A witness an earlier call derived names only that call's
     pairs or older ones, and every pair of an earlier call precedes all of
     this call's.  A derivation's reading is its trace (``extract_reading``
-    reads the firings in preorder, the order in which phase 2 joins
+    reads the firings in preorder, the order in which the loop joins
     traces), so each reading found is returned once.
 
     An empty result is a refutation, given six premises.
@@ -1056,14 +1118,16 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     the table's solved map as it goes and empties the map if its deadline
     cuts it.  Calls on one table generate each antecedent's moves once
     among them, and none expands a sequent that an earlier call solved
-    and left in the map.  Sharing keeps every verdict and reading: the
-    nodes a completed search reaches are closed under premises, so each of
-    them has every trace it can derive, and a later call that seeds those
-    pairs derives the same traces as it would on its own.  The first goal
-    on a table returns exactly what a fresh search returns.  A later goal
+    and left in the map.  Sharing keeps every verdict and reading: each node
+    a completed search solved has every trace it can derive (the induction
+    above), although the second premises its moves never demanded may be
+    missing from the map, and a later call that replays those pairs
+    derives the same traces as it would on its own.  The first goal on a
+    table returns exactly what a fresh search returns.  A later goal
     returns the same readings in the same order, but a reading's
-    derivation may be another rule-order variant of it, spelled out by the
-    witnesses an earlier call chose.
+    derivation may be another rule-order variant of it: its pairs are
+    derived in another order than on a fresh table, and some witnesses are
+    those an earlier call chose.
 
     The cyclic garbage collector is paused for the call, and the caller's
     setting is restored on return.  This is safe because nothing the search
@@ -1091,77 +1155,141 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
 def _search(goal: Sequent, budget: SearchBudget,
             deadline: Optional[float], table: MoveTable) -> SearchResult:
-    """The three-phase search of ``prove`` on ``table``."""
+    """The search of ``prove`` on ``table``: the one agenda loop, then
+    extraction."""
     stop_at = None if deadline is None else time.monotonic() + deadline
     solved = table.solved
-    # phase 1: walk the reachable sequent graph, expanding each node once,
-    # and index each move under each of its premises; each axiom seeds
-    # phase 2, and so does each pair of a node an earlier call solved,
-    # which is not expanded again.  A node is reached when it first gets an
-    # entry in ``deps``
-    deps: Dict[str, List[Tuple[str, Move, int]]] = {goal.key: []}
-    agenda: List[Tuple[str, Trace]] = []
-    work = [goal]
-    while work:
+    # a node is reached when it first gets an entry in ``deps``; the loop
+    # reads every pending pair before it expands the next node, so a move
+    # registered at an expansion is replayed the pairs its premise holds,
+    # and only those
+    deps: Dependents = {goal.key: []}
+    agenda: Deque[Tuple[str, Trace]] = deque()
+    work = [] if goal.key in solved else [goal]
+    while True:
+        # derive: read each pair once, joining it into the moves that wait
+        # on its node.  A trace can be no longer than the node's stock of
+        # worded continuation functors, so there are finitely many pairs
+        while agenda:
+            if stop_at is not None and time.monotonic() >= stop_at:
+                solved.clear()
+                return SearchResult([], timed_out=True)
+            key, trace = agenda.popleft()
+            for parent, move, slot in deps[key]:
+                premises, own = move[1], move[2]
+                by_trace = solved[parent]
+                if len(premises) == 1:
+                    new = own + trace
+                    if new not in by_trace:
+                        if not by_trace:
+                            _demand(parent, deps, solved, work)
+                        by_trace[new] = (move, (trace,))
+                        agenda.append((parent, new))
+                    continue
+                # over a snapshot: a join may derive a pair at the other
+                # premise itself.  A second premise not yet expanded has
+                # no pair
+                for other in tuple(solved.get(premises[1 - slot].key, ())):
+                    parts = (trace, other) if slot == 0 else (other, trace)
+                    new = own + parts[0] + parts[1]
+                    if new not in by_trace:
+                        if not by_trace:
+                            _demand(parent, deps, solved, work)
+                        by_trace[new] = (move, parts)
+                        agenda.append((parent, new))
+        if not work:
+            break
+        # explore: expand the next node once, registering each move under
+        # its first premise only
         if stop_at is not None and time.monotonic() >= stop_at:
             solved.clear()
             return SearchResult([], timed_out=True)
         seq = work.pop()
         key = seq.key
-        by_trace = solved.get(key)
-        if by_trace is not None:
-            agenda.extend([(key, trace) for trace in by_trace])
-            continue
         by_trace = solved[key] = {}
         for move in table.moves_of(seq):
             premises = move[1]
-            if not premises and not by_trace:  # the axiom
+            if not premises:  # the axiom, the one move where it applies
                 by_trace[()] = (move, ())
                 agenda.append((key, ()))
-            for slot, premise in enumerate(premises):
-                if premise.key not in deps:
-                    deps[premise.key] = []
-                    work.append(premise)
-                deps[premise.key].append((key, move, slot))
-
-    # phase 2: derive every (node, trace) pair of the nodes phase 1
-    # expanded, each once with its first witness.  A trace can be no longer
-    # than the node's stock of worded continuation functors, so there are
-    # finitely many pairs.  A list iterator reads the length at each step,
-    # so it also yields the pairs appended meanwhile
-    for key, trace in agenda:
-        if stop_at is not None and time.monotonic() >= stop_at:
-            solved.clear()
-            return SearchResult([], timed_out=True)
-        for parent, move, slot in deps[key]:
-            premises, own = move[1], move[2]
-            by_trace = solved[parent]
-            if len(premises) == 1:
-                new = own + trace
-                if new not in by_trace:
-                    by_trace[new] = (move, (trace,))
-                    agenda.append((parent, new))
+                _demand(key, deps, solved, work)
                 continue
-            # over a snapshot: a join may derive a pair at the other premise
-            # itself
-            for other in tuple(solved[premises[1 - slot].key]):
-                parts = (trace, other) if slot == 0 else (other, trace)
-                new = own + parts[0] + parts[1]
-                if new not in by_trace:
-                    by_trace[new] = (move, parts)
-                    agenda.append((parent, new))
+            # the registration ``_reach_second`` makes, inline, as it runs
+            # once per move
+            first = premises[0]
+            waiting = deps.get(first.key)
+            if waiting is None:
+                waiting = deps[first.key] = []
+                if first.key not in solved:
+                    work.append(first)
+            waiting.append((key, move, 0))
+            pairs = solved.get(first.key)
+            if pairs:
+                _replay(key, move, pairs, agenda, deps, solved, work)
 
-    # phase 3: one derivation per goal trace, shortest traces first, up to
+    # extract: one derivation per goal trace, shortest traces first, up to
     # the cap on readings
     traces = sorted(solved[goal.key], key=lambda trace: (len(trace), trace))
     return SearchResult([_extract(solved, goal, trace)
                          for trace in traces[:budget.max_derivations]])
 
 
+def _reach_second(parent: str, move: Move, deps: Dependents,
+                  solved: Dict[str, Dict[Trace, Witness]],
+                  work: List[Sequent]) -> None:
+    """Register ``move``, a two-premise move at ``parent`` whose first
+    premise has derived a pair, under its second premise, and reach that
+    premise if it is new.  Nothing is replayed: each pair of the first
+    premise, read later or replayed by the caller, joins every pair the
+    second premise holds then, and the second premise's later pairs join
+    from its side."""
+    second = move[1][1]
+    waiting = deps.get(second.key)
+    if waiting is None:
+        waiting = deps[second.key] = []
+        if second.key not in solved:
+            work.append(second)
+    waiting.append((parent, move, 1))
+
+
+def _demand(node: str, deps: Dependents,
+            solved: Dict[str, Dict[Trace, Witness]],
+            work: List[Sequent]) -> None:
+    """``node`` is deriving its first pair: reach the second premise of each
+    two-premise move that waits on it as its first premise."""
+    for parent, move, slot in deps[node]:
+        if slot == 0 and len(move[1]) == 2:
+            _reach_second(parent, move, deps, solved, work)
+
+
+def _replay(parent: str, move: Move, pairs: Dict[Trace, Witness],
+            agenda: Deque[Tuple[str, Trace]], deps: Dependents,
+            solved: Dict[str, Dict[Trace, Witness]],
+            work: List[Sequent]) -> None:
+    """Derive at ``parent`` what ``move`` derives from ``pairs``, the pairs
+    its first premise held, all read, when the move was registered under
+    it; a two-premise move's second premise is reached first."""
+    premises, own = move[1], move[2]
+    others: Tuple[Trace, ...] = ((),)
+    if len(premises) == 2:
+        _reach_second(parent, move, deps, solved, work)
+        others = tuple(solved.get(premises[1].key, ()))
+    by_trace = solved[parent]
+    for trace in tuple(pairs):
+        for other in others:
+            parts = (trace,) if len(premises) == 1 else (trace, other)
+            new = own + trace + other
+            if new not in by_trace:
+                if not by_trace:
+                    _demand(parent, deps, solved, work)
+                by_trace[new] = (move, parts)
+                agenda.append((parent, new))
+
+
 def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,
              trace: Trace) -> Derivation:
-    """Phase 3 of ``prove``: the derivation of ``seq`` with scope trace
-    ``trace`` that phase 2's first witnesses spell out, the witness's move
+    """The extraction of ``prove``: the derivation of ``seq`` with scope
+    trace ``trace`` that the first witnesses spell out, the witness's move
     applied over each premise's extraction at its part of the trace.  It
     ends because every witness names premise pairs derived strictly before
     it.

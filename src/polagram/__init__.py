@@ -23,9 +23,17 @@ from .fsm import (
     evaluation_order_ok, machine_from_lexicon, predict,
     quantifier_occurrences, quantifier_shape,
 )
-from .semantics import (
-    FiniteModel, QuantDenotation, denotation, is_downward_entailing,
-    is_upward_entailing,
-)
 
 __version__ = "0.1.0"
+
+# The model theory backs only ``polagram monotonic`` and its tests, so no
+# parse needs it: its names load with the module on first use (PEP 562).
+_SEMANTICS = frozenset({"FiniteModel", "QuantDenotation", "denotation",
+                        "is_downward_entailing", "is_upward_entailing"})
+
+
+def __getattr__(name):
+    if name in _SEMANTICS:
+        from . import semantics
+        return getattr(semantics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,8 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .core import (Sequent, SyntaxErrorWithPos, parse_formula,
                    parse_structure, print_formula)
@@ -35,8 +34,6 @@ from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, token
 from .parser import GOAL_TYPES, GRAMMATICAL, UNKNOWN, parse_sentence
 from .prover import SearchBudget, prove
 from .readings import extract_reading, reading_to_dict
-from .semantics import FiniteModel, denotation, is_downward_entailing, \
-    is_upward_entailing
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,8 +44,7 @@ EXIT_UNKNOWN = 3
 # ---------------------------------------------------------------------------
 # Corpus
 
-@dataclass(frozen=True)
-class CorpusLine:
+class CorpusLine(NamedTuple):
     sentence: str
     expected: str                # "ok" or "bad"
     reading_count: Optional[int] = None
@@ -95,7 +91,7 @@ def _add_prover_options(p: argparse.ArgumentParser) -> None:
                    help="lexicon file (default: built-in)")
     p.add_argument("--max-derivations", type=int, metavar="N",
                    help="scope readings per goal, one derivation each "
-                   f"(default {SearchBudget.max_derivations})")
+                   f"(default {SearchBudget().max_derivations})")
     p.add_argument("--time-limit", type=float, metavar="SECONDS",
                    help="abort search after this much wall time")
 
@@ -307,6 +303,9 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_monotonic(args) -> int:
+    # only this subcommand reads the model theory, so it loads on first use
+    from .semantics import FiniteModel, denotation, is_downward_entailing, \
+        is_upward_entailing
     try:
         largest = FiniteModel(args.max_domain)
     except ValueError as exc:

@@ -34,7 +34,11 @@ word's leaf.  Anything else is a single formula leaf: a slash expression, a
 box-down (``[]``, ``[u]`` or ``[p]``), the abbreviations ``s0``, ``s+`` and
 ``s-``, and any other identifier.  So ``s0`` is a leaf while ``<u>s`` is a
 structural diamond over the leaf ``s``.  The lexicon is consulted before the
-abbreviations, so a word spelled ``s0`` reads as the word.
+abbreviations, so a word spelled ``s0`` reads as the word.  Structure text
+adds one form, ``"{" formula "}"``: the braced formula is one unworded leaf
+whatever its shape, so ``{np * np}``, ``{<>np}`` and ``{1}`` are leaves.
+Braces stand only where a structure can, never inside a slash, a box-down
+or other braces, and formula text has none.
 
 Equality on formulas is structural.  Equality on structures and sequents is
 structural too and includes the word and position labels on leaves, which
@@ -354,6 +358,8 @@ _T_DIA = "dia"       # payload: mode
 _T_BOX = "box"       # payload: mode
 _T_LPAR = "("
 _T_RPAR = ")"
+_T_LBRACE = "{"
+_T_RBRACE = "}"
 _T_EOF = "eof"
 
 
@@ -411,6 +417,9 @@ def _lex(text: str):
                 j += 1
             toks.append((_T_IDENT, name, i))
             i = j
+        elif ch in "{}":
+            toks.append((_T_LBRACE if ch == "{" else _T_RBRACE, ch, i))
+            i += 1
         else:
             raise SyntaxErrorWithPos(f"unexpected character {ch!r}", i)
     toks.append((_T_EOF, "", n))
@@ -431,16 +440,31 @@ def _slash_mode(text: str) -> str:
 MAX_DEPTH = 100
 
 
+class _Leaf(Formula):
+    """A braced formula in structure text: one formula leaf, whatever its
+    shape.  It lives only in the tree ``_read_structure`` reads."""
+
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+        self._finish("{" + formula.key + "}", formula.has_cmode)
+
+
 class _Parser:
     """A recursive-descent parser.  Each ``_f_*`` method returns what it
     parsed with its nesting depth (see ``MAX_DEPTH``); ``opened`` counts
     the parentheses and prefixes around the next token, so the parser's
-    own recursion stops at the limit too."""
+    own recursion stops at the limit too.  Braces are read only in
+    structure text (``structure``); ``leaves`` holds the column of each
+    braced leaf read so far."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, structure: bool = False):
         self.toks = _lex(text)
         self.i = 0
         self.opened = 0
+        self.structure = structure
+        self.leaves = []
 
     def peek(self):
         return self.toks[self.i]
@@ -464,6 +488,13 @@ class _Parser:
                 f"nested more than {MAX_DEPTH} levels deep", pos)
         return depth
 
+    def _no_leaf_since(self, start: int) -> None:
+        """Raise at the first braced leaf read after the first ``start``:
+        the text parsed since is part of a formula, where no leaf stands."""
+        if len(self.leaves) > start:
+            raise SyntaxErrorWithPos("a braced leaf cannot stand inside a "
+                                     "formula", self.leaves[start])
+
     def _nested(self, pos: int, parse: Callable[[], tuple]) -> tuple:
         """``parse()`` one level down, for the prefix or parenthesis at
         ``pos``."""
@@ -482,6 +513,7 @@ class _Parser:
         return f
 
     def _f_slash(self) -> Tuple[Formula, int]:
+        start = len(self.leaves)
         items = [self._f_prod()]
         ops = []
         while self.peek()[0] == _T_SLASH:
@@ -490,6 +522,7 @@ class _Parser:
             items.append(self._f_prod())
         if not ops:
             return items[0]
+        self._no_leaf_since(start)
         directions = {tok[1][0] for tok in ops}
         if len(directions) > 1:
             raise SyntaxErrorWithPos(
@@ -522,8 +555,17 @@ class _Parser:
             body, depth = self._nested(pos, self._f_unary)
             return Dia(payload, body), depth
         if kind == _T_BOX:
+            start = len(self.leaves)
             body, depth = self._nested(pos, self._f_unary)
+            self._no_leaf_since(start)
             return BoxDown(payload, body), depth
+        if kind == _T_LBRACE and self.structure:
+            start = len(self.leaves)
+            body, depth = self._nested(pos, self._f_slash)
+            self.expect(_T_RBRACE)
+            self._no_leaf_since(start)
+            self.leaves.append(pos)
+            return _Leaf(body), depth
         if kind == _T_ONE:
             return UNIT, 0
         if kind == _T_LPAR:
@@ -553,6 +595,8 @@ def _read_structure(f: Formula, lexicon, positions: Iterator[int]) -> Structure:
     # spelled like an abbreviation reads as the word, so the abbreviation's
     # name is looked up first.
     abbreviation = any(f is a for a in ABBREVIATIONS.values())
+    if isinstance(f, _Leaf):
+        return FLeaf(f.formula, pos=next(positions))
     if isinstance(f, Product):
         return Bin(f.mode, _read_structure(f.left, lexicon, positions),
                    _read_structure(f.right, lexicon, positions))
@@ -577,12 +621,14 @@ def parse_structure(text: str, lexicon=None) -> Structure:
     entry is that word's leaf with its first type (underscores may stand in
     for spaces in multiword entries); the lexicon is consulted first, so a
     word spelled ``s0`` reads as the word.  Anything else -- a slash, a
-    box-down, a clause-type abbreviation, any other identifier -- is one
-    formula leaf, so ``s0`` is a leaf where ``<u>s`` is a structural diamond
-    over the leaf ``s``.  Leaves are numbered left to right so that scope
-    readings extracted from hand-entered sequents carry positions.
+    box-down, a clause-type abbreviation, any other identifier, a braced
+    formula -- is one formula leaf, so ``s0`` is a leaf where ``<u>s`` is a
+    structural diamond over the leaf ``s``, and ``{<u>s}`` is a leaf again.
+    Leaves are numbered left to right so that scope readings extracted from
+    hand-entered sequents carry positions.
     """
-    return _read_structure(_Parser(text).formula(), lexicon, count())
+    return _read_structure(_Parser(text, structure=True).formula(), lexicon,
+                           count())
 
 
 def parse_sequent(text: str, lexicon=None) -> Sequent:
@@ -645,7 +691,12 @@ def _ps(st: Structure, required: int) -> str:
     if isinstance(st, FLeaf):
         if st.word is not None:
             return st.word.replace(" ", "_")
-        return _pf(st.formula, _LVL_UNARY)
+        f = st.formula
+        # the formulas whose text reads back as structure
+        if isinstance(f, (Product, Unit)) or (
+                isinstance(f, Dia) and f.key not in _ABBREV_BY_KEY):
+            return "{%s}" % print_formula(f)
+        return _pf(f, _LVL_UNARY)
     if isinstance(st, UnitLeaf):
         return "1"
     if isinstance(st, Un):
@@ -661,14 +712,15 @@ def _ps(st: Structure, required: int) -> str:
 def print_structure(st: Structure) -> str:
     """Render a structure, showing word labels where present.
 
-    ``parse_structure`` reads the text back to the same structure, up to
-    the leaves' positions, except for two kinds of leaf:
+    An unworded leaf whose type is a product, the unit or a diamond other
+    than a clause-type abbreviation prints in braces (``{np *c s}``,
+    ``{1}``, ``{<>np}``), since without them it would read back as a
+    structural node, the unit leaf or a structural diamond.
 
-    * an unworded leaf of a clause-type abbreviation (``FLeaf(S0)`` prints
-      ``s0``), which reads back as a word under a lexicon that has a word
-      spelled like the abbreviation;
-    * a formula leaf whose type is a product or a diamond other than an
-      abbreviation (``FLeaf`` of ``np * np`` prints ``(np * np)``), which
-      reads back as a structural node.
+    ``parse_structure`` reads the text back to the same structure, up to
+    the leaves' positions, except for one kind of leaf: an unworded leaf
+    that prints as an identifier a lexicon word spells (``FLeaf(S0)``
+    prints ``s0``) reads back as that word under such a lexicon.  Telling
+    the two apart would need the lexicon at print time.
     """
     return _ps(st, _LVL_SLASH)

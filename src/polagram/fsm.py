@@ -19,9 +19,8 @@ against the prover in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import permutations
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import Atom, Formula, Over, Under, CMODE, S0, SPLUS, SMINUS
 from .lexicon import Lexicon
@@ -59,8 +58,7 @@ def quantifier_shape(f: Formula) -> Optional[Tuple[Formula, Formula]]:
     return f.result, arg.result
 
 
-@dataclass(frozen=True)
-class PolarityMachine:
+class PolarityMachine(NamedTuple):
     epsilon: FrozenSet[Tuple[PolState, PolState]]
     transitions: Tuple[Tuple[str, PolState, PolState], ...]  # word, from, to
     starts: FrozenSet[PolState]
@@ -96,8 +94,7 @@ def machine_from_lexicon(lex: Lexicon) -> PolarityMachine:
     )
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """An accepting path: states[0] is the start; moves[i] labels the step
     from states[i] to states[i+1], either a quantifier word or ε."""
 

@@ -120,10 +120,10 @@ from __future__ import annotations
 import gc
 import math
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import (
-    Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple,
+    Callable, Deque, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+    Tuple,
 )
 
 from .core import (
@@ -139,8 +139,7 @@ Site = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # Rule names
 
-@dataclass(frozen=True)
-class RuleName:
+class RuleName(NamedTuple):
     """A rule tag plus its mode parameter ("" for unparameterized rules)."""
 
     tag: str
@@ -206,8 +205,7 @@ def display_label(rule: RuleName) -> str:
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """One rule application: its conclusion, the premise derivations, and the
     antecedent position the rule worked at (() for succedent rules)."""
 
@@ -237,21 +235,21 @@ class Derivation:
 # ---------------------------------------------------------------------------
 # Budgets
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_derivations")):
     """How much one proof search returns: ``max_derivations`` caps the
     scope readings of one goal, with one derivation each.  Nothing caps the
-    search itself, which ends on its own (see ``prove``)."""
+    search itself, which ends on its own (see ``prove``).  A named tuple
+    whose constructor checks the cap (``_make`` and ``_replace`` do not)."""
 
-    max_derivations: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_derivations < 1:
+    def __new__(cls, max_derivations: int = 16) -> "SearchBudget":
+        if max_derivations < 1:
             raise ValueError("max_derivations must be at least 1")
+        return super().__new__(cls, max_derivations)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Derivations found, and whether the wall-clock deadline cut the
     search (``timed_out``); a search it did not cut is complete."""
 

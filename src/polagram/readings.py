@@ -9,14 +9,12 @@ by word order alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .prover import Derivation, scope_firing
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     """Scope order, widest first, as (word, surface position) pairs."""
 
     scope_order: Tuple[Tuple[str, Optional[int]], ...]

@@ -240,6 +240,63 @@ def test_structure_text_round_trip(s):
     assert parse_structure(print_structure(s), _ROUND_TRIP_LEXICON) == s
 
 
+def _braced_leaves():
+    """Unworded leaves whose formula, printed bare, would read back as
+    structure: a product, a diamond other than an abbreviation, the unit."""
+    sub = _formulas(1)
+    return st.one_of(
+        st.builds(Product, st.sampled_from([DEFAULT, CMODE]), sub, sub),
+        st.builds(Dia, st.sampled_from([VALUE, UMODE, PMODE]), sub).filter(
+            lambda f: f not in (S0, SPLUS)),
+        st.just(UNIT)).map(FLeaf)
+
+
+def _structures_with_braced_leaves(depth):
+    sub = _printable_structures(depth - 1)
+    braced = _braced_leaves()
+    return st.one_of(
+        braced,
+        st.builds(Bin, st.sampled_from([DEFAULT, CMODE]), braced, sub),
+        st.builds(Bin, st.sampled_from([DEFAULT, CMODE]), sub, braced),
+        st.builds(Un, st.sampled_from([VALUE, UMODE, PMODE]), braced))
+
+
+@given(_structures_with_braced_leaves(3).map(
+    lambda s: _numbered(s, count())))
+def test_braced_leaves_round_trip(s):
+    text = print_structure(s)
+    assert "{" in text
+    assert parse_structure(text, _ROUND_TRIP_LEXICON) == s
+
+
+@pytest.mark.parametrize("leaf, text", [
+    (FLeaf(Product(CMODE, NP, S)), "{np *c s}"),
+    (FLeaf(Dia(VALUE, NP)), "{<>np}"),
+    (FLeaf(UNIT), "{1}"),
+    (FLeaf(Dia(UMODE, S)), "s0"),
+])
+def test_a_leaf_that_reads_as_structure_prints_in_braces(leaf, text):
+    assert print_structure(leaf) == text
+    assert parse_structure(text) == FLeaf(leaf.formula, pos=0)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("{np} / np", 0),
+    ("np \\ ({np} * s)", 6),
+    ("[]{np}", 2),
+    ("{{np}}", 1),
+])
+def test_a_braced_leaf_stands_only_where_a_structure_can(text, column):
+    with pytest.raises(SyntaxErrorWithPos) as err:
+        parse_structure(text)
+    assert err.value.pos == column
+
+
+def test_formula_text_has_no_braces():
+    with pytest.raises(SyntaxErrorWithPos):
+        parse_formula("{np}")
+
+
 _A, _B, _C = Atom("a"), Atom("b"), Atom("c")
 _SAW = parse_formula("(np \\ s0) / np")
 

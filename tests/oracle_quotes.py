@@ -22,6 +22,11 @@ On the same searches, ``prove`` finds the same goal traces, in order, as
 ``ExhaustiveSearch``, the two-phase search that expands every reachable
 sequent, and every sequent ``prove`` solves holds exactly the reference's
 trace set; the reference solves a pinned number of sequents more.
+
+And the derivations ``parse_sentence`` returns for the 100 rows that do
+not end in "to everybody" (tier-1 pins the other 25) are pinned by a
+digest, so that a change to the search's order of derivation shows in the
+rule-order variant each reading gets.
 """
 
 from pathlib import Path
@@ -29,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from polagram.cli import parse_corpus
+from test_fsm import _rows, _rows_digest
 from test_prover import (
     ClimbAnywhereTable, QuoteAnywhereTable, UnfusedTable,
     _extra_after_equal_traces, _unreached_after_equal_traces,
@@ -54,3 +60,16 @@ def test_the_oracle_finds_the_same_traces_on_the_frame(lex, oracle_table,
 def test_the_exhaustive_search_finds_the_same_traces_on_the_frame(lex):
     assert len(DITRANSITIVE) == 125
     assert _unreached_after_equal_traces(lex, DITRANSITIVE) == 30754
+
+
+# ``_rows_digest`` over the 100 rows, in file order
+NOT_TO_EVERYBODY_SHA256 = \
+    "2ee561d83ff3dbf6813edd66dda11059330995e88a51291115a81b0ddedaa5c2"
+
+
+def test_the_derivations_on_the_rest_of_the_frame_are_pinned(parsed,
+                                                             machine):
+    lines = [line for line in _rows("ditransitive.tsv")
+             if not line.sentence.endswith(" to everybody")]
+    assert len(lines) == 100
+    assert _rows_digest(parsed, machine, lines) == NOT_TO_EVERYBODY_SHA256

@@ -321,16 +321,15 @@ SEVEN_TOKENS_SHA256 = \
 TO_EVERYBODY_SHA256 = \
     "14b34690c04fe58ee919e3d59ce6bbcac85dc26990a17156ac8bb3cf6a4a8f7d"
 
+# And over the three 9- to 11-token rows, in file order
+LONG_SENTENCES_SHA256 = \
+    "4fb3e1c67d6bbdaf02279196b97bf8f54ae4ef4ec5a06a42eac22a84bf8a6861"
 
-@pytest.mark.parametrize("lines,count,expected_digest", [
-    pytest.param(_rows("seven_tokens.tsv"), 8, SEVEN_TOKENS_SHA256,
-                 id="seven_tokens"),
-    pytest.param([line for line in _rows("ditransitive.tsv")
-                  if line.sentence.endswith(" to everybody")],
-                 25, TO_EVERYBODY_SHA256, id="ditransitive_to_everybody"),
-])
-def test_the_seven_token_derivations_are_pinned(parsed, machine, lines,
-                                                count, expected_digest):
+
+def _rows_digest(parsed, machine, lines):
+    """The digest of the possessive frame's kind over the corpus rows
+    ``lines``, in order, checking on the way that each row is judged as
+    the file says, with the machine's readings and reading count."""
     digest = hashlib.sha256()
     for line in lines:
         result = parsed(line.sentence)
@@ -348,8 +347,22 @@ def test_the_seven_token_derivations_are_pinned(parsed, machine, lines,
             == {r.scope_order for r in admissible}, line.sentence
         if line.reading_count is not None:
             assert len(result.readings) == line.reading_count, line.sentence
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("lines,count,expected_digest", [
+    pytest.param(_rows("seven_tokens.tsv"), 8, SEVEN_TOKENS_SHA256,
+                 id="seven_tokens"),
+    pytest.param([line for line in _rows("ditransitive.tsv")
+                  if line.sentence.endswith(" to everybody")],
+                 25, TO_EVERYBODY_SHA256, id="ditransitive_to_everybody"),
+    pytest.param(_rows("long_sentences.tsv"), 3, LONG_SENTENCES_SHA256,
+                 id="long_sentences"),
+])
+def test_the_seven_token_derivations_are_pinned(parsed, machine, lines,
+                                                count, expected_digest):
     assert len(lines) == count
-    assert digest.hexdigest() == expected_digest
+    assert _rows_digest(parsed, machine, lines) == expected_digest
 
 
 def test_an_uncapped_search_ends_and_agrees_with_the_machine(lex, machine):

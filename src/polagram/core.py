@@ -78,22 +78,22 @@ class Formula:
     """A logical type.  Immutable; compared and hashed structurally.
 
     Every node carries a canonical ``key`` string computed at construction;
-    two formulas are equal iff their keys are equal.  ``has_cmode`` says
+    two formulas are equal iff their keys are equal, and a formula hashes
+    as its key, as structures and sequents do.  ``has_cmode`` says
     whether the formula contains a c-mode connective.
     """
 
-    __slots__ = ("key", "_hash", "has_cmode")
+    __slots__ = ("key", "has_cmode")
 
     def _finish(self, key: str, has_cmode: bool = False) -> None:
         self.key = key
-        self._hash = hash(key)
         self.has_cmode = has_cmode
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Formula) and self.key == other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __str__(self) -> str:
         return print_formula(self)

@@ -81,18 +81,20 @@ more economies concern the cost of a search, not its space.  They leave
 every verdict, reading and goal trace as it is; all but the first leave
 the derivations of the first search on a table as they are too:
 
-* A two-premise move's second premise is reached only once its first
-  premise derives a pair (the demand rule).  A move whose first premise
-  derives nothing derives nothing, so a sequent reached only as the
-  second premise of such moves is never expanded; the sequents expanded
-  still derive every trace they can (the induction is in ``prove``).
-  Pairs are derived in another order than in a search that expands the
-  whole graph first, so a reading's witness may spell out another
-  rule-order variant of it.
+* A move waits on one premise at a time, as an Earley item: the move
+  and the traces of the premises before that one.  So a two-premise
+  move's second premise is reached only once a pair of its first premise
+  is fed to it (the demand rule).  A move whose first premise derives
+  nothing derives nothing, so a sequent reached only as the second
+  premise of such moves is never expanded; the sequents expanded still
+  derive every trace they can (the induction is in ``prove``).  Pairs
+  are derived in another order than in a search that expands the whole
+  graph first, so a reading's witness may spell out another rule-order
+  variant of it.
 * The graph's solved nodes outlive one search (tabled deduction).  A
-  search derives its pairs straight into its table's solved map, and a
-  move that a later search registers under a solved node gets that
-  node's pairs replayed; the node is not expanded again, so its moves are
+  search derives its pairs straight into its table's solved map, and an
+  item that a later search registers under a solved node is fed that
+  node's pairs at once; the node is not expanded again, so its moves are
   never asked for.  A search its deadline cuts empties that map, as a
   tabling engine discards its incomplete tables on an abort
   (``MoveTable``).
@@ -388,10 +390,11 @@ AnteMove = tuple[Step, Structure, Sequent | None, Trace]
 # each premise's part of the trace, in premise order.
 Witness = tuple[Move, tuple[Trace, ...]]
 
-# The moves a search has registered under each node it reached, by key:
-# (parent, move, slot) for each move at parent that waits on the node as
-# its premise at slot.
-Dependents = dict[str, list[tuple[str, Move, int]]]
+# The items a search has registered under each node it reached, by key: an
+# item (parent, move, parts) is a move at parent whose first len(parts)
+# premises have derived the traces parts, and it waits on the node as its
+# next premise.
+Waiting = dict[str, list[tuple[str, Move, tuple[Trace, ...]]]]
 
 
 def _axiom_move(seq: Sequent) -> Optional[Move]:
@@ -529,13 +532,12 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             return
         if (isinstance(a, FLeaf) and isinstance(a.formula, Over)
                 and a.formula.mode == mode):
-            f = a.formula
-            # a c-mode functor with a word takes scope (``scope_firing``)
-            firing = () if mode != CMODE or a.word is None \
-                else ((a.word, a.pos),)
-            out.append(((OVER_L[mode], site, None),
+            f, rule = a.formula, OVER_L[mode]
+            taken = _scope_taken(rule, a)
+            out.append(((rule, site, None),
                         replace(ant, site, FLeaf(f.result)),
-                        Sequent(b, f.argument), firing))
+                        Sequent(b, f.argument),
+                        () if taken is None else (taken,)))
         if (isinstance(b, FLeaf) and isinstance(b.formula, Under)
                 and b.formula.mode == mode):
             f = b.formula
@@ -601,6 +603,18 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             _plain(out, ant, site, rule, new)
 
 
+def _scope_taken(rule: RuleName,
+                 functor: Structure) -> Optional[Tuple[str, Optional[int]]]:
+    """The (word, position) that ``rule`` takes scope for when it
+    eliminates the functor leaf ``functor``: an elimination of a
+    continuation-mode functor whose leaf carries a word.  None for every
+    other step.  The walk (``_walk``) and ``scope_firing`` both ask it."""
+    if (rule == OVER_L[CMODE] and isinstance(functor, FLeaf)
+            and functor.word is not None):
+        return functor.word, functor.pos
+    return None
+
+
 def _apply_step(seq: Sequent, step: Step,
                 premises: Tuple[Derivation, ...]) -> Derivation:
     """The derivation a move at ``seq`` builds over ``premises``: its rule
@@ -629,23 +643,28 @@ def _apply_step(seq: Sequent, step: Step,
 #
 # The search runs over the finite graph of the sequents reachable from the
 # goal (``prove`` argues that it is finite) in one agenda loop, which
-# interleaves two exact steps, and then extracts:
+# interleaves two exact steps, and then extracts.  Both steps hand items to
+# one function, ``_feed``.  An item (parent, move, parts) is a move at
+# parent whose first len(parts) premises have derived the traces parts, a
+# trace being the scope firings of some derivation of a node (``Trace``).
+# Fed a complete item, one with a part for every premise, ``_feed``
+# derives the pair of parent and the move's own trace followed by its
+# parts, if that pair is new: into the table's solved map, the one store
+# of derived pairs, with the witness (move, parts), and onto the agenda.
+# Fed any other item, it registers the item, for the length of the search,
+# under the premise it waits on, premises[len(parts)], reaches that premise
+# if it is new, and feeds the item each pair the premise holds already.
 #
 #   * explore: expand a node once: the move table assembles its moves
-#     (``MoveTable.moves_of``), and each move is registered, for the
-#     length of the search, under the premise it waits on: a one-premise
-#     move under its premise, a two-premise move under its first premise
-#     only.  A premise is reached when a move is first registered under
+#     (``MoveTable.moves_of``), and each is fed as the item with no parts,
+#     so the axiom derives its pair at once and every other move waits on
+#     its first premise.  A premise is reached when an item first waits on
 #     it; a new one is expanded later, and one that an earlier call solved
 #     is never expanded;
-#   * derive: read each derived (node, trace) pair once, the trace being
-#     the scope firings of some derivation of the node (``Trace``), and
-#     join it into the moves registered under its node; each pair a join
-#     derives is new or dropped, and a new one goes straight into the
-#     table's solved map, the one store of derived pairs, with its first
-#     witness.  The first time a node derives a pair, each two-premise
-#     move that waits on it as its first premise is registered under its
-#     second premise too, which is reached then (the demand rule);
+#   * derive: read each derived (node, trace) pair once, and feed each item
+#     that waits on the node its parts followed by the trace.  So a
+#     two-premise move's second premise is reached only when a pair of its
+#     first premise is fed to the move (the demand rule);
 #   * extract: per goal trace, shortest first and up to max_derivations
 #     of them, the derivation its witnesses spell out (``_extract``),
 #     with no clock read.  A derivation's reading is its trace, so each
@@ -653,41 +672,35 @@ def _apply_step(seq: Sequent, step: Step,
 #     can have astronomically many derivations of a single reading) are
 #     never built.
 #
-# The loop reads every pair it has derived before it expands the next
-# node, so a move registered at an expansion under a node that already
-# holds pairs has all of them replayed at once: the pairs of a node this
-# call expanded, read already, or of a node an earlier call solved, which
-# are never read.  A move registered under its second premise needs no
-# replay: each pair of its first premise is read or replayed after that,
-# and joins every trace the second premise holds then.  A deadline that
-# passes inside the loop empties the solved map.
+# An item waits on one premise, and every pair that premise derives
+# reaches it: a pair the premise holds when the item is registered is fed
+# at once, and a later one when it is read.  At an expansion the agenda is
+# empty, so the pairs held are those of a node this call expanded, read
+# already, or of a node an earlier call solved, which are never read.  An
+# item registered while pairs are read may also be fed a pair not yet
+# read; that pair reaches it again when it is read, and as the item waits
+# on a second premise, the second feed repeats a pair already derived.  A
+# deadline that passes inside the loop empties the solved map.
 #
 # The loop is a plain fixpoint, as in agenda-based deduction (Shieber,
 # Schabes & Pereira, *Principles and Implementation of Deductive Parsing*,
-# 1995), with Earley-style completion: a move's next premise is predicted
-# only once the one before it is complete with a pair.  Its items are
-# (node, trace) pairs, and its agenda is one queue, read in append order.
-# A pair enters it once, when it is first derived, and records its
-# witness: the move that derived it and each premise's part of the trace.
-# A one-premise move derives its conclusion from each pair of its premise;
-# a two-premise move joins each pair of one premise with every trace the
-# other premise has derived so far, and a trace the other premise derives
-# later joins from its side.  Every witness names premise pairs derived
-# strictly before it.
+# 1995), with Earley-style completion: an item is a dotted rule whose
+# parts stand left of the dot, and a move's next premise is predicted
+# only once the one before it is complete with a pair.  The agenda is one
+# queue of (node, trace) pairs, read in append order.  A pair enters it
+# once, when it is first derived, and records its witness: the move that
+# derived it and each premise's part of the trace.  Every witness names
+# premise pairs derived strictly before it.
 
 def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
     """The (word, position) a rule application at ``site`` of
-    ``antecedent`` takes scope for: an elimination of a continuation-mode
-    functor whose leaf carries a word.  None for every other step."""
-    if rule.tag != "OverL" or rule.mode != CMODE:
+    ``antecedent`` takes scope for (``_scope_taken``), or None."""
+    if rule.tag != "OverL":  # only OverL eliminates the left child at site
         return None
     node = subtree(antecedent, site)
     assert isinstance(node, Bin)
-    leaf = node.left
-    if isinstance(leaf, FLeaf) and leaf.word is not None:
-        return leaf.word, leaf.pos
-    return None
+    return _scope_taken(rule, node.left)
 
 
 class MoveTable:
@@ -702,15 +715,15 @@ class MoveTable:
     a node that derives nothing.  A search derives into it as it goes, so
     the map of a node it is still deriving is partial; once the search has
     derived all its pairs, a node's map depends on the sequent alone, even
-    though the second premises that no pair demanded were never reached
+    though the second premises that no fed pair demanded were never reached
     (``prove`` argues both).  A search cut by its deadline empties
     ``solved``, partial maps and earlier searches' maps alike (a tabling
     engine discards its incomplete tables on an abort: Chen & Warren,
     *Tabled Evaluation with Delaying for General Logic Programs*, 1996), so
     between calls every map it holds is complete.  A later search does not
-    expand a solved node again: each move it registers under the node gets
-    the node's pairs replayed (``prove`` argues that this keeps every
-    reading).  ``parse_sentence``
+    expand a solved node again: each item it registers under the node is
+    fed the node's pairs at once (``_feed``; ``prove`` argues that this
+    keeps every reading).  ``parse_sentence``
     gives each bracketing its own table, shared by that bracketing's goal
     types, and drops it before the next: the goals over one tree reach
     largely the same sequents, while a table spanning bracketings would
@@ -959,25 +972,24 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
 
     Why the demand rule loses nothing.  Every node the loop expands ends
     with every trace that some derivation of it over the table's moves has,
-    by induction on the height of that derivation.  An axiom is derived
-    when its node is expanded.  Otherwise take the derivation's last move
-    ``m`` at ``N``.  The expansion of ``N`` registers ``m`` under its first
-    premise ``P1``, which is thus expanded, or was solved by an earlier
-    call whose map is complete; by induction ``P1`` derives its part ``t1``
-    of the trace.  For a one-premise move, ``t1`` reaches ``m`` when it is
-    read, or is replayed into ``m`` if ``P1`` held it when ``m`` was
-    registered, and ``N`` derives the trace.  For a two-premise move,
-    ``P1`` derives a pair, so ``m`` is registered under its second premise
-    ``P2`` when ``P1`` derives its first pair or, if ``P1`` held one
-    already, when ``m`` is registered under ``P1``: before any pair of
-    ``P1`` reaches ``m``.  So ``P2`` is expanded or solved, and derives its
-    part ``t2`` by induction.  If ``t2`` was derived before ``t1`` reached
-    ``m``, the join at ``t1`` takes it; otherwise ``t2`` is read after
-    ``m`` waits on ``P2`` and joins ``t1`` from its side.  Either way ``N``
-    derives the trace.  So the demand rule skips only second premises of
-    moves that derive nothing, every node in the solved map holds the trace
-    set it would hold in a search that expands the whole reachable graph
-    first, and a refutation stays as exact as the premises below make it.
+    by induction on the height of that derivation.  Take the derivation's
+    last move ``m`` at ``N``, with premises ``P1``, ..., ``Pk`` (none for
+    an axiom, two at most) and their parts ``t1``, ..., ``tk`` of the
+    trace.  The expansion of ``N`` feeds ``m`` the item with no parts.
+    Say ``m``'s item with parts ``t1``, ..., ``ti`` is fed, for an
+    ``i < k``.  It waits on ``P(i+1)``, which is thus expanded, or was
+    solved by an earlier call whose map is complete, and by induction
+    derives ``t(i+1)``.  If ``P(i+1)`` held that pair when the item was
+    registered, the item is fed it then; otherwise the pair is read later
+    and fed to every item that waits on ``P(i+1)``, this one among them.
+    Either way the item with parts ``t1``, ..., ``t(i+1)`` is fed, so the
+    complete item is fed, and ``N`` derives the trace.  A second premise is
+    thus reached when a pair of the first premise is fed to the move, not
+    when the first premise first derives one.  So the demand rule skips
+    only second premises of moves that derive nothing, every node in the
+    solved map holds the trace set it would hold in a search that expands
+    the whole reachable graph first, and a refutation stays as exact as
+    the premises below make it.
     Only the order in which pairs are derived changes, so a first witness,
     and the rule-order variant it spells out, may differ from that
     search's; the tests keep that search as ``ExhaustiveSearch``, the
@@ -991,8 +1003,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     completed.  A witness an earlier call derived names only that call's
     pairs or older ones, and every pair of an earlier call precedes all of
     this call's.  A derivation's reading is its trace (``extract_reading``
-    reads the firings in preorder, the order in which the loop joins
-    traces), so each reading found is returned once.
+    reads the firings in preorder, the order in which a complete item
+    follows the move's own trace with its parts), so each reading found
+    is returned once.
 
     An empty result is a refutation, given six premises.
 
@@ -1119,7 +1132,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
     and left in the map.  Sharing keeps every verdict and reading: each node
     a completed search solved has every trace it can derive (the induction
     above), although the second premises its moves never demanded may be
-    missing from the map, and a later call that replays those pairs
+    missing from the map, and a later call that is fed those pairs
     derives the same traces as it would on its own.  The first goal on a
     table returns exactly what a fresh search returns.  A later goal
     returns the same readings in the same order, but a reading's
@@ -1157,73 +1170,34 @@ def _search(goal: Sequent, budget: SearchBudget,
     extraction."""
     stop_at = None if deadline is None else time.monotonic() + deadline
     solved = table.solved
-    # a node is reached when it first gets an entry in ``deps``; the loop
-    # reads every pending pair before it expands the next node, so a move
-    # registered at an expansion is replayed the pairs its premise holds,
-    # and only those
-    deps: Dependents = {goal.key: []}
+    # a node is reached when it first gets an entry in ``waiting``
+    waiting: Waiting = {goal.key: []}
     agenda: Deque[Tuple[str, Trace]] = deque()
     work = [] if goal.key in solved else [goal]
     while True:
-        # derive: read each pair once, joining it into the moves that wait
-        # on its node.  A trace can be no longer than the node's stock of
+        # derive: read each pair once and feed it to the items that wait on
+        # its node.  A trace can be no longer than the node's stock of
         # worded continuation functors, so there are finitely many pairs
         while agenda:
             if stop_at is not None and time.monotonic() >= stop_at:
                 solved.clear()
                 return SearchResult([], timed_out=True)
             key, trace = agenda.popleft()
-            for parent, move, slot in deps[key]:
-                premises, own = move[1], move[2]
-                by_trace = solved[parent]
-                if len(premises) == 1:
-                    new = own + trace
-                    if new not in by_trace:
-                        if not by_trace:
-                            _demand(parent, deps, solved, work)
-                        by_trace[new] = (move, (trace,))
-                        agenda.append((parent, new))
-                    continue
-                # over a snapshot: a join may derive a pair at the other
-                # premise itself.  A second premise not yet expanded has
-                # no pair
-                for other in tuple(solved.get(premises[1 - slot].key, ())):
-                    parts = (trace, other) if slot == 0 else (other, trace)
-                    new = own + parts[0] + parts[1]
-                    if new not in by_trace:
-                        if not by_trace:
-                            _demand(parent, deps, solved, work)
-                        by_trace[new] = (move, parts)
-                        agenda.append((parent, new))
+            for parent, move, parts in waiting[key]:
+                _feed(parent, move, parts + (trace,), waiting, solved, agenda,
+                      work)
         if not work:
             break
-        # explore: expand the next node once, registering each move under
-        # its first premise only
+        # explore: expand the next node once, feeding each move its empty
+        # item
         if stop_at is not None and time.monotonic() >= stop_at:
             solved.clear()
             return SearchResult([], timed_out=True)
         seq = work.pop()
         key = seq.key
-        by_trace = solved[key] = {}
+        solved[key] = {}
         for move in table.moves_of(seq):
-            premises = move[1]
-            if not premises:  # the axiom, the one move where it applies
-                by_trace[()] = (move, ())
-                agenda.append((key, ()))
-                _demand(key, deps, solved, work)
-                continue
-            # the registration ``_reach_second`` makes, inline, as it runs
-            # once per move
-            first = premises[0]
-            waiting = deps.get(first.key)
-            if waiting is None:
-                waiting = deps[first.key] = []
-                if first.key not in solved:
-                    work.append(first)
-            waiting.append((key, move, 0))
-            pairs = solved.get(first.key)
-            if pairs:
-                _replay(key, move, pairs, agenda, deps, solved, work)
+            _feed(key, move, (), waiting, solved, agenda, work)
 
     # extract: one derivation per goal trace, shortest traces first, up to
     # the cap on readings
@@ -1232,56 +1206,36 @@ def _search(goal: Sequent, budget: SearchBudget,
                          for trace in traces[:budget.max_derivations]])
 
 
-def _reach_second(parent: str, move: Move, deps: Dependents,
-                  solved: Dict[str, Dict[Trace, Witness]],
-                  work: List[Sequent]) -> None:
-    """Register ``move``, a two-premise move at ``parent`` whose first
-    premise has derived a pair, under its second premise, and reach that
-    premise if it is new.  Nothing is replayed: each pair of the first
-    premise, read later or replayed by the caller, joins every pair the
-    second premise holds then, and the second premise's later pairs join
-    from its side."""
-    second = move[1][1]
-    waiting = deps.get(second.key)
-    if waiting is None:
-        waiting = deps[second.key] = []
-        if second.key not in solved:
-            work.append(second)
-    waiting.append((parent, move, 1))
-
-
-def _demand(node: str, deps: Dependents,
-            solved: Dict[str, Dict[Trace, Witness]],
-            work: List[Sequent]) -> None:
-    """``node`` is deriving its first pair: reach the second premise of each
-    two-premise move that waits on it as its first premise."""
-    for parent, move, slot in deps[node]:
-        if slot == 0 and len(move[1]) == 2:
-            _reach_second(parent, move, deps, solved, work)
-
-
-def _replay(parent: str, move: Move, pairs: Dict[Trace, Witness],
-            agenda: Deque[Tuple[str, Trace]], deps: Dependents,
-            solved: Dict[str, Dict[Trace, Witness]],
-            work: List[Sequent]) -> None:
-    """Derive at ``parent`` what ``move`` derives from ``pairs``, the pairs
-    its first premise held, all read, when the move was registered under
-    it; a two-premise move's second premise is reached first."""
-    premises, own = move[1], move[2]
-    others: Tuple[Trace, ...] = ((),)
-    if len(premises) == 2:
-        _reach_second(parent, move, deps, solved, work)
-        others = tuple(solved.get(premises[1].key, ()))
-    by_trace = solved[parent]
-    for trace in tuple(pairs):
-        for other in others:
-            parts = (trace,) if len(premises) == 1 else (trace, other)
-            new = own + trace + other
-            if new not in by_trace:
-                if not by_trace:
-                    _demand(parent, deps, solved, work)
-                by_trace[new] = (move, parts)
-                agenda.append((parent, new))
+def _feed(parent: str, move: Move, parts: Tuple[Trace, ...],
+          waiting: Waiting, solved: Dict[str, Dict[Trace, Witness]],
+          agenda: Deque[Tuple[str, Trace]], work: List[Sequent]) -> None:
+    """Feed the item (``parent``, ``move``, ``parts``), whose ``parts`` are
+    the traces of the move's first premises.  Complete, it derives its pair
+    at ``parent``, if new; otherwise it waits on its next premise, which is
+    reached if new, and is fed each pair that premise holds already."""
+    premises = move[1]
+    done = len(parts)
+    if done == len(premises):
+        new = sum(parts, move[2])
+        by_trace = solved[parent]
+        if new not in by_trace:
+            by_trace[new] = (move, parts)
+            agenda.append((parent, new))
+        return
+    premise = premises[done]
+    key = premise.key
+    items = waiting.get(key)
+    if items is None:
+        items = waiting[key] = []
+        if key not in solved:
+            work.append(premise)
+    items.append((parent, move, parts))
+    pairs = solved.get(key)
+    if pairs:
+        # over a snapshot: a feed may derive a pair at the premise itself
+        for trace in tuple(pairs):
+            _feed(parent, move, parts + (trace,), waiting, solved, agenda,
+                  work)
 
 
 def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,

@@ -608,6 +608,44 @@ def test_a_pair_settled_by_another_route_is_replayed_into_the_join():
         == [["goal", "D", "B", "Y"], ["goal", "A", "B", "Y", "B", "Y"]]
 
 
+# goal -> C, goal -> B and goal -> (A, B), in that order; A -> C fires
+# ("a", 1), B -> C fires ("b", 2).  C is expanded last, so its one pair
+# derives A's and then B's in one read: when A's pair is fed to the goal's
+# item, B holds a pair that is derived but not yet read
+UNREAD_SECOND = [("goal", ("C",), ()),
+                 ("goal", ("B",), ()),
+                 ("goal", ("A", "B"), ()),
+                 ("A", ("C",), (("a", 1),)),
+                 ("B", ("C",), (("b", 2),)),
+                 ("C", (), ())]
+
+
+def test_a_second_premise_pair_not_yet_read_joins_once(monkeypatch):
+    # the item fed A's pair takes B's unread pair at once, and the read of
+    # B's pair later finds the goal's pair derived; every item is
+    # registered once
+    feed, registered = polagram.prover._feed, []
+
+    def recording(parent, move, parts, *rest):
+        if len(parts) < len(move[1]):
+            registered.append((parent, id(move), parts))
+        feed(parent, move, parts, *rest)
+
+    monkeypatch.setattr(polagram.prover, "_feed", recording)
+    table, node = _hand_table(UNREAD_SECOND)
+    result = _search(node["goal"], SearchBudget(), None, table)
+    a, b = ("a", 1), ("b", 2)
+    assert table.asked == ["goal", "A", "B", "C"]
+    assert [[n.conclusion.succedent.name for n in d.walk()]
+            for d in result.derivations] \
+        == [["goal", "C"], ["goal", "B", "C"],
+            ["goal", "A", "C", "B", "C"]]
+    move, parts = table.solved[node["goal"].key][(a, b)]
+    assert [p.succedent.name for p in move[1]] == ["A", "B"]
+    assert parts == ((a,), (b,))
+    assert len(registered) == len(set(registered)) == 6
+
+
 def test_a_deadline_inside_the_one_loop_empties_the_solved_map():
     # the clock is read before each expansion and each pair read; a
     # deadline that passes at any of those reads, in a search that holds

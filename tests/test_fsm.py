@@ -327,7 +327,7 @@ LONG_SENTENCES_SHA256 = \
 
 
 def _rows_digest(parsed, machine, lines):
-    """The digest of the possessive frame's kind over the corpus rows
+    """The possessive frame's kind of sha256 over the corpus rows
     ``lines``, in order, checking on the way that each row is judged as
     the file says, with the machine's readings and reading count."""
     digest = hashlib.sha256()

@@ -16,7 +16,7 @@ from .prover import (
     validate_derivation, derivation_from_dict, derivation_to_dict,
 )
 from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, UNKNOWN, \
-    ParseResult, bracketings, parse_sentence
+    CorpusLine, Judgment, ParseResult, bracketings, judge, parse_sentence
 from .readings import Reading, extract_reading, inverted_pairs, is_linear
 from .fsm import (
     PolarityMachine, PolState, QuantifierShapeError, Run, accepting_runs,

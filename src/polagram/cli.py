@@ -14,8 +14,10 @@ unknown verdict (``parse`` and ``sequent`` only: the search timed out before
 it found a derivation).  All I/O is UTF-8; a byte-order mark that opens a
 lexicon or corpus file is skipped.
 
-Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``;
-``#`` starts a comment.  Lexicon files follow the lexicon module's format.
+Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``,
+where an ``ok`` row's count is at least 1 and a ``bad`` row's is 0; ``#``
+starts a comment.  ``corpus`` judges each row with ``parser.judge``.
+Lexicon files follow the lexicon module's format.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ import argparse
 import json
 import os
 import sys
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .core import (Sequent, SyntaxErrorWithPos, parse_formula,
                    parse_structure, print_formula)
-from .fsm import (machine_from_lexicon, predict, quantifier_occurrences,
-                  accepting_runs, evaluation_order_ok, inverted_windows)
+from .fsm import (machine_from_lexicon, predict, accepting_runs,
+                  evaluation_order_ok, inverted_windows)
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, tokenize
-from .parser import GOAL_TYPES, GRAMMATICAL, UNKNOWN, parse_sentence
+from .parser import (GOAL_TYPES, GRAMMATICAL, UNKNOWN, CorpusLine, judge,
+                     parse_sentence)
 from .prover import SearchBudget, prove
 from .readings import extract_reading, reading_to_dict
 
@@ -43,12 +46,6 @@ EXIT_UNKNOWN = 3
 
 # ---------------------------------------------------------------------------
 # Corpus
-
-class CorpusLine(NamedTuple):
-    sentence: str
-    expected: str                # "ok" or "bad"
-    reading_count: Optional[int] = None
-
 
 BUILTIN_CORPUS = (
     CorpusLine("Alice saw Bob", "ok", 1),
@@ -79,6 +76,10 @@ def parse_corpus(text: str) -> List[CorpusLine]:
                 raise ValueError(f"line {lineno}: bad reading count "
                                  f"{fields[2]!r}")
             count = int(fields[2])
+            if (count == 0) == (fields[1] == "ok"):
+                raise ValueError(
+                    f"line {lineno}: a row judged {fields[1]!r} cannot have "
+                    f"{count} readings")
         lines.append(CorpusLine(fields[0].strip(), fields[1], count))
     return lines
 
@@ -261,43 +262,39 @@ def cmd_corpus(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failures = 0
-    rows = []
+    rows, judgments = [], []
     for line in lines:
         result = parse_sentence(line.sentence, lex, budget=budget,
                                 deadline=args.time_limit)
-        # an unknown verdict matches no expectation, so the row fails
-        prover_verdict = {GRAMMATICAL: "ok", UNKNOWN: "unknown"}.get(
-            result.verdict, "bad")
-        occurrences = quantifier_occurrences(result.tokens, machine)
-        admissible = predict(machine, occurrences)
-        fsm_verdict = "ok" if admissible else "bad"
-        # a search that timed out decided nothing to agree or disagree with
-        agree = None if result.verdict == UNKNOWN else (
-            {r.scope_order for r in result.readings}
-            == {r.scope_order for r in admissible})
-        passed = (prover_verdict == line.expected
-                  and fsm_verdict == line.expected and agree
-                  and (line.reading_count is None
-                       or len(result.readings) == line.reading_count))
-        failures += 0 if passed else 1
-        rows.append((line, prover_verdict, fsm_verdict, agree,
-                     len(result.readings), passed))
-    if args.json:
-        _emit_json([{
+        judgment = judge(result, machine, line)
+        rows.append({
             "sentence": line.sentence, "expected": line.expected,
-            "prover": pv, "fsm": fv, "engines_agree": agree,
-            "readings": n, "pass": passed,
-        } for line, pv, fv, agree, n, passed in rows])
+            # an unknown verdict matches no expectation, so the row fails
+            "prover": {GRAMMATICAL: "ok", UNKNOWN: "unknown"}.get(
+                result.verdict, "bad"),
+            "fsm": "ok" if judgment.admissible else "bad",
+            "engines_agree": judgment.agree,
+            "readings": len(result.readings), "pass": not judgment.reasons,
+        })
+        judgments.append(judgment)
+    failures = sum(not row["pass"] for row in rows)
+    if args.json:
+        _emit_json(rows)
     else:
-        width = max((len(r[0].sentence) for r in rows), default=8)
+        width = max((len(row["sentence"]) for row in rows), default=8)
         print(f"{'sentence':<{width}}  expect  prover   fsm  readings  result")
-        for line, pv, fv, agree, n, passed in rows:
-            mark = "pass" if passed else "FAIL"
-            extra = (" (search timed out)" if agree is None
-                     else "" if agree else " (engines disagree)")
-            print(f"{line.sentence:<{width}}  {line.expected:<6}  {pv:<7}  "
-                  f"{fv:<3}  {n:<8}  {mark}{extra}")
+        for row, judgment in zip(rows, judgments):
+            agree = judgment.agree
+            notes = [] if agree else [
+                "search timed out" if agree is None else "engines disagree"]
+            if judgment.invalid:
+                notes.append(
+                    f"{judgment.invalid} derivations fail validation")
+            print(f"{row['sentence']:<{width}}  {row['expected']:<6}  "
+                  f"{row['prover']:<7}  {row['fsm']:<3}  "
+                  f"{row['readings']:<8}  "
+                  f"{'pass' if row['pass'] else 'FAIL'}"
+                  + "".join(f" ({note})" for note in notes))
         print(f"{len(rows) - failures}/{len(rows)} passed")
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 

@@ -70,12 +70,21 @@ class PolarityMachine(NamedTuple):
 
 def machine_from_lexicon(lex: Lexicon) -> PolarityMachine:
     """Read the machine off the lexicon: one transition per scope-taking
-    entry, from its output-polarity state to its input-polarity state."""
+    entry, from its output-polarity state to its input-polarity state.
+    Raises QuantifierShapeError for a scope-taking type whose slots are
+    not clause types, and for any other type with a continuation-mode
+    connective: the machine would have no transition for it, and so would
+    treat the word as taking no scope."""
     transitions = []
     for word in lex.words():
         for f in lex.lookup(word):
             shape = quantifier_shape(f)
             if shape is None:
+                if f.has_cmode:
+                    raise QuantifierShapeError(
+                        f"{word!r}: a type with a continuation-mode "
+                        f"connective must have the shape Out /c (np \\c "
+                        f"In), got {f}")
                 continue
             out_f, in_f = shape
             out_state = _STATE_BY_FORMULA.get(out_f.key)

@@ -1,5 +1,6 @@
 """Sentence-level parsing: bracketing enumeration, goal construction,
-grammaticality verdicts.
+grammaticality verdicts, and the judgment of a parse against the polarity
+machine.
 
 A sentence is grammatical iff some binary bracketing of its words derives a
 complete clause: a sequent whose antecedent uses only the surface composition
@@ -16,11 +17,13 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
+from .fsm import PolarityMachine, predict, quantifier_occurrences
 from .lexicon import Lexicon, tokenize
-from .prover import Derivation, MoveTable, SearchBudget, prove
+from .prover import (Derivation, MoveTable, SearchBudget, prove,
+                     validate_derivation)
 from .readings import Reading, extract_reading, reading_to_dict
 
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)
@@ -156,3 +159,68 @@ def parse_sentence(sentence: str, lex: Lexicon,
         else UNKNOWN if timed_out else UNGRAMMATICAL
     return ParseResult(sentence, tokens, verdict, readings, derivations,
                        timed_out)
+
+
+# ---------------------------------------------------------------------------
+# Judging a parse
+
+class CorpusLine(NamedTuple):
+    """A sentence of a judgment corpus, its expected verdict and, when the
+    corpus gives one, its expected number of readings."""
+
+    sentence: str
+    expected: str                # "ok" or "bad"
+    reading_count: Optional[int] = None
+
+
+class Judgment(NamedTuple):
+    """A parse judged against the polarity machine.  ``admissible`` is the
+    machine's reading set for the parse's tokens; ``agree`` says whether
+    the two engines give the same scope orders, None when the search timed
+    out, which decided nothing to agree or disagree with; ``invalid``
+    counts the derivations that fail ``validate_derivation``; ``reasons``
+    says why the parse is wrong, and is empty when it is right."""
+
+    result: ParseResult
+    admissible: Set[Reading]
+    agree: Optional[bool]
+    invalid: int
+    reasons: Tuple[str, ...]
+
+
+def judge(result: ParseResult, machine: PolarityMachine,
+          expected: Optional[CorpusLine] = None) -> Judgment:
+    """Judge ``result`` against ``machine`` and, when given, the corpus
+    line ``expected`` for the same sentence.
+
+    The parse is right when its search did not time out, every derivation
+    validates, its verdict and scope orders are the machine's, and it has
+    the verdict and reading count ``expected`` asks for.  A timed-out
+    search is a failure, never an "ungrammatical" verdict.
+    """
+    admissible = predict(machine,
+                         quantifier_occurrences(result.tokens, machine))
+    invalid = sum(not validate_derivation(d) for d in result.derivations)
+    grammatical = result.verdict == GRAMMATICAL
+    got = {r.scope_order for r in result.readings}
+    want = {r.scope_order for r in admissible}
+    reasons = []
+    if result.timed_out:
+        reasons.append("search timed out")
+    if invalid:
+        reasons.append(f"{invalid} derivations fail validation")
+    if grammatical != bool(admissible):
+        reasons.append(f"verdict {result.verdict!r} but the machine admits "
+                       f"{len(admissible)} orders")
+    if got != want:
+        reasons.append(f"scope orders {sorted(got)} but the machine admits "
+                       f"{sorted(want)}")
+    if expected is not None:
+        if grammatical != (expected.expected == "ok"):
+            reasons.append(f"corpus expects {expected.expected!r}")
+        if expected.reading_count is not None \
+                and len(result.readings) != expected.reading_count:
+            reasons.append(f"corpus expects {expected.reading_count} "
+                           f"readings, got {len(result.readings)}")
+    agree = None if result.timed_out else got == want
+    return Judgment(result, admissible, agree, invalid, tuple(reasons))

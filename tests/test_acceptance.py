@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from polagram import (
-    GRAMMATICAL, SearchBudget, Sequent,
+    GRAMMATICAL, CorpusLine, SearchBudget, Sequent,
     FiniteModel, denotation, is_downward_entailing, is_upward_entailing,
-    derivation_from_dict, derivation_to_dict,
+    derivation_from_dict, derivation_to_dict, judge,
     parse_formula, parse_sentence, parse_structure, predict, prove,
-    quantifier_occurrences, validate_derivation,
+    validate_derivation,
 )
 from polagram.cli import main
 
@@ -78,14 +78,12 @@ def test_criterion_3_ditransitive_prediction(lex, machine):
 
     # prover side: a rightmost quantifier takes widest scope over two
     # others, and the search ends on its own
-    result = parse_sentence("Nobody introduced everybody to somebody", lex)
-    assert not result.timed_out
-    orders = {r.scope_order for r in result.readings}
+    sentence = "Nobody introduced everybody to somebody"
+    result = parse_sentence(sentence, lex)
+    assert judge(result, machine, CorpusLine(sentence, "ok", 4)).reasons \
+        == ()
     linear = (("nobody", 0), ("everybody", 2), ("somebody", 4))
-    assert linear in orders
-    machine_orders = {r.scope_order for r in predict(
-        machine, quantifier_occurrences(result.tokens, machine))}
-    assert orders == machine_orders and len(orders) == 4
+    assert linear in {r.scope_order for r in result.readings}
     report("criterion 3: linear reading derived for the ditransitive and "
            "prover agrees with the machine")
 
@@ -98,11 +96,7 @@ def test_ditransitives_agree_with_the_machine_uncut(lex, machine, sentence):
     # grammatical ditransitives that a cap on T insertions of the formula
     # leaves + 2 cut to no reading at all
     result = parse_sentence(sentence, lex)
-    assert result.verdict == GRAMMATICAL
-    assert not result.timed_out
-    machine_orders = {r.scope_order for r in predict(
-        machine, quantifier_occurrences(result.tokens, machine))}
-    assert {r.scope_order for r in result.readings} == machine_orders
+    assert judge(result, machine, CorpusLine(sentence, "ok")).reasons == ()
 
 
 def test_criterion_4_conversion_lemmas():
@@ -136,13 +130,7 @@ def test_criterion_6_oracle_equivalence(parsed, machine):
     for q1 in QUANTIFIERS:
         for q2 in QUANTIFIERS:
             sentence = f"{q1} saw {q2}"
-            result = parsed(sentence)
-            occurrences = quantifier_occurrences(result.tokens, machine)
-            machine_readings = predict(machine, occurrences)
-            assert (result.verdict == GRAMMATICAL) \
-                == bool(machine_readings), sentence
-            assert {r.scope_order for r in result.readings} \
-                == {r.scope_order for r in machine_readings}, sentence
+            assert judge(parsed(sentence), machine).reasons == (), sentence
     report("criterion 6: prover and machine agree on verdicts and scope "
            "orders for all 25 transitive sentences")
 

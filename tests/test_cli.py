@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import polagram.parser
 from polagram.cli import BUILTIN_CORPUS, main, parse_corpus
 from polagram.core import print_formula
 from polagram.parser import GOAL_TYPES
@@ -101,6 +102,9 @@ BAD_INPUTS = {
     "corpus-negative-count": (["corpus"], "Alice saw Bob\tok\t-1\n"),
     "corpus-extra-field": (["corpus"],
                            "Nobody saw anybody\tok\t1\textra\n"),
+    # a verdict that its own reading count contradicts
+    "corpus-ok-without-readings": (["corpus"], "Alice saw Bob\tok\t0\n"),
+    "corpus-bad-with-readings": (["corpus"], "Anybody saw nobody\tbad\t1\n"),
     "goal-empty": (["parse", "Nobody saw anybody", "--goal", ""], None),
     # nested past the parser's depth limit: prefixes, parentheses and the
     # links of an operator chain
@@ -310,6 +314,12 @@ def test_the_seven_token_corpus_file_reads():
 def test_parse_corpus_rejects_garbage():
     with pytest.raises(ValueError, match="line 1"):
         parse_corpus("no tab separator here\n")
+    # an "ok" row has a reading, and a "bad" row none
+    for row in ("Alice saw Bob\tok\t0\n", "Anybody saw nobody\tbad\t2\n"):
+        with pytest.raises(ValueError, match="line 2: a row judged"):
+            parse_corpus("Alice saw Bob\tok\n" + row)
+    assert parse_corpus("Anybody saw nobody\tbad\t0\n")[0].reading_count \
+        == 0
 
 
 def test_corpus_small_file_passes(tmp_path, capsys):
@@ -371,6 +381,39 @@ def test_corpus_timeout_never_passes(tmp_path, capsys):
     assert all(row.endswith("FAIL (search timed out)") for row in rows), out
     assert "engines disagree" not in out
     assert "0/2 passed" in out
+
+
+def test_corpus_fails_a_row_whose_derivation_fails_validation(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("Nobody saw anybody\tok\t1\n", encoding="utf-8")
+    monkeypatch.setattr(polagram.parser, "validate_derivation",
+                        lambda d: False)
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 1
+    row = out.splitlines()[1]
+    assert "  FAIL (" in row and row.endswith(" derivations fail validation)")
+    assert "engines disagree" not in out
+    assert "0/1 passed" in out
+    code, out, _ = run(capsys, "corpus", str(path), "--json")
+    assert code == 1
+    [row] = json.loads(out)
+    assert row["pass"] is False and row["engines_agree"] is True
+
+
+def test_a_continuation_type_of_no_quantifier_shape_exits_2(tmp_path,
+                                                            capsys):
+    # the machine would otherwise read "foo" as a word that takes no scope
+    # and disagree with the prover on every sentence it scopes in
+    lexicon = tmp_path / "foo.lex"
+    lexicon.write_text("alice := np\nfoo := s0 /c (pp \\c s0)\n",
+                       encoding="utf-8")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("alice\tbad\n", encoding="utf-8")
+    for argv in (["corpus", str(corpus)], ["fsm", "foo"]):
+        code, out, err = run(capsys, *argv, "--lexicon", str(lexicon))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'foo': ") and err.count("\n") == 1
 
 
 def test_corpus_empty_file_passes(tmp_path, capsys):

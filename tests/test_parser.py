@@ -1,15 +1,22 @@
 import gc
+import importlib.util
 import time
+from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import polagram.parser
 from polagram import (
     Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, Reading, S0, SPLUS,
-    UNKNOWN, SearchBudget, bracketings, load_lexicon, parse_sentence,
-    tokenize, validate_derivation,
+    UNKNOWN, SearchBudget, bracketings, judge, load_lexicon, parse_sentence,
+    predict, quantifier_occurrences, tokenize, validate_derivation,
 )
+from polagram.cli import BUILTIN_CORPUS
 from polagram.core import DEFAULT
+
+GATE = Path(__file__).resolve().parents[1] / "bench" / "gate.py"
 
 
 def _catalan(n):
@@ -328,3 +335,42 @@ def test_no_move_table_outlives_the_collector_pause(lex, monkeypatch):
         (gc.enable if was else gc.disable)()
     assert at_start and not any(at_start)
     assert live == [0]
+
+
+# -- judging a parse ----------------------------------------------------------
+
+def test_judge_gives_the_reasons_of_the_benchmark_gate(parsed, machine,
+                                                       monkeypatch):
+    # the benchmark's gate, loaded from its file, on the five cases its own
+    # test_gate_reasons builds
+    spec = importlib.util.spec_from_file_location("bench_gate", GATE)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    sentence = "Somebody saw everybody"
+    result = parsed(sentence)
+    [expected] = [line for line in BUILTIN_CORPUS
+                  if line.sentence == sentence]
+    admissible = predict(machine,
+                         quantifier_occurrences(result.tokens, machine))
+    cases = [
+        (result, 0),
+        (replace(result, timed_out=True), 0),
+        (result, 1),
+        (replace(result, readings=result.readings[:1]), 0),
+        (replace(result, verdict=UNGRAMMATICAL, readings=[]), 0),
+    ]
+    counts = []
+    for case, invalid in cases:
+        first = case.derivations[0]
+        with monkeypatch.context() as patch:
+            if invalid:
+                patch.setattr(polagram.parser, "validate_derivation",
+                              lambda d: d is not first)
+            judgment = judge(case, machine, expected)
+        assert judgment.result is case and judgment.invalid == invalid
+        assert judgment.admissible == admissible
+        assert list(judgment.reasons) \
+            == gate.check(case, admissible, expected, invalid)
+        counts.append(len(judgment.reasons))
+    assert counts == [0, 1, 1, 2, 4]
+

@@ -19,13 +19,14 @@ from polagram import (
     parse_structure, prove, tokenize, validate_derivation,
 )
 from polagram.cli import BUILTIN_CORPUS
+from polagram.core import BINARY_MODES, UNARY_MODES
 from polagram.prover import (
     AXIOM, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F, ROOT_B, ROOT_F,
     T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable, _antecedent_moves,
     _apply_step, _expected_premises, _extract, _kprime, _left_bwd,
     _left_fwd, _plain, _quoting, _right_bwd, _right_fwd, _root_bwd,
     _root_fwd, _search, _skeleton_refutes, _unquote_ante, replace,
-    scope_firing,
+    scope_firing, subtree,
     structure_from_dict, structure_to_dict,
 )
 
@@ -176,6 +177,166 @@ def test_wrong_site_rejected(lex):
     bad = Derivation(good.rule, good.conclusion, good.premises,
                      site=good.site + (0,))
     assert not validate_derivation(bad)
+
+
+# Near misses, one per side condition of the postulates and the mode-indexed
+# rules: each is one rule application whose premises are a real derivation
+# that ``parse_sentence`` returned, and whose conclusion breaks that one
+# condition and nothing else, so that the rule with the condition dropped
+# would demand exactly those premises.  The search never offers such a
+# step, so only the checker can tell it apart.
+
+NEAR_MISS_SENTENCES = ("Nobody saw anybody", "Alice saw a man's mother")
+
+
+def _sites(st, site=()):
+    """Every (site, subtree) of ``st``, in preorder."""
+    yield site, st
+    if isinstance(st, Bin):
+        yield from _sites(st.left, site + (0,))
+        yield from _sites(st.right, site + (1,))
+    elif isinstance(st, Un):
+        yield from _sites(st.body, site + (0,))
+
+
+def _real_site(parsed, match):
+    """The first derivation node, with a site of its antecedent, where
+    ``match(subtree)`` holds."""
+    for sentence in NEAR_MISS_SENTENCES:
+        for d in parsed(sentence).derivations:
+            for node in d.walk():
+                for site, st in _sites(node.conclusion.antecedent):
+                    if match(st):
+                        return node, site, st
+    raise AssertionError("no derivation node matches")
+
+
+def _real_rule(parsed, tag):
+    """The first derivation node whose rule is ``tag``, at any mode."""
+    for sentence in NEAR_MISS_SENTENCES:
+        for d in parsed(sentence).derivations:
+            for node in d.walk():
+                if node.rule.tag == tag:
+                    return node
+    raise AssertionError(f"no {tag} node")
+
+
+def _is_value(st):
+    return isinstance(st, Un) and st.mode == VALUE
+
+
+def _rewritten_at(node, site, new, rule):
+    """``rule`` at ``site`` of a conclusion that is ``node``'s with ``new``
+    at ``site``, over ``node`` as its one premise."""
+    c = node.conclusion
+    return Derivation(rule, Sequent(replace(c.antecedent, site, new),
+                                    c.succedent), (node,), site)
+
+
+def _right_past_a_non_value(parsed):
+    # (A * B) *c C, A no value, over the premise B *c (C * A)
+    node, site, st = _real_site(parsed, lambda st: (
+        isinstance(st, Bin) and st.mode == CMODE
+        and isinstance(st.right, Bin) and st.right.mode == DEFAULT
+        and not _is_value(st.right.right)))
+    b, (c, a) = st.left, (st.right.left, st.right.right)
+    return _rewritten_at(node, site, Bin(CMODE, Bin(DEFAULT, a, b), c),
+                         RIGHT_F)
+
+
+def _right_back_past_a_non_value(parsed):
+    # A *c (B * N), N no value, over the premise (N * A) *c B
+    node, site, st = _real_site(parsed, lambda st: (
+        isinstance(st, Bin) and st.mode == CMODE
+        and isinstance(st.left, Bin) and st.left.mode == DEFAULT
+        and not _is_value(st.left.left)))
+    (n, a), b = (st.left.left, st.left.right), st.right
+    return _rewritten_at(node, site, Bin(CMODE, a, Bin(DEFAULT, b, n)),
+                         RIGHT_B)
+
+
+def _kprime_with_one_quote(left_quoted):
+    # <>A * <u>B, or <u>A * <>B, over the premise <>(A * B)
+    def build(parsed):
+        node, site, st = _real_site(parsed, lambda st: (
+            _is_value(st) and isinstance(st.body, Bin)
+            and st.body.mode == DEFAULT))
+        modes = (VALUE, UMODE) if left_quoted else (UMODE, VALUE)
+        pair = Bin(DEFAULT, Un(modes[0], st.body.left),
+                   Un(modes[1], st.body.right))
+        return _rewritten_at(node, site, pair, KPRIME)
+    return build
+
+
+def _other(modes, mode):
+    return next(m for m in modes if m != mode)
+
+
+def _over_left_at_a_node_of_another_mode(parsed):
+    node = _real_rule(parsed, "OverL")
+    c = node.conclusion
+    st = subtree(c.antecedent, node.site)
+    other = Bin(_other(BINARY_MODES, st.mode), st.left, st.right)
+    return Derivation(node.rule, Sequent(replace(c.antecedent, node.site,
+                                                 other), c.succedent),
+                      node.premises, node.site)
+
+
+def _over_left_over_a_functor_of_another_mode(parsed):
+    node = _real_rule(parsed, "OverL")
+    c = node.conclusion
+    st = subtree(c.antecedent, node.site)
+    f = st.left.formula
+    functor = FLeaf(Over(_other(BINARY_MODES, f.mode), f.result, f.argument),
+                    st.left.word, st.left.pos)
+    return Derivation(node.rule, Sequent(replace(
+        c.antecedent, node.site, Bin(st.mode, functor, st.right)),
+        c.succedent), node.premises, node.site)
+
+
+def _dia_intro_from_a_diamond_of_another_mode(parsed):
+    node = _real_rule(parsed, "DiaR")
+    ant, succ = node.conclusion.antecedent, node.conclusion.succedent
+    other = Un(_other(UNARY_MODES, ant.mode), ant.body)
+    return Derivation(node.rule, Sequent(other, succ), node.premises)
+
+
+def _dia_intro_to_a_diamond_of_another_mode(parsed):
+    node = _real_rule(parsed, "DiaR")
+    ant, succ = node.conclusion.antecedent, node.conclusion.succedent
+    other = Dia(_other(UNARY_MODES, succ.mode), succ.body)
+    return Derivation(node.rule, Sequent(ant, other), node.premises)
+
+
+def _unquote_over_a_non_u_diamond(parsed):
+    # <><m>A, m not u, over the premise <m>A
+    node, site, st = _real_site(parsed, lambda st: (
+        isinstance(st, Un) and st.mode != UMODE))
+    return _rewritten_at(node, site, Un(VALUE, st), UNQUOTE_ANTE)
+
+
+NEAR_MISSES = {
+    "right-past-a-non-value": _right_past_a_non_value,
+    "right-back-past-a-non-value": _right_back_past_a_non_value,
+    "kprime-right-not-quoted": _kprime_with_one_quote(left_quoted=True),
+    "kprime-left-not-quoted": _kprime_with_one_quote(left_quoted=False),
+    "over-left-at-a-node-of-another-mode":
+        _over_left_at_a_node_of_another_mode,
+    "over-left-over-a-functor-of-another-mode":
+        _over_left_over_a_functor_of_another_mode,
+    "dia-intro-from-a-diamond-of-another-mode":
+        _dia_intro_from_a_diamond_of_another_mode,
+    "dia-intro-to-a-diamond-of-another-mode":
+        _dia_intro_to_a_diamond_of_another_mode,
+    "unquote-over-a-non-u-diamond": _unquote_over_a_non_u_diamond,
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_the_checker_rejects_a_near_miss(parsed, name):
+    near_miss = NEAR_MISSES[name](parsed)
+    assert all(validate_derivation(p) for p in near_miss.premises)
+    assert not validate_derivation(near_miss)
 
 
 def _node(rule, mode, ant, succ, premises, site=(), lexicon=None):

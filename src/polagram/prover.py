@@ -1095,9 +1095,10 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       offers, as no climb toward the root takes the unit into the focus.
       Not covered, and a claim: that this route, whose Right rotations
       quote other siblings than the excursion's did, derives the same
-      scope traces as ``S′``.  A table that also offers the withheld Left←
-      (``ClimbAnywhereTable`` in the tests) finds the same goal traces on
-      the grid, both possessives and the whole ditransitive frame.
+      scope traces as ``S′``.  A table that also offers the withheld Left←,
+      with every other gate open too (``AllGatesOpenTable`` in the tests),
+      finds the same goal traces on the grid, both possessives and the
+      whole ditransitive frame.
     * Quotes merge innermost first, argued in part.  K′ merges a quote
       ``◇A`` with its sibling ``X`` under a fused T only when ``X`` is no
       pair that holds an open quote, a value diamond outside every unary
@@ -1120,9 +1121,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None,
       ``Γ[◇(A ∘ X°)] ⊢ G``.  That is the normal-form premise, for a
       derivation whose T steps sit inside a quote, and its normal form
       may again use a withheld move, so no induction is shown to end.  A
-      table that also offers every withheld K′ (``QuoteAnywhereTable`` in
-      the tests) finds the same goal traces on the grid, both possessives
-      and the whole ditransitive frame.
+      table that also offers every withheld K′, with every other gate open
+      too (``AllGatesOpenTable`` in the tests), finds the same goal traces
+      on the grid, both possessives and the whole ditransitive frame.
 
     ``table`` is shared with other calls on the terms ``MoveTable``
     states; a call given none uses a private one.  A call derives into

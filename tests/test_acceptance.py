@@ -12,11 +12,12 @@ import pytest
 from polagram import (
     GRAMMATICAL, CorpusLine, SearchBudget, Sequent,
     FiniteModel, denotation, is_downward_entailing, is_upward_entailing,
-    derivation_from_dict, derivation_to_dict, judge,
+    derivation_from_dict, judge,
     parse_formula, parse_sentence, parse_structure, predict, prove,
     validate_derivation,
 )
 from polagram.cli import main
+from test_prover import _digest_line
 
 QUANTIFIERS = ("a man", "nobody", "anybody", "somebody", "everybody")
 
@@ -37,11 +38,11 @@ def report(line):
 
 
 # The behaviour that refactors of the prover must keep: the built-in corpus
-# report.  And a sha256 over every derivation criterion 7 audits (one
-# ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line each, in audit
-# order), which also pins the rule-order variant returned for each reading:
-# the one its trace's first witnesses spell out (``prover._extract``).  A
-# change to the witness order moves it without changing any reading.
+# report.  And a sha256 over every derivation criterion 7 audits (its
+# ``_digest_line`` each, in audit order), which also pins the rule-order
+# variant returned for each reading: the one its trace's first witnesses
+# spell out (``prover._extract``).  A change to the witness order moves it
+# without changing any reading.
 CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
 AUDITED_DERIVATIONS_SHA256 = \
     "8eea4856ee96581f59d8a50f4cf257d58efa04ac938e95ac50cc4892bdc61a53"
@@ -146,9 +147,9 @@ def test_criterion_7_proof_audit(parsed):
     for sentence in sentences:
         for d in parsed(sentence).derivations:
             assert validate_derivation(d)
-            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
-            digest.update(blob.encode("utf-8") + b"\n")
-            again = derivation_from_dict(json.loads(blob))
+            line = _digest_line(d)
+            digest.update(line)
+            again = derivation_from_dict(json.loads(line))
             assert validate_derivation(again)
             assert again.render() == d.render()
             audited += 1

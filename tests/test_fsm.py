@@ -1,18 +1,18 @@
 import gc
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
 from polagram import (
     GRAMMATICAL, CorpusLine, Lexicon, PolState, QuantifierShapeError,
-    Reading, Run, accepting_runs, derivation_to_dict, evaluation_order_ok,
-    judge, load_lexicon, machine_from_lexicon, parse_sentence, predict,
-    quantifier_occurrences, tokenize,
+    Reading, Run, accepting_runs, evaluation_order_ok, judge, load_lexicon,
+    machine_from_lexicon, parse_sentence, predict, quantifier_occurrences,
+    tokenize,
 )
 from polagram.cli import parse_corpus
 from polagram.fsm import EPSILON
+from test_prover import _digest_line
 
 POS, NEU, NEG = PolState.POS, PolState.NEU, PolState.NEG
 
@@ -261,11 +261,11 @@ POSSESSORS = ("nobody", "anybody", "somebody", "everybody", "a man",
               "alice", "bob")
 
 # A sha256 over the possessive frame at the default budget: per sentence one
-# line with its verdict and timeout flag, then one
-# ``json.dumps(derivation_to_dict(d), sort_keys=True)`` line per derivation,
-# so it also pins the rule-order variant returned for each reading (the one
-# its trace's first witnesses spell out; under a tree's second goal type,
-# some witnesses come from the pairs its first goal solved).
+# line with its verdict and timeout flag, then the ``_digest_line`` of each
+# derivation, so it also pins the rule-order variant returned for each
+# reading (the one its trace's first witnesses spell out; under a tree's
+# second goal type, some witnesses come from the pairs its first goal
+# solved).
 POSSESSIVE_FRAME_SHA256 = \
     "21273f43d09355f6ec0cefa16a8fd141dcad4194e82511fcec0fb44ed802b62e"
 
@@ -282,8 +282,7 @@ def test_prover_and_machine_agree_on_the_possessive_frame(parsed, machine):
         digest.update(f"{result.verdict} {result.timed_out}\n"
                       .encode("utf-8"))
         for d in result.derivations:
-            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
-            digest.update(blob.encode("utf-8") + b"\n")
+            digest.update(_digest_line(d))
         assert judge(result, machine).reasons == (), sentence
         grammatical += result.verdict == GRAMMATICAL
     assert (len(sentences), grammatical) == (49, 37)
@@ -324,8 +323,7 @@ def _rows_digest(parsed, machine, lines):
         digest.update(f"{result.verdict} {result.timed_out}\n"
                       .encode("utf-8"))
         for d in result.derivations:
-            blob = json.dumps(derivation_to_dict(d), sort_keys=True)
-            digest.update(blob.encode("utf-8") + b"\n")
+            digest.update(_digest_line(d))
         assert judge(result, machine, line).reasons == (), line.sentence
     return digest.hexdigest()
 

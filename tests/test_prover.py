@@ -1243,52 +1243,67 @@ def _has_cmode_formula(st):
     return isinstance(st, FLeaf) and st.formula.has_cmode
 
 
-def _structural_moves_at(out, ant, site, node, gates_open=False):
+# the gates of the move table's normal form, each named for what opening it
+# offers: the succedent-side Unquote where a quote is below the root; Root→,
+# Left→ and Right→ toward a constituent with no open scope-taker; K′
+# quoting a pair that holds an open quote; Left← moving the unit into the
+# focus; the Unquote and the box-down introduction apart from the diamond
+# introduction the table fuses them into
+UNQUOTE_ANYWHERE, DESCEND_ANYWHERE, QUOTE_ANYWHERE, CLIMB_ANYWHERE, UNFUSED = \
+    GATES = ("unquote-anywhere", "descend-anywhere", "quote-anywhere",
+             "climb-anywhere", "unfused")
+
+
+def _structural_moves_at(out, ant, site, node, gates_open=()):
     """Add the postulate moves at one site, with T fused into consumers.
-    Unless ``gates_open``: Root→, Left→ and Right→ make a constituent the
-    focus only where it holds an open c-mode formula, Left← moves no unit
-    into the focus, and K′ quotes a sibling that is no quote only if it
-    holds no open quote.  With the gates open, Root→ still needs a c-mode
-    formula somewhere in the antecedent, quoted or not."""
+    Unless ``gates_open`` names the gate: Root→, Left→ and Right→ make a
+    constituent the focus only where it holds an open c-mode formula
+    (``DESCEND_ANYWHERE``), Left← moves no unit into the focus
+    (``CLIMB_ANYWHERE``), and K′ quotes a sibling that is no quote only if
+    it holds no open quote (``QUOTE_ANYWHERE``).  With its gate open,
+    Root→ still needs a c-mode formula somewhere in the antecedent, quoted
+    or not."""
+    descend = DESCEND_ANYWHERE in gates_open
     if (not site and not ant.has_cmode_node and not ant.has_unit
-            and (_has_cmode_formula(ant) if gates_open
+            and (_has_cmode_formula(ant) if descend
                  else ant.has_open_cmode_formula)):
         _plain(out, ant, site, ROOT_F, _root_fwd(node))
     new = _root_bwd(node)
     if new is not None:
         _plain(out, ant, site, ROOT_B, new)
     new = _left_fwd(node)
-    if new is not None and (gates_open
+    if new is not None and (descend
                             or node.left.left.has_open_cmode_formula):
         _plain(out, ant, site, LEFT_F, new)
     new = _left_bwd(node)
-    if new is not None and (gates_open or not node.right.left.has_unit):
+    if new is not None and (CLIMB_ANYWHERE in gates_open
+                            or not node.right.left.has_unit):
         _plain(out, ant, site, LEFT_B, new)
     if isinstance(node, Bin) and node.mode == CMODE:
         if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
-                and (gates_open
-                     or node.left.right.has_open_cmode_formula)):
+                and (descend or node.left.right.has_open_cmode_formula)):
             _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
         if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
             _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
     if isinstance(node, Bin) and node.mode == DEFAULT:
         left, right = node.left, node.right
+        quote = QUOTE_ANYWHERE in gates_open
         if _is_quote(left):
-            if gates_open or _is_quote(right) or not right.has_open_quote:
+            if quote or _is_quote(right) or not right.has_open_quote:
                 _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
         elif _is_quote(right):
-            if gates_open or not left.has_open_quote:
+            if quote or not left.has_open_quote:
                 _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
     new = _unquote_ante(node)
     if new is not None:
         _plain(out, ant, site, UNQUOTE_ANTE, new)
 
 
-def _reference_moves(ant, gates_open=False):
+def _reference_moves(ant, gates_open=()):
     """The moves at ``ant`` in site order, each site's left moves, then its
     structural moves: the spine sites while a context is live, else the
-    open sites.  ``gates_open`` passes ``_structural_moves_at`` its
-    flag."""
+    open sites.  ``gates_open`` passes ``_structural_moves_at`` the gates
+    it opens."""
     sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
     out = []
     for site, node in sites:
@@ -1456,35 +1471,39 @@ def _has_value_diamond(st):
 
 
 class AllGatesOpenTable(MoveTable):
-    """The move table with every gate of its normal form open: each
-    antecedent's list generated by ``_reference_moves`` with the gates
-    open, so each withheld Root→, Left→, Right→, Left← and K′ sits in the
-    place it had among the others, and after a sequent's other moves, the
-    succedent-side Unquote wherever the antecedent holds a value diamond
-    and no context is live, and the box-down introduction unfused where
-    the table fuses it into its diamond introduction, each with the
-    premise the validator's rule demands.  ``extra`` counts the moves it
-    adds to the table's: an antecedent list's once, when the list is
-    generated, and the succedent's at each sequent whose moves it
+    """The move table with the gates ``gates`` of its normal form open, by
+    default every one: each antecedent's list generated by
+    ``_reference_moves`` with those gates open, so each withheld Root→,
+    Left→, Right→, Left← and K′ sits in the place it had among the others,
+    and after a sequent's other moves, the succedent-side Unquote wherever
+    the antecedent holds a value diamond and no context is live (below the
+    root under ``UNQUOTE_ANYWHERE``, at a quoted root, where the table
+    fuses it, under ``UNFUSED``), and under ``UNFUSED`` the box-down
+    introduction where the table fuses it into its diamond introduction,
+    each with the premise the validator's rule demands.  ``extra`` counts
+    the moves it adds to the table's: an antecedent list's once, when the
+    list is generated, and the succedent's at each sequent whose moves it
     assembles."""
 
-    def __init__(self):
+    def __init__(self, gates=GATES):
         super().__init__()
+        self.gates = frozenset(gates)
         self.extra = 0
 
     def moves_of(self, seq):
         ant, succ = seq.antecedent, seq.succedent
         if ant.key not in self.halves:
-            moves = self.halves[ant.key] = _reference_moves(ant,
-                                                            gates_open=True)
+            moves = self.halves[ant.key] = _reference_moves(ant, self.gates)
             self.extra += len(moves) - len(_antecedent_moves(ant))
         out = super().moves_of(seq)
         unfused = []
         if (isinstance(succ, Dia) and succ.mode == UMODE
-                and not ant.has_cmode_node and _has_value_diamond(ant)):
+                and not ant.has_cmode_node and _has_value_diamond(ant)
+                and (UNFUSED if _is_quote(ant) else UNQUOTE_ANYWHERE)
+                in self.gates):
             unfused.append(UNQUOTE_SUCC)
         # at a box-down succedent, the one succedent move comes first
-        if isinstance(succ, BoxDown) and out and \
+        if UNFUSED in self.gates and isinstance(succ, BoxDown) and out and \
                 out[0][0][2] == (BOX_DOWN_R[succ.mode], ()):
             unfused.append(BOX_DOWN_R[succ.mode])
         for rule in unfused:
@@ -1536,6 +1555,45 @@ def test_opening_every_gate_loses_nothing(lex):
     # gates adds, and more moves can only add traces, so where its goal
     # traces equal prove's, so do those of a table that opens fewer gates
     assert _extra_after_equal_traces(lex, AllGatesOpenTable) == 19175
+
+
+# Each gate alone, so that a gate whose moves the search cannot do without
+# is named; the union above checks them together.
+
+def _one_gate(gate):
+    return lambda: AllGatesOpenTable((gate,))
+
+
+def test_unquote_at_a_quoted_root_loses_nothing(lex):
+    # against a table that also offers the Unquote everywhere it used to
+    assert _extra_after_equal_traces(lex, _one_gate(UNQUOTE_ANYWHERE)) \
+        == 517
+
+
+def test_descending_only_toward_a_scope_taker_loses_nothing(lex):
+    # against a table that also descends into constituents whose c-mode
+    # formulas are none or all quoted, and opens a context at an antecedent
+    # whose c-mode formulas are all quoted
+    assert _extra_after_equal_traces(lex, _one_gate(DESCEND_ANYWHERE)) \
+        == 1963
+
+
+def test_merging_quotes_innermost_first_loses_nothing(lex):
+    # against a table that also quotes, for K′, a pair that holds an open
+    # quote
+    assert _extra_after_equal_traces(lex, _one_gate(QUOTE_ANYWHERE)) == 112
+
+
+def test_climbing_toward_the_unit_loses_nothing(lex):
+    # against a table that also offers the Left← that moves the unit into
+    # the focus
+    assert _extra_after_equal_traces(lex, _one_gate(CLIMB_ANYWHERE)) == 274
+
+
+def test_fusing_the_unquote_and_the_box_down_loses_nothing(lex):
+    # against a table that also offers the succedent-side Unquote and the
+    # box-down introduction apart from the diamond introduction
+    assert _extra_after_equal_traces(lex, _one_gate(UNFUSED)) == 451
 
 
 # -- the exhaustive reference search ------------------------------------------

@@ -11,9 +11,10 @@ from .core import (
 )
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, \
     tokenize
+from .check import validate_derivation
 from .prover import (
     Derivation, RuleName, SearchBudget, SearchResult, display_label, prove,
-    validate_derivation, derivation_from_dict, derivation_to_dict,
+    derivation_from_dict, derivation_to_dict,
 )
 from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, UNKNOWN, \
     CorpusLine, Judgment, ParseResult, bracketings, judge, parse_sentence

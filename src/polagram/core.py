@@ -646,7 +646,6 @@ def parse_sequent(text: str, lexicon=None) -> Sequent:
 _LVL_SLASH = 0
 _LVL_PROD = 1
 _LVL_UNARY = 2
-_LVL_ATOM = 3
 
 
 def _wrap(s: str, own: int, required: int) -> str:

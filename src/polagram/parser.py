@@ -22,8 +22,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
 from .fsm import PolarityMachine, predict, quantifier_occurrences
 from .lexicon import Lexicon, tokenize
-from .prover import (Derivation, MoveTable, SearchBudget, prove,
-                     validate_derivation)
+from .check import validate_derivation
+from .prover import Derivation, MoveTable, SearchBudget, prove
 from .readings import Reading, extract_reading, reading_to_dict
 
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)

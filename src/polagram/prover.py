@@ -128,6 +128,7 @@ from typing import (
     Tuple,
 )
 
+from . import check
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, BINARY_MODES, CMODE, DEFAULT,
@@ -293,72 +294,6 @@ def replace(st: Structure, site: Site, new: Structure) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Single-step structural rewrites (shared by search and validation)
-
-def _root_fwd(st: Structure) -> Optional[Structure]:
-    return Bin(CMODE, st, UNIT_LEAF)
-
-
-def _root_bwd(st: Structure) -> Optional[Structure]:
-    if isinstance(st, Bin) and st.mode == CMODE and isinstance(st.right, UnitLeaf):
-        return st.left
-    return None
-
-
-def _left_fwd(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Bin) and st.mode == CMODE
-            and isinstance(st.left, Bin) and st.left.mode == DEFAULT):
-        inner = st.left
-        return Bin(CMODE, inner.left, Bin(DEFAULT, inner.right, st.right))
-    return None
-
-
-def _left_bwd(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Bin) and st.mode == CMODE
-            and isinstance(st.right, Bin) and st.right.mode == DEFAULT):
-        inner = st.right
-        return Bin(CMODE, Bin(DEFAULT, st.left, inner.left), inner.right)
-    return None
-
-
-def _right_fwd(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Bin) and st.mode == CMODE
-            and isinstance(st.left, Bin) and st.left.mode == DEFAULT
-            and isinstance(st.left.left, Un) and st.left.left.mode == VALUE):
-        inner = st.left
-        return Bin(CMODE, inner.right, Bin(DEFAULT, st.right, inner.left))
-    return None
-
-
-def _right_bwd(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Bin) and st.mode == CMODE
-            and isinstance(st.right, Bin) and st.right.mode == DEFAULT
-            and isinstance(st.right.right, Un) and st.right.right.mode == VALUE):
-        inner = st.right
-        return Bin(CMODE, Bin(DEFAULT, inner.right, st.left), inner.left)
-    return None
-
-
-def _t_rewrite(st: Structure) -> Optional[Structure]:
-    return Un(VALUE, st)
-
-
-def _kprime(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Bin) and st.mode == DEFAULT
-            and isinstance(st.left, Un) and st.left.mode == VALUE
-            and isinstance(st.right, Un) and st.right.mode == VALUE):
-        return Un(VALUE, Bin(DEFAULT, st.left.body, st.right.body))
-    return None
-
-
-def _unquote_ante(st: Structure) -> Optional[Structure]:
-    if (isinstance(st, Un) and st.mode == VALUE
-            and isinstance(st.body, Un) and st.body.mode == UMODE):
-        return st.body
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Search move generation
 
 # A scope trace: the worded continuation-functor firings of a derivation
@@ -395,14 +330,6 @@ Witness = tuple[Move, tuple[Trace, ...]]
 # premises have derived the traces parts, and it waits on the node as its
 # next premise.
 Waiting = dict[str, list[tuple[str, Move, tuple[Trace, ...]]]]
-
-
-def _axiom_move(seq: Sequent) -> Optional[Move]:
-    ant = seq.antecedent
-    if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
-        rule = LEX if ant.word is not None else AXIOM
-        return (rule, (), None), (), ()
-    return None
 
 
 def _right_moves(seq: Sequent) -> List[Move]:
@@ -479,7 +406,7 @@ def _plain(out: List[AnteMove], ant: Structure, site: Site, rule: RuleName,
 
 def _quoting(out: List[AnteMove], ant: Structure, site: Site,
              node: Structure, below: Site, rule: RuleName,
-             rewrite: Callable[[Structure], Optional[Structure]]) -> None:
+             rewrite: Callable[[Bin], Structure]) -> None:
     """Add the move that applies ``rewrite`` to ``node``, the subtree at
     ``site``, which needs a value diamond at ``below`` it: the rewrite
     alone if one is there, else after a T that quotes that subtree, fused
@@ -493,9 +420,13 @@ def _quoting(out: List[AnteMove], ant: Structure, site: Site,
         # context that contains it leads nowhere
         return
     new = rewrite(replace(node, below, Un(VALUE, target)))
-    assert new is not None
     out.append(((rule, site, (T_RULE, site + below)),
                 replace(ant, site, new), None, ()))
+
+
+def _kprime(st: Bin) -> Structure:
+    """K′ at ``◇A ∘ ◇B``, which ``_quoting`` applies: ``◇(A ∘ B)``."""
+    return Un(VALUE, Bin(DEFAULT, st.left.body, st.right.body))
 
 
 def _antecedent_moves(ant: Structure) -> List[AnteMove]:
@@ -546,7 +477,7 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
                         Sequent(a, f.argument), ()))
         if mode == CMODE:
             if isinstance(b, UnitLeaf):
-                _plain(out, ant, site, ROOT_B, _root_bwd(node))
+                _plain(out, ant, site, ROOT_B, a)
             # Left→ and Right→ descend the focus into a.left and a.right;
             # they go only toward a scope-taker that no unary node freezes,
             # since any other focus can only climb back out (see ``prove``).
@@ -556,20 +487,26 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             down = isinstance(a, Bin) and a.mode == DEFAULT
             up = isinstance(b, Bin) and b.mode == DEFAULT
             if down and a.left.has_open_cmode_formula:
-                _plain(out, ant, site, LEFT_F, _left_fwd(node))
+                _plain(out, ant, site, LEFT_F,
+                       Bin(CMODE, a.left, Bin(DEFAULT, a.right, b)))
             if up and not b.left.has_unit:
-                _plain(out, ant, site, LEFT_B, _left_bwd(node))
+                _plain(out, ant, site, LEFT_B,
+                       Bin(CMODE, Bin(DEFAULT, a, b.left), b.right))
+            # Right→ takes (◇A ∘ B) *c C to B *c (C ∘ ◇A), Right← takes
+            # A *c (B ∘ ◇C) to (◇C ∘ A) *c B
             if down and a.right.has_open_cmode_formula:
-                _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
+                _quoting(out, ant, site, node, (0, 0), RIGHT_F, lambda n: Bin(
+                    CMODE, n.left.right, Bin(DEFAULT, n.right, n.left.left)))
             if up:
-                _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
+                _quoting(out, ant, site, node, (1, 1), RIGHT_B, lambda n: Bin(
+                    CMODE, Bin(DEFAULT, n.right.right, n.left), n.right.left))
         else:
             if not (site or ant.has_unit) and ant.has_open_cmode_formula:
                 # Root introduces its unit at the spine only, one context at
                 # a time (no context is live at a surface-mode site), and
                 # only where a c-mode functor outside every quote could
                 # consume the context; a formula leaf's root does the same
-                _plain(out, ant, site, ROOT_F, _root_fwd(ant))
+                _plain(out, ant, site, ROOT_F, Bin(CMODE, ant, UNIT_LEAF))
             # K′ merges a quote with its sibling, under a fused T unless the
             # sibling is a quote too.  Quotes merge innermost first: T never
             # wraps a pair that holds an open quote, which the moves at the
@@ -597,7 +534,7 @@ def _walk(ant: Structure, node: Structure, site: Site, live: bool,
             out.append(((BOX_DOWN_L[VALUE], site, (T_RULE, site)),
                         replace(ant, site, FLeaf(f.body)), None, ()))
         if not site and f.has_cmode:  # Root, as at a surface-mode root
-            _plain(out, ant, site, ROOT_F, _root_fwd(ant))
+            _plain(out, ant, site, ROOT_F, Bin(CMODE, ant, UNIT_LEAF))
     elif isinstance(node, Un):
         for rule, new in _unary_rewrites(node.mode, node.body):
             _plain(out, ant, site, rule, new)
@@ -777,13 +714,13 @@ class MoveTable:
         that holds an open quote, so quotes merge innermost first
         (``prove`` says why these gates lose nothing).
         """
-        axiom = _axiom_move(seq)
-        if axiom is not None:
+        ant = seq.antecedent
+        if isinstance(ant, FLeaf) and ant.formula == seq.succedent:
             # Nothing below a closed leaf can introduce a scope-taking step,
             # so alternative unfoldings of it would only duplicate
             # derivations.
-            return [axiom]
-        ant = seq.antecedent
+            return [((LEX if ant.word is not None else AXIOM, (), None), (),
+                     ())]
         ante_moves = self.halves.get(ant.key)
         if ante_moves is None:
             ante_moves = self.halves[ant.key] = _antecedent_moves(ant)
@@ -1259,121 +1196,10 @@ def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,
 
 
 # ---------------------------------------------------------------------------
-# Independent derivation checking
+# The derivation checker, which lives in ``check``, apart from the search; it
+# is found here too, beside the derivations it checks
 
-_STRUCTURAL_REWRITES = {
-    "Root→": _root_fwd, "Root←": _root_bwd,
-    "Left→": _left_fwd, "Left←": _left_bwd,
-    "Right→": _right_fwd, "Right←": _right_bwd,
-    "T": _t_rewrite, "K′": _kprime, "UnquoteAnte": _unquote_ante,
-}
-
-
-def _expected_premises(rule: RuleName, conclusion: Sequent,
-                       site: Site) -> Optional[List[Sequent]]:
-    """The premises the named rule demands at this conclusion/site, or None
-    if the rule does not apply there."""
-    ant, succ = conclusion.antecedent, conclusion.succedent
-    tag, mode = rule.tag, rule.mode
-    try:
-        node = subtree(ant, site)
-    except IndexError:
-        return None
-
-    if tag in ("Axiom", "Lex"):
-        if site == () and isinstance(ant, FLeaf) and ant.formula == succ:
-            return []
-        return None
-
-    if tag == "ProdR":
-        if (site == () and isinstance(succ, Product) and succ.mode == mode
-                and isinstance(ant, Bin) and ant.mode == mode):
-            return [Sequent(ant.left, succ.left), Sequent(ant.right, succ.right)]
-        return None
-    if tag == "OverR":
-        if site == () and isinstance(succ, Over) and succ.mode == mode:
-            return [Sequent(Bin(mode, ant, FLeaf(succ.argument)), succ.result)]
-        return None
-    if tag == "UnderR":
-        if site == () and isinstance(succ, Under) and succ.mode == mode:
-            return [Sequent(Bin(mode, FLeaf(succ.argument), ant), succ.result)]
-        return None
-    if tag == "DiaR":
-        if (site == () and isinstance(succ, Dia) and succ.mode == mode
-                and isinstance(ant, Un) and ant.mode == mode):
-            return [Sequent(ant.body, succ.body)]
-        return None
-    if tag == "BoxDownR":
-        if site == () and isinstance(succ, BoxDown) and succ.mode == mode:
-            return [Sequent(Un(mode, ant), succ.body)]
-        return None
-
-    if tag == "OverL":
-        if (isinstance(node, Bin) and node.mode == mode
-                and isinstance(node.left, FLeaf)
-                and isinstance(node.left.formula, Over)
-                and node.left.formula.mode == mode):
-            f = node.left.formula
-            return [Sequent(replace(ant, site, FLeaf(f.result)), succ),
-                    Sequent(node.right, f.argument)]
-        return None
-    if tag == "UnderL":
-        if (isinstance(node, Bin) and node.mode == mode
-                and isinstance(node.right, FLeaf)
-                and isinstance(node.right.formula, Under)
-                and node.right.formula.mode == mode):
-            f = node.right.formula
-            return [Sequent(replace(ant, site, FLeaf(f.result)), succ),
-                    Sequent(node.left, f.argument)]
-        return None
-    if tag == "DiaL":
-        if (isinstance(node, FLeaf) and isinstance(node.formula, Dia)
-                and node.formula.mode == mode):
-            new = Un(mode, FLeaf(node.formula.body))
-            return [Sequent(replace(ant, site, new), succ)]
-        return None
-    if tag == "ProdL":
-        if (isinstance(node, FLeaf) and isinstance(node.formula, Product)
-                and node.formula.mode == mode):
-            f = node.formula
-            new = Bin(mode, FLeaf(f.left), FLeaf(f.right))
-            return [Sequent(replace(ant, site, new), succ)]
-        return None
-    if tag == "BoxDownL":
-        if (isinstance(node, Un) and node.mode == mode
-                and isinstance(node.body, FLeaf)
-                and isinstance(node.body.formula, BoxDown)
-                and node.body.formula.mode == mode):
-            new = FLeaf(node.body.formula.body)
-            return [Sequent(replace(ant, site, new), succ)]
-        return None
-
-    if tag == "UnquoteSucc":
-        if site == () and isinstance(succ, Dia) and succ.mode == UMODE:
-            return [Sequent(ant, Dia(VALUE, succ))]
-        return None
-
-    structural = _STRUCTURAL_REWRITES.get(tag)
-    if structural is not None:
-        new = structural(node)
-        if new is None:
-            return None
-        return [Sequent(replace(ant, site, new), succ)]
-    return None
-
-
-def validate_derivation(d: Derivation) -> bool:
-    """Audit a derivation: every node's conclusion must follow from its
-    premises by its named rule at its named site."""
-    expected = _expected_premises(d.rule, d.conclusion, d.site)
-    if expected is None or len(expected) != len(d.premises):
-        return False
-    for want, premise in zip(expected, d.premises):
-        if want != premise.conclusion:
-            return False
-        if not validate_derivation(premise):
-            return False
-    return True
+validate_derivation = check.validate_derivation
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from polagram import (
-    LexiconError, default_lexicon, load_lexicon, parse_formula, tokenize,
+    LexiconError, load_lexicon, parse_formula, tokenize,
     quantifier_shape, S0, SPLUS, SMINUS,
 )
 

@@ -1,5 +1,7 @@
-"""What ``import polagram`` loads, and the records it declares."""
+"""What ``import polagram`` loads, the records it declares, and what its
+modules import."""
 
+import ast
 import json
 import os
 import subprocess
@@ -115,3 +117,45 @@ def test_a_budget_is_checked_when_built():
     with pytest.raises(ValueError, match="max_derivations must be at least 1"):
         SearchBudget(0)
     assert SearchBudget(max_derivations=3).max_derivations == 3
+
+
+PACKAGE = Path(polagram.__file__).parent
+
+
+def _imports(path):
+    """The import statements of the module at ``path``, and the names it
+    reads."""
+    imports, read = [], set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return imports, read
+
+
+def test_every_module_reads_the_names_it_imports():
+    # the package's __init__ imports the names the package exports, and a
+    # __future__ import switches a feature on
+    unread = {}
+    for path in [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        imports, read = _imports(path)
+        names = {(alias.asname or alias.name).split(".")[0]
+                 for node in imports if getattr(node, "module", None)
+                 != "__future__" for alias in node.names} - read
+        if names and path.name != "__init__.py":
+            unread[path.name] = sorted(names)
+    assert unread == {}
+
+
+def test_the_checker_is_independent_of_the_search():
+    # the only module of the package the checker imports is core, and the
+    # search keeps no rule table of its own
+    modules = {"." * node.level + (node.module or "")
+               if isinstance(node, ast.ImportFrom) else alias.name
+               for node in _imports(PACKAGE / "check.py")[0]
+               for alias in node.names}
+    assert {module for module in modules
+            if module.startswith((".", "polagram"))} == {".core"}
+    assert not {"_STRUCTURAL_REWRITES", "_expected_premises"} \
+        & set(vars(polagram.prover))

@@ -9,7 +9,7 @@ import pytest
 
 import polagram.parser
 from polagram import (
-    Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, Reading, S0, SPLUS,
+    Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, S0, SPLUS,
     UNKNOWN, SearchBudget, bracketings, judge, load_lexicon, parse_sentence,
     predict, quantifier_occurrences, tokenize, validate_derivation,
 )

@@ -12,20 +12,19 @@ import pytest
 import polagram.prover
 from polagram import (
     Atom, Bin, BoxDown, Derivation, Dia, FLeaf, GOAL_TYPES, Over, Product,
-    RuleName, SearchBudget, Sequent, Un, Under, NP, S0, SPLUS, SMINUS, CMODE,
+    RuleName, SearchBudget, Sequent, Un, NP, S0, SPLUS, SMINUS, CMODE,
     DEFAULT, PMODE, UMODE, VALUE,
     derivation_from_dict, derivation_to_dict, extract_reading,
     bracketings, load_lexicon, parse_formula, parse_sentence,
     parse_structure, prove, tokenize, validate_derivation,
 )
+from polagram.check import expected_premises
 from polagram.cli import BUILTIN_CORPUS
 from polagram.core import BINARY_MODES, UNARY_MODES
 from polagram.prover import (
-    AXIOM, BOX_DOWN_R, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B, RIGHT_F,
-    ROOT_B, ROOT_F, T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable,
-    _antecedent_moves, _apply_step, _expected_premises, _extract, _kprime,
-    _left_bwd, _left_fwd, _plain, _quoting, _right_bwd, _right_fwd,
-    _root_bwd, _root_fwd, _search, _skeleton_refutes, _unquote_ante,
+    AXIOM, BOX_DOWN_L, BOX_DOWN_R, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B,
+    RIGHT_F, ROOT_B, ROOT_F, T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable,
+    _antecedent_moves, _apply_step, _extract, _search, _skeleton_refutes,
     replace, scope_firing, subtree,
     structure_from_dict, structure_to_dict,
 )
@@ -322,6 +321,24 @@ def _unquote_over_a_non_u_diamond(parsed):
     return _rewritten_at(node, site, Un(VALUE, st), UNQUOTE_ANTE)
 
 
+def _a_step_past_a_binary_node(parsed):
+    # a real node whose site steps right at a binary node, with each such
+    # step 7 instead, read back from its dict form as input from outside
+    node = next(node for node in parsed("Nobody saw anybody").derivations[0]
+                .walk() if 1 in node.site)
+    site = tuple(7 if step == 1 else step for step in node.site)
+    return derivation_from_dict(derivation_to_dict(node._replace(site=site)))
+
+
+def _a_step_into_a_unary_node_other_than_0(_parsed):
+    # <p>{<u>np} |- <p><u>np by DiaL(u) at the leaf, named by step 1
+    premise = prove(Sequent(Un(PMODE, Un(UMODE, FLeaf(NP))),
+                            parse_formula("<p><u>np"))).derivations[0]
+    return Derivation(RuleName("DiaL", UMODE),
+                      Sequent(Un(PMODE, FLeaf(parse_formula("<u>np"))),
+                              premise.conclusion.succedent), (premise,), (1,))
+
+
 NEAR_MISSES = {
     "right-past-a-non-value": _right_past_a_non_value,
     "right-back-past-a-non-value": _right_back_past_a_non_value,
@@ -352,6 +369,9 @@ NEAR_MISSES = {
     "under-intro-to-a-slash-of-another-mode":
         _rule_in_another_mode("UnderR"),
     "unquote-over-a-non-u-diamond": _unquote_over_a_non_u_diamond,
+    "a-site-step-past-a-binary-node": _a_step_past_a_binary_node,
+    "a-site-step-into-a-unary-node-other-than-0":
+        _a_step_into_a_unary_node_other_than_0,
 }
 
 
@@ -506,31 +526,25 @@ def test_enumerate_deterministic_order(lex):
     assert listing(goal) == listing(goal) == listing(again)
 
 
-def _subtrees(st):
-    yield st
-    if isinstance(st, Bin):
-        yield from _subtrees(st.left)
-        yield from _subtrees(st.right)
-    elif isinstance(st, Un):
-        yield from _subtrees(st.body)
-
-
 def test_bidirectional_postulates_compose_to_identity(lex):
-    inverses = [(_root_fwd, _root_bwd), (_root_bwd, _root_fwd),
-                (_left_fwd, _left_bwd), (_left_bwd, _left_fwd),
-                (_right_fwd, _right_bwd), (_right_bwd, _right_fwd)]
+    # wherever the checker takes a rotation or Root, its inverse at the
+    # same site gives the conclusion back
+    inverses = [(ROOT_F, ROOT_B), (ROOT_B, ROOT_F), (LEFT_F, LEFT_B),
+                (LEFT_B, LEFT_F), (RIGHT_F, RIGHT_B), (RIGHT_B, RIGHT_F)]
     fired = set()
     for text in ["nobody * (saw * anybody)",
                  "np *c ((1 * <>anybody) * <>saw)",
                  "(<>np * saw) *c (np * 1)",
                  "(<>np * saw) *c 1"]:
-        for node in _subtrees(parse_structure(text, lex)):
-            for rewrite, inverse in inverses:
-                new = rewrite(node)
-                if new is not None:
-                    assert inverse(new) == node, (rewrite.__name__, text)
-                    fired.add(rewrite)
-    assert fired == {rewrite for rewrite, _inverse in inverses}
+        ant = parse_structure(text, lex)
+        for site, _st in _sites(ant):
+            for rule, inverse in inverses:
+                premises = _checked(ant, site, rule)
+                if premises is not None:
+                    back = _checked(premises[0].antecedent, site, inverse)
+                    assert back[0].antecedent == ant, (str(rule), text)
+                    fired.add(rule)
+    assert fired == {rule for rule, _inverse in inverses}
 
 
 # -- search behaviour ---------------------------------------------------------
@@ -1160,7 +1174,9 @@ WALK_SLICE = (GRID + POSSESSIVES + SEVEN_TOKEN_ROWS
 # -- the reference move generator --------------------------------------------
 
 # An antecedent's moves generated the slow way: list the sites, then ask
-# every site for every rule.  ``prover._walk`` must match it move for move.
+# the checker (``polagram.check``) at every site for each rule whose
+# connectives stand there, and apply the normal form's gates to what it
+# takes.  ``prover._walk`` must match it move for move.
 
 def _open_sites(st, prefix=()):
     """Sites ordered leftmost-innermost (children before parents), stopping
@@ -1188,49 +1204,51 @@ def _spine_sites(st, prefix=()):
     return out
 
 
+def _checked(ant, site, rule):
+    """The premises the checker demands of ``rule`` at ``site`` of ``ant``
+    under a stand-in succedent, or None where the rule does not apply."""
+    return expected_premises(rule.tag, rule.mode, Sequent(ant, NP), site)
+
+
+def _offer(out, ant, site, rule, gate=None, below=None, trace=()):
+    """Add the move of ``rule`` at ``site`` of ``ant`` where the checker
+    takes it, with the premises it demands, unless ``gate`` refuses the
+    main premise's subtree at ``site``.  A rule that needs a value diamond
+    at ``below`` the site applies alone if one is there, else after a
+    fused T that quotes the subtree there, unless that holds the unit."""
+    step = (rule, site, None)
+    if below is not None and not _is_value(subtree(ant, site + below)):
+        if subtree(ant, site + below).has_unit:
+            return
+        ant = _checked(ant, site + below, T_RULE)[0].antecedent
+        step = (rule, site, (T_RULE, site + below))
+    premises = _checked(ant, site, rule)
+    main = premises and premises[0].antecedent
+    if main and (gate is None or gate(subtree(main, site))):
+        out.append((step, main, premises[1] if premises[1:] else None, trace))
+
+
 def _left_moves_at(out, ant, site, node):
-    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``."""
+    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``:
+    the eliminations of a connective of the node's mode or, at a formula
+    leaf, of its formula's, where the checker takes them."""
     if isinstance(node, Bin):
-        left, right = node.left, node.right
-        if (isinstance(left, FLeaf) and isinstance(left.formula, Over)
-                and left.formula.mode == node.mode):
-            f = left.formula
+        if isinstance(node.left, FLeaf):
             rule = RuleName("OverL", node.mode)
             firing = scope_firing(rule, ant, site)
-            out.append(((rule, site, None),
-                        replace(ant, site, FLeaf(f.result)),
-                        Sequent(right, f.argument),
-                        () if firing is None else (firing,)))
-        if (isinstance(right, FLeaf) and isinstance(right.formula, Under)
-                and right.formula.mode == node.mode):
-            f = right.formula
-            out.append(((RuleName("UnderL", node.mode), site, None),
-                        replace(ant, site, FLeaf(f.result)),
-                        Sequent(left, f.argument), ()))
+            _offer(out, ant, site, rule,
+                   trace=() if firing is None else (firing,))
+        if isinstance(node.right, FLeaf):
+            _offer(out, ant, site, RuleName("UnderL", node.mode))
     elif isinstance(node, FLeaf):
         f = node.formula
-        if isinstance(f, Dia):
-            new = Un(f.mode, FLeaf(f.body))
-            out.append(((RuleName("DiaL", f.mode), site, None),
-                        replace(ant, site, new), None, ()))
-        elif isinstance(f, Product):
-            new = Bin(f.mode, FLeaf(f.left), FLeaf(f.right))
-            out.append(((RuleName("ProdL", f.mode), site, None),
-                        replace(ant, site, new), None, ()))
+        if isinstance(f, (Dia, Product)):
+            tag = "DiaL" if isinstance(f, Dia) else "ProdL"
+            _offer(out, ant, site, RuleName(tag, f.mode))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
-            out.append(((RuleName("BoxDownL", VALUE), site, (T_RULE, site)),
-                        replace(ant, site, FLeaf(f.body)), None, ()))
-    elif isinstance(node, Un):
-        body = node.body
-        if (isinstance(body, FLeaf) and isinstance(body.formula, BoxDown)
-                and body.formula.mode == node.mode):
-            new = FLeaf(body.formula.body)
-            out.append(((RuleName("BoxDownL", node.mode), site, None),
-                        replace(ant, site, new), None, ()))
-
-
-def _is_quote(st):
-    return isinstance(st, Un) and st.mode == VALUE
+            _offer(out, ant, site, BOX_DOWN_L[VALUE], below=())
+    elif isinstance(node, Un) and isinstance(node.body, FLeaf):
+        _offer(out, ant, site, BOX_DOWN_L[node.mode])
 
 
 def _has_cmode_formula(st):
@@ -1267,36 +1285,30 @@ def _structural_moves_at(out, ant, site, node, gates_open=()):
     if (not site and not ant.has_cmode_node and not ant.has_unit
             and (_has_cmode_formula(ant) if descend
                  else ant.has_open_cmode_formula)):
-        _plain(out, ant, site, ROOT_F, _root_fwd(node))
-    new = _root_bwd(node)
-    if new is not None:
-        _plain(out, ant, site, ROOT_B, new)
-    new = _left_fwd(node)
-    if new is not None and (descend
-                            or node.left.left.has_open_cmode_formula):
-        _plain(out, ant, site, LEFT_F, new)
-    new = _left_bwd(node)
-    if new is not None and (CLIMB_ANYWHERE in gates_open
-                            or not node.right.left.has_unit):
-        _plain(out, ant, site, LEFT_B, new)
-    if isinstance(node, Bin) and node.mode == CMODE:
-        if (isinstance(node.left, Bin) and node.left.mode == DEFAULT
-                and (descend or node.left.right.has_open_cmode_formula)):
-            _quoting(out, ant, site, node, (0, 0), RIGHT_F, _right_fwd)
-        if isinstance(node.right, Bin) and node.right.mode == DEFAULT:
-            _quoting(out, ant, site, node, (1, 1), RIGHT_B, _right_bwd)
-    if isinstance(node, Bin) and node.mode == DEFAULT:
-        left, right = node.left, node.right
-        quote = QUOTE_ANYWHERE in gates_open
-        if _is_quote(left):
-            if quote or _is_quote(right) or not right.has_open_quote:
-                _quoting(out, ant, site, node, (1,), KPRIME, _kprime)
-        elif _is_quote(right):
-            if quote or not left.has_open_quote:
-                _quoting(out, ant, site, node, (0,), KPRIME, _kprime)
-    new = _unquote_ante(node)
-    if new is not None:
-        _plain(out, ant, site, UNQUOTE_ANTE, new)
+        _offer(out, ant, site, ROOT_F)
+    if isinstance(node, Un) and isinstance(node.body, Un):
+        _offer(out, ant, site, UNQUOTE_ANTE)
+    if not isinstance(node, Bin):
+        return
+    left, right = node.left, node.right
+    if node.mode == CMODE:
+        _offer(out, ant, site, ROOT_B)
+
+        def descends(focus):
+            return descend or focus.left.has_open_cmode_formula
+
+        _offer(out, ant, site, LEFT_F, descends)
+        _offer(out, ant, site, LEFT_B, lambda focus: (
+            CLIMB_ANYWHERE in gates_open or not focus.left.right.has_unit))
+        if isinstance(left, Bin):
+            _offer(out, ant, site, RIGHT_F, descends, (0, 0))
+        if isinstance(right, Bin):
+            _offer(out, ant, site, RIGHT_B, below=(1, 1))
+    elif _is_value(left) or _is_value(right):
+        below, sibling = ((1,), right) if _is_value(left) else ((0,), left)
+        if QUOTE_ANYWHERE in gates_open or _is_value(sibling) \
+                or not sibling.has_open_quote:
+            _offer(out, ant, site, KPRIME, below=below)
 
 
 def _reference_moves(ant, gates_open=()):
@@ -1343,7 +1355,8 @@ def _offered_moves_checked(node, moves):
             applied.append(applied[0].premises[0])
         assert applied[-1].premises is stubs
         for d in applied:
-            assert _expected_premises(d.rule, d.conclusion, d.site) \
+            assert expected_premises(d.rule.tag, d.rule.mode,
+                                     d.conclusion, d.site) \
                 == [p.conclusion for p in d.premises], (str(node), step)
     return len(moves)
 
@@ -1497,9 +1510,8 @@ class AllGatesOpenTable(MoveTable):
             self.extra += len(moves) - len(_antecedent_moves(ant))
         out = super().moves_of(seq)
         unfused = []
-        if (isinstance(succ, Dia) and succ.mode == UMODE
-                and not ant.has_cmode_node and _has_value_diamond(ant)
-                and (UNFUSED if _is_quote(ant) else UNQUOTE_ANYWHERE)
+        if (not ant.has_cmode_node and _has_value_diamond(ant)
+                and (UNFUSED if _is_value(ant) else UNQUOTE_ANYWHERE)
                 in self.gates):
             unfused.append(UNQUOTE_SUCC)
         # at a box-down succedent, the one succedent move comes first
@@ -1507,9 +1519,11 @@ class AllGatesOpenTable(MoveTable):
                 out[0][0][2] == (BOX_DOWN_R[succ.mode], ()):
             unfused.append(BOX_DOWN_R[succ.mode])
         for rule in unfused:
-            out.append(((rule, (), None),
-                        tuple(_expected_premises(rule, seq, ())), ()))
-        self.extra += len(unfused)
+            # where the checker takes it, with the premise it demands
+            premises = expected_premises(rule.tag, rule.mode, seq, ())
+            if premises is not None:
+                out.append(((rule, (), None), tuple(premises), ()))
+                self.extra += 1
         return out
 
 

@@ -1,8 +1,6 @@
 from itertools import combinations
 
-from polagram import (
-    Reading, extract_reading, inverted_pairs, is_linear, parse_sentence,
-)
+from polagram import Reading, extract_reading, inverted_pairs, is_linear
 
 
 def test_extract_licensing_reading(parsed):

@@ -26,7 +26,7 @@ search whose derivations it checks.
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -96,17 +96,20 @@ def _compile(pattern):
     parts = _PARTS.get(kind)
     if parts is None:  # the unit
         return (lambda target, env: target == pattern), lambda env: pattern
-    mode = pattern.mode
-    subs = [(part, *_compile(getattr(pattern, part))) for part in parts]
+    mode, get = pattern.mode, attrgetter(*parts)
+    if len(parts) == 1:
+        match, build = _compile(get(pattern))
+        return ((lambda target, env: type(target) is kind
+                 and target.mode == mode and match(get(target), env)),
+                lambda env: kind(mode, build(env)))
+    (match1, build1), (match2, build2) = map(_compile, get(pattern))
 
-    def match(target, env):
+    def match_pair(target, env):
         if type(target) is not kind or target.mode != mode:
             return False
-        for part, sub, _build in subs:
-            if not sub(getattr(target, part), env):
-                return False
-        return True
-    return match, lambda env: kind(mode, *[build(env) for _, _, build in subs])
+        first, second = get(target)
+        return match1(first, env) and match2(second, env)
+    return match_pair, lambda env: kind(mode, build1(env), build2(env))
 
 
 @cache
@@ -169,10 +172,12 @@ def expected_premises(tag: str, mode: str, conclusion: Sequent,
     if rule is None:
         return None
     antecedent, succedent, premises, at_root = rule
-    found = None if at_root and site else _at(conclusion.antecedent, site)
-    if found is None:
-        return None
-    node, path = found
+    node, path = conclusion.antecedent, ()
+    if site:
+        found = None if at_root else _at(node, site)
+        if found is None:
+            return None
+        node, path = found
     env: dict = {}
     if not (antecedent(node, env) and succedent(conclusion.succedent, env)):
         return None

@@ -539,9 +539,9 @@ def test_bidirectional_postulates_compose_to_identity(lex):
         ant = parse_structure(text, lex)
         for site, _st in _sites(ant):
             for rule, inverse in inverses:
-                premises = _checked(ant, site, rule)
+                premises = _checked(Sequent(ant, NP), site, rule)
                 if premises is not None:
-                    back = _checked(premises[0].antecedent, site, inverse)
+                    back = _checked(premises[0], site, inverse)
                     assert back[0].antecedent == ant, (str(rule), text)
                     fired.add(rule)
     assert fired == {rule for rule, _inverse in inverses}
@@ -1178,77 +1178,69 @@ WALK_SLICE = (GRID + POSSESSIVES + SEVEN_TOKEN_ROWS
 # connectives stand there, and apply the normal form's gates to what it
 # takes.  ``prover._walk`` must match it move for move.
 
-def _open_sites(st, prefix=()):
+def _open_sites(st, prefix=(), spine=False):
     """Sites ordered leftmost-innermost (children before parents), stopping
     at unary wrappers: a quoted (or otherwise boxed) subtree is opaque until
     the wrapper is consumed, so moves strictly inside it commute to after
-    its removal."""
+    its removal.  With ``spine``, only the c-mode sites, in the same order:
+    while a context is live no other site offers a move, and only a
+    subtree with a c-mode node holds one."""
     out = []
-    if isinstance(st, Bin):
-        out.extend(_open_sites(st.left, prefix + (0,)))
-        out.extend(_open_sites(st.right, prefix + (1,)))
-    out.append((prefix, st))
+    if isinstance(st, Bin) and (st.has_cmode_node or not spine):
+        out.extend(_open_sites(st.left, prefix + (0,), spine))
+        out.extend(_open_sites(st.right, prefix + (1,), spine))
+    if not spine or isinstance(st, Bin) and st.mode == CMODE:
+        out.append((prefix, st))
     return out
 
 
-def _spine_sites(st, prefix=()):
-    """The c-mode sites among ``_open_sites``, in its order.  While a
-    context is live no other site offers a move, and only a subtree with a
-    c-mode node holds one."""
-    out = []
-    if isinstance(st, Bin) and st.has_cmode_node:
-        out.extend(_spine_sites(st.left, prefix + (0,)))
-        out.extend(_spine_sites(st.right, prefix + (1,)))
-        if st.mode == CMODE:
-            out.append((prefix, st))
-    return out
+def _checked(seq, site, rule):
+    """The premises the checker demands of ``rule`` at ``site`` of the
+    antecedent of ``seq``, or None where the rule does not apply."""
+    return expected_premises(rule.tag, rule.mode, seq, site)
 
 
-def _checked(ant, site, rule):
-    """The premises the checker demands of ``rule`` at ``site`` of ``ant``
-    under a stand-in succedent, or None where the rule does not apply."""
-    return expected_premises(rule.tag, rule.mode, Sequent(ant, NP), site)
-
-
-def _offer(out, ant, site, rule, gate=None, below=None, trace=()):
-    """Add the move of ``rule`` at ``site`` of ``ant`` where the checker
-    takes it, with the premises it demands, unless ``gate`` refuses the
-    main premise's subtree at ``site``.  A rule that needs a value diamond
-    at ``below`` the site applies alone if one is there, else after a
-    fused T that quotes the subtree there, unless that holds the unit."""
+def _offer(out, seq, site, rule, below=None, trace=()):
+    """Add the move of ``rule`` at ``site`` of the antecedent of ``seq``, a
+    sequent under a stand-in succedent, where the checker takes it, with
+    the premises it demands.  A rule that needs a value diamond at
+    ``below`` the site applies alone if one is there, else after a fused
+    T that quotes the subtree there, unless that holds the unit."""
     step = (rule, site, None)
-    if below is not None and not _is_value(subtree(ant, site + below)):
-        if subtree(ant, site + below).has_unit:
+    target = below is not None and subtree(seq.antecedent, site + below)
+    if target and not _is_value(target):
+        if target.has_unit:
             return
-        ant = _checked(ant, site + below, T_RULE)[0].antecedent
+        seq = _checked(seq, site + below, T_RULE)[0]
         step = (rule, site, (T_RULE, site + below))
-    premises = _checked(ant, site, rule)
-    main = premises and premises[0].antecedent
-    if main and (gate is None or gate(subtree(main, site))):
-        out.append((step, main, premises[1] if premises[1:] else None, trace))
+    premises = _checked(seq, site, rule)
+    if premises:
+        out.append((step, premises[0].antecedent,
+                    premises[1] if premises[1:] else None, trace))
 
 
-def _left_moves_at(out, ant, site, node):
-    """Add the left moves at the subtree ``node`` of ``ant`` at ``site``:
-    the eliminations of a connective of the node's mode or, at a formula
-    leaf, of its formula's, where the checker takes them."""
+def _left_moves_at(out, seq, site, node):
+    """Add the left moves at ``node``, the subtree at ``site`` of the
+    antecedent of ``seq``: the eliminations of a connective of the node's
+    mode or, at a formula leaf, of its formula's, where the checker takes
+    them."""
     if isinstance(node, Bin):
         if isinstance(node.left, FLeaf):
             rule = RuleName("OverL", node.mode)
-            firing = scope_firing(rule, ant, site)
-            _offer(out, ant, site, rule,
+            firing = scope_firing(rule, seq.antecedent, site)
+            _offer(out, seq, site, rule,
                    trace=() if firing is None else (firing,))
         if isinstance(node.right, FLeaf):
-            _offer(out, ant, site, RuleName("UnderL", node.mode))
+            _offer(out, seq, site, RuleName("UnderL", node.mode))
     elif isinstance(node, FLeaf):
         f = node.formula
         if isinstance(f, (Dia, Product)):
             tag = "DiaL" if isinstance(f, Dia) else "ProdL"
-            _offer(out, ant, site, RuleName(tag, f.mode))
+            _offer(out, seq, site, RuleName(tag, f.mode))
         elif isinstance(f, BoxDown) and f.mode == VALUE:
-            _offer(out, ant, site, BOX_DOWN_L[VALUE], below=())
+            _offer(out, seq, site, BOX_DOWN_L[VALUE], ())
     elif isinstance(node, Un) and isinstance(node.body, FLeaf):
-        _offer(out, ant, site, BOX_DOWN_L[node.mode])
+        _offer(out, seq, site, BOX_DOWN_L[node.mode])
 
 
 def _has_cmode_formula(st):
@@ -1272,7 +1264,7 @@ UNQUOTE_ANYWHERE, DESCEND_ANYWHERE, QUOTE_ANYWHERE, CLIMB_ANYWHERE, UNFUSED = \
              "climb-anywhere", "unfused")
 
 
-def _structural_moves_at(out, ant, site, node, gates_open=()):
+def _structural_moves_at(out, seq, site, node, gates_open=()):
     """Add the postulate moves at one site, with T fused into consumers.
     Unless ``gates_open`` names the gate: Root→, Left→ and Right→ make a
     constituent the focus only where it holds an open c-mode formula
@@ -1281,34 +1273,34 @@ def _structural_moves_at(out, ant, site, node, gates_open=()):
     it holds no open quote (``QUOTE_ANYWHERE``).  With its gate open,
     Root→ still needs a c-mode formula somewhere in the antecedent, quoted
     or not."""
-    descend = DESCEND_ANYWHERE in gates_open
+    ant, descend = seq.antecedent, DESCEND_ANYWHERE in gates_open
     if (not site and not ant.has_cmode_node and not ant.has_unit
             and (_has_cmode_formula(ant) if descend
                  else ant.has_open_cmode_formula)):
-        _offer(out, ant, site, ROOT_F)
+        _offer(out, seq, site, ROOT_F)
     if isinstance(node, Un) and isinstance(node.body, Un):
-        _offer(out, ant, site, UNQUOTE_ANTE)
+        _offer(out, seq, site, UNQUOTE_ANTE)
     if not isinstance(node, Bin):
         return
     left, right = node.left, node.right
     if node.mode == CMODE:
-        _offer(out, ant, site, ROOT_B)
-
-        def descends(focus):
-            return descend or focus.left.has_open_cmode_formula
-
-        _offer(out, ant, site, LEFT_F, descends)
-        _offer(out, ant, site, LEFT_B, lambda focus: (
-            CLIMB_ANYWHERE in gates_open or not focus.left.right.has_unit))
-        if isinstance(left, Bin):
-            _offer(out, ant, site, RIGHT_F, descends, (0, 0))
-        if isinstance(right, Bin):
-            _offer(out, ant, site, RIGHT_B, below=(1, 1))
+        # the gates read the new focus off the conclusion: Left→ and Right→
+        # make left.left and left.right the focus, Left← adds right.left
+        _offer(out, seq, site, ROOT_B)
+        down, up = isinstance(left, Bin), isinstance(right, Bin)
+        if down and (descend or left.left.has_open_cmode_formula):
+            _offer(out, seq, site, LEFT_F)
+        if up and (CLIMB_ANYWHERE in gates_open or not right.left.has_unit):
+            _offer(out, seq, site, LEFT_B)
+        if down and (descend or left.right.has_open_cmode_formula):
+            _offer(out, seq, site, RIGHT_F, (0, 0))
+        if up:
+            _offer(out, seq, site, RIGHT_B, (1, 1))
     elif _is_value(left) or _is_value(right):
         below, sibling = ((1,), right) if _is_value(left) else ((0,), left)
         if QUOTE_ANYWHERE in gates_open or _is_value(sibling) \
                 or not sibling.has_open_quote:
-            _offer(out, ant, site, KPRIME, below=below)
+            _offer(out, seq, site, KPRIME, below)
 
 
 def _reference_moves(ant, gates_open=()):
@@ -1316,11 +1308,10 @@ def _reference_moves(ant, gates_open=()):
     structural moves: the spine sites while a context is live, else the
     open sites.  ``gates_open`` passes ``_structural_moves_at`` the gates
     it opens."""
-    sites = _spine_sites(ant) if ant.has_cmode_node else _open_sites(ant)
-    out = []
-    for site, node in sites:
-        _left_moves_at(out, ant, site, node)
-        _structural_moves_at(out, ant, site, node, gates_open)
+    out, seq = [], Sequent(ant, NP)
+    for site, node in _open_sites(ant, spine=ant.has_cmode_node):
+        _left_moves_at(out, seq, site, node)
+        _structural_moves_at(out, seq, site, node, gates_open)
     return out
 
 

@@ -19,22 +19,22 @@ Every other rule applies at any site: its conclusion's antecedent is
 matched at that site, and its first premise's antecedent is plugged back
 into the context around it.
 
-This module imports ``core`` alone, so the checker shares no code with the
-search whose derivations it checks.
+This module imports ``core`` alone, so the checker shares with the search
+whose derivations it checks only ``core``'s data types and their
+navigation (``subtree`` and ``replace``, which say what a site is), and
+nothing else.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import attrgetter, itemgetter
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core import (
-    Atom, Bin, BoxDown, Dia, FLeaf, Over, Product, Sequent, Structure, Un,
-    Under, BINARY_MODES, UNARY_MODES, parse_sequent,
+    Atom, Bin, BoxDown, Dia, FLeaf, Over, Product, Sequent, Site, Un, Under,
+    BINARY_MODES, UNARY_MODES, parse_sequent, replace, subtree,
 )
-
-Site = Tuple[int, ...]
 
 # Each rule: its tag, its conclusion, then its premises.
 SCHEMATA = (
@@ -135,35 +135,6 @@ def _rules() -> dict:
     return table
 
 
-def _at(st: Structure,
-        site: Site) -> Optional[Tuple[Structure, List[Structure]]]:
-    """The subtree of ``st`` at ``site`` and the nodes on the path to it,
-    root first; None if ``site`` names no subtree: each step must be 0 or
-    1 at a binary node and 0 at a unary node."""
-    path = []
-    for step in site:
-        path.append(st)
-        if isinstance(st, Bin) and step in (0, 1):
-            st = st.right if step else st.left
-        elif isinstance(st, Un) and step == 0:
-            st = st.body
-        else:
-            return None
-    return st, path
-
-
-def _plug(path: List[Structure], site: Site, new: Structure) -> Structure:
-    """The structure ``path`` leads down from, with ``new`` at ``site``."""
-    for node, step in zip(reversed(path), reversed(site)):
-        if isinstance(node, Un):
-            new = Un(node.mode, new)
-        elif step:
-            new = Bin(node.mode, node.left, new)
-        else:
-            new = Bin(node.mode, new, node.right)
-    return new
-
-
 def expected_premises(tag: str, mode: str, conclusion: Sequent,
                       site: Site) -> Optional[List[Sequent]]:
     """The premises that the rule ``tag`` in ``mode`` demands at ``site``
@@ -172,19 +143,20 @@ def expected_premises(tag: str, mode: str, conclusion: Sequent,
     if rule is None:
         return None
     antecedent, succedent, premises, at_root = rule
-    node, path = conclusion.antecedent, ()
-    if site:
-        found = None if at_root else _at(node, site)
-        if found is None:
-            return None
-        node, path = found
+    if site and at_root:
+        return None
+    whole = conclusion.antecedent
+    try:
+        node = subtree(whole, site)
+    except IndexError:  # the site names no subtree
+        return None
     env: dict = {}
     if not (antecedent(node, env) and succedent(conclusion.succedent, env)):
         return None
     out = []
     for ant, succ in premises:
         # the first premise keeps the conclusion's context
-        out.append(Sequent(ant(env) if out else _plug(path, site, ant(env)),
+        out.append(Sequent(ant(env) if out else replace(whole, site, ant(env)),
                            succ(env)))
     return out
 

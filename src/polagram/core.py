@@ -1,4 +1,5 @@
-"""Formulas, antecedent structures, sequents, and their ASCII syntax.
+"""Formulas, antecedent structures and their sites, sequents, and their
+ASCII syntax.
 
 The logic has two binary composition modes (the blank surface mode and the
 continuation mode ``c``) and three unary modes (the blank value mode, the
@@ -315,6 +316,44 @@ class Un(Structure):
 
 
 UNIT_LEAF = UnitLeaf()
+
+
+# ---------------------------------------------------------------------------
+# Sites
+
+# A site names a subtree by the path to it from the root: step 0 or 1 at a
+# binary node takes its left or right child, step 0 at a unary node its
+# body.  No other step names anything.
+Site = Tuple[int, ...]
+
+
+def subtree(st: Structure, site: Site) -> Structure:
+    """The subtree of ``st`` at ``site``; IndexError if ``site`` names
+    none."""
+    for step in site:
+        if isinstance(st, Bin) and (step == 0 or step == 1):
+            st = st.right if step else st.left
+        elif isinstance(st, Un) and step == 0:
+            st = st.body
+        else:
+            raise IndexError(f"step {step!r} at {st!r} names no subtree")
+    return st
+
+
+def replace(st: Structure, site: Site, new: Structure) -> Structure:
+    """``st`` with ``new`` at ``site``; IndexError if ``site`` names no
+    subtree."""
+    if not site:
+        return new
+    step, rest = site[0], site[1:]
+    if isinstance(st, Bin):
+        if step == 0:
+            return Bin(st.mode, replace(st.left, rest, new), st.right)
+        if step == 1:
+            return Bin(st.mode, st.left, replace(st.right, rest, new))
+    elif isinstance(st, Un) and step == 0:
+        return Un(st.mode, replace(st.body, rest, new))
+    raise IndexError(f"step {step!r} at {st!r} names no subtree")
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,11 @@ from typing import (
 
 from . import check
 from .core import (
-    Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent,
+    Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent, Site,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, BINARY_MODES, CMODE, DEFAULT,
     UMODE, UNARY_MODES, VALUE,
-    parse_formula, print_formula,
+    parse_formula, print_formula, replace, subtree,
 )
-
-Site = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +262,6 @@ class SearchResult(NamedTuple):
         """Whether the search was cut short, which only its deadline can
         do now: the old name of ``timed_out``."""
         return self.timed_out
-
-
-# ---------------------------------------------------------------------------
-# Structure navigation
-
-def subtree(st: Structure, site: Site) -> Structure:
-    for step in site:
-        if isinstance(st, Bin):
-            st = st.left if step == 0 else st.right
-        elif isinstance(st, Un):
-            st = st.body
-        else:
-            raise IndexError(f"no subtree at {site}")
-    return st
-
-
-def replace(st: Structure, site: Site, new: Structure) -> Structure:
-    if not site:
-        return new
-    step, rest = site[0], site[1:]
-    if isinstance(st, Bin):
-        if step == 0:
-            return Bin(st.mode, replace(st.left, rest, new), st.right)
-        return Bin(st.mode, st.left, replace(st.right, rest, new))
-    if isinstance(st, Un):
-        return Un(st.mode, replace(st.body, rest, new))
-    raise IndexError(f"no subtree at {site}")
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +603,15 @@ def _apply_step(seq: Sequent, step: Step,
 def scope_firing(rule: RuleName, antecedent: Structure,
                  site: Site) -> Optional[Tuple[str, Optional[int]]]:
     """The (word, position) a rule application at ``site`` of
-    ``antecedent`` takes scope for (``_scope_taken``), or None."""
+    ``antecedent`` takes scope for (``_scope_taken``), or None.  An OverL
+    whose site names no subtree raises IndexError (``subtree``), and one
+    whose site names no binary node ValueError: a derivation read from
+    outside (``derivation_from_dict``) may name either."""
     if rule.tag != "OverL":  # only OverL eliminates the left child at site
         return None
     node = subtree(antecedent, site)
-    assert isinstance(node, Bin)
+    if not isinstance(node, Bin):
+        raise ValueError(f"{rule} at {site}, which names no binary node")
     return _scope_taken(rule, node.left)
 
 

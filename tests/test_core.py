@@ -10,6 +10,7 @@ from polagram import (
     SyntaxErrorWithPos, load_lexicon, parse_formula, parse_sequent,
     parse_structure, print_formula, print_structure,
 )
+from polagram.core import replace, subtree
 from polagram.prover import structure_to_dict
 from test_prover import _open_sites
 
@@ -344,3 +345,21 @@ def test_parse_sequent(lex):
     seq = parse_sequent("nobody * (saw * anybody) |- s0", lex)
     assert seq.succedent == S0
     assert seq.antecedent.left.word == "nobody"
+
+
+def test_a_site_steps_0_or_1_at_a_binary_node_and_0_at_a_unary_one():
+    def tree(first, last):  # <p>first * (np * last)
+        return Bin(DEFAULT, Un(PMODE, FLeaf(first)),
+                   Bin(DEFAULT, FLeaf(NP), FLeaf(last)))
+    st = tree(NP, S0)
+    assert subtree(st, (0, 0)) == FLeaf(NP)
+    assert subtree(st, (1, 1)) == FLeaf(S0)
+    assert replace(st, (0, 0), FLeaf(S)) == tree(S, S0)
+    assert replace(st, (1, 1), FLeaf(S)) == tree(NP, S)
+    for bad in [(7,), (1, 7), (-1,), (0, 1), (0, 0, 0)]:
+        # step 7 or -1 at a binary node, step 1 at a unary node, any step at
+        # a leaf
+        with pytest.raises(IndexError):
+            subtree(st, bad)
+        with pytest.raises(IndexError):
+            replace(st, bad, FLeaf(S))

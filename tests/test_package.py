@@ -159,3 +159,14 @@ def test_the_checker_is_independent_of_the_search():
             if module.startswith((".", "polagram"))} == {".core"}
     assert not {"_STRUCTURAL_REWRITES", "_expected_premises"} \
         & set(vars(polagram.prover))
+
+
+def test_a_site_is_defined_once():
+    # the search, the checker and the readings read core's navigation;
+    # no other module defines its own
+    defined = {(path.stem, node.name)
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("subtree", "replace", "_at", "_plug")}
+    assert defined == {("core", "subtree"), ("core", "replace")}

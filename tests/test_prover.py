@@ -20,13 +20,12 @@ from polagram import (
 )
 from polagram.check import expected_premises
 from polagram.cli import BUILTIN_CORPUS
-from polagram.core import BINARY_MODES, UNARY_MODES
+from polagram.core import BINARY_MODES, UNARY_MODES, replace, subtree
 from polagram.prover import (
     AXIOM, BOX_DOWN_L, BOX_DOWN_R, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B,
     RIGHT_F, ROOT_B, ROOT_F, T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable,
     _antecedent_moves, _apply_step, _extract, _search, _skeleton_refutes,
-    replace, scope_firing, subtree,
-    structure_from_dict, structure_to_dict,
+    scope_firing, structure_from_dict, structure_to_dict,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -380,6 +379,40 @@ def test_the_checker_rejects_a_near_miss(parsed, name):
     near_miss = NEAR_MISSES[name](parsed)
     assert all(validate_derivation(p) for p in near_miss.premises)
     assert not validate_derivation(near_miss)
+
+
+def _with_every_step_1_made_7(d):
+    """``d`` with every step 1 of every node's site made 7."""
+    return d._replace(
+        site=tuple(7 if step == 1 else step for step in d.site),
+        premises=tuple(map(_with_every_step_1_made_7, d.premises)))
+
+
+def test_a_derivation_whose_sites_name_nothing_has_no_reading(parsed):
+    # read back from its dict form, as input from outside; each site that
+    # steps right at a binary node steps 7 there instead, which names no
+    # subtree, so the reading cannot be read off and the checker rejects it
+    good = parsed("Nobody saw anybody").derivations[0]
+    bad = derivation_from_dict(derivation_to_dict(
+        _with_every_step_1_made_7(good)))
+    assert any(7 in node.site and node.rule.tag == "OverL"
+               for node in bad.walk())
+    assert str(extract_reading(good)) == "nobody > anybody (linear)"
+    with pytest.raises(IndexError):
+        extract_reading(bad)
+    assert not validate_derivation(bad)
+
+
+def test_a_scope_firing_at_a_leaf_is_an_error(parsed):
+    # an OverL(c) node whose site names a leaf of its antecedent, read back
+    # from its dict form: the error holds under python -O as well
+    node = next(node for node in parsed("Nobody saw anybody").derivations[0]
+                .walk() if node.rule == RuleName("OverL", CMODE))
+    leaf = next(site for site, st in _sites(node.conclusion.antecedent)
+                if isinstance(st, FLeaf))
+    bad = derivation_from_dict(derivation_to_dict(node._replace(site=leaf)))
+    with pytest.raises(ValueError, match="names no binary node"):
+        extract_reading(bad)
 
 
 def _node(rule, mode, ant, succ, premises, site=(), lexicon=None):
@@ -939,6 +972,17 @@ GRID = [f"{a} saw {b}" for a in GRID_WORDS for b in GRID_WORDS]
 POSSESSIVE_FRAME = [f"{a}'s mother saw {b}'s father"
                     for a in GRID_WORDS for b in GRID_WORDS]
 SHARING_SENTENCES = GRID + ["Alice saw a man's mother"]
+
+
+def test_replacing_a_subtree_by_itself_changes_nothing(lex):
+    sites = 0
+    for sentence in GRID + POSSESSIVE_FRAME:
+        for tree in bracketings(tokenize(sentence, lex), lex):
+            for site, st in _sites(tree):
+                assert subtree(tree, site) is st
+                assert replace(tree, site, st) == tree
+                sites += 1
+    assert sites > len(GRID + POSSESSIVE_FRAME)
 
 
 def _proofs(result):

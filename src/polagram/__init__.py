@@ -14,11 +14,11 @@ from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, \
 from .check import validate_derivation
 from .prover import (
     Derivation, RuleName, SearchBudget, SearchResult, display_label, prove,
-    derivation_from_dict, derivation_to_dict,
+    derivation_from_dict, derivation_to_dict, extract_reading,
 )
 from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, UNKNOWN, \
     CorpusLine, Judgment, ParseResult, bracketings, judge, parse_sentence
-from .readings import Reading, extract_reading, inverted_pairs, is_linear
+from .readings import Reading, inverted_pairs, is_linear
 from .fsm import (
     PolarityMachine, PolState, QuantifierShapeError, Run, accepting_runs,
     evaluation_order_ok, machine_from_lexicon, predict,

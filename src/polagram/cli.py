@@ -26,17 +26,17 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
-from .core import (Sequent, SyntaxErrorWithPos, parse_formula,
-                   parse_structure, print_formula)
+from .core import Sequent, parse_formula, parse_structure, print_formula
 from .fsm import (machine_from_lexicon, predict, accepting_runs,
                   evaluation_order_ok, inverted_windows)
-from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, tokenize
+from .lexicon import Lexicon, default_lexicon, load_lexicon, tokenize
 from .parser import (GOAL_TYPES, GRAMMATICAL, UNKNOWN, CorpusLine, judge,
                      parse_sentence)
-from .prover import SearchBudget, prove
-from .readings import extract_reading, reading_to_dict
+from .prover import SearchBudget, extract_reading, prove
+from .readings import reading_to_dict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -131,24 +131,41 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
 
 
+class _UsageError(Exception):
+    """A bad command line or a bad input, which ``main`` reports on one
+    ``error:`` line with exit code 2."""
+
+
+@contextmanager
+def _inputs(prefix: str = ""):
+    """Read a command's inputs: a ValueError or OSError raised inside
+    becomes a ``_UsageError`` whose message is ``prefix`` and the error's."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _UsageError(f"{prefix}{exc}") from exc
+
+
+def _exit_code(derived: bool, timed_out: bool) -> int:
+    """The exit code of ``parse`` and ``sequent``: affirmative if the
+    search derived the goal, else unknown if the deadline cut it, else
+    negative."""
+    return (EXIT_OK if derived else EXIT_UNKNOWN if timed_out
+            else EXIT_NEGATIVE)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_parse(args) -> int:
-    try:
+    with _inputs():
         lex = _lexicon_from(args)
         _tokens(args.sentence, lex)
         budget = _budget_for(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     goals = None
     if args.goal is not None:
-        try:
+        with _inputs("bad --goal: "):
             goals = (parse_formula(args.goal),)
-        except SyntaxErrorWithPos as exc:
-            print(f"error: bad --goal: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     result = parse_sentence(args.sentence, lex, budget=budget,
                             deadline=args.time_limit, goals=goals)
     if args.json:
@@ -172,20 +189,15 @@ def cmd_parse(args) -> int:
                 shown.add(reading)
                 print(f"\nderivation for {reading}:")
                 print(d.render())
-    if result.verdict == UNKNOWN:
-        return EXIT_UNKNOWN
-    return EXIT_OK if result.verdict == GRAMMATICAL else EXIT_NEGATIVE
+    return _exit_code(bool(result.derivations), result.timed_out)
 
 
 def cmd_sequent(args) -> int:
-    try:
+    with _inputs():
         lex = _lexicon_from(args)
         antecedent = parse_structure(args.antecedent, lexicon=lex)
         succedent = parse_formula(args.succedent)
         budget = _budget_for(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     goal = Sequent(antecedent, succedent)
     result = prove(goal, budget, deadline=args.time_limit)
     if args.json:
@@ -204,24 +216,17 @@ def cmd_sequent(args) -> int:
         print("unknown (search timed out)")
     else:
         print("not derivable (refuted)")
-    if result.timed_out:
-        return EXIT_UNKNOWN
-    return EXIT_OK if result.derivations else EXIT_NEGATIVE
+    return _exit_code(bool(result.derivations), result.timed_out)
 
 
 def cmd_fsm(args) -> int:
-    try:
-        lex = _lexicon_from(args)
-        machine = machine_from_lexicon(lex)
-    except (LexiconError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _inputs():
+        machine = machine_from_lexicon(_lexicon_from(args))
     occurrences = []
     for i, word in enumerate(args.quantifiers):
         word = word.lower()
         if word not in machine:
-            print(f"error: unknown quantifier {word!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"unknown quantifier {word!r}")
         occurrences.append((word, i))
     admissible = sorted(predict(machine, occurrences),
                         key=lambda r: r.scope_order)
@@ -248,7 +253,7 @@ def cmd_fsm(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    try:
+    with _inputs():
         lex = _lexicon_from(args)
         machine = machine_from_lexicon(lex)
         if args.path:
@@ -259,9 +264,6 @@ def cmd_corpus(args) -> int:
         for line in lines:
             _tokens(line.sentence, lex)
         budget = _budget_for(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     rows, judgments = [], []
     for line in lines:
         result = parse_sentence(line.sentence, lex, budget=budget,
@@ -303,11 +305,8 @@ def cmd_monotonic(args) -> int:
     # only this subcommand reads the model theory, so it loads on first use
     from .semantics import FiniteModel, denotation, is_downward_entailing, \
         is_upward_entailing
-    try:
+    with _inputs("--max-domain: "):
         largest = FiniteModel(args.max_domain)
-    except ValueError as exc:
-        print(f"error: --max-domain: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     words = ("nobody", "somebody", "anybody", "a man", "everybody")
     rows = []
     for n in range(1, largest.domain_size + 1):
@@ -327,10 +326,6 @@ def cmd_monotonic(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-class _UsageError(Exception):
-    """A command line that the argument parser rejects."""
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser that raises ``_UsageError`` for a bad command
@@ -389,12 +384,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        status = args.func(args)
-        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered to the
         # null device, so the flush at interpreter exit cannot fail again

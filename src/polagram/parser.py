@@ -23,8 +23,9 @@ from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
 from .fsm import PolarityMachine, predict, quantifier_occurrences
 from .lexicon import Lexicon, tokenize
 from .check import validate_derivation
-from .prover import Derivation, MoveTable, SearchBudget, prove
-from .readings import Reading, extract_reading, reading_to_dict
+from .prover import (Derivation, MoveTable, SearchBudget, extract_reading,
+                     prove)
+from .readings import Reading, reading_to_dict
 
 GOAL_TYPES: Tuple[Formula, ...] = (S0, SPLUS)
 

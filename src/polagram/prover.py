@@ -135,6 +135,7 @@ from .core import (
     UMODE, UNARY_MODES, VALUE,
     parse_formula, print_formula, replace, subtree,
 )
+from .readings import Reading
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +614,22 @@ def scope_firing(rule: RuleName, antecedent: Structure,
     if not isinstance(node, Bin):
         raise ValueError(f"{rule} at {site}, which names no binary node")
     return _scope_taken(rule, node.left)
+
+
+def extract_reading(d: Derivation) -> Reading:
+    """Read the scope order off a derivation.
+
+    Walks root-to-leaf collecting the scope firings (``scope_firing``);
+    outer applications scope over the ones nested in their argument
+    branches.
+    """
+    order: List[Tuple[str, Optional[int]]] = []
+    for node in d.walk():
+        firing = scope_firing(node.rule, node.conclusion.antecedent,
+                              node.site)
+        if firing is not None:
+            order.append(firing)
+    return Reading(tuple(order))
 
 
 class MoveTable:

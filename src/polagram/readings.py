@@ -1,4 +1,5 @@
-"""Quantifier scope readings extracted from derivations.
+"""Quantifier scope readings: the scope order of a derivation
+(``prover.extract_reading``) or of a polarity-machine run.
 
 In a complete derivation each quantifier takes scope by one elimination of
 its continuation-mode functor; the nesting of those steps is the scope order,
@@ -10,8 +11,6 @@ by word order alone.
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
-
-from .prover import Derivation, scope_firing
 
 
 class Reading(NamedTuple):
@@ -27,22 +26,6 @@ class Reading(NamedTuple):
             return "(no quantifiers)"
         order = " > ".join(w for w, _ in self.scope_order)
         return f"{order} ({'linear' if is_linear(self) else 'inverse'})"
-
-
-def extract_reading(d: Derivation) -> Reading:
-    """Read the scope order off a derivation.
-
-    Walks root-to-leaf collecting the scope firings (``scope_firing``);
-    outer applications scope over the ones nested in their argument
-    branches.
-    """
-    order: List[Tuple[str, Optional[int]]] = []
-    for node in d.walk():
-        firing = scope_firing(node.rule, node.conclusion.antecedent,
-                              node.site)
-        if firing is not None:
-            order.append(firing)
-    return Reading(tuple(order))
 
 
 def is_linear(r: Reading) -> bool:

@@ -221,6 +221,18 @@ def test_sequent_json_reports_timeout(capsys):
     assert "unknown (search timed out)" in out
 
 
+def test_sequent_show_derivation_renders_the_first_derivation(capsys):
+    code, out, _ = run(capsys, "sequent", "alice * (saw * bob)", "s0",
+                       "--show-derivation")
+    assert code == 0
+    assert out == ("derivable (1 reading)\n"
+                   "alice * (saw * bob) |- s0   [/E]\n"
+                   "  alice * (np \\ s0) |- s0   [\\E]\n"
+                   "    s0 |- s0   [Axiom]\n"
+                   "    alice |- np   [Lex]\n"
+                   "  bob |- np   [Lex]\n")
+
+
 def test_sequent_syntax_error(capsys):
     code, _, err = run(capsys, "sequent", "np *((", "np")
     assert code == 2
@@ -261,6 +273,21 @@ def test_fsm_no_admissible_order(capsys):
     code, out, _ = run(capsys, "fsm", "anybody")
     assert code == 1
     assert "no admissible scope order" in out
+
+
+@pytest.mark.parametrize("quantifiers, code, admissible", [
+    (("nobody", "anybody"), 0,
+     [{"linear": True, "scope": [{"pos": 0, "word": "nobody"},
+                                 {"pos": 1, "word": "anybody"}]}]),
+    # no order admits a polarity item with no licensor
+    (("anybody",), 1, []),
+])
+def test_fsm_json(capsys, quantifiers, code, admissible):
+    got, out, err = run(capsys, "fsm", *quantifiers, "--json")
+    assert (got, err) == (code, "")
+    assert out == json.dumps({"admissible": admissible,
+                              "quantifiers": list(quantifiers)},
+                             sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

@@ -11,7 +11,7 @@ from polagram import (
     parse_structure, print_formula, print_structure,
 )
 from polagram.core import replace, subtree
-from polagram.prover import structure_to_dict
+from polagram.prover import structure_from_dict, structure_to_dict
 from test_prover import _open_sites
 
 
@@ -56,6 +56,22 @@ def test_syntax_error_carries_position():
     with pytest.raises(SyntaxErrorWithPos) as err:
         parse_formula("np / (s0")
     assert err.value.pos == 8
+
+
+@pytest.mark.parametrize("parse, text, message, column", [
+    (parse_structure, "np <x> np", "expected '<>', '<u>' or '<p>'", 3),
+    (parse_formula, "[x]np", "expected '[]', '[u]' or '[p]'", 0),
+    (parse_structure, "np ? np", "unexpected character '?'", 3),
+    # trailing text after a whole formula
+    (parse_formula, "np np", "unexpected 'np'", 3),
+    (parse_sequent, "np * np", "expected '|-' between antecedent and "
+     "succedent", 7),
+])
+def test_a_syntax_error_names_its_column(parse, text, message, column):
+    with pytest.raises(SyntaxErrorWithPos) as err:
+        parse(text)
+    assert err.value.pos == column
+    assert str(err.value) == f"{message} (at column {column})"
 
 
 def test_print_abbreviations():
@@ -363,3 +379,16 @@ def test_a_site_steps_0_or_1_at_a_binary_node_and_0_at_a_unary_one():
             subtree(st, bad)
         with pytest.raises(IndexError):
             replace(st, bad, FLeaf(S))
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"bin": "u", "left": {"leaf": "np"}, "right": {"leaf": "np"}},
+     "bad binary mode 'u'"),
+    ({"un": "c", "body": {"leaf": "np"}}, "bad unary mode 'c'"),
+    ({"node": "np"}, "not a structure dict: {'node': 'np'}"),
+])
+def test_a_structure_dict_from_outside_is_checked(d, message):
+    # a derivation read back from JSON names its structures' modes
+    with pytest.raises(ValueError) as err:
+        structure_from_dict(d)
+    assert str(err.value) == message

@@ -148,17 +148,29 @@ def test_every_module_reads_the_names_it_imports():
     assert unread == {}
 
 
+def _package_imports(name):
+    """The modules of the package that the module ``name`` imports."""
+    modules = {"." * node.level + (node.module or "")
+               if isinstance(node, ast.ImportFrom) else alias.name
+               for node in _imports(PACKAGE / f"{name}.py")[0]
+               for alias in node.names}
+    return {module for module in modules
+            if module.startswith((".", "polagram"))}
+
+
 def test_the_checker_is_independent_of_the_search():
     # the only module of the package the checker imports is core, and the
     # search keeps no rule table of its own
-    modules = {"." * node.level + (node.module or "")
-               if isinstance(node, ast.ImportFrom) else alias.name
-               for node in _imports(PACKAGE / "check.py")[0]
-               for alias in node.names}
-    assert {module for module in modules
-            if module.startswith((".", "polagram"))} == {".core"}
+    assert _package_imports("check") == {".core"}
     assert not {"_STRUCTURAL_REWRITES", "_expected_premises"} \
         & set(vars(polagram.prover))
+
+
+def test_the_machine_is_independent_of_the_search():
+    # the oracle and the reading type it shares with the search import
+    # neither the search nor its checker
+    assert _package_imports("readings") == set()
+    assert _package_imports("fsm") == {".core", ".lexicon", ".readings"}
 
 
 def test_a_site_is_defined_once():
@@ -170,3 +182,18 @@ def test_a_site_is_defined_once():
                if isinstance(node, ast.FunctionDef)
                and node.name in ("subtree", "replace", "_at", "_plug")}
     assert defined == {("core", "subtree"), ("core", "replace")}
+
+
+def test_only_main_reports_a_usage_error():
+    # each command raises its bad input, and main alone prints the one
+    # ``error:`` line and returns the usage exit code
+    reporters = {
+        function.name
+        for function in ast.walk(ast.parse(
+            (PACKAGE / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "EXIT_USAGE"
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("error:")}
+    assert reporters == {"main"}

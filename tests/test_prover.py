@@ -338,6 +338,17 @@ def _a_step_into_a_unary_node_other_than_0(_parsed):
                               premise.conclusion.succedent), (premise,), (1,))
 
 
+def _axiom_below_the_root(_parsed):
+    # np * {np \\ s0} |- np by the axiom at the np leaf: the axiom, as every
+    # rule that changes the succedent, applies at the root only
+    return Derivation(AXIOM, seq("np * {np \\ s0}", "np"), (), (0,))
+
+
+def _a_rule_the_calculus_lacks(_parsed):
+    # np |- np by a rule named Cut, with no premises
+    return Derivation(RuleName("Cut"), Sequent(FLeaf(NP), NP))
+
+
 NEAR_MISSES = {
     "right-past-a-non-value": _right_past_a_non_value,
     "right-back-past-a-non-value": _right_back_past_a_non_value,
@@ -371,6 +382,8 @@ NEAR_MISSES = {
     "a-site-step-past-a-binary-node": _a_step_past_a_binary_node,
     "a-site-step-into-a-unary-node-other-than-0":
         _a_step_into_a_unary_node_other_than_0,
+    "axiom-below-the-root": _axiom_below_the_root,
+    "a-rule-the-calculus-lacks": _a_rule_the_calculus_lacks,
 }
 
 
@@ -1424,6 +1437,25 @@ def test_every_offered_move_is_a_valid_rule_application(lex, monkeypatch):
         == [(RuleName("DiaR"), (), (T_RULE, ())),
             (RuleName("BoxDownL"), (1,), (T_RULE, (1,)))]
     _offered_moves_checked(goal, moves)
+
+
+def test_a_box_down_goal_over_a_box_down_is_introduced_unfused():
+    # the box-down introduction fuses with a diamond introduction only; the
+    # one derivation here opens with it alone, over a box-down succedent
+    [d] = prove(seq("{[p]np}", "[p][p]<p>np")).derivations
+    assert validate_derivation(d)
+    assert d.rule == BOX_DOWN_R[PMODE]
+    assert [p.conclusion for p in d.premises] \
+        == [seq("<p>{[p]np}", "[p]<p>np")]
+
+
+def test_the_walk_offers_the_unquote_at_a_quoted_u_diamond():
+    ant = parse_structure("<><u>np")
+    moves = _antecedent_moves(ant)
+    assert [step for step, *_rest in moves] == [(UNQUOTE_ANTE, (), None)]
+    assert moves == _reference_moves(ant)
+    goal = Sequent(ant, parse_formula("<u>np"))
+    assert _offered_moves_checked(goal, MoveTable().moves_of(goal)) == 2
 
 
 def _listing(seq, moves):

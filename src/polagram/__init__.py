@@ -11,13 +11,12 @@ from .core import (
 )
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, \
     tokenize
-from .check import validate_derivation
 from .prover import (
     Derivation, RuleName, SearchBudget, SearchResult, display_label, prove,
-    derivation_from_dict, derivation_to_dict, extract_reading,
+    extract_reading,
 )
 from .parser import GOAL_TYPES, GRAMMATICAL, UNGRAMMATICAL, UNKNOWN, \
-    CorpusLine, Judgment, ParseResult, bracketings, judge, parse_sentence
+    ParseResult, bracketings, parse_sentence
 from .readings import Reading, inverted_pairs, is_linear
 from .fsm import (
     PolarityMachine, PolState, QuantifierShapeError, Run, accepting_runs,
@@ -27,14 +26,27 @@ from .fsm import (
 
 __version__ = "0.1.0"
 
-# The model theory backs only ``polagram monotonic`` and its tests, so no
-# parse needs it: its names load with the module on first use (PEP 562).
-_SEMANTICS = frozenset({"FiniteModel", "QuantDenotation", "denotation",
-                        "is_downward_entailing", "is_upward_entailing"})
+# No parse runs the derivation checker, the judge, the JSON forms or the
+# model theory, so their names load with their module on first use (PEP
+# 562), which binds each here for the next.  A fresh import then compiles
+# only the modules a parse runs.
+_DEFERRED = {
+    "validate_derivation": "check",
+    "CorpusLine": "judgment", "Judgment": "judgment", "judge": "judgment",
+    **dict.fromkeys(("structure_to_dict", "structure_from_dict",
+                     "sequent_to_dict", "sequent_from_dict",
+                     "derivation_to_dict", "derivation_from_dict"),
+                    "jsonform"),
+    **dict.fromkeys(("FiniteModel", "QuantDenotation", "denotation",
+                     "is_downward_entailing", "is_upward_entailing"),
+                    "semantics"),
+}
 
 
 def __getattr__(name):
-    if name in _SEMANTICS:
-        from . import semantics
-        return getattr(semantics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,7 +16,7 @@ lexicon or corpus file is skipped.
 
 Corpus files hold one record per line, ``sentence<TAB>ok|bad[<TAB>count]``,
 where an ``ok`` row's count is at least 1 and a ``bad`` row's is 0; ``#``
-starts a comment.  ``corpus`` judges each row with ``parser.judge``.
+starts a comment.  ``corpus`` judges each row with ``judgment.judge``.
 Lexicon files follow the lexicon module's format.
 """
 
@@ -32,9 +32,9 @@ from typing import List, Optional, Sequence
 from .core import Sequent, parse_formula, parse_structure, print_formula
 from .fsm import (machine_from_lexicon, predict, accepting_runs,
                   evaluation_order_ok, inverted_windows)
+from .judgment import CorpusLine, judge
 from .lexicon import Lexicon, default_lexicon, load_lexicon, tokenize
-from .parser import (GOAL_TYPES, GRAMMATICAL, UNKNOWN, CorpusLine, judge,
-                     parse_sentence)
+from .parser import GOAL_TYPES, GRAMMATICAL, UNKNOWN, parse_sentence
 from .prover import SearchBudget, extract_reading, prove
 from .readings import reading_to_dict
 

@@ -1,6 +1,6 @@
-"""Sentence-level parsing: bracketing enumeration, goal construction,
-grammaticality verdicts, and the judgment of a parse against the polarity
-machine.
+"""Sentence-level parsing: bracketing enumeration, goal construction and
+grammaticality verdicts.  A parse is judged against the polarity machine in
+``judgment``.
 
 A sentence is grammatical iff some binary bracketing of its words derives a
 complete clause: a sequent whose antecedent uses only the surface composition
@@ -17,12 +17,10 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Bin, FLeaf, Formula, Sequent, Structure, DEFAULT, S0, SPLUS
-from .fsm import PolarityMachine, predict, quantifier_occurrences
 from .lexicon import Lexicon, tokenize
-from .check import validate_derivation
 from .prover import (Derivation, MoveTable, SearchBudget, extract_reading,
                      prove)
 from .readings import Reading, reading_to_dict
@@ -55,10 +53,15 @@ class ParseResult:
         }
 
 
-def bracketings(tokens: Sequence[str], lex: Lexicon) -> List[Structure]:
+def bracketings(tokens: Sequence[str], lex: Lexicon, *,
+                stop_at: Optional[float] = None) -> List[Structure]:
     """All binary surface-mode trees over the tokens, one structure per tree
     shape and per choice of lexical type for each token.  The trees of one
-    choice share their subtrees: each span's trees are built once."""
+    choice share their subtrees: each span's trees are built once.
+
+    ``stop_at`` is a ``time.monotonic()`` reading: the enumeration reads
+    the clock before it builds each binary node and stops once the clock
+    has reached it, returning the trees of the choices it completed."""
     if not tokens:
         raise ValueError("no tokens")
     leaf_choices = [
@@ -66,25 +69,40 @@ def bracketings(tokens: Sequence[str], lex: Lexicon) -> List[Structure]:
         for i, tok in enumerate(tokens)
     ]
     out = []
-    for leaves in product(*leaf_choices):
-        out.extend(_shapes(0, len(tokens), leaves, {}))
+    try:
+        for leaves in product(*leaf_choices):
+            out.extend(_shapes(0, len(tokens), leaves, {}, stop_at))
+    except _Stopped:
+        pass
     return out
 
 
+class _Stopped(Exception):
+    """The clock reached the enumeration's stop time."""
+
+
 def _shapes(i: int, j: int, leaves: Sequence[Structure],
-            memo: Dict[Tuple[int, int], List[Structure]]) -> List[Structure]:
+            memo: Dict[Tuple[int, int], List[Structure]],
+            stop_at: Optional[float]) -> List[Structure]:
     """All binary surface-mode trees over ``leaves[i:j]``, built once per
-    span: ``memo`` keeps the trees of each span built so far.  Module-level
-    rather than nested in ``bracketings``: a recursive closure refers to
-    itself through its own cell, a cycle only the collector frees."""
+    span: ``memo`` keeps the trees of each span built so far.  Raises
+    ``_Stopped`` once the clock reaches ``stop_at``.  Module-level rather
+    than nested in ``bracketings``: a recursive closure refers to itself
+    through its own cell, a cycle only the collector frees."""
     trees = memo.get((i, j))
     if trees is None:
         if j - i == 1:
             trees = [leaves[i]]
         else:
-            trees = [Bin(DEFAULT, left, right) for k in range(i + 1, j)
-                     for left in _shapes(i, k, leaves, memo)
-                     for right in _shapes(k, j, leaves, memo)]
+            trees = []
+            for k in range(i + 1, j):
+                rights = _shapes(k, j, leaves, memo, stop_at)
+                for left in _shapes(i, k, leaves, memo, stop_at):
+                    for right in rights:
+                        if stop_at is not None \
+                                and time.monotonic() >= stop_at:
+                            raise _Stopped
+                        trees.append(Bin(DEFAULT, left, right))
         memo[(i, j)] = trees
     return trees
 
@@ -97,11 +115,11 @@ def parse_sentence(sentence: str, lex: Lexicon,
 
     Readings are deduplicated across derivations in discovery order
     (bracketings in enumeration order, then goal types, then derivations).
-    ``deadline`` caps the total wall time of the searches, counted from the
-    call, so the enumeration of the bracketings spends it too; but the clock
-    is first read after ``bracketings`` has built every tree, so the
-    deadline cannot cut the enumeration itself.  On expiry the remaining
-    searches are skipped and the result is marked timed out.
+    ``deadline`` caps the total wall time of the enumeration of the
+    bracketings and of the searches, counted from the call: the clock is
+    read before each tree node the enumeration builds and before each
+    search.  On expiry the remaining trees and searches are skipped and
+    the result is marked timed out.
     A timed-out parse that found no derivation has the verdict ``UNKNOWN``,
     not ``UNGRAMMATICAL``: the searches it skipped or cut might have
     derived the goal.  A NaN ``deadline`` raises ValueError before any
@@ -128,7 +146,10 @@ def parse_sentence(sentence: str, lex: Lexicon,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for tree in bracketings(tokens, lex):
+        trees = bracketings(tokens, lex, stop_at=stop_at)
+        # the deadline may have cut the enumeration before its first tree
+        timed_out = stop_at is not None and time.monotonic() >= stop_at
+        for tree in [] if timed_out else trees:
             # the goal types of one tree share their solved sequents and
             # antecedents' moves; the table is dropped before the next tree
             # (see MoveTable)
@@ -161,67 +182,3 @@ def parse_sentence(sentence: str, lex: Lexicon,
     return ParseResult(sentence, tokens, verdict, readings, derivations,
                        timed_out)
 
-
-# ---------------------------------------------------------------------------
-# Judging a parse
-
-class CorpusLine(NamedTuple):
-    """A sentence of a judgment corpus, its expected verdict and, when the
-    corpus gives one, its expected number of readings."""
-
-    sentence: str
-    expected: str                # "ok" or "bad"
-    reading_count: Optional[int] = None
-
-
-class Judgment(NamedTuple):
-    """A parse judged against the polarity machine.  ``admissible`` is the
-    machine's reading set for the parse's tokens; ``agree`` says whether
-    the two engines give the same scope orders, None when the search timed
-    out, which decided nothing to agree or disagree with; ``invalid``
-    counts the derivations that fail ``validate_derivation``; ``reasons``
-    says why the parse is wrong, and is empty when it is right."""
-
-    result: ParseResult
-    admissible: Set[Reading]
-    agree: Optional[bool]
-    invalid: int
-    reasons: Tuple[str, ...]
-
-
-def judge(result: ParseResult, machine: PolarityMachine,
-          expected: Optional[CorpusLine] = None) -> Judgment:
-    """Judge ``result`` against ``machine`` and, when given, the corpus
-    line ``expected`` for the same sentence.
-
-    The parse is right when its search did not time out, every derivation
-    validates, its verdict and scope orders are the machine's, and it has
-    the verdict and reading count ``expected`` asks for.  A timed-out
-    search is a failure, never an "ungrammatical" verdict.
-    """
-    admissible = predict(machine,
-                         quantifier_occurrences(result.tokens, machine))
-    invalid = sum(not validate_derivation(d) for d in result.derivations)
-    grammatical = result.verdict == GRAMMATICAL
-    got = {r.scope_order for r in result.readings}
-    want = {r.scope_order for r in admissible}
-    reasons = []
-    if result.timed_out:
-        reasons.append("search timed out")
-    if invalid:
-        reasons.append(f"{invalid} derivations fail validation")
-    if grammatical != bool(admissible):
-        reasons.append(f"verdict {result.verdict!r} but the machine admits "
-                       f"{len(admissible)} orders")
-    if got != want:
-        reasons.append(f"scope orders {sorted(got)} but the machine admits "
-                       f"{sorted(want)}")
-    if expected is not None:
-        if grammatical != (expected.expected == "ok"):
-            reasons.append(f"corpus expects {expected.expected!r}")
-        if expected.reading_count is not None \
-                and len(result.readings) != expected.reading_count:
-            reasons.append(f"corpus expects {expected.reading_count} "
-                           f"readings, got {len(result.readings)}")
-    agree = None if result.timed_out else got == want
-    return Judgment(result, admissible, agree, invalid, tuple(reasons))

@@ -20,12 +20,23 @@ rewrite.  No cap bounds it: T, the only rule that grows a structure, is
 always fused into the move that consumes its quote, and the sequents that
 the moves reach from a goal are then finite in number (the argument is in
 ``prove``).  So a search ends on its own, with every trace of every
-sequent it expands derived, and an empty result is a refutation; only a
-wall-clock deadline can cut a search short, and the result says when one
-did.  A search returns one derivation per scope
-reading it finds, up to a cap on readings.  A goal whose surface tree cannot
-reduce to its clause type over the words' skeleton types is refuted before
-any search (``_skeleton_refutes``).
+sequent it expands derived; only a wall-clock deadline can cut a search
+short, and the result says when one did.
+
+An empty result is a refutation only if the normal form the moves follow
+(below) loses no derivation, a claim not proved here, and it is known to
+lose some: no move enters a unary node's body, so ``{<p><p>[p][p]np} |-
+np`` is reported refuted, and ``polagram sequent '{<p><p>[p][p]np}' np``
+prints "not derivable (refuted)", yet a derivation of it passes
+``validate_derivation`` (DiaL at the root, DiaL and BoxDownL inside the
+``<p>`` node it makes, BoxDownL at the root, the axiom).  The default
+lexicon's types nest no diamond over a box-down, and the polarity machine
+cross-checks the verdicts on its sentences.
+
+A search returns one derivation per scope reading it finds, up to a cap on
+readings.  A goal whose surface tree cannot reduce to its clause type over
+the words' skeleton types is refuted before any search
+(``_skeleton_refutes``).
 
 The search proceeds in cycles (isolate a scope-taking functor on the
 continuation spine, collapse it, reassemble, cancel the quoting diamonds)
@@ -128,12 +139,10 @@ from typing import (
     Tuple,
 )
 
-from . import check
 from .core import (
     Atom, Bin, BoxDown, Dia, FLeaf, Formula, Over, Product, Sequent, Site,
     Structure, Un, Under, UnitLeaf, UNIT_LEAF, BINARY_MODES, CMODE, DEFAULT,
-    UMODE, UNARY_MODES, VALUE,
-    parse_formula, print_formula, replace, subtree,
+    UMODE, UNARY_MODES, VALUE, replace, subtree,
 )
 from .readings import Reading
 
@@ -607,7 +616,7 @@ def scope_firing(rule: RuleName, antecedent: Structure,
     ``antecedent`` takes scope for (``_scope_taken``), or None.  An OverL
     whose site names no subtree raises IndexError (``subtree``), and one
     whose site names no binary node ValueError: a derivation read from
-    outside (``derivation_from_dict``) may name either."""
+    outside (``jsonform.derivation_from_dict``) may name either."""
     if rule.tag != "OverL":  # only OverL eliminates the left child at site
         return None
     node = subtree(antecedent, site)
@@ -1188,66 +1197,13 @@ def _extract(solved: Dict[str, Dict[Trace, Witness]], seq: Sequent,
 
 
 # ---------------------------------------------------------------------------
-# The derivation checker, which lives in ``check``, apart from the search; it
-# is found here too, beside the derivations it checks
+# The derivation checker lives in ``check``, apart from the search, and no
+# search runs it.  It is found here too, beside the derivations it checks,
+# and loads on first use (PEP 562), which binds it here for the next.
 
-validate_derivation = check.validate_derivation
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-def structure_to_dict(st: Structure) -> dict:
-    if isinstance(st, FLeaf):
-        d: dict = {"leaf": print_formula(st.formula)}
-        if st.word is not None:
-            d["word"] = st.word
-        if st.pos is not None:
-            d["pos"] = st.pos
-        return d
-    if isinstance(st, UnitLeaf):
-        return {"unit": True}
-    if isinstance(st, Bin):
-        return {"bin": st.mode, "left": structure_to_dict(st.left),
-                "right": structure_to_dict(st.right)}
-    if isinstance(st, Un):
-        return {"un": st.mode, "body": structure_to_dict(st.body)}
-    raise TypeError(f"not a structure: {st!r}")
-
-
-def structure_from_dict(d: dict) -> Structure:
-    if "leaf" in d:
-        return FLeaf(parse_formula(d["leaf"]), word=d.get("word"),
-                     pos=d.get("pos"))
-    if "unit" in d:
-        return UNIT_LEAF
-    if "bin" in d:
-        return Bin(d["bin"], structure_from_dict(d["left"]),
-                   structure_from_dict(d["right"]))
-    if "un" in d:
-        return Un(d["un"], structure_from_dict(d["body"]))
-    raise ValueError(f"not a structure dict: {d!r}")
-
-
-def sequent_to_dict(seq: Sequent) -> dict:
-    return {"antecedent": structure_to_dict(seq.antecedent),
-            "succedent": print_formula(seq.succedent)}
-
-
-def sequent_from_dict(d: dict) -> Sequent:
-    return Sequent(structure_from_dict(d["antecedent"]),
-                   parse_formula(d["succedent"]))
-
-
-def derivation_to_dict(d: Derivation) -> dict:
-    return {"rule": str(d.rule),
-            "site": list(d.site),
-            "sequent": sequent_to_dict(d.conclusion),
-            "premises": [derivation_to_dict(p) for p in d.premises]}
-
-
-def derivation_from_dict(d: dict) -> Derivation:
-    return Derivation(RuleName.parse(d["rule"]),
-                      sequent_from_dict(d["sequent"]),
-                      tuple(derivation_from_dict(p) for p in d["premises"]),
-                      tuple(d["site"]))
+def __getattr__(name):
+    if name != "validate_derivation":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .check import validate_derivation
+    globals()[name] = validate_derivation
+    return validate_derivation

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import polagram.parser
+import polagram.judgment
 from polagram.cli import BUILTIN_CORPUS, main, parse_corpus
 from polagram.core import print_formula
 from polagram.parser import GOAL_TYPES
@@ -414,7 +414,7 @@ def test_corpus_fails_a_row_whose_derivation_fails_validation(
         tmp_path, capsys, monkeypatch):
     path = tmp_path / "corpus.tsv"
     path.write_text("Nobody saw anybody\tok\t1\n", encoding="utf-8")
-    monkeypatch.setattr(polagram.parser, "validate_derivation",
+    monkeypatch.setattr(polagram.judgment, "validate_derivation",
                         lambda d: False)
     code, out, _ = run(capsys, "corpus", str(path))
     assert code == 1

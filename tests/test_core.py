@@ -11,7 +11,7 @@ from polagram import (
     parse_structure, print_formula, print_structure,
 )
 from polagram.core import replace, subtree
-from polagram.prover import structure_from_dict, structure_to_dict
+from polagram.jsonform import structure_from_dict, structure_to_dict
 from test_prover import _open_sites
 
 
@@ -379,6 +379,35 @@ def test_a_site_steps_0_or_1_at_a_binary_node_and_0_at_a_unary_one():
             subtree(st, bad)
         with pytest.raises(IndexError):
             replace(st, bad, FLeaf(S))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Atom(""), "empty atom name"),
+    (lambda: Product(UMODE, NP, NP), "bad binary mode 'u'"),
+    (lambda: Over(PMODE, S, NP), "bad binary mode 'p'"),
+    (lambda: Under("x", NP, S), "bad binary mode 'x'"),
+    (lambda: Dia("x", NP), "bad unary mode 'x'"),
+    (lambda: BoxDown(CMODE, NP), "bad unary mode 'c'"),
+])
+def test_a_formula_is_checked_when_built(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("show, other_kind", [
+    (print_formula, FLeaf(NP)),      # a structure is no formula
+    (print_structure, NP),           # and a formula no structure
+    (structure_to_dict, NP),
+])
+def test_printing_refuses_what_is_not_its_kind(show, other_kind):
+    with pytest.raises(TypeError, match="not a"):
+        show(other_kind)
+
+
+def test_a_formula_shows_its_syntax():
+    assert repr(parse_formula("s0 /c (np \\c s-)")) \
+        == "<Formula s0 /c (np \\c s-)>"
 
 
 @pytest.mark.parametrize("d, message", [

@@ -94,6 +94,11 @@ def test_unlicensed_no_runs(machine):
     assert accepting_runs(machine, ["everybody", "anybody"]) == []
 
 
+def test_a_word_with_no_transition_has_no_runs(machine):
+    with pytest.raises(KeyError, match="no transition for 'alice'"):
+        accepting_runs(machine, ["nobody", "Alice"])
+
+
 def test_empty_sequence_run(machine):
     assert Run((NEU,), ()) in accepting_runs(machine, [])
 

@@ -50,6 +50,20 @@ def test_load_alternative_types_append():
     assert len(loaded.lookup("dog")) == 2
 
 
+def test_an_unknown_word_is_a_lexicon_error(lex):
+    with pytest.raises(LexiconError, match="unknown word 'aardvark'"):
+        lex.lookup("aardvark")
+
+
+def test_a_lexicon_shows_its_size(lex):
+    assert repr(lex) == "<Lexicon 12 words>"
+
+
+def test_load_empty_word_reports_lineno():
+    with pytest.raises(LexiconError, match="line 2: empty word"):
+        load_lexicon("dog := np\n  := np\n")
+
+
 def test_load_malformed_line_reports_lineno():
     with pytest.raises(LexiconError, match="line 1"):
         load_lexicon("dog np")

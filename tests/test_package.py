@@ -22,35 +22,84 @@ IMPORT_SCRIPT = """
 import dataclasses, json, sys
 import polagram
 
-modules = [m for name, m in sys.modules.items()
-           if name == "polagram" or name.startswith("polagram.")]
+def loaded():
+    return {name for name in sys.modules
+            if name == "polagram" or name.startswith("polagram.")}
+
+lex = polagram.default_lexicon()
+machine = polagram.machine_from_lexicon(lex)
+polagram.parse_sentence("Nobody saw anybody", lex)
+parse_path = loaded()
 dataclasses_seen = sorted({
-    value.__qualname__ for m in modules for value in vars(m).values()
+    value.__qualname__ for name in parse_path
+    for value in vars(sys.modules[name]).values()
     if isinstance(value, type) and dataclasses.is_dataclass(value)})
-semantics_at_import = "polagram.semantics" in sys.modules
-from polagram import FiniteModel
-print(json.dumps([semantics_at_import, dataclasses_seen,
-                  "polagram.semantics" in sys.modules,
-                  FiniteModel is sys.modules["polagram.semantics"].FiniteModel]))
+# each name of argv, a dotted path below the package, in turn: the
+# modules its first use loads, and the module it comes from
+first_use = []
+for path in sys.argv[1:]:
+    before = loaded()
+    *owners, name = path.split(".")
+    owner = polagram
+    for attribute in owners:
+        owner = getattr(owner, attribute)
+    value = getattr(owner, name)
+    first_use.append([path, sorted(loaded() - before), value.__module__,
+                      getattr(sys.modules[value.__module__], name) is value])
+print(json.dumps([sorted(parse_path), dataclasses_seen, first_use]))
 """
 
+PARSE_PATH = ["polagram", "polagram.core", "polagram.fsm", "polagram.lexicon",
+              "polagram.parser", "polagram.prover", "polagram.readings"]
+_JSON_FORMS = ["structure_to_dict", "structure_from_dict", "sequent_to_dict",
+               "sequent_from_dict", "derivation_to_dict",
+               "derivation_from_dict"]
+_MODEL_THEORY = ["FiniteModel", "QuantDenotation", "denotation",
+                 "is_downward_entailing", "is_upward_entailing"]
 
-def test_import_loads_no_model_theory_and_generates_one_record():
-    # in a fresh interpreter, since this one has loaded everything
+
+def _first_uses(*paths):
+    """Run ``IMPORT_SCRIPT`` in a fresh interpreter, since this one has
+    loaded everything, on the dotted ``paths`` below the package."""
     src = Path(polagram.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, *paths],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    at_import, dataclasses_seen, loaded, same = json.loads(proc.stdout)
-    assert not at_import
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_model_theory_and_generates_one_record():
+    # an import, the default lexicon, its machine and a parse load the
+    # modules a parse runs and no other: not the checker, the judge, the
+    # JSON forms or the model theory, each of which loads on first use
+    paths = ["prover.validate_derivation", "judge", "Judgment", "CorpusLine",
+             *_JSON_FORMS, *_MODEL_THEORY, "validate_derivation"]
+    parse_path, dataclasses_seen, first_use = _first_uses(*paths)
+    assert parse_path == PARSE_PATH
     assert dataclasses_seen == ["ParseResult"]
-    assert loaded and same
+    loads = {"prover.validate_derivation": ["polagram.check"],
+             "judge": ["polagram.judgment"],
+             _JSON_FORMS[0]: ["polagram.jsonform"],
+             _MODEL_THEORY[0]: ["polagram.semantics"]}
+    homes = {"validate_derivation": "polagram.check",
+             "judge": "polagram.judgment", "Judgment": "polagram.judgment",
+             "CorpusLine": "polagram.judgment",
+             **dict.fromkeys(_JSON_FORMS, "polagram.jsonform"),
+             **dict.fromkeys(_MODEL_THEORY, "polagram.semantics")}
+    assert first_use == [
+        [path, loads.get(path, []), homes[path.split(".")[-1]], True]
+        for path in paths]
+    # the checker loads with the first use of any name that runs it
+    for path, loaded in [("validate_derivation", ["polagram.check"]),
+                         ("judge", ["polagram.check", "polagram.judgment"])]:
+        assert _first_uses(path)[2][0][1] == loaded
 
 
 def test_an_unknown_name_is_still_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        polagram.no_such_name
+    for module in (polagram, polagram.prover):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 _AXIOM_NP = Derivation(RuleName("Axiom"), Sequent(FLeaf(NP), NP))

@@ -4,17 +4,20 @@ import time
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import polagram.judgment
 import polagram.parser
 from polagram import (
-    Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, S0, SPLUS,
+    Bin, FLeaf, GRAMMATICAL, UNGRAMMATICAL, S0, SPLUS, Sequent,
     UNKNOWN, SearchBudget, bracketings, judge, load_lexicon, parse_sentence,
     predict, quantifier_occurrences, tokenize, validate_derivation,
 )
 from polagram.cli import BUILTIN_CORPUS
 from polagram.core import DEFAULT
+from polagram.prover import _skeleton_refutes
 
 GATE = Path(__file__).resolve().parents[1] / "bench" / "gate.py"
 
@@ -45,6 +48,20 @@ def test_bracketing_shape_and_positions(lex):
                 walk(node.left), walk(node.right)
         walk(tree)
         assert leaves == [("nobody", 0), ("saw", 1), ("anybody", 2)]
+
+
+def test_no_tokens_have_no_bracketing(lex):
+    with pytest.raises(ValueError, match="no tokens"):
+        bracketings([], lex)
+
+
+def test_bracketings_stop_at_their_stop_time(lex):
+    # the clock is read before each tree node is built, so a stop time
+    # already reached builds none, and one not reached changes nothing
+    tokens = ["nobody", "'s mother", "saw", "anybody", "'s father"]
+    assert bracketings(tokens, lex, stop_at=time.monotonic()) == []
+    assert bracketings(tokens, lex, stop_at=time.monotonic() + 3600) \
+        == bracketings(tokens, lex)
 
 
 def test_single_token_bracketing(lex):
@@ -233,6 +250,61 @@ def test_the_deadline_and_the_collector_pause_cover_bracketings(
     assert collecting == [False]
 
 
+def test_a_zero_deadline_builds_no_tree(lex, monkeypatch):
+    # thirteen tokens have 208,012 trees, which the enumeration would build
+    # before its first search; the deadline cuts it before the first
+    sentence = "Alice" + "'s mother" * 10 + " saw Bob"
+    original = polagram.parser.bracketings
+    built = []
+
+    def counted(*args, **kwargs):
+        trees = original(*args, **kwargs)
+        built.append(len(trees))
+        return trees
+
+    monkeypatch.setattr(polagram.parser, "bracketings", counted)
+    result = parse_sentence(sentence, lex, deadline=0)
+    assert built == [0]
+    assert result.verdict == UNKNOWN and result.timed_out
+
+
+def test_a_deadline_reached_between_searches_skips_the_rest(
+        lex, monkeypatch):
+    # a clock that stands still until the first search ends, then jumps
+    # past the deadline: the one search run found nothing, so the parse is
+    # undecided, not ungrammatical
+    now = [0.0]
+    searches = []
+    original = polagram.parser.prove
+
+    def first_search_takes_an_hour(*args, **kwargs):
+        searches.append(args[0])
+        result = original(*args, **kwargs)
+        now[0] += 3600
+        return result
+
+    monkeypatch.setattr(polagram.parser, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(polagram.parser, "prove", first_search_takes_an_hour)
+    result = parse_sentence("Anybody saw nobody", lex, deadline=60)
+    assert len(searches) == 1
+    assert result.verdict == UNKNOWN and result.timed_out
+    monkeypatch.undo()
+    assert parse_sentence("Anybody saw nobody", lex, deadline=60).verdict \
+        == UNGRAMMATICAL
+
+
+def test_a_scope_taker_without_a_skeleton_leaves_the_verdict_to_the_search():
+    # ``s0 /c np`` is a c-mode type but no scope-taker ``Out /c (np \\c In)``,
+    # so it has no skeleton, the skeleton check abstains and the search
+    # refutes
+    lex = load_lexicon("alice := np\nsaw := (np \\ s0) / np\nw := s0 /c np\n")
+    [tree, _] = bracketings(tokenize("Alice saw w", lex), lex)
+    assert not _skeleton_refutes(Sequent(tree, S0))
+    result = parse_sentence("Alice saw w", lex)
+    assert result.verdict == UNGRAMMATICAL and not result.timed_out
+
+
 def test_a_nan_deadline_is_refused_before_any_search(lex, monkeypatch):
     # no clock reading passes a NaN deadline, so the searches would never
     # time out; the parse refuses it before it builds a tree
@@ -364,7 +436,7 @@ def test_judge_gives_the_reasons_of_the_benchmark_gate(parsed, machine,
         first = case.derivations[0]
         with monkeypatch.context() as patch:
             if invalid:
-                patch.setattr(polagram.parser, "validate_derivation",
+                patch.setattr(polagram.judgment, "validate_derivation",
                               lambda d: d is not first)
             judgment = judge(case, machine, expected)
         assert judgment.result is case and judgment.invalid == invalid

@@ -21,11 +21,12 @@ from polagram import (
 from polagram.check import expected_premises
 from polagram.cli import BUILTIN_CORPUS
 from polagram.core import BINARY_MODES, UNARY_MODES, replace, subtree
+from polagram.jsonform import structure_from_dict, structure_to_dict
 from polagram.prover import (
     AXIOM, BOX_DOWN_L, BOX_DOWN_R, KPRIME, LEFT_B, LEFT_F, LEX, RIGHT_B,
     RIGHT_F, ROOT_B, ROOT_F, T_RULE, UNQUOTE_ANTE, UNQUOTE_SUCC, MoveTable,
     _antecedent_moves, _apply_step, _extract, _search, _skeleton_refutes,
-    scope_firing, structure_from_dict, structure_to_dict,
+    scope_firing,
 )
 
 CLAUSE_TYPES = {"s0": S0, "s+": SPLUS, "s-": SMINUS}
@@ -1447,6 +1448,20 @@ def test_a_box_down_goal_over_a_box_down_is_introduced_unfused():
     assert d.rule == BOX_DOWN_R[PMODE]
     assert [p.conclusion for p in d.premises] \
         == [seq("<p>{[p]np}", "[p]<p>np")]
+
+
+@pytest.mark.parametrize("text, steps", [
+    # a surface pair at the root: only its c-mode child offers a move
+    ("(np *c (np \\c s)) * np", [(RuleName("UnderL", CMODE), (0,), None)]),
+    # a quote at the root: nothing inside it
+    ("<>((s /c (np \\c s)) *c (np \\c s))", []),
+])
+def test_a_live_context_offers_moves_at_c_mode_sites_only(text, steps):
+    ant = parse_structure(text)
+    assert ant.has_cmode_node
+    moves = _antecedent_moves(ant)
+    assert [step for step, *_rest in moves] == steps
+    assert moves == _reference_moves(ant)
 
 
 def test_the_walk_offers_the_unquote_at_a_quoted_u_diamond():

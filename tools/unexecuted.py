@@ -8,18 +8,27 @@ is listed too.
 
 Usage, from the root of the repository::
 
-    python tools/unexecuted.py [PYTEST_ARGS ...]
+    python tools/unexecuted.py [--allow FILE] [PYTEST_ARGS ...]
 
-With no arguments pytest runs the tier-1 suite (``-q
---continue-on-collection-errors``).  The exit code is pytest's.  Tracing
-makes the suite about five times slower.
+With no pytest arguments pytest runs the tier-1 suite (``-q
+--continue-on-collection-errors``).  Tracing makes the suite about five
+times slower.
+
+``--allow FILE`` names the statements that may stay unrun, one a line: the
+module's path, a colon and the statement's first line, as this tool prints
+them without the line number, then ``  -- `` and why no test runs it.  A
+line may be listed as often as such statements are; ``#`` starts a comment
+line.  The exit code is pytest's when pytest fails, else 1 when a statement
+not run is not listed, or a listed one ran, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,23 +91,57 @@ def unexecuted(path: Path):
                   if traced.isdisjoint(span))
 
 
+def read_allowed(path: Path) -> Counter:
+    """The statements the file at ``path`` allows to stay unrun, as
+    (module path, first line of source), each as often as it is listed.
+    Raises ValueError for a line with no reason."""
+    allowed: Counter = Counter()
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        entry, _, reason = line.partition("  -- ")
+        module, _, source = entry.partition(": ")
+        if not (reason.strip() and source.strip()):
+            raise ValueError(f"{path}:{lineno}: expected "
+                             f"'PATH: STATEMENT  -- REASON'")
+        allowed[module, source.strip()] += 1
+    return allowed
+
+
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(allow_abbrev=False)
+    parser.add_argument("--allow", type=Path, metavar="FILE")
+    args, pytest_args = parser.parse_known_args(argv)
+    allowed = Counter() if args.allow is None else read_allowed(args.allow)
     sys.path.insert(0, str(PACKAGE.parent))
     threading.settrace(_trace_calls)
     sys.settrace(_trace_calls)
     try:
-        status = pytest.main(argv or ["-q", "--continue-on-collection-errors"])
+        status = pytest.main(pytest_args
+                             or ["-q", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
+    total = unlisted = 0
     for path in sorted(PACKAGE.glob("*.py")):
+        module = str(path.relative_to(ROOT))
         missed = unexecuted(path)
         total += len(missed)
         for lineno, source in missed:
-            print(f"{path.relative_to(ROOT)}:{lineno}: {source}")
-    print(f"{total} statements not run")
-    return int(status)
+            if allowed[module, source] > 0:
+                allowed[module, source] -= 1
+                note = "  (allowed)"
+            else:
+                unlisted += 1
+                note = ""
+            print(f"{module}:{lineno}: {source}{note}")
+    ran = sorted(allowed.elements())
+    for module, source in ran:
+        print(f"{module}: {source}  (allowed, but it ran)")
+    print(f"{total} statements not run, {unlisted} of them not allowed; "
+          f"{len(ran)} allowed statements ran")
+    return int(status) or int(bool(unlisted or ran))
 
 
 if __name__ == "__main__":
